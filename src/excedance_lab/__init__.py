@@ -15,6 +15,7 @@ from .families import family, q_bracket, springer, substituted_eulerian
 from .grammar import Grammar, parse_rules
 from .multipoly import Context, ParseError, Poly, as_fraction, poly_from_json
 from .permstats import (
+    BadClassSize,
     PermObject,
     SizeExceeded,
     UnknownStat,
@@ -42,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Context", "Poly", "ParseError", "as_fraction", "poly_from_json",
     "Grammar", "parse_rules",
-    "PermObject", "SizeExceeded", "UnknownStat", "class_size",
+    "BadClassSize", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
     "enumerate_class", "gen_poly", "stirling_identities",
     "family", "q_bracket", "springer", "substituted_eulerian",
     "CoeffSeq", "NotSymmetric", "PartialGamma", "ShapeReport",

@@ -23,6 +23,17 @@ def _add_format(parser, default="text", choices=("text", "json", "csv")):
     parser.add_argument("--format", default=default, choices=choices)
 
 
+def _int_or_sym(value: str) -> str:
+    """Argparse type for --k/--r: an integer literal, or 'sym'/'symbolic'."""
+    try:
+        _parse_int_or_sym(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'sym', got {value!r}"
+        ) from None
+    return value
+
+
 def _parse_int_or_sym(value):
     if value is None or value in ("sym", "symbolic"):
         return None
@@ -30,12 +41,7 @@ def _parse_int_or_sym(value):
 
 
 def _family_poly(ctx, args):
-    fam = families.REGISTRY.get(args.name)
-    if fam is None:
-        raise families.BadParams(
-            f"unknown family {args.name!r} (try: {', '.join(sorted(families.REGISTRY))})"
-        )
-    return fam, families.family(
+    return families.family(
         ctx, args.name, args.n,
         k=_parse_int_or_sym(args.k), r=_parse_int_or_sym(args.r),
     )
@@ -43,7 +49,7 @@ def _family_poly(ctx, args):
 
 def _cmd_family(args) -> int:
     ctx = Context()
-    fam, poly = _family_poly(ctx, args)
+    poly = _family_poly(ctx, args)
     if args.format == "json":
         print(json.dumps({
             "name": args.name, "n": args.n,
@@ -75,9 +81,7 @@ def _cmd_enumerate(args) -> int:
     else:
         wanted = list(all_stats)
     rows = []
-    for obj, stats in permstats.enumerate_class(
-        kind, args.n, r=args.r or 1, k=args.k or 1
-    ):
+    for obj, stats in permstats.enumerate_class(kind, args.n, r=args.r, k=args.k):
         rows.append((obj, stats))
     if args.format == "json":
         print(json.dumps([
@@ -117,7 +121,7 @@ def _cmd_grammar(args) -> int:
 
 def _cmd_shape(args) -> int:
     ctx = Context()
-    fam, poly = _family_poly(ctx, args)
+    poly = _family_poly(ctx, args)
     point = {}
     if args.p is not None:
         point["p"] = as_fraction(args.p)
@@ -132,7 +136,8 @@ def _cmd_shape(args) -> int:
         )
     m = args.m
     if m is None:
-        m = fam.default_m(args.n) if fam.default_m else poly.degree("x")
+        default_m = families.REGISTRY[args.name].default_m
+        m = default_m(args.n) if default_m else poly.degree("x")
     report = shape_report(CoeffSeq.from_poly(poly, "x", m=m))
     if args.report == "json":
         print(json.dumps({
@@ -173,9 +178,9 @@ def _cmd_verify(args) -> int:
     if args.max_n is not None:
         overrides["max_n"] = args.max_n
     if args.k is not None:
-        overrides["ks"] = (int(args.k),)
+        overrides["ks"] = (args.k,)
     if args.r is not None:
-        overrides["rs"] = (int(args.r),)
+        overrides["rs"] = (args.r,)
     try:
         result = identities.run_verify(
             args.id, profile=args.profile, overrides=overrides or None,
@@ -240,16 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", help="print one polynomial family member")
     p_family.add_argument("--name", required=True)
     p_family.add_argument("--n", type=int, required=True)
-    p_family.add_argument("--k", default=None, help="integer, or 'sym' for symbolic")
-    p_family.add_argument("--r", default=None, help="integer, or 'sym' for symbolic")
+    p_family.add_argument(
+        "--k", type=_int_or_sym, default=None, help="integer, or 'sym' for symbolic"
+    )
+    p_family.add_argument(
+        "--r", type=_int_or_sym, default=None, help="integer, or 'sym' for symbolic"
+    )
     _add_format(p_family)
     p_family.set_defaults(fn=_cmd_family)
 
     p_enum = sub.add_parser("enumerate", help="stream a permutation class with statistics")
     p_enum.add_argument("--kind", required=True, choices=permstats.KINDS)
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--r", type=int, default=None)
-    p_enum.add_argument("--k", type=int, default=None)
+    p_enum.add_argument("--r", type=int, default=1)
+    p_enum.add_argument("--k", type=int, default=1)
     p_enum.add_argument("--stats", default="")
     _add_format(p_enum, default="csv", choices=("csv", "json"))
     p_enum.set_defaults(fn=_cmd_enumerate)
@@ -266,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape = sub.add_parser("shape", help="shape report for a family instance")
     p_shape.add_argument("--family", dest="name", required=True)
     p_shape.add_argument("--n", type=int, required=True)
-    p_shape.add_argument("--k", default=None)
-    p_shape.add_argument("--r", default=None)
+    p_shape.add_argument("--k", type=_int_or_sym, default=None)
+    p_shape.add_argument("--r", type=_int_or_sym, default=None)
     p_shape.add_argument("--p", default=None, help="rational a/b")
     p_shape.add_argument("--q", default=None, help="rational a/b")
     p_shape.add_argument("--m", type=int, default=None, help="declared length")
@@ -282,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run one identity by registry id")
     p_verify.add_argument("--id", required=True)
     p_verify.add_argument("--max-n", type=int, default=None)
-    p_verify.add_argument("--k", default=None)
-    p_verify.add_argument("--r", default=None)
+    p_verify.add_argument("--k", type=int, default=None)
+    p_verify.add_argument("--r", type=int, default=None)
     p_verify.add_argument("--profile", default="full", choices=("quick", "full"))
     p_verify.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)
     _add_format(p_verify, choices=("text", "json"))
@@ -308,6 +317,7 @@ def main(argv=None) -> int:
     except (
         families.BadParams,
         families.OutOfTable,
+        permstats.BadClassSize,
         permstats.SizeExceeded,
         permstats.UnknownStat,
         fsaction.ValueAbsent,

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 
 from . import permstats
 from .multipoly import Context, Poly, binomial
+from .shape import gamma_assemble
 
 SPRINGER = (1, 1, 3, 11, 57, 361, 2763, 24611)
 
@@ -48,10 +49,7 @@ def q_bracket(ctx: Context, n: int, base: Union[str, int] = "p") -> Poly:
     if n < 0:
         raise BadParams("bracket index must be nonnegative")
     b = Poly(ctx, {((ctx._resolve(base), 1),): 1})
-    total = ctx.zero()
-    for i in range(n):
-        total = total + b**i
-    return total
+    return ctx.sum(b**i for i in range(n))
 
 
 def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly:
@@ -60,6 +58,12 @@ def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly:
     if not isinstance(value, int) or value < 1:
         raise BadParams(f"{name} must be a positive integer or None for symbolic")
     return ctx.const(value)
+
+
+def _x_polys(ctx: Context, tables: tuple[dict[int, Poly], ...]) -> tuple[Poly, ...]:
+    """Each table {i: c_i} as the polynomial  sum c_i x^i."""
+    x = ctx.var("x")
+    return tuple(ctx.sum(c * x**i for i, c in table.items()) for table in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +105,18 @@ def gamma_poly(ctx: Context, n: int) -> Poly:
     if n == 0:
         return ctx.const(1)
     p, x = ctx.var("p"), ctx.var("x")
-    total = ctx.zero()
-    for (i, j), g in sorted(gamma_triangle(ctx, n).items()):
-        total = total + g * p**i * x**j
-    return total
+    return ctx.sum(g * p**i * x**j for (i, j), g in gamma_triangle(ctx, n).items())
 
 
 def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
-    """A_n(x,p,q), assembled from the gamma triangle."""
+    """A_n(x,p,q), assembled from the gamma triangle one p^i slice at a time."""
     if n == 0:
         return ctx.const(1)
-    p, x = ctx.var("p"), ctx.var("x")
-    onepx = ctx.const(1) + x
-    total = ctx.zero()
-    for (i, j), g in sorted(gamma_triangle(ctx, n).items()):
-        total = total + g * p**i * x**j * onepx ** (n - i - 2 * j)
-    return total
+    rows: dict[int, dict[int, Poly]] = {}
+    for (i, j), g in gamma_triangle(ctx, n).items():
+        rows.setdefault(i, {})[j] = g
+    p = ctx.var("p")
+    return ctx.sum(p**i * gamma_assemble(ctx, row, n - i) for i, row in rows.items())
 
 
 def q_eulerian(ctx: Context, n: int) -> Poly:
@@ -140,10 +140,9 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
     """d_n(x) by inclusion-exclusion over fixed points of A_m(x)."""
     if n < 0:
         raise BadParams("n must be nonnegative")
-    total = ctx.zero()
-    for j in range(n + 1):
-        total = total + ((-1) ** j * binomial(n, j)) * classical_eulerian(ctx, n - j)
-    return total
+    return ctx.sum(
+        ((-1) ** j * binomial(n, j)) * classical_eulerian(ctx, n - j) for j in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +175,7 @@ def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
     if n == 0:
         return ctx.const(1)
     x = ctx.var("x")
-    total = ctx.zero()
-    for j, c in enumerate(one_over_k_coeffs(ctx, n, k)):
-        total = total + c * x**j
-    return total
+    return ctx.sum(c * x**j for j, c in enumerate(one_over_k_coeffs(ctx, n, k)))
 
 
 def one_over_k_pm_tables(
@@ -220,29 +216,13 @@ def one_over_k_pm_tables(
 
 def one_over_k_pm_polys(ctx: Context, n: int, k: Optional[int]) -> tuple[Poly, Poly]:
     """(A+_{n;k}(x), A-_{n;k}(x)) = generating polynomials of the pm tables."""
-    plus, minus = one_over_k_pm_tables(ctx, n, k)
-    x = ctx.var("x")
-    fp = ctx.zero()
-    for i, c in sorted(plus.items()):
-        fp = fp + c * x**i
-    fm = ctx.zero()
-    for i, c in sorted(minus.items()):
-        fm = fm + c * x**i
-    return fp, fm
+    return _x_polys(ctx, one_over_k_pm_tables(ctx, n, k))
 
 
 def one_over_k_decomposition(ctx: Context, n: int, k: Optional[int]) -> tuple[Poly, Poly]:
     """(a_n^{(k)}, b_n^{(k)}):  a = sum A+ x^i (1+x)^{n-1-2i},  likewise b."""
     plus, minus = one_over_k_pm_tables(ctx, n, k)
-    x = ctx.var("x")
-    onepx = ctx.const(1) + x
-    a = ctx.zero()
-    for i, c in sorted(plus.items()):
-        a = a + c * x**i * onepx ** (n - 1 - 2 * i)
-    b = ctx.zero()
-    for i, c in sorted(minus.items()):
-        b = b + c * x**i * onepx ** (n - 2 - 2 * i)
-    return a, b
+    return gamma_assemble(ctx, plus, n - 1), gamma_assemble(ctx, minus, n - 2)
 
 
 def xi_tables(ctx: Context, n: int) -> tuple[dict[int, Poly], dict[int, Poly]]:
@@ -278,10 +258,7 @@ def colored_eulerian_coeffs(ctx: Context, n: int, r: Optional[int]) -> list[Poly
 def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
     """A_{n,r}(x): the flag-order excedance polynomial of the wreath product."""
     x = ctx.var("x")
-    total = ctx.zero()
-    for j, c in enumerate(colored_eulerian_coeffs(ctx, n, r)):
-        total = total + c * x**j
-    return total
+    return ctx.sum(c * x**j for j, c in enumerate(colored_eulerian_coeffs(ctx, n, r)))
 
 
 def alpha_tables(
@@ -322,29 +299,13 @@ def alpha_tables(
 
 def alpha_polys(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly, Poly]:
     """Generating polynomials  sum alpha+- x^k  of the alpha tables."""
-    plus, minus = alpha_tables(ctx, n, r)
-    x = ctx.var("x")
-    fp = ctx.zero()
-    for i, c in sorted(plus.items()):
-        fp = fp + c * x**i
-    fm = ctx.zero()
-    for i, c in sorted(minus.items()):
-        fm = fm + c * x**i
-    return fp, fm
+    return _x_polys(ctx, alpha_tables(ctx, n, r))
 
 
 def colored_decomposition(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly, Poly]:
     """Symmetric-decomposition parts of A_{n,r}(x) built from the alpha tables."""
     plus, minus = alpha_tables(ctx, n, r)
-    x = ctx.var("x")
-    onepx = ctx.const(1) + x
-    a = ctx.zero()
-    for i, c in sorted(plus.items()):
-        a = a + c * x**i * onepx ** (n - 2 * i)
-    b = ctx.zero()
-    for i, c in sorted(minus.items()):
-        b = b + c * x**i * onepx ** (n - 1 - 2 * i)
-    return a, b
+    return gamma_assemble(ctx, plus, n), gamma_assemble(ctx, minus, n - 1)
 
 
 def type_b_q_eulerian(ctx: Context, n: int) -> Poly:
@@ -368,10 +329,7 @@ def phi_kernel(ctx: Context, n: int) -> Poly:
     if n < 2:
         return ctx.zero()
     x, y = ctx.var("x"), ctx.var("y")
-    total = ctx.zero()
-    for a in range(1, n):
-        total = total + x**a * y ** (n - a)
-    return total
+    return ctx.sum(x**a * y ** (n - a) for a in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +370,14 @@ def substituted_eulerian(
             cache[e] = power(cache, base_poly, e - 1) * base_poly
         return cache[e]
 
-    total = ctx.zero()
-    for (e, d, f, c), count in sorted(joint.items()):
-        term = (
-            count
-            * power(pow_exc, exc_weight, e)
-            * power(pow_drop, drop_weight, d)
-            * power(pow_fix, fix_weight, f)
-            * power(pow_q, qv, c)
-        )
-        total = total + term
-    return total
+    return ctx.sum(
+        count
+        * power(pow_exc, exc_weight, e)
+        * power(pow_drop, drop_weight, d)
+        * power(pow_fix, fix_weight, f)
+        * power(pow_q, qv, c)
+        for (e, d, f, c), count in sorted(joint.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +507,4 @@ def family(
         kwargs["k"] = k
     if fam.needs_r:
         kwargs["r"] = r
-    try:
-        return fam.build(ctx, n, **kwargs)
-    except OutOfTable:
-        raise
+    return fam.build(ctx, n, **kwargs)

@@ -40,7 +40,7 @@ class Grammar:
         if isinstance(f, str):
             f = self.ctx.poly(f)
         ctx = self.ctx
-        total = ctx.zero()
+        pieces = []
         for key, c in f.terms.items():
             for i, (v, e) in enumerate(key):
                 rule = self.rules.get(v)
@@ -50,8 +50,8 @@ class Grammar:
                     rest = key[:i] + key[i + 1 :]
                 else:
                     rest = key[:i] + ((v, e - 1),) + key[i + 1 :]
-                total = total + rule * Poly(ctx, {rest: c * e})
-        return total
+                pieces.append(rule * Poly(ctx, {rest: c * e}))
+        return ctx.sum(pieces)
 
     def iterate(self, f: Union[Poly, str], n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""

@@ -43,7 +43,14 @@ from .families import (
 from .grammar import Grammar
 from .multipoly import Context, Poly, binomial
 from .permstats import SizeExceeded, gen_poly
-from .shape import CoeffSeq, check as shape_check, decompose, gamma_expand, shape_report
+from .shape import (
+    CoeffSeq,
+    check as shape_check,
+    decompose,
+    gamma_assemble,
+    gamma_expand,
+    shape_report,
+)
 
 DEFAULT_SEED = 94101
 
@@ -150,24 +157,6 @@ def _plain_joint(n: int, max_class=None) -> dict:
     return out
 
 
-def _poly_from_coeffs(ctx: Context, coeffs, var="x") -> Poly:
-    x = ctx.var(var)
-    total = ctx.zero()
-    for i, c in enumerate(coeffs):
-        total = total + ctx.const(c) * x**i
-    return total
-
-
-def _gamma_basis_sum(ctx: Context, table: dict[int, int], m: int, var="x") -> Poly:
-    """sum table[i] * x^i (1+x)^(m-2i)."""
-    x = ctx.var(var)
-    onepx = ctx.const(1) + x
-    total = ctx.zero()
-    for i, c in sorted(table.items()):
-        total = total + ctx.const(c) * x**i * onepx ** (m - 2 * i)
-    return total
-
-
 def _colored_fexc_from_plain(
     ctx: Context, n: int, r: int, *, derangements_only: bool = False, max_class=None
 ) -> Poly:
@@ -192,30 +181,12 @@ def _colored_fexc_from_plain(
             continue
         key = (exc, fix, cyc)
         joint[key] = joint.get(key, 0) + cnt
-    total = ctx.zero()
-    for (exc, fix, cyc), cnt in sorted(joint.items()):
-        if derangements_only:
-            term = cnt * exc_factor**exc * rest_factor ** (n - exc) * qv**cyc
-        else:
-            # fixed points take any color: color 0 is a fixed point (x^0),
-            # color c > 0 is a singleton contributing x^c
-            term = (
-                cnt
-                * exc_factor**exc
-                * rest_factor ** (n - exc - fix)
-                * rest_factor**fix
-                * qv**cyc
-            )
-        total = total + term
-    return total
-
-
-def _signed_gen(ctx, n, weighting, where=None, max_class=None):
-    return gen_poly(ctx, "signed", n, weighting, where=where, max_class=max_class)
-
-
-def _colored_gen(ctx, n, r, weighting, where=None, max_class=None):
-    return gen_poly(ctx, "colored", n, weighting, r=r, where=where, max_class=max_class)
+    # fixed points take any color: color 0 is a fixed point (x^0), color
+    # c > 0 is a singleton contributing x^c (derangements have fix = 0)
+    return ctx.sum(
+        cnt * exc_factor**exc * rest_factor ** (n - exc - fix) * rest_factor**fix * qv**cyc
+        for (exc, fix, cyc), cnt in joint.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +290,8 @@ def _run_g3(bounds, env, ck):
             "x": rhs_rule, "y": rhs_rule,
         })
         lhs = g3.iterate(ctx.var("J"), n)
-        rhs = ctx.var("J") * _signed_gen(
-            ctx, n,
+        rhs = ctx.var("J") * gen_poly(
+            ctx, "signed", n,
             {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
             max_class=env.max_class,
         )
@@ -341,14 +312,13 @@ def _run_g8(bounds, env, ck):
             g8 = Grammar(ctx, {"u": f"u*v^{r}", "v": f"u^{r}*v"})
             seed = ctx.monomial({"u": r - 1, "v": 1})
             lhs = g8.iterate(seed, n)
-            counts = _colored_gen(
-                ctx, n, r, {"exc_f": "x"}, max_class=env.max_class
+            counts = gen_poly(
+                ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class
             ).coeffs_in("x")
-            rhs = ctx.zero()
-            for kk, c in enumerate(counts):
-                rhs = rhs + c * ctx.monomial(
-                    {"u": (n - kk) * r + r - 1, "v": kk * r + 1}
-                )
+            rhs = ctx.sum(
+                c * ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1})
+                for kk, c in enumerate(counts)
+            )
             ck.eq(f"r={r} n={n}", lhs, rhs)
 
 
@@ -368,10 +338,10 @@ def _run_g10(bounds, env, ck):
                 "x": f"{r}*x*y", "y": f"{r}*x*y", "p": f"{r}*x*y",
             })
             lhs = g10.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * _colored_gen(
-                ctx, n, r,
+            rhs = ctx.var("I") * gen_poly(
+                ctx, "colored", n,
                 {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             ck.eq(f"r={r} n={n}", lhs, rhs)
 
@@ -396,11 +366,11 @@ def _run_g12(bounds, env, ck):
                 "x": rule, "y": rule, "t": rule, "s": rule,
             })
             lhs = g12.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * _colored_gen(
-                ctx, n, r,
+            rhs = ctx.var("I") * gen_poly(
+                ctx, "colored", n,
                 {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
                  "csum": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             ck.eq(f"r={r} n={n}", lhs, rhs)
 
@@ -424,11 +394,11 @@ def _run_g14(bounds, env, ck):
                 "t": rule, "s": rule, "x": rule, "y": rule,
             })
             lhs = g14.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * _colored_gen(
-                ctx, n, r,
+            rhs = ctx.var("I") * gen_poly(
+                ctx, "colored", n,
                 {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
                  "csum": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             ck.eq(f"r={r} n={n}", lhs, rhs)
 
@@ -541,7 +511,7 @@ def _run_rec_arnk(bounds, env, ck):
             ck.eq(
                 f"n={n} r={r} enumeration",
                 colored_eulerian(ctx, n, r),
-                _colored_gen(ctx, n, r, {"exc_f": "x"}, max_class=env.max_class),
+                gen_poly(ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class),
             )
 
 
@@ -556,7 +526,7 @@ def _run_rec_bnxq(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
         fam = type_b_q_eulerian(ctx, n)
-        raw = _signed_gen(ctx, n, {"wexc": "x", "neg": "q"}, max_class=env.max_class)
+        raw = gen_poly(ctx, "signed", n, {"wexc": "x", "neg": "q"}, max_class=env.max_class)
         ck.eq(f"n={n} enumeration", fam, raw.reverse_in("q", n))
         colored_sym = colored_eulerian(ctx, n, None)
         ck.eq(
@@ -671,8 +641,8 @@ def _run_rec_alpha_decom(bounds, env, ck):
 def _run_thm9(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
-        lhs = _signed_gen(
-            ctx, n,
+        lhs = gen_poly(
+            ctx, "signed", n,
             {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
             max_class=env.max_class,
         )
@@ -694,8 +664,8 @@ def _run_thm9(bounds, env, ck):
 def _run_thm12(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
-        lhs = _signed_gen(
-            ctx, n,
+        lhs = gen_poly(
+            ctx, "signed", n,
             {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
              "neg": "p", "cyc": "q"},
             max_class=env.max_class,
@@ -719,10 +689,10 @@ def _run_thm22(bounds, env, ck):
     for r in bounds["rs"]:
         for n in range(bounds["max_n"] + 1):
             ctx = Context()
-            lhs = _colored_gen(
-                ctx, n, r,
+            lhs = gen_poly(
+                ctx, "colored", n,
                 {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             rhs = substituted_eulerian(
                 ctx, n,
@@ -748,11 +718,11 @@ def _run_thm24(bounds, env, ck):
             ctx = Context()
             br = q_bracket(ctx, r, "p")
             br1 = q_bracket(ctx, r - 1, "p")
-            lhs = _colored_gen(
-                ctx, n, r,
+            lhs = gen_poly(
+                ctx, "colored", n,
                 {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
                  "csum": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             rhs = substituted_eulerian(
                 ctx, n,
@@ -776,11 +746,11 @@ def _run_thm26(bounds, env, ck):
             ctx = Context()
             br = q_bracket(ctx, r, "p")
             br1 = q_bracket(ctx, r - 1, "p")
-            lhs = _colored_gen(
-                ctx, n, r,
+            lhs = gen_poly(
+                ctx, "colored", n,
                 {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
                  "csum": "p", "cyc": "q"},
-                max_class=env.max_class,
+                r=r, max_class=env.max_class,
             )
             rhs = substituted_eulerian(
                 ctx, n,
@@ -839,17 +809,19 @@ def _run_sign_gamma(bounds, env, ck):
         ctx = Context()
         g = gamma_poly(ctx, n)
         x = ctx.var("x")
-        rhs1 = ctx.zero()
-        for ell in range(n + 1):
-            rhs1 = rhs1 + (-1) ** (n - ell) * binomial(n - ell, ell) * x**ell
+        rhs1 = ctx.sum(
+            (-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1)
+        )
         ck.eq(f"n={n} p=1", g.substitute({"p": 1, "q": -1}), rhs1)
-        rhs2 = ctx.zero()
-        for ell in range(n + 1):
-            rhs2 = rhs2 + (-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1)
+        rhs2 = ctx.sum(
+            (-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1)
+            for ell in range(n + 1)
+        )
         ck.eq(f"n={n} p=0", g.substitute({"p": 0, "q": -1}), rhs2)
-        rhs3 = ctx.zero()
-        for ell in range(2 * n + 1):
-            rhs3 = rhs3 + (-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1)
+        rhs3 = ctx.sum(
+            (-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1)
+            for ell in range(2 * n + 1)
+        )
         ck.eq(f"n={n} p=x", g.substitute({"p": x, "q": -1}), rhs3)
 
 
@@ -863,17 +835,15 @@ def _run_sign_gamma(bounds, env, ck):
 def _run_sign_dnb(bounds, env, ck):
     for n in range(1, bounds["max_n"] + 1):
         ctx = Context()
-        lhs = _signed_gen(
-            ctx, n, {"fexc": "x", "neg": "p", "cyc": "q"},
+        lhs = gen_poly(
+            ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
             where=lambda s: s["fix"] == 0,
             max_class=env.max_class,
         ).substitute({"q": -1})
         x, p = ctx.var("x"), ctx.var("p")
-        rhs = ctx.zero()
-        for i in range(1, n):
-            rhs = rhs - x ** (2 * i)
-        for i in range(1, n + 1):
-            rhs = rhs - p * x ** (2 * i - 1)
+        rhs = -ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(
+            p * x ** (2 * i - 1) for i in range(1, n + 1)
+        )
         ck.eq(f"n={n}", lhs, rhs)
 
 
@@ -890,8 +860,8 @@ def _run_bagno_garber(bounds, env, ck):
             ctx = Context()
             lhs = _colored_fexc_from_plain(ctx, n, r, max_class=env.max_class)
             if n <= bounds["direct_max_n"]:
-                direct = _colored_gen(
-                    ctx, n, r, {"fexc_r": "x", "cyc": "q"}, max_class=env.max_class
+                direct = gen_poly(
+                    ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r, max_class=env.max_class
                 )
                 ck.eq(f"r={r} n={n} factorised vs direct", lhs, direct)
             signed = lhs.substitute({"q": -1})
@@ -918,9 +888,9 @@ def _run_sign_anr(bounds, env, ck):
                 ctx, n, r, derangements_only=True, max_class=env.max_class
             )
             if n <= bounds["direct_max_n"]:
-                direct = _colored_gen(
-                    ctx, n, r, {"fexc_r": "x", "cyc": "q"},
-                    where=lambda s: s["fix"] == 0 and s["single"] == 0,
+                direct = gen_poly(
+                    ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
+                    r=r, where=lambda s: s["fix"] == 0 and s["single"] == 0,
                     max_class=env.max_class,
                 )
                 ck.eq(f"r={r} n={n} factorised vs direct", lhs, direct)
@@ -950,7 +920,7 @@ def _run_foata(bounds, env, ck):
             des, dd = tup[4], tup[5]
             if dd == 0:
                 table[des] = table.get(des, 0) + cnt
-        ck.eq(f"n={n} basis sum", an, _gamma_basis_sum(ctx, table, n - 1))
+        ck.eq(f"n={n} basis sum", an, gamma_assemble(ctx, table, n - 1))
         gammas = gamma_expand(CoeffSeq.from_poly(an, "x", m=n - 1))
         ck.eq(
             f"n={n} gamma vector",
@@ -973,16 +943,15 @@ def _run_zeng(bounds, env, ck):
             ctx, "plain", n, {"exc": "x", "cyc": "q"},
             where=lambda s: s["fix"] == 0, max_class=env.max_class,
         )
-        x = ctx.var("x")
-        onepx = ctx.const(1) + x
-        rhs = ctx.zero()
-        for k in range(1, n // 2 + 1):
-            qsum = gen_poly(
+        qsums = {
+            k: gen_poly(
                 ctx, "plain", n, {"cyc": "q"},
                 where=lambda s, k=k: s["fix"] == 0 and s["cda"] == 0 and s["exc"] == k,
                 max_class=env.max_class,
             )
-            rhs = rhs + qsum * x**k * onepx ** (n - 2 * k)
+            for k in range(1, n // 2 + 1)
+        }
+        rhs = gamma_assemble(ctx, qsums, n)
         ck.eq(f"n={n}", lhs, rhs)
 
 
@@ -996,13 +965,13 @@ def _run_zeng(bounds, env, ck):
 def _run_petersen(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
-        bn = _signed_gen(ctx, n, {"wexc": "x"}, max_class=env.max_class)
+        bn = gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class)
         table: dict[int, int] = {}
         for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
             lpk = tup[6]
             table[lpk] = table.get(lpk, 0) + cnt
         weighted = {i: 4**i * c for i, c in table.items()}
-        ck.eq(f"n={n}", bn, _gamma_basis_sum(ctx, weighted, n))
+        ck.eq(f"n={n}", bn, gamma_assemble(ctx, weighted, n))
 
 
 @_identity(
@@ -1035,11 +1004,12 @@ def _run_lpk_nocda(bounds, env, ck):
         ctx = Context()
         lhs = gen_poly(ctx, "plain", n, {"lpk": "x"}, max_class=env.max_class)
         x = ctx.var("x")
-        rhs = ctx.zero()
+        pieces = []
         for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
             exc, fix, cda = tup[0], tup[2], tup[7]
             if cda == 0:
-                rhs = rhs + cnt * 2 ** (n - fix - 2 * exc) * x**exc
+                pieces.append(cnt * 2 ** (n - fix - 2 * exc) * x**exc)
+        rhs = ctx.sum(pieces)
         ck.eq(f"n={n}", lhs, rhs)
 
 
@@ -1121,8 +1091,8 @@ def _run_shape_onek(bounds, env, ck):
 def _run_shape_dnb(bounds, env, ck):
     for n in range(1, bounds["max_n"] + 1):
         ctx = Context()
-        dnb = _signed_gen(
-            ctx, n, {"exc": "x"}, where=lambda s: s["fix"] == 0,
+        dnb = gen_poly(
+            ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0,
             max_class=env.max_class,
         )
         ck.eq(
@@ -1176,8 +1146,8 @@ def _run_shape_dfexc(bounds, env, ck):
     bigamma_points = (Fraction(1), Fraction(2))
     for n in range(1, bounds["max_n"] + 1):
         ctx = Context()
-        dn = _signed_gen(
-            ctx, n, {"fexc": "x", "cyc": "q"},
+        dn = gen_poly(
+            ctx, "signed", n, {"fexc": "x", "cyc": "q"},
             where=lambda s: s["fix"] == 0, max_class=env.max_class,
         )
         for qv in gamma_points:
@@ -1187,7 +1157,7 @@ def _run_shape_dfexc(bounds, env, ck):
                 shape_check(seq, "gamma_positive"),
                 str(seq.coeffs),
             )
-        fn = _signed_gen(ctx, n, {"fexc": "x", "neg": "p"}, max_class=env.max_class)
+        fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"}, max_class=env.max_class)
         for pv in bigamma_points:
             seq = CoeffSeq.from_poly(fn.eval_rational({"p": pv}), "x", m=2 * n - 1)
             ck.ok(
@@ -1213,15 +1183,16 @@ def _run_thm11(bounds, env, ck):
     ctx = Context()
     weights = {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p"}
     bs = [
-        _signed_gen(ctx, m, weights, max_class=env.max_class)
+        gen_poly(ctx, "signed", m, weights, max_class=env.max_class)
         for m in range(bounds["max_n"] + 1)
     ]
     tsp = ctx.poly("t + s*p")
     onep = ctx.poly("1 + p")
     for n in range(2, bounds["max_n"] + 1):
-        rhs = tsp**n
-        for k in range(n - 1):
-            rhs = rhs + binomial(n, k) * bs[k] * phi_kernel(ctx, n - k) * onep ** (n - k)
+        rhs = tsp**n + ctx.sum(
+            binomial(n, k) * bs[k] * phi_kernel(ctx, n - k) * onep ** (n - k)
+            for k in range(n - 1)
+        )
         ck.eq(f"n={n}", bs[n], rhs)
 
 
@@ -1242,9 +1213,9 @@ def _run_four_spec(bounds, env, ck):
                  max_class=env.max_class)
         for m in range(top + 1)
     ]
-    b = [_signed_gen(ctx, m, {"wexc": "x"}, max_class=env.max_class) for m in range(top + 1)]
+    b = [gen_poly(ctx, "signed", m, {"wexc": "x"}, max_class=env.max_class) for m in range(top + 1)]
     db = [
-        _signed_gen(ctx, m, {"exc": "x"}, where=lambda s: s["fix"] == 0,
+        gen_poly(ctx, "signed", m, {"exc": "x"}, where=lambda s: s["fix"] == 0,
                     max_class=env.max_class)
         for m in range(top + 1)
     ]
@@ -1253,16 +1224,13 @@ def _run_four_spec(bounds, env, ck):
         return x * q_bracket(ctx, m, "x")
 
     for n in range(2, top + 1):
-        rhs_a = ctx.const(1)
-        rhs_d = ctx.zero()
-        rhs_b = (ctx.const(1) + x) ** n
-        rhs_db = ctx.const(1)
-        for k in range(n - 1):
-            block = binomial(n, k) * geom(n - 1 - k)
-            rhs_a = rhs_a + block * a[k]
-            rhs_d = rhs_d + block * d[k]
-            rhs_b = rhs_b + block * b[k] * 2 ** (n - k)
-            rhs_db = rhs_db + block * db[k] * 2 ** (n - k)
+        blocks = [binomial(n, k) * geom(n - 1 - k) for k in range(n - 1)]
+        rhs_a = 1 + ctx.sum(block * a[k] for k, block in enumerate(blocks))
+        rhs_d = ctx.sum(block * d[k] for k, block in enumerate(blocks))
+        rhs_b = (1 + x) ** n + ctx.sum(
+            block * b[k] * 2 ** (n - k) for k, block in enumerate(blocks)
+        )
+        rhs_db = 1 + ctx.sum(block * db[k] * 2 ** (n - k) for k, block in enumerate(blocks))
         ck.eq(f"n={n} classical", a[n], rhs_a)
         ck.eq(f"n={n} derangement", d[n], rhs_d)
         ck.eq(f"n={n} type B", b[n], rhs_b)
@@ -1352,14 +1320,14 @@ def _run_fs(bounds, env, ck):
 
 def _random_poly(ctx, rng, nvars=3, max_terms=4, max_exp=3, big=False):
     vars_ = ("x", "y", "z")[:nvars]
-    total = ctx.zero()
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.randint(-8, 8)
         if big and rng.random() < 0.3:
             coeff = rng.choice([-1, 1]) * (2**64 + rng.randint(0, 2**20))
         exps = {v: rng.randint(0, max_exp) for v in vars_}
-        total = total + ctx.monomial({v: e for v, e in exps.items() if e}, coeff)
-    return total
+        terms.append(ctx.monomial({v: e for v, e in exps.items() if e}, coeff))
+    return ctx.sum(terms)
 
 
 @_identity(
@@ -1466,7 +1434,7 @@ def _random_gamma_positive(ctx, rng, m, zero_at_origin=False):
             table[i] = rng.randint(0, 6)
     if not table:
         table[1 if zero_at_origin and m >= 2 else 0] = rng.randint(1, 6)
-    return _gamma_basis_sum(ctx, table, m), table
+    return gamma_assemble(ctx, table, m), table
 
 
 @_identity(
@@ -1596,8 +1564,8 @@ def _run_equidist_b(bounds, env, ck):
         ctx = Context()
         ck.eq(
             f"n={n}",
-            _signed_gen(ctx, n, {"des_B": "x"}, max_class=env.max_class),
-            _signed_gen(ctx, n, {"wexc": "x"}, max_class=env.max_class),
+            gen_poly(ctx, "signed", n, {"des_B": "x"}, max_class=env.max_class),
+            gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class),
         )
 
 
@@ -1666,19 +1634,16 @@ def _run_dnr(bounds, env, ck):
     for r in bounds["rs"]:
         for n in range(bounds["max_n"] + 1):
             ctx = Context()
-            lhs = _colored_gen(
-                ctx, n, r, {"exc_f": "x", "cyc": "q"},
-                where=lambda s: s["fix"] == 0, max_class=env.max_class,
+            lhs = gen_poly(
+                ctx, "colored", n, {"exc_f": "x", "cyc": "q"},
+                r=r, where=lambda s: s["fix"] == 0, max_class=env.max_class,
             )
             x, q = ctx.var("x"), ctx.var("q")
-            rhs = ctx.zero()
-            for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-                exc, fix, cyc = tup[0], tup[2], tup[3]
-                term = (
-                    cnt * (r - 1) ** fix * r ** (n - fix)
-                    * x ** (exc + fix) * q**cyc
-                )
-                rhs = rhs + term
+            rhs = ctx.sum(
+                cnt * (r - 1) ** fix * r ** (n - fix) * x ** (exc + fix) * q**cyc
+                for (exc, _, fix, cyc, *_), cnt
+                in permstats._distribution_cached("plain", n, 1, 1).items()
+            )
             ck.eq(f"r={r} n={n}", lhs, rhs)
     for n in range(bounds["rev_max_n"] + 1):
         ctx = Context()
@@ -1703,28 +1668,26 @@ def _run_dnr(bounds, env, ck):
 def _run_mongelli(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
-        lhs_full = _signed_gen(
-            ctx, n, {"exc_A": "u", "neg": "p"}, max_class=env.max_class
+        lhs_full = gen_poly(
+            ctx, "signed", n, {"exc_A": "u", "neg": "p"}, max_class=env.max_class
         ).substitute({"u": ctx.poly("x^2")})
-        an = classical_eulerian(ctx, n)
         arg = ctx.poly("x^2 + p")
         onep = ctx.poly("1 + p")
-        rhs_full = ctx.zero()
-        for j, c in enumerate(an.coeffs_in("x")):
-            rhs_full = rhs_full + c * arg**j * onep ** (n - j)
-        ck.eq(f"n={n} full group", lhs_full, rhs_full)
-        lhs_der = _signed_gen(
-            ctx, n, {"exc_A": "u", "neg": "p"},
+
+        def lift(f, deg):
+            # sum_j f_j (x^2 + p)^j (1 + p)^(deg - j)
+            return ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
+
+        ck.eq(f"n={n} full group", lhs_full, lift(classical_eulerian(ctx, n), n))
+        lhs_der = gen_poly(
+            ctx, "signed", n, {"exc_A": "u", "neg": "p"},
             where=lambda s: s["fix"] == 0, max_class=env.max_class,
         ).substitute({"u": ctx.poly("x^2")})
-        rhs_der = ctx.zero()
         p = ctx.var("p")
-        for k in range(n + 1):
-            dk = derangement_poly(ctx, k)
-            hom = ctx.zero()
-            for j, c in enumerate(dk.coeffs_in("x")):
-                hom = hom + c * arg**j * onep ** (k - j)
-            rhs_der = rhs_der + binomial(n, k) * p ** (n - k) * hom
+        rhs_der = ctx.sum(
+            binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k)
+            for k in range(n + 1)
+        )
         ck.eq(f"n={n} derangements", lhs_der, rhs_der)
 
 

@@ -11,7 +11,10 @@ with no zero exponents, and coefficients are Python ints (or
 normalised back to int).  The zero polynomial has no terms.
 
 Everything here is pure and values are immutable by convention: no operation
-mutates its inputs, so polynomials are safe to share across workers.
+mutates its inputs, so polynomials are safe to share across workers.  Sums of
+many polynomials go through :meth:`Context.sum`, which accumulates in place in
+one fresh dict (no copy of the running total per summand) and never mutates
+its inputs.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -110,6 +113,28 @@ class Context:
     def poly(self, text: str) -> "Poly":
         """Parse canonical (or any reasonable) polynomial text."""
         return _parse_poly(self, text)
+
+    def sum(self, polys: Iterable["Poly"]) -> "Poly":
+        """Sum of polynomials from this context, accumulated in one fresh dict.
+
+        Equal to folding ``+`` from the left (zero coefficients dropped,
+        integral fractions normalised to int), without copying the running
+        total at every step.  The inputs are never mutated.
+        """
+        out: dict[MonoKey, Coeff] = {}
+        for p in polys:
+            if p.ctx is not self:
+                raise ValueError("polynomials from different contexts")
+            if not out:
+                out.update(p.terms)
+                continue
+            for key, c in p.terms.items():
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Poly(self, {key: _norm_coeff(c) for key, c in out.items()})
 
 
 class Poly:
@@ -268,9 +293,9 @@ class Poly:
             subs[ctx._resolve(var)] = val
         if not subs:
             return self
-        total = ctx.zero()
         powcache: dict[tuple[int, int], Poly] = {}
-        for key, c in self.terms.items():
+
+        def image(key: MonoKey, c: Coeff) -> Poly:
             piece = ctx.const(c)
             for v, e in key:
                 if v in subs:
@@ -281,8 +306,9 @@ class Poly:
                     piece = piece * pw
                 else:
                     piece = piece * Poly(ctx, {((v, e),): 1})
-            total = total + piece
-        return total
+            return piece
+
+        return ctx.sum(image(key, c) for key, c in self.terms.items())
 
     def eval_rational(self, point: Mapping) -> "Poly":
         """Evaluate some variables at exact rationals; the rest stay free."""
@@ -314,10 +340,7 @@ class Poly:
         if length < len(coeffs) - 1:
             raise ValueError("length below the actual degree")
         v = Poly(self.ctx, {((self.ctx._resolve(var), 1),): 1})
-        out = self.ctx.zero()
-        for i, c in enumerate(coeffs):
-            out = out + c * v ** (length - i)
-        return out
+        return self.ctx.sum(c * v ** (length - i) for i, c in enumerate(coeffs))
 
     # -- rendering --------------------------------------------------------
 
@@ -367,11 +390,9 @@ def poly_from_json(ctx: Context, data) -> Poly:
     """Inverse of :meth:`Poly.to_json` / ``to_json_obj``."""
     if isinstance(data, str):
         data = json.loads(data)
-    total = ctx.zero()
-    for term in data:
-        coeff = as_fraction(term["coeff"])
-        total = total + ctx.monomial(term["exponents"], coeff)
-    return total
+    return ctx.sum(
+        ctx.monomial(term["exponents"], as_fraction(term["coeff"])) for term in data
+    )
 
 
 def _mono_mul(a: MonoKey, b: MonoKey) -> MonoKey:
@@ -422,18 +443,17 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
+        pieces = [self.signed_term()]
+        while self.peek() in ("+", "-"):
+            pieces.append(self.signed_term())
+        return self.ctx.sum(pieces)
+
+    def signed_term(self) -> Poly:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        total = self.term() * sign
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.take() == "+" else -1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            total = total + self.term() * sign
-        return total
+        return self.term() * sign
 
     def term(self) -> Poly:
         result = self.factor()

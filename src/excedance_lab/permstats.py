@@ -34,6 +34,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .multipoly import Context, Poly
@@ -69,6 +70,10 @@ class UnknownStat(KeyError):
     """A weighting or filter referenced a statistic the class does not have."""
 
 
+class BadClassSize(ValueError):
+    """A class size parameter outside its domain: n < 0, colored r < 1, stirling k < 1."""
+
+
 def guard_limit(max_class: Optional[int] = None) -> int:
     if max_class is not None:
         return max_class
@@ -77,6 +82,13 @@ def guard_limit(max_class: Optional[int] = None) -> int:
 
 
 def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
+    """Number of objects in the class; BadClassSize on an impossible size."""
+    if n < 0:
+        raise BadClassSize(f"n must be nonnegative, got {n}")
+    if kind == "colored" and r < 1:
+        raise BadClassSize(f"colored classes need r >= 1, got {r}")
+    if kind == "stirling" and k < 1:
+        raise BadClassSize(f"stirling classes need k >= 1, got {k}")
     fact = 1
     for i in range(2, n + 1):
         fact *= i
@@ -441,8 +453,6 @@ def enumerate_class(
                 signed_base_stats(word), n
             )
     elif kind == "colored":
-        if r < 1:
-            raise ValueError("colored classes need r >= 1")
         # value-major generation with nested color vectors is already the
         # (value, color)-lexicographic order on words
         for word in _colored_words(n, r):
@@ -450,8 +460,6 @@ def enumerate_class(
                 colored_base_stats(word), n, r
             )
     elif kind == "stirling":
-        if k < 1:
-            raise ValueError("stirling classes need k >= 1")
         for word in _stirling_words(n, k):
             yield PermObject("stirling", n, word, k=k), dict(
                 zip(STIRLING_BASE, stirling_base_stats(word, k))
@@ -461,8 +469,12 @@ def enumerate_class(
 
 
 @lru_cache(maxsize=None)
-def _distribution_cached(kind: str, n: int, r: int, k: int) -> Counter:
-    """Joint distribution Counter over the base stat tuple (unordered sum)."""
+def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, int]:
+    """Joint distribution over the base stat tuple (unordered sum).
+
+    The cached value is shared by every caller in the process, so it is handed
+    out as a read-only view.
+    """
     dist: Counter = Counter()
     if kind == "plain":
         for word in _plain_words(n):
@@ -518,7 +530,7 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> Counter:
             dist[stirling_base_stats(word, k)] += 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return dist
+    return MappingProxyType(dist)
 
 
 def stat_distribution(

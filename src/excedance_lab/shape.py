@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .multipoly import Context, Poly
 
 Number = Union[int, Fraction]
+Coefficient = Union[Number, Poly]
 
 PROPERTIES = (
     "symmetric",
@@ -81,10 +82,7 @@ class CoeffSeq:
 
     def to_poly(self, ctx: Context, var: str = "x") -> Poly:
         x = ctx.var(var)
-        total = ctx.zero()
-        for i, c in enumerate(self.coeffs):
-            total = total + ctx.const(c) * x**i
-        return total
+        return ctx.sum(c * x**i for i, c in enumerate(self.coeffs) if c)
 
 
 def _div_one_minus_x(coeffs: Sequence[Number]) -> list[Number]:
@@ -113,10 +111,12 @@ def decompose(f: CoeffSeq) -> tuple[CoeffSeq, CoeffSeq]:
     b = _div_one_minus_x(num_b)
     a_seq = CoeffSeq.make(a, m)
     b_seq = CoeffSeq.make(b, m - 1) if m >= 1 else CoeffSeq((), -1)
-    assert _is_symmetric(a_seq) and _is_symmetric(b_seq)
+    if not (_is_symmetric(a_seq) and _is_symmetric(b_seq)):
+        raise AssertionError("decomposition parts are not symmetric")
     for i in range(m + 1):
         fi = a_seq[i] + (b_seq[i - 1] if 1 <= i <= b_seq.m + 1 else 0)
-        assert fi == f[i]
+        if fi != f[i]:
+            raise AssertionError(f"a + x*b differs from f at x^{i}")
     return a_seq, b_seq
 
 
@@ -142,19 +142,29 @@ def gamma_expand(f: CoeffSeq) -> list[Number]:
             for j in range(m - 2 * k + 1):
                 work[k + j] -= g * row
                 row = row * (m - 2 * k - j) // (j + 1)
-    assert all(c == 0 for c in work)
+    if any(work):
+        raise AssertionError("gamma expansion left a remainder")
     return gammas
 
 
-def gamma_assemble(ctx: Context, gammas: Sequence[Number], m: int, var: str = "x") -> Poly:
-    """Rebuild ``sum gamma_k x^k (1+x)^{m-2k}`` as a polynomial."""
+def gamma_assemble(
+    ctx: Context,
+    gammas: Union[Sequence[Coefficient], Mapping[int, Coefficient]],
+    m: int,
+    var: str = "x",
+) -> Poly:
+    """Build ``sum gamma_k x^k (1+x)^{m-2k}`` as a polynomial.
+
+    ``gammas`` is a list ``[gamma_0, gamma_1, ...]`` or a ``{k: gamma_k}``
+    table; each coefficient is a number or a :class:`Poly` of ``ctx`` (for
+    tables with a symbolic parameter).  This is the one builder of the gamma
+    basis expansion.
+    """
+    if not isinstance(gammas, Mapping):
+        gammas = dict(enumerate(gammas))
     x = ctx.var(var)
     onepx = ctx.const(1) + x
-    total = ctx.zero()
-    for k, g in enumerate(gammas):
-        if g:
-            total = total + ctx.const(g) * x**k * onepx ** (m - 2 * k)
-    return total
+    return ctx.sum(g * x**k * onepx ** (m - 2 * k) for k, g in gammas.items() if g)
 
 
 def check(f: CoeffSeq, prop: str) -> bool:
@@ -282,12 +292,12 @@ class PartialGamma:
 
     def assemble(self, ctx: Context, xvar: str = "x", yvar: str = "y") -> Poly:
         y = ctx.var(yvar)
-        total = ctx.zero()
-        for (i, j), v in sorted(self.mu.items()):
-            total = total + ctx.const(v) * y**i * gamma_assemble(
-                ctx, [0] * j + [1], self.n - i, xvar
-            )
-        return total
+        rows: dict[int, dict[int, Number]] = {}
+        for (i, j), v in self.mu.items():
+            rows.setdefault(i, {})[j] = v
+        return ctx.sum(
+            y**i * gamma_assemble(ctx, row, self.n - i, xvar) for i, row in rows.items()
+        )
 
 
 def partial_gamma_expand(

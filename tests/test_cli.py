@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from excedance_lab.cli import main
 from excedance_lab.multipoly import Context, poly_from_json
@@ -35,9 +36,10 @@ def test_family_json_round_trip(capsys):
 
 
 def test_family_symbolic_default(capsys):
-    code, out, _ = run_cli(capsys, "family", "--name", "alpha_minus", "--n", "1")
-    assert code == 0
-    assert out.strip() == "-2 + r"
+    for extra in ((), ("--r", "sym")):
+        code, out, _ = run_cli(capsys, "family", "--name", "alpha_minus", "--n", "1", *extra)
+        assert code == 0
+        assert out.strip() == "-2 + r"
 
 
 def test_family_springer(capsys):
@@ -96,6 +98,41 @@ def test_enumerate_guard_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "4")
     assert code == 2
     assert "exceeds guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "colored", "--n", "2", "--r", "0"),
+        ("--kind", "stirling", "--n", "2", "--k", "0"),
+        ("--kind", "plain", "--n", "-1"),
+    ],
+)
+def test_enumerate_bad_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("family", "--name", "one_over_k", "--n", "3", "--k", "abc"), "--k"),
+        (("family", "--name", "A_r", "--n", "3", "--r", "1.5"), "--r"),
+        (("shape", "--family", "one_over_k", "--n", "3", "--k", "abc"), "--k"),
+        (("shape", "--family", "A_r", "--n", "3", "--r", "two"), "--r"),
+        (("verify", "--id", "rec-anjk", "--k", "abc"), "--k"),
+        (("verify", "--id", "rec-arnk", "--r", "sym"), "--r"),
+    ],
+)
+def test_non_integer_k_r_rejected_by_argparse(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
 
 
 def test_grammar_derive(capsys, tmp_path):

@@ -1,5 +1,8 @@
 import json
+import operator
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -180,6 +183,63 @@ def test_binomial():
     assert binomial(3, 5) == 0
     assert binomial(-1, 0) == 0
     assert binomial(-1, 2) == 0
+
+
+# -- Context.sum ------------------------------------------------------------
+
+
+def _random_terms(ctx, rng, fractions=False):
+    total = ctx.zero()
+    for _ in range(rng.randint(0, 5)):
+        coeff = rng.randint(-6, 6)
+        if fractions:
+            coeff = Fraction(coeff, rng.randint(1, 3))
+        exps = {"x": rng.randint(0, 3), "y": rng.randint(0, 2)}
+        total = total + ctx.monomial(exps, coeff)
+    return total
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_sum_equals_left_fold_and_leaves_inputs_alone(ctx, fractions):
+    rng = random.Random(f"context-sum:{fractions}")
+    for _ in range(300):
+        polys = [_random_terms(ctx, rng, fractions) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            # cancel part of the total, or all of it
+            polys.append(-reduce(operator.add, polys[: rng.randint(1, len(polys))]))
+        before = [dict(p.terms) for p in polys]
+        folded = reduce(operator.add, polys)
+        got = ctx.sum(polys)
+        assert got.terms == folded.terms
+        assert all(c != 0 for c in got.terms.values())
+        assert [p.terms for p in polys] == before
+        assert ctx.sum(iter(polys)) == folded
+
+
+def test_sum_cancels_to_zero(ctx):
+    f, g = ctx.poly("3*x^2 - y + 1"), ctx.poly("x*y - 1")
+    total = ctx.sum([f, g, -(f + g)])
+    assert total.is_zero() and total.terms == {}
+    assert f == ctx.poly("3*x^2 - y + 1") and g == ctx.poly("x*y - 1")
+
+
+def test_sum_normalises_integral_fractions(ctx):
+    x = ctx.var("x")
+    third = ctx.const(Fraction(1, 3))
+    total = ctx.sum([third * x, ctx.const(Fraction(2, 3)) * x, third, third, third])
+    assert total.terms == {((ctx.varid("x"), 1),): 1, (): 1}
+    assert all(type(c) is int for c in total.terms.values())
+    assert ctx.sum([third, third]).constant_term() == Fraction(2, 3)
+
+
+def test_sum_of_nothing_is_zero(ctx):
+    assert ctx.sum([]).terms == {}
+    assert ctx.sum(p for p in ()).is_zero()
+
+
+def test_sum_rejects_a_foreign_context(ctx):
+    with pytest.raises(ValueError):
+        ctx.sum([ctx.var("x"), Context().var("x")])
 
 
 # -- property tests ---------------------------------------------------------

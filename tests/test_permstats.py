@@ -2,8 +2,10 @@ from collections import Counter
 
 import pytest
 
+from excedance_lab import permstats
 from excedance_lab.multipoly import Context
 from excedance_lab.permstats import (
+    BadClassSize,
     PermObject,
     SizeExceeded,
     UnknownStat,
@@ -32,6 +34,37 @@ def test_class_sizes():
     assert class_size("signed", 2) == 8
     assert class_size("colored", 3, r=3) == 162
     assert class_size("stirling", 5, k=3) == 1 * 4 * 7 * 10 * 13
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs",
+    [
+        ("plain", -1, {}),
+        ("signed", -2, {}),
+        ("colored", 2, {"r": 0}),
+        ("colored", -1, {"r": 2}),
+        ("stirling", 2, {"k": 0}),
+    ],
+)
+def test_bad_class_sizes_raise(ctx, kind, n, kwargs):
+    with pytest.raises(BadClassSize):
+        class_size(kind, n, **kwargs)
+    with pytest.raises(BadClassSize):
+        gen_poly(ctx, kind, n, {}, **kwargs)
+    with pytest.raises(BadClassSize):
+        list(enumerate_class(kind, n, **kwargs))
+    with pytest.raises(BadClassSize):
+        stat_distribution(kind, n, **kwargs)
+
+
+def test_cached_distribution_is_read_only(ctx):
+    dist = permstats._distribution_cached("plain", 3, 1, 1)
+    with pytest.raises(AttributeError):
+        dist.clear()
+    with pytest.raises(TypeError):
+        dist[next(iter(dist))] = 0
+    assert gen_poly(ctx, "plain", 3, {"exc": "x"}) == ctx.poly("1 + 4*x + x^2")
+    assert permstats._distribution_cached.cache_info().hits >= 1
 
 
 def test_plain_two_objects():

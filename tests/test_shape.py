@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import excedance_lab
 
 from excedance_lab.families import classical_eulerian, fix_cyc_eulerian, q_eulerian
 from excedance_lab.multipoly import Context
@@ -84,6 +90,41 @@ def test_gamma_assemble_round_trip(ctx):
     poly = gamma_assemble(ctx, gs, 5)
     got = gamma_expand(CoeffSeq.from_poly(poly, "x", m=5))
     assert got == [2, 5, 1]
+
+
+def test_gamma_assemble_symbolic_coefficients(ctx):
+    # Poly coefficients, as in the tables with a symbolic k or r
+    k = ctx.var("k")
+    got = gamma_assemble(ctx, {0: 1 + k, 1: k**2}, 3)
+    assert got == ctx.poly("(1+k)*(1+x)^3 + k^2*x*(1+x)")
+    assert got.substitute({"k": 2}) == gamma_assemble(ctx, [3, 4], 3)
+    assert gamma_assemble(ctx, {}, 4).is_zero()
+
+
+# Each snippet breaks one certificate's premise, so a result that is still
+# returned is wrong; under -O a plain assert would let it through.
+_SABOTAGED = {
+    "decompose": (
+        "shape._is_symmetric = lambda f: False\n"
+        "shape.decompose(shape.CoeffSeq.make([1, 10, 4]))"
+    ),
+    "gamma_expand": (
+        "shape._is_symmetric = lambda f: True\n"
+        "shape.gamma_expand(shape.CoeffSeq.make([1, 10, 4]))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SABOTAGED))
+def test_certificates_survive_optimised_mode(name):
+    src = str(Path(excedance_lab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import excedance_lab.shape as shape\n" + _SABOTAGED[name]],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 def test_check_chains():
