@@ -22,6 +22,7 @@ from .permstats import (
     class_size,
     enumerate_class,
     gen_poly,
+    marginal,
     stirling_identities,
 )
 from .shape import (
@@ -44,7 +45,7 @@ __all__ = [
     "Context", "Poly", "ParseError", "as_fraction", "poly_from_json",
     "Grammar", "parse_rules",
     "BadClassSize", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
-    "enumerate_class", "gen_poly", "stirling_identities",
+    "enumerate_class", "gen_poly", "marginal", "stirling_identities",
     "family", "q_bracket", "springer", "substituted_eulerian",
     "CoeffSeq", "NotSymmetric", "PartialGamma", "ShapeReport",
     "check", "decompose", "gamma_expand", "partial_gamma_expand", "shape_report",

@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
             print(f"    rhs: {miss['rhs']}")
             if "diff" in miss:
                 print(f"    diff: {miss['diff']}")
-    return 0 if result.status != "fail" else 1
+    return 1 if result.status in ("fail", "vacuous") else 0
 
 
 def _cmd_suite(args) -> int:
@@ -212,7 +212,7 @@ def _cmd_suite(args) -> int:
     results = identities.run_suite(
         profile=args.profile, ids=ids, seed=args.seed, jobs=args.jobs,
     )
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    counts = {"pass": 0, "fail": 0, "skipped": 0, "vacuous": 0}
     for res in results:
         counts[res.status] += 1
     if args.format == "json":
@@ -230,7 +230,8 @@ def _cmd_suite(args) -> int:
             print(line)
         print(
             f"total: {len(results)}  pass: {counts['pass']}  "
-            f"fail: {counts['fail']}  skipped: {counts['skipped']}"
+            f"fail: {counts['fail']}  skipped: {counts['skipped']}  "
+            f"vacuous: {counts['vacuous']}"
         )
     return 0 if counts["fail"] == 0 else 1
 

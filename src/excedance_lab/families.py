@@ -353,12 +353,9 @@ def substituted_eulerian(
     transform theorems: rational substitutions into A_n(x,p,q) are realised
     by weighting each statistic with a polynomial.
     """
-    permstats._check_guard("plain", n, 1, 1, max_class)
-    base = permstats._distribution_cached("plain", n, 1, 1)
-    joint: dict[tuple[int, int, int, int], int] = {}
-    for tup, count in base.items():
-        key = (tup[0], tup[1], tup[2], tup[3])
-        joint[key] = joint.get(key, 0) + count
+    joint = permstats.marginal(
+        "plain", n, ("exc", "drop", "fix", "cyc"), max_class=max_class
+    )
     qv = Poly(ctx, {((ctx._resolve(cyc_var), 1),): 1})
     pow_exc: dict[int, Poly] = {0: ctx.const(1)}
     pow_drop: dict[int, Poly] = {0: ctx.const(1)}

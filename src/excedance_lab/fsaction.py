@@ -30,7 +30,15 @@ from typing import Iterable, Optional
 
 from . import permstats
 from .multipoly import ParseError
-from .permstats import PermObject
+from .permstats import (
+    ROLE_CDA,
+    ROLE_CDD,
+    ROLE_CPK,
+    ROLE_CVAL,
+    ROLE_FIRST,
+    PermObject,
+    cycle_roles,
+)
 
 
 class ValueAbsent(ValueError):
@@ -39,13 +47,6 @@ class ValueAbsent(ValueError):
 
 class ContractViolation(AssertionError):
     """The reinsertion window guaranteed by the case analysis was missing."""
-
-
-ROLE_FIRST = "first"
-ROLE_CDA = "cda"
-ROLE_CDD = "cdd"
-ROLE_CPK = "cpk"
-ROLE_CVAL = "cval"
 
 
 @dataclass(frozen=True)
@@ -59,35 +60,21 @@ class CycleClassified:
         return self.roles[self.cycle.index(value)]
 
 
-def _classify_cycle(cycle: tuple[int, ...]) -> CycleClassified:
-    L = len(cycle)
-    roles = [ROLE_FIRST]
-    for idx in range(1, L):
-        prev = cycle[idx - 1]
-        cur = cycle[idx]
-        nxt = cycle[idx + 1] if idx + 1 < L else cycle[0]
-        if prev < cur:
-            roles.append(ROLE_CDA if cur < nxt else ROLE_CPK)
-        else:
-            roles.append(ROLE_CDD if cur > nxt else ROLE_CVAL)
-    return CycleClassified(cycle, tuple(roles))
-
-
 def classify(perm: PermObject) -> list[CycleClassified]:
     """Role classification of every cycle of a plain permutation."""
     if perm.kind != "plain":
         raise ValueError("the cycle action is defined for plain permutations")
-    return [_classify_cycle(c) for c in perm.cycles()]
+    return [CycleClassified(c, cycle_roles(c)) for c in perm.cycles()]
 
 
 def cdd_values(perm: PermObject) -> list[int]:
     """All cycle double descents of the permutation, ascending."""
-    out = []
-    for cc in classify(perm):
-        for v, role in zip(cc.cycle, cc.roles):
-            if role == ROLE_CDD:
-                out.append(v)
-    return sorted(out)
+    return sorted(
+        v
+        for cc in classify(perm)
+        for v, role in zip(cc.cycle, cc.roles)
+        if role == ROLE_CDD
+    )
 
 
 def _perm_from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> PermObject:
@@ -103,14 +90,8 @@ def _perm_from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> PermObject:
 
 def act(perm: PermObject, x: int) -> PermObject:
     """Apply phi'_x; identity on peaks, valleys and cycle minima."""
-    if perm.kind != "plain":
-        raise ValueError("the cycle action is defined for plain permutations")
-    target = None
     classified = classify(perm)
-    for cc in classified:
-        if x in cc.cycle:
-            target = cc
-            break
+    target = next((cc for cc in classified if x in cc.cycle), None)
     if target is None:
         raise ValueAbsent(f"{x} does not occur in the permutation")
     k = target.cycle.index(x)
@@ -119,20 +100,13 @@ def act(perm: PermObject, x: int) -> PermObject:
         return perm
     c = target.cycle
     L = len(c)
-    spot = None
     if role == ROLE_CDA:
         # smallest j > k with c_j > x > c_{j+1} (wraparound at the end)
-        for j in range(k + 1, L):
-            nxt = c[j + 1] if j + 1 < L else c[0]
-            if c[j] > x > nxt:
-                spot = j
-                break
+        windows = (j for j in range(k + 1, L) if c[j] > x > c[(j + 1) % L])
     else:
         # largest j < k with c_j < x < c_{j+1}
-        for j in range(k - 1, -1, -1):
-            if c[j] < x < c[j + 1]:
-                spot = j
-                break
+        windows = (j for j in range(k - 1, -1, -1) if c[j] < x < c[j + 1])
+    spot = next(windows, None)
     if spot is None:
         raise ContractViolation(
             f"no reinsertion window for {x} in cycle {c}"
@@ -140,11 +114,7 @@ def act(perm: PermObject, x: int) -> PermObject:
     rebuilt = [v for v in c[: spot + 1] if v != x] + [x] + [
         v for v in c[spot + 1 :] if v != x
     ]
-    cycles = [list(cc.cycle) for cc in classified]
-    for i, cyc in enumerate(cycles):
-        if cyc[0] == c[0]:
-            cycles[i] = rebuilt
-            break
+    cycles = [rebuilt if cc is target else cc.cycle for cc in classified]
     return _perm_from_cycles(perm.n, cycles)
 
 
@@ -168,16 +138,14 @@ def verify_bijection_all(n: int, *, max_class: Optional[int] = None) -> bool:
 
 
 def _bijection_cells(n: int, *, max_class: Optional[int] = None):
-    permstats._check_guard("plain", n, 1, 1, max_class)
     no_cda: dict[tuple[int, int, int], list] = defaultdict(list)
     one_cda: dict[tuple[int, int, int], set] = defaultdict(set)
-    for word in permstats._plain_words(n):
-        base = permstats.plain_base_stats(word)
-        exc, fix, cyc, cda = base[0], base[2], base[3], base[7]
-        if cda == 0:
-            no_cda[(fix, exc, cyc)].append(word)
-        elif cda == 1:
-            one_cda[(fix, exc, cyc)].add(word)
+    for perm, stats in permstats.enumerate_class("plain", n, max_class=max_class):
+        cell = (stats["fix"], stats["exc"], stats["cyc"])
+        if stats["cda"] == 0:
+            no_cda[cell].append(perm.word)
+        elif stats["cda"] == 1:
+            one_cda[cell].add(perm.word)
     return no_cda, one_cda
 
 

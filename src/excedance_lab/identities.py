@@ -42,7 +42,7 @@ from .families import (
 )
 from .grammar import Grammar
 from .multipoly import Context, Poly, binomial
-from .permstats import SizeExceeded, gen_poly
+from .permstats import SizeExceeded, gen_poly, marginal
 from .shape import (
     CoeffSeq,
     check as shape_check,
@@ -69,13 +69,16 @@ class Env:
 
 
 class Checker:
-    """Accumulates mismatches and report details for one identity run."""
+    """Accumulates mismatches, a count of comparisons and report details for
+    one identity run."""
 
     def __init__(self):
         self.mismatches: list[dict] = []
         self.details: dict[str, str] = {}
+        self.checks = 0
 
     def eq(self, context: str, lhs, rhs):
+        self.checks += 1
         if lhs != rhs:
             entry = {"context": context, "lhs": str(lhs), "rhs": str(rhs)}
             if isinstance(lhs, Poly) and isinstance(rhs, Poly):
@@ -83,6 +86,7 @@ class Checker:
             self.mismatches.append(entry)
 
     def ok(self, context: str, condition: bool, info: str = ""):
+        self.checks += 1
         if not condition:
             self.mismatches.append(
                 {"context": context, "lhs": "expected true", "rhs": info or "false"}
@@ -113,11 +117,12 @@ class IdentityRecord:
 @dataclass
 class IdentityResult:
     id: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | vacuous (no comparison ran)
     elapsed: float
     detail: str
     details: dict
     mismatches: list[dict]
+    checks: int
 
     def to_json_obj(self) -> dict:
         return {
@@ -127,6 +132,7 @@ class IdentityResult:
             "detail": self.detail,
             "details": self.details,
             "mismatches": self.mismatches,
+            "checks": self.checks,
         }
 
 
@@ -146,17 +152,6 @@ def _identity(id: str, description: str, criterion: Optional[int], bounds: dict,
 # ---------------------------------------------------------------------------
 
 
-def _plain_joint(n: int, max_class=None) -> dict:
-    """(exc, drop, fix, cyc, cda, des, dd, lpk, cpk_inf, crun) -> count."""
-    permstats._check_guard("plain", n, 1, 1, max_class)
-    out: dict[tuple, int] = {}
-    for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-        exc, drop, fix, cyc, des, dd, lpk, cda, _cdd, _cpk2, cpk_inf = tup
-        key = (exc, drop, fix, cyc, cda, des, dd, lpk, cpk_inf, 2 * cpk_inf + cyc)
-        out[key] = out.get(key, 0) + cnt
-    return out
-
-
 def _colored_fexc_from_plain(
     ctx: Context, n: int, r: int, *, derangements_only: bool = False, max_class=None
 ) -> Poly:
@@ -173,19 +168,13 @@ def _colored_fexc_from_plain(
     exc_factor = x**r + x * q_bracket(ctx, r - 1, "x") if r > 1 else x
     rest_factor = q_bracket(ctx, r, "x")
     qv = ctx.var("q")
-    permstats._check_guard("plain", n, 1, 1, max_class)
-    joint: dict[tuple[int, int], int] = {}
-    for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-        exc, fix, cyc = tup[0], tup[2], tup[3]
-        if derangements_only and fix:
-            continue
-        key = (exc, fix, cyc)
-        joint[key] = joint.get(key, 0) + cnt
+    joint = marginal("plain", n, ("exc", "fix", "cyc"), max_class=max_class)
     # fixed points take any color: color 0 is a fixed point (x^0), color
     # c > 0 is a singleton contributing x^c (derangements have fix = 0)
     return ctx.sum(
         cnt * exc_factor**exc * rest_factor ** (n - exc - fix) * rest_factor**fix * qv**cyc
         for (exc, fix, cyc), cnt in joint.items()
+        if not (derangements_only and fix)
     )
 
 
@@ -465,11 +454,13 @@ def _run_rec_enij(bounds, env, ck):
     for n in range(1, bounds["max_n"] + 1):
         ctx = Context()
         tri = gamma_triangle(ctx, n)
-        seen = set()
-        for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-            exc, fix, cyc, cda = tup[0], tup[2], tup[3], tup[7]
-            if cda == 0:
-                seen.add((fix, exc))
+        seen = {
+            (fix, exc)
+            for (cda, fix, exc) in marginal(
+                "plain", n, ("cda", "fix", "exc"), max_class=env.max_class
+            )
+            if cda == 0
+        }
         for (i, j) in sorted(set(tri) | seen):
             lhs = tri.get((i, j), ctx.zero())
             rhs = gen_poly(
@@ -547,18 +538,13 @@ def _run_thm18(bounds, env, ck):
     for n in range(2, bounds["max_n"] + 1):
         ctx = Context()
         plus, minus = one_over_k_pm_tables(ctx, n, 2)
-        joint = _plain_joint(n, max_class=env.max_class)
-        by_crun: dict[int, int] = {}
-        for key, cnt in joint.items():
-            cpk_inf, crun = key[8], key[9]
-            by_crun[(crun, cpk_inf)] = by_crun.get((crun, cpk_inf), 0) + cnt
+        by_crun = marginal("plain", n, ("crun", "cpk_inf"), max_class=env.max_class)
         enum_plus: dict[int, int] = {}
         enum_minus: dict[int, int] = {}
         for (crun, cpk), cnt in by_crun.items():
-            if crun % 2:
-                enum_plus[(crun - 1) // 2] = enum_plus.get((crun - 1) // 2, 0) + cnt * 4**cpk
-            else:
-                enum_minus[(crun - 2) // 2] = enum_minus.get((crun - 2) // 2, 0) + cnt * 4**cpk
+            # odd crun = 2i+1 feeds xi+[i], even crun = 2i+2 feeds xi-[i]
+            table = enum_plus if crun % 2 else enum_minus
+            table[(crun - 1) // 2] = table.get((crun - 1) // 2, 0) + cnt * 4**cpk
         for i in sorted(set(plus) | set(enum_plus)):
             ck.eq(f"n={n} xi+[{i}]", plus.get(i, ctx.zero()), ctx.const(enum_plus.get(i, 0)))
         for i in sorted(set(minus) | set(enum_minus)):
@@ -915,11 +901,13 @@ def _run_foata(bounds, env, ck):
     for n in range(1, bounds["max_n"] + 1):
         ctx = Context()
         an = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
-        table: dict[int, int] = {}
-        for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-            des, dd = tup[4], tup[5]
-            if dd == 0:
-                table[des] = table.get(des, 0) + cnt
+        table = {
+            des: cnt
+            for (dd, des), cnt in marginal(
+                "plain", n, ("dd", "des"), max_class=env.max_class
+            ).items()
+            if dd == 0
+        }
         ck.eq(f"n={n} basis sum", an, gamma_assemble(ctx, table, n - 1))
         gammas = gamma_expand(CoeffSeq.from_poly(an, "x", m=n - 1))
         ck.eq(
@@ -966,11 +954,10 @@ def _run_petersen(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
         bn = gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class)
-        table: dict[int, int] = {}
-        for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-            lpk = tup[6]
-            table[lpk] = table.get(lpk, 0) + cnt
-        weighted = {i: 4**i * c for i, c in table.items()}
+        weighted = {
+            lpk: 4**lpk * cnt
+            for (lpk,), cnt in marginal("plain", n, ("lpk",), max_class=env.max_class).items()
+        }
         ck.eq(f"n={n}", bn, gamma_assemble(ctx, weighted, n))
 
 
@@ -983,11 +970,13 @@ def _run_petersen(bounds, env, ck):
 )
 def _run_springer(bounds, env, ck):
     for n in range(bounds["max_n"] + 1):
-        lhs = 0
-        for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-            exc, cda = tup[0], tup[7]
-            if cda == 0:
-                lhs += cnt * 2 ** (n - exc)
+        lhs = sum(
+            cnt * 2 ** (n - exc)
+            for (cda, exc), cnt in marginal(
+                "plain", n, ("cda", "exc"), max_class=env.max_class
+            ).items()
+            if cda == 0
+        )
         rhs = sum(binomial(n, i) * springer(i) for i in range(n + 1))
         ck.eq(f"n={n}", lhs, rhs)
 
@@ -1004,12 +993,13 @@ def _run_lpk_nocda(bounds, env, ck):
         ctx = Context()
         lhs = gen_poly(ctx, "plain", n, {"lpk": "x"}, max_class=env.max_class)
         x = ctx.var("x")
-        pieces = []
-        for tup, cnt in permstats._distribution_cached("plain", n, 1, 1).items():
-            exc, fix, cda = tup[0], tup[2], tup[7]
-            if cda == 0:
-                pieces.append(cnt * 2 ** (n - fix - 2 * exc) * x**exc)
-        rhs = ctx.sum(pieces)
+        rhs = ctx.sum(
+            cnt * 2 ** (n - fix - 2 * exc) * x**exc
+            for (cda, exc, fix), cnt in marginal(
+                "plain", n, ("cda", "exc", "fix"), max_class=env.max_class
+            ).items()
+            if cda == 0
+        )
         ck.eq(f"n={n}", lhs, rhs)
 
 
@@ -1302,15 +1292,14 @@ def _run_fs(bounds, env, ck):
     img6 = fsaction.act(perm, 6)
     ck.eq("worked example phi'_3", img3.cycle_string(), "(1,3,10,6,5,7,2,8)(4,9)")
     ck.eq("worked example phi'_6", img6.cycle_string(), "(1,6,10,5,7,3,2,8)(4,9)")
-    base = permstats.plain_base_stats(perm.word)
-    ck.eq("example class", (base[2], base[7], base[0], base[3]), (0, 0, 4, 2))
+
+    def fix_cda_exc_cyc(p):
+        stats = dict(zip(permstats.PLAIN_BASE, permstats.plain_base_stats(p.word)))
+        return tuple(stats[name] for name in ("fix", "cda", "exc", "cyc"))
+
+    ck.eq("example class", fix_cda_exc_cyc(perm), (0, 0, 4, 2))
     for img in (img3, img6):
-        stats = permstats.plain_base_stats(img.word)
-        ck.eq(
-            "image class",
-            (stats[2], stats[7], stats[0], stats[3]),
-            (0, 1, 5, 2),
-        )
+        ck.eq("image class", fix_cda_exc_cyc(img), (0, 1, 5, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1641,8 +1630,8 @@ def _run_dnr(bounds, env, ck):
             x, q = ctx.var("x"), ctx.var("q")
             rhs = ctx.sum(
                 cnt * (r - 1) ** fix * r ** (n - fix) * x ** (exc + fix) * q**cyc
-                for (exc, _, fix, cyc, *_), cnt
-                in permstats._distribution_cached("plain", n, 1, 1).items()
+                for (exc, fix, cyc), cnt
+                in marginal("plain", n, ("exc", "fix", "cyc"), max_class=env.max_class).items()
             )
             ck.eq(f"r={r} n={n}", lhs, rhs)
     for n in range(bounds["rev_max_n"] + 1):
@@ -1728,15 +1717,19 @@ def run_verify(
     except SizeExceeded as exc:
         return IdentityResult(
             ident, "skipped", time.monotonic() - start,
-            f"size guard: {exc}", ck.details, [],
+            f"size guard: {exc}", ck.details, [], ck.checks,
         )
     elapsed = time.monotonic() - start
     if ck.mismatches:
         return IdentityResult(
             ident, "fail", elapsed,
-            f"{len(ck.mismatches)} mismatch(es)", ck.details, ck.mismatches,
+            f"{len(ck.mismatches)} mismatch(es)", ck.details, ck.mismatches, ck.checks,
         )
-    return IdentityResult(ident, "pass", elapsed, "", ck.details, [])
+    if not ck.checks:
+        return IdentityResult(
+            ident, "vacuous", elapsed, "no comparison ran", ck.details, [], 0
+        )
+    return IdentityResult(ident, "pass", elapsed, "", ck.details, [], ck.checks)
 
 
 def _run_one(args):
@@ -1772,7 +1765,7 @@ def run_suite(
         results = [
             IdentityResult(
                 obj["id"], obj["status"], obj["elapsed"], obj["detail"],
-                obj["details"], obj["mismatches"],
+                obj["details"], obj["mismatches"], obj["checks"],
             )
             for obj in raw
         ]

@@ -463,11 +463,12 @@ class _Parser:
             if op == "*":
                 result = result * rhs
             else:
-                # exact division is only supported for rational literals
-                if rhs.terms and set(rhs.terms) == {()}:
-                    result = result * self.ctx.const(Fraction(1, 1) / Fraction(rhs.constant_term()))
-                else:
+                # exact division is only supported for nonzero rational literals
+                if not rhs.terms:
+                    raise ParseError("division by zero")
+                if set(rhs.terms) != {()}:
                     raise ParseError("division by a non-constant")
+                result = result * self.ctx.const(Fraction(1, 1) / Fraction(rhs.constant_term()))
         return result
 
     def factor(self) -> Poly:

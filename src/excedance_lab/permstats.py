@@ -21,10 +21,22 @@ canonical cycle word with +infinity.  They differ (e.g. on a 2-cycle) and
 both are needed: the wraparound version drives the cycle-classification
 action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
+Each class has one statistics kernel, shared by the streaming
+``enumerate_class`` and the cached joint distribution.  The signed and colored
+kernels split into a part that depends only on the underlying permutation pi
+(its inverse and its cycle count, from ``_cycles_plain``, the only orbit walk)
+and a part that reads the sign or colour vector; the distribution computes the
+pi part once per permutation and the decoration part once per vector.
+``cycle_roles`` is the one classifier of cycle entries, read by the cycle
+statistics here and by the cycle action in ``fsaction``.
+
 Enumeration order is lexicographic on the one-line word (colors as a
 secondary key), so golden outputs are stable.  Aggregation goes through a
 cached joint distribution per class, so repeated generating-polynomial
-queries against the same class enumerate it only once.
+queries against the same class enumerate it only once.  ``marginal`` (joint
+counts of statistics by name) is the only door to that cache from outside
+this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
+runs the size guard before it reads.
 """
 
 from __future__ import annotations
@@ -184,31 +196,12 @@ def _cycles_plain(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _cycles_signed(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycle letters follow c -> sigma(|c|); each cycle starts at its
     minimum-absolute-value letter."""
-    n = len(word)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            orbit.append(j)
-            j = abs(word[j - 1])
-        # letter with absolute value v is sigma(pre(v)) where pi(pre(v)) = v;
-        # equivalently the letter sequence starting at the signed letter +-start
-        sign = {abs(word[i - 1]): word[i - 1] for i in orbit}
-        cyc = [sign[start]]
-        j = abs(sign[start])
-        while True:
-            nxt = word[j - 1]
-            if abs(nxt) == start:
-                break
-            cyc.append(nxt)
-            j = abs(nxt)
-        cycles.append(tuple(cyc))
-    return cycles
+    # the orbits of |sigma| carry the letter of sigma's word with each value
+    letter = {abs(v): v for v in word}
+    return [
+        tuple(letter[v] for v in orbit)
+        for orbit in _cycles_plain(tuple(abs(v) for v in word))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +209,45 @@ def _cycles_signed(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_roles_counts(cycles) -> tuple[int, int, int, int, int]:
-    """(cda, cdd, cpk, cval) with the wraparound sentinel, plus cpk_inf."""
-    cda = cdd = cpk = cval = cpk_inf = 0
+ROLE_FIRST = "first"
+ROLE_CDA = "cda"
+ROLE_CDD = "cdd"
+ROLE_CPK = "cpk"
+ROLE_CVAL = "cval"
+
+
+def cycle_roles(cycle: tuple[int, ...]) -> tuple[str, ...]:
+    """The role of each entry of a cycle in standard form (minimum first).
+
+    The minimum is ``first``; with the wraparound sentinel c_{len+1} = c_1
+    every other entry is a double ascent, double descent, peak or valley.
+    """
+    roles = [ROLE_FIRST]
+    L = len(cycle)
+    prev = cycle[0]
+    for idx in range(1, L):
+        cur = cycle[idx]
+        nxt = cycle[idx + 1] if idx + 1 < L else cycle[0]
+        if prev < cur:
+            roles.append(ROLE_CDA if cur < nxt else ROLE_CPK)
+        else:
+            roles.append(ROLE_CDD if cur > nxt else ROLE_CVAL)
+        prev = cur
+    return tuple(roles)
+
+
+def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
+    """(cda, cdd, cpk) with the wraparound sentinel, plus cpk_inf."""
+    roles: list[str] = []
+    last_peaks = 0
     for cyc in cycles:
-        L = len(cyc)
-        for idx in range(1, L):
-            prev = cyc[idx - 1]
-            cur = cyc[idx]
-            nxt = cyc[idx + 1] if idx + 1 < L else cyc[0]
-            if prev < cur:
-                if cur < nxt:
-                    cda += 1
-                else:
-                    cpk += 1
-            else:
-                if cur > nxt:
-                    cdd += 1
-                else:
-                    cval += 1
-            # +infinity sentinel: the last letter ascends to infinity
-            nxt_inf = cyc[idx + 1] if idx + 1 < L else None
-            if nxt_inf is not None and prev < cur > nxt_inf:
-                cpk_inf += 1
-    return cda, cdd, cpk, cval, cpk_inf
+        cyc_roles = cycle_roles(cyc)
+        roles += cyc_roles
+        # the +infinity sentinel keeps the last letter ascending, so only a
+        # wraparound peak in the last place is not an infinity peak
+        last_peaks += cyc_roles[-1] == ROLE_CPK
+    cpk = roles.count(ROLE_CPK)
+    return roles.count(ROLE_CDA), roles.count(ROLE_CDD), cpk, cpk - last_peaks
 
 
 def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,13 +260,21 @@ def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
             drop += 1
         else:
             fix += 1
-    des = sum(word[i] > word[i + 1] for i in range(n - 1))
+    # one pass over the word padded with 0 on both sides: des and lpk look at
+    # positions 1..n-1, dd at positions 1..n
+    des = dd = lpk = 0
     padded = (0, *word, 0)
-    dd = sum(padded[i - 1] > padded[i] > padded[i + 1] for i in range(1, n + 1))
-    lpk = sum(padded[i - 1] < padded[i] > padded[i + 1] for i in range(1, n))
+    for i in range(1, n + 1):
+        a, b, c = padded[i - 1], padded[i], padded[i + 1]
+        if b > c:
+            if a > b:
+                dd += 1
+            if i < n:
+                des += 1
+                if a < b:
+                    lpk += 1
     cycles = _cycles_plain(word)
-    cda, cdd, cpk, _cval, cpk_inf = _cycle_roles_counts(cycles)
-    return (exc, drop, fix, len(cycles), des, dd, lpk, cda, cdd, cpk, cpk_inf)
+    return (exc, drop, fix, len(cycles), des, dd, lpk, *_cycle_roles_counts(cycles))
 
 
 def _plain_full(base: tuple[int, ...], n: int) -> dict[str, int]:
@@ -269,45 +285,49 @@ def _plain_full(base: tuple[int, ...], n: int) -> dict[str, int]:
     return stats
 
 
-def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(word)
-    pi = tuple(abs(v) for v in word)
-    sign = [0] * (n + 1)
-    for v in word:
-        sign[abs(v)] = 1 if v > 0 else -1
-    inv = [0] * (n + 1)
+def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
+    """What a signed or colored permutation's statistics read of pi alone:
+    its inverse (1-based, inv[pi_i] = i) and its cycle count."""
+    inv = [0] * (len(pi) + 1)
     for i, v in enumerate(pi, 1):
         inv[v] = i
-    exc = aexc = fix = single = exc_A = 0
-    for v in range(1, n + 1):
-        a = sign[v] * v
-        w = pi[v - 1]
-        b = sign[w] * w
+    return inv, len(_cycles_plain(pi))
+
+
+def _signed_stats(pi, eps, inv, cyc) -> tuple[int, ...]:
+    """The signed kernel: ``eps[v-1]`` is the sign of the letter with absolute
+    value v, so the signed word is eps[pi_i - 1] * pi_i."""
+    n = len(pi)
+    exc = aexc = fix = single = neg = exc_A = 0
+    for v0 in range(n):
+        v = v0 + 1
+        sv = eps[v0]
+        w = pi[v0]
+        if sv < 0:
+            neg += 1
         if w == v:
-            if sign[v] > 0:
+            if sv > 0:
                 fix += 1
             else:
                 single += 1
-        elif b > a:
+        elif eps[w - 1] * w > sv * v:
             exc += 1
         else:
             aexc += 1
-        if sign[v] * v > inv[v]:
+        if sv * v > inv[v]:
             exc_A += 1
-    neg = sum(1 for v in word if v < 0)
-    seen = [False] * (n + 1)
-    cyc = 0
-    for start in range(1, n + 1):
-        if not seen[start]:
-            cyc += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = pi[j - 1]
-    des_B = (1 if n and word[0] < 0 else 0) + sum(
-        word[i] > word[i + 1] for i in range(n - 1)
+    sig = [eps[w - 1] * w for w in pi]
+    des_B = (1 if n and sig[0] < 0 else 0) + sum(
+        sig[i] > sig[i + 1] for i in range(n - 1)
     )
     return (exc, aexc, fix, single, neg, cyc, exc_A, des_B)
+
+
+def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
+    pi = tuple(abs(v) for v in word)
+    sign = {abs(v): 1 if v > 0 else -1 for v in word}
+    eps = [sign[v] for v in range(1, len(word) + 1)]
+    return _signed_stats(pi, eps, *_perm_part(pi))
 
 
 def _signed_full(base: tuple[int, ...], n: int) -> dict[str, int]:
@@ -318,11 +338,10 @@ def _signed_full(base: tuple[int, ...], n: int) -> dict[str, int]:
     return stats
 
 
-def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    n = len(word)
-    exc_B = fix = single = csum = exc_A = 0
-    for i, (v, c) in enumerate(word, 1):
-        csum += c
+def _colored_stats(pi, colors, cyc) -> tuple[int, ...]:
+    """The colored kernel: ``colors[i-1]`` is the colour at position i."""
+    exc_B = fix = single = exc_A = 0
+    for i, (v, c) in enumerate(zip(pi, colors), 1):
         if v == i:
             if c == 0:
                 fix += 1
@@ -332,17 +351,12 @@ def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
             exc_B += 1
             if c == 0:
                 exc_A += 1
+    return (exc_B, fix, single, sum(colors), cyc, exc_A)
+
+
+def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     pi = tuple(v for v, _ in word)
-    seen = [False] * (n + 1)
-    cyc = 0
-    for start in range(1, n + 1):
-        if not seen[start]:
-            cyc += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = pi[j - 1]
-    return (exc_B, fix, single, csum, cyc, exc_A)
+    return _colored_stats(pi, [c for _, c in word], len(_cycles_plain(pi)))
 
 
 def _colored_full(base: tuple[int, ...], n: int, r: int) -> dict[str, int]:
@@ -376,30 +390,14 @@ def _plain_words(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def _signed_words(n: int) -> Iterator[tuple[int, ...]]:
-    letters = list(range(-n, 0)) + list(range(1, n + 1))
-    word: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec():
-        if len(word) == n:
-            yield tuple(word)
-            return
-        for v in letters:
-            if not used[abs(v)]:
-                used[abs(v)] = True
-                word.append(v)
-                yield from rec()
-                word.pop()
-                used[abs(v)] = False
-
-    return rec()
-
-
-def _colored_words(n: int, r: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    for pi in itertools.permutations(range(1, n + 1)):
-        for colors in itertools.product(range(r), repeat=n):
-            yield tuple(zip(pi, colors))
+def _signed_words(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    if len(prefix) == n:
+        yield prefix
+        return
+    used = {abs(v) for v in prefix}
+    for v in (*range(-n, 0), *range(1, n + 1)):
+        if abs(v) not in used:
+            yield from _signed_words(n, prefix + (v,))
 
 
 def _stirling_words(n: int, k: int) -> list[tuple[int, ...]]:
@@ -455,10 +453,13 @@ def enumerate_class(
     elif kind == "colored":
         # value-major generation with nested color vectors is already the
         # (value, color)-lexicographic order on words
-        for word in _colored_words(n, r):
-            yield PermObject("colored", n, word, r=r), _colored_full(
-                colored_base_stats(word), n, r
-            )
+        for pi in itertools.permutations(range(1, n + 1)):
+            cyc = len(_cycles_plain(pi))
+            for colors in itertools.product(range(r), repeat=n):
+                word = tuple(zip(pi, colors))
+                yield PermObject("colored", n, word, r=r), _colored_full(
+                    _colored_stats(pi, colors, cyc), n, r
+                )
     elif kind == "stirling":
         for word in _stirling_words(n, k):
             yield PermObject("stirling", n, word, k=k), dict(
@@ -480,57 +481,69 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, in
         for word in _plain_words(n):
             dist[plain_base_stats(word)] += 1
     elif kind == "signed":
-        # sign vectors are indexed by value, so the statistics collapse to
-        # one pass over values; cycle data depends only on the underlying
-        # permutation and is hoisted out of the sign loop
         sign_vectors = list(itertools.product((1, -1), repeat=n))
         for pi in itertools.permutations(range(1, n + 1)):
-            inv = [0] * (n + 1)
-            for i, v in enumerate(pi, 1):
-                inv[v] = i
-            seen = [False] * (n + 1)
-            cyc = 0
-            for s in range(1, n + 1):
-                if not seen[s]:
-                    cyc += 1
-                    j = s
-                    while not seen[j]:
-                        seen[j] = True
-                        j = pi[j - 1]
+            inv, cyc = _perm_part(pi)
             for eps in sign_vectors:
-                exc = aexc = fix = single = neg = exc_A = 0
-                for v0 in range(n):
-                    v = v0 + 1
-                    sv = eps[v0]
-                    w = pi[v0]
-                    if sv < 0:
-                        neg += 1
-                    if w == v:
-                        if sv > 0:
-                            fix += 1
-                        else:
-                            single += 1
-                    elif eps[w - 1] * w > sv * v:
-                        exc += 1
-                    else:
-                        aexc += 1
-                    if sv * v > inv[v]:
-                        exc_A += 1
-                sig = [eps[w - 1] * w for w in pi]
-                des_B = (1 if n and sig[0] < 0 else 0) + sum(
-                    sig[i] > sig[i + 1] for i in range(n - 1)
-                )
-                dist[(exc, aexc, fix, single, neg, cyc, exc_A, des_B)] += 1
+                dist[_signed_stats(pi, eps, inv, cyc)] += 1
     elif kind == "colored":
+        color_vectors = list(itertools.product(range(r), repeat=n))
         for pi in itertools.permutations(range(1, n + 1)):
-            for colors in itertools.product(range(r), repeat=n):
-                dist[colored_base_stats(tuple(zip(pi, colors)))] += 1
+            cyc = len(_cycles_plain(pi))
+            for colors in color_vectors:
+                dist[_colored_stats(pi, colors, cyc)] += 1
     elif kind == "stirling":
         for word in _stirling_words(n, k):
             dist[stirling_base_stats(word, k)] += 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return MappingProxyType(dist)
+
+
+def _full_stats(kind, tup, n, r):
+    if kind == "plain":
+        return _plain_full(tup, n)
+    if kind == "signed":
+        return _signed_full(tup, n)
+    if kind == "colored":
+        return _colored_full(tup, n, r)
+    return dict(zip(STIRLING_BASE, tup))
+
+
+def _full_cells(kind, n, r, k, max_class, names=()):
+    """(stats dict, count) for each cell of the class's cached distribution.
+
+    The one loop behind every read of the cache: it checks ``names`` against
+    the class, runs the size guard, then expands each base tuple by name.
+    """
+    known = stat_names(kind)
+    for stat in names:
+        if stat not in known:
+            raise UnknownStat(stat)
+    _check_guard(kind, n, r, k, max_class)
+    dist = _distribution_cached(kind, n, r, k)
+    return ((_full_stats(kind, tup, n, r), count) for tup, count in dist.items())
+
+
+def marginal(
+    kind: str,
+    n: int,
+    names: tuple[str, ...],
+    *,
+    r: int = 1,
+    k: int = 1,
+    max_class: Optional[int] = None,
+) -> dict[tuple[int, ...], int]:
+    """Joint counts of the named statistics over the class.
+
+    Keys are value tuples in the order of ``names``, e.g.
+    ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for stats, count in _full_cells(kind, n, r, k, max_class, names):
+        key = tuple(stats[stat] for stat in names)
+        out[key] = out.get(key, 0) + count
+    return out
 
 
 def stat_distribution(
@@ -542,23 +555,10 @@ def stat_distribution(
     max_class: Optional[int] = None,
 ) -> dict[tuple[tuple[str, int], ...], int]:
     """Counts of full stat dicts (as sorted item tuples) over the class."""
-    _check_guard(kind, n, r, k, max_class)
-    base = _distribution_cached(kind, n, r, k)
-    out: dict[tuple[tuple[str, int], ...], int] = {}
-    for tup, count in base.items():
-        stats = _full_stats(kind, tup, n, r)
-        out[tuple(sorted(stats.items()))] = count
-    return out
-
-
-def _full_stats(kind, tup, n, r):
-    if kind == "plain":
-        return _plain_full(tup, n)
-    if kind == "signed":
-        return _signed_full(tup, n)
-    if kind == "colored":
-        return _colored_full(tup, n, r)
-    return dict(zip(STIRLING_BASE, tup))
+    return {
+        tuple(sorted(stats.items())): count
+        for stats, count in _full_cells(kind, n, r, k, max_class)
+    }
 
 
 def gen_poly(
@@ -578,16 +578,10 @@ def gen_poly(
     statistics may share a variable, in which case exponents add.  ``where``
     filters on the statistics dict.
     """
-    names = stat_names(kind)
-    for stat in weighting:
-        if stat not in names:
-            raise UnknownStat(stat)
-    _check_guard(kind, n, r, k, max_class)
-    base = _distribution_cached(kind, n, r, k)
+    cells = _full_cells(kind, n, r, k, max_class, tuple(weighting))
     weight_vids = {stat: ctx._resolve(v) for stat, v in weighting.items()}
     acc: dict = {}
-    for tup, count in base.items():
-        stats = _full_stats(kind, tup, n, r)
+    for stats, count in cells:
         if where is not None and not where(stats):
             continue
         exps: dict[int, int] = {}

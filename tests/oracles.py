@@ -80,3 +80,107 @@ def derangement_count(n: int) -> int:
     import math
 
     return sum((-1) ** k * math.comb(n, k) * math.factorial(n - k) for k in range(n + 1))
+
+
+def _cycle_minimum(sigma: dict) -> dict:
+    """Map each point of the permutation {i: sigma(i)} to the least point of
+    its cycle."""
+    out = {}
+    for i in sigma:
+        orbit = [i]
+        j = sigma[i]
+        while j != i:
+            orbit.append(j)
+            j = sigma[j]
+        out[i] = min(orbit)
+    return out
+
+
+def _key(stats: dict) -> tuple:
+    return tuple(sorted(stats.items()))
+
+
+def plain_joint(n: int) -> Counter:
+    """Joint distribution over S_n of the eleven plain base statistics, keyed
+    by sorted (name, value) items.
+
+    The cycle statistics use the permutation directly: in a cycle written
+    least entry first and closed with the wraparound sentinel, an entry c
+    other than the least sits between sigma^-1(c) and sigma(c); with the
+    +infinity sentinel instead, the entry whose image is the least entry
+    is never a peak.
+    """
+    counts: Counter = Counter()
+    for word in itertools.permutations(range(1, n + 1)):
+        sigma = dict(enumerate(word, 1))
+        inverse = {v: i for i, v in sigma.items()}
+        least = _cycle_minimum(sigma)
+        inner = [c for c in sigma if least[c] != c]
+        zero_padded = (0,) + word + (0,)
+        counts[_key({
+            "exc": sum(sigma[i] > i for i in sigma),
+            "drop": sum(sigma[i] < i for i in sigma),
+            "fix": sum(sigma[i] == i for i in sigma),
+            "cyc": len(set(least.values())),
+            "des": sum(sigma[i] > sigma[i + 1] for i in range(1, n)),
+            "dd": sum(
+                zero_padded[i - 1] > zero_padded[i] > zero_padded[i + 1]
+                for i in range(1, n + 1)
+            ),
+            "lpk": sum(
+                zero_padded[i - 1] < zero_padded[i] > zero_padded[i + 1]
+                for i in range(1, n)
+            ),
+            "cda": sum(inverse[c] < c < sigma[c] for c in inner),
+            "cdd_sec2": sum(inverse[c] > c > sigma[c] for c in inner),
+            "cpk_sec2": sum(inverse[c] < c > sigma[c] for c in inner),
+            "cpk_inf": sum(
+                inverse[c] < c > sigma[c] for c in inner if least[sigma[c]] != sigma[c]
+            ),
+        })] += 1
+    return counts
+
+
+def signed_joint(n: int) -> Counter:
+    """Joint distribution over the signed permutations of order n of the
+    eight signed base statistics, keyed by sorted (name, value) items.
+
+    ``exc``/``aexc`` compare each letter c of the word with sigma(|c|);
+    ``exc_A`` and ``des_B`` read the one-line word, des_B with sigma(0) = 0.
+    """
+    counts: Counter = Counter()
+    for word in signed_words(n):
+        sigma = dict(enumerate(word, 1))
+        sigma[0] = 0
+        absolute = {i: abs(v) for i, v in sigma.items() if i}
+        counts[_key({
+            "exc": sum(sigma[abs(c)] > c for c in word),
+            "aexc": sum(sigma[abs(c)] < c for c in word),
+            "fix": sum(sigma[i] == i for i in absolute),
+            "single": sum(sigma[i] == -i for i in absolute),
+            "neg": sum(c < 0 for c in word),
+            "cyc": len(set(_cycle_minimum(absolute).values())),
+            "exc_A": sum(sigma[i] > i for i in absolute),
+            "des_B": sum(sigma[i] > sigma[i + 1] for i in range(n)),
+        })] += 1
+    return counts
+
+
+def colored_joint(n: int, r: int) -> Counter:
+    """Joint distribution over the r-colored permutations of order n of the
+    six colored base statistics, keyed by sorted (name, value) items."""
+    counts: Counter = Counter()
+    for pi in itertools.permutations(range(1, n + 1)):
+        values = dict(enumerate(pi, 1))
+        cyc = len(set(_cycle_minimum(values).values()))
+        for colors in itertools.product(range(r), repeat=n):
+            color = dict(enumerate(colors, 1))
+            counts[_key({
+                "exc_B": sum(values[i] > i for i in values),
+                "fix": sum(values[i] == i and color[i] == 0 for i in values),
+                "single": sum(values[i] == i and color[i] > 0 for i in values),
+                "csum": sum(colors),
+                "cyc": cyc,
+                "exc_A": sum(values[i] > i and color[i] == 0 for i in values),
+            })] += 1
+    return counts

@@ -186,6 +186,15 @@ def test_verify_text_and_exit_codes(capsys):
     assert "unknown identity" in err
 
 
+@pytest.mark.parametrize(
+    "ident, max_n", [("thm18-crun", "1"), ("rec-onek-decom", "0")]
+)
+def test_verify_without_comparisons_exits_1(capsys, ident, max_n):
+    code, out, _ = run_cli(capsys, "verify", "--id", ident, "--max-n", max_n)
+    assert code == 1
+    assert f"{ident}: vacuous" in out
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--id", "thm18-crun", "--max-n", "3", "--format", "json"
@@ -193,6 +202,7 @@ def test_verify_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "pass"
+    assert payload["checks"] > 0
     assert "5" in payload["details"]["xi_plus[3]"]
 
 
@@ -203,7 +213,7 @@ def test_suite_subset(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["summary"] == {"pass": 2, "fail": 0, "skipped": 0}
+    assert payload["summary"] == {"pass": 2, "fail": 0, "skipped": 0, "vacuous": 0}
     assert [r["id"] for r in payload["results"]] == ["cor-springer", "rec-anxq"]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from excedance_lab import permstats
 from excedance_lab.identities import (
     REGISTRY,
     UnknownIdentity,
@@ -105,3 +106,49 @@ def test_failure_shape(monkeypatch):
     assert res.mismatches[0]["diff"] == "-1"
     obj = res.to_json_obj()
     assert obj["status"] == "fail" and obj["mismatches"]
+
+
+def test_no_class_past_the_guard_is_enumerated(monkeypatch):
+    # every read of the cached distributions must come after the size guard:
+    # a spy fails on any class larger than the guard of the run
+    guard = 100
+    real = permstats._distribution_cached
+    oversized = []
+
+    def spy(kind, n, r, k):
+        size = permstats.class_size(kind, n, r=r, k=k)
+        if size > guard:
+            oversized.append((kind, n, r, k, size))
+        return real(kind, n, r, k)
+
+    spy.cache_info = real.cache_info
+    monkeypatch.setattr(permstats, "_distribution_cached", spy)
+    results = run_suite(profile="quick", max_class=guard)
+    assert oversized == []
+    status = {r.id: r.status for r in results}
+    assert status["cor-springer"] == "skipped"
+    assert status["rec-enij-prop14"] == "skipped"
+
+
+def test_every_identity_compares_something_at_quick_bounds():
+    results = run_suite(profile="quick")
+    assert [r.id for r in results if r.checks == 0] == []
+    assert all(r.status == "pass" for r in results)
+
+
+@pytest.mark.parametrize(
+    "ident, max_n", [("thm18-crun", 1), ("rec-onek-decom", 0)]
+)
+def test_zero_comparisons_are_vacuous_not_pass(ident, max_n):
+    res = run_verify(ident, overrides={"max_n": max_n})
+    assert res.status == "vacuous"
+    assert res.checks == 0 and res.mismatches == []
+    assert res.to_json_obj()["checks"] == 0
+
+
+def test_check_counts_survive_parallel_runs():
+    ids = ["cor-springer", "rec-anxq"]
+    seq = run_suite(profile="quick", ids=ids, jobs=1)
+    par = run_suite(profile="quick", ids=ids, jobs=2)
+    assert [r.checks for r in seq] == [r.checks for r in par]
+    assert all(r.checks > 0 for r in par)

@@ -163,6 +163,21 @@ def test_parse_errors(ctx):
             ctx.poly(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x/0", "division by zero"),
+        ("1/0", "division by zero"),
+        ("x/(1-1)", "division by zero"),
+        ("x/y", "division by a non-constant"),
+    ],
+)
+def test_division_errors_name_the_divisor(ctx, text, message):
+    with pytest.raises(ParseError) as err:
+        ctx.poly(text)
+    assert str(err.value) == message
+
+
 def test_as_fraction():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(2) == Fraction(2)

@@ -12,15 +12,19 @@ from excedance_lab.permstats import (
     class_size,
     enumerate_class,
     gen_poly,
+    marginal,
     stat_distribution,
     stirling_identities,
 )
 
 from oracles import (
     colored_flag_exc_counts,
+    colored_joint,
     derangement_count,
     descent_counts,
     plain_exc_fix_cyc,
+    plain_joint,
+    signed_joint,
 )
 
 
@@ -154,8 +158,10 @@ def test_joint_distribution_matches_oracle(ctx):
 
 
 def test_distribution_agrees_with_streaming():
-    # the streaming enumerator and the cached distribution are independent
-    # implementations (the signed one in particular), so compare multisets
+    # the streaming enumerator and the cached distribution share each class's
+    # kernel but not its loop (the signed and colored distributions hoist the
+    # permutation part), so compare multisets; the definition oracles in
+    # test_joint_distributions_match_definition_oracles are the reference
     for kind, kwargs, top in (
         ("plain", {}, 5),
         ("signed", {}, 4),
@@ -171,6 +177,67 @@ def test_distribution_agrees_with_streaming():
             assert streamed == Counter(
                 dict(stat_distribution(kind, n, **kwargs))
             )
+
+
+@pytest.mark.parametrize(
+    "kind, r, top, base",
+    [
+        ("plain", 1, 6, permstats.PLAIN_BASE),
+        ("signed", 1, 5, permstats.SIGNED_BASE),
+        ("colored", 1, 4, permstats.COLORED_BASE),
+        ("colored", 2, 4, permstats.COLORED_BASE),
+        ("colored", 3, 4, permstats.COLORED_BASE),
+    ],
+)
+def test_joint_distributions_match_definition_oracles(kind, r, top, base):
+    oracles = {
+        "plain": plain_joint,
+        "signed": signed_joint,
+        "colored": lambda n: colored_joint(n, r),
+    }
+    for n in range(top + 1):
+        expected = oracles[kind](n)
+        names = [name for name, _ in next(iter(expected))]
+        assert sorted(names) == sorted(base)
+
+        def key(stats):
+            return tuple((name, stats[name]) for name in names)
+
+        cached: Counter = Counter()
+        for items, count in stat_distribution(kind, n, r=r).items():
+            cached[key(dict(items))] += count
+        streamed = Counter(key(s) for _, s in enumerate_class(kind, n, r=r))
+        assert cached == expected, (kind, n, r)
+        assert streamed == expected, (kind, n, r)
+
+
+def test_marginal_projects_the_joint_distribution():
+    for kind, kwargs, names in (
+        ("plain", {}, ("crun", "cda", "exc")),
+        ("signed", {}, ("fexc", "cyc")),
+        ("colored", {"r": 3}, ("exc_f",)),
+        ("stirling", {"k": 2}, ("lap", "ap")),
+    ):
+        expected: Counter = Counter()
+        for items, count in stat_distribution(kind, 4, **kwargs).items():
+            stats = dict(items)
+            expected[tuple(stats[s] for s in names)] += count
+        assert marginal(kind, 4, names, **kwargs) == expected
+    assert marginal("plain", 3, ("exc", "fix")) == {
+        (0, 3): 1, (1, 1): 3, (1, 0): 1, (2, 0): 1,
+    }
+    assert marginal("plain", 0, ()) == {(): 1}
+
+
+def test_marginal_checks_names_and_guard():
+    with pytest.raises(UnknownStat):
+        marginal("plain", 3, ("exc", "nope"))
+    with pytest.raises(UnknownStat):
+        marginal("signed", 3, ("crun",))
+    with pytest.raises(SizeExceeded):
+        marginal("plain", 4, ("exc",), max_class=23)
+    with pytest.raises(BadClassSize):
+        marginal("colored", 2, ("exc_f",), r=0)
 
 
 def test_colored_flag_exc_matches_oracle(ctx):
