@@ -34,6 +34,13 @@ def _int_or_sym(value: str) -> str:
     return value
 
 
+def _positive_int(value: str) -> int:
+    """Argparse type for --jobs: an integer >= 1."""
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _parse_int_or_sym(value):
     if value is None or value in ("sym", "symbolic"):
         return None
@@ -181,15 +188,10 @@ def _cmd_verify(args) -> int:
         overrides["ks"] = (args.k,)
     if args.r is not None:
         overrides["rs"] = (args.r,)
-    try:
-        result = identities.run_verify(
-            args.id, profile=args.profile, overrides=overrides or None,
-            seed=args.seed,
-        )
-    except identities.UnknownIdentity:
-        known = ", ".join(identities.identity_ids())
-        print(f"unknown identity {args.id!r}; known ids: {known}", file=sys.stderr)
-        return 2
+    result = identities.run_verify(
+        args.id, profile=args.profile, overrides=overrides or None,
+        seed=args.seed,
+    )
     if args.format == "json":
         print(json.dumps(result.to_json_obj()))
     else:
@@ -207,8 +209,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     ids = None
-    if args.ids:
+    if args.ids is not None:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
+        if not ids:
+            print(f"error: --ids {args.ids!r} names no identity", file=sys.stderr)
+            return 2
     results = identities.run_suite(
         profile=args.profile, ids=ids, seed=args.seed, jobs=args.jobs,
     )
@@ -301,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the whole identity registry")
     p_suite.add_argument("--profile", default="quick", choices=("quick", "full"))
-    p_suite.add_argument("--ids", default="", help="comma-separated subset")
-    p_suite.add_argument("--jobs", type=int, default=1)
+    p_suite.add_argument("--ids", default=None, help="comma-separated subset")
+    p_suite.add_argument("--jobs", type=_positive_int, default=1)
     p_suite.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)
     _add_format(p_suite, choices=("text", "json"))
     p_suite.set_defaults(fn=_cmd_suite)
@@ -324,8 +329,13 @@ def main(argv=None) -> int:
         fsaction.ValueAbsent,
         ParseError,
         OSError,
+        identities.BadOverride,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except identities.UnknownIdentity as exc:
+        known = ", ".join(identities.identity_ids())
+        print(f"error: unknown identity {exc.args[0]!r}; known ids: {known}", file=sys.stderr)
         return 2
 
 

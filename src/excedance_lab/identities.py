@@ -10,13 +10,20 @@ Identities are grouped by the acceptance criterion they certify (the
 ``criterion`` field); ``run_suite`` executes any subset at ``quick`` or
 ``full`` bounds and reports deterministically ordered results regardless of
 worker scheduling.
+
+Adding an identity: a theorem checked over ``n`` (and ``r`` or ``k``) is a
+``@_sweep`` cell, called per grid point with a fresh Context and the label
+prefix ``n=5`` (``r=2 n=5``, ``k=2 n=5``); it passes only the label's rest,
+or ``""``.  Write the body by hand (``@_identity``) when labels do not start
+with that prefix, the grid has a second loop, or work follows it.  A sweep
+shares plumbing only: no formula or Poly crosses cells or routes.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -59,6 +66,10 @@ class UnknownIdentity(KeyError):
     """No identity with the requested id."""
 
 
+class BadOverride(ValueError):
+    """An override names a bound the identity does not read."""
+
+
 @dataclass
 class Env:
     seed: int = DEFAULT_SEED
@@ -76,11 +87,16 @@ class Checker:
         self.mismatches: list[dict] = []
         self.details: dict[str, str] = {}
         self.checks = 0
+        self.prefix = ""
+
+    def label(self, suffix: str) -> str:
+        """The full label: the grid-cell prefix set by ``_sweep`` and ``suffix``."""
+        return " ".join(part for part in (self.prefix, suffix) if part)
 
     def eq(self, context: str, lhs, rhs):
         self.checks += 1
         if lhs != rhs:
-            entry = {"context": context, "lhs": str(lhs), "rhs": str(rhs)}
+            entry = {"context": self.label(context), "lhs": str(lhs), "rhs": str(rhs)}
             if isinstance(lhs, Poly) and isinstance(rhs, Poly):
                 entry["diff"] = str(lhs - rhs)
             self.mismatches.append(entry)
@@ -89,7 +105,7 @@ class Checker:
         self.checks += 1
         if not condition:
             self.mismatches.append(
-                {"context": context, "lhs": "expected true", "rhs": info or "false"}
+                {"context": self.label(context), "lhs": "expected true", "rhs": info or "false"}
             )
 
     def note(self, key: str, value):
@@ -109,8 +125,14 @@ class IdentityRecord:
         merged = dict(self.bounds)
         if profile == "quick":
             merged.update(self.quick)
-        if overrides:
-            merged.update({k: v for k, v in overrides.items() if v is not None})
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
+        unknown = [key for key in given if key not in self.bounds]
+        if unknown:
+            raise BadOverride(
+                f"{self.id} does not take {', '.join(unknown)}; "
+                f"its bounds are {', '.join(self.bounds)}"
+            )
+        merged.update(given)
         return merged
 
 
@@ -125,15 +147,7 @@ class IdentityResult:
     checks: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "elapsed": round(self.elapsed, 3),
-            "detail": self.detail,
-            "details": self.details,
-            "mismatches": self.mismatches,
-            "checks": self.checks,
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
 
 
 REGISTRY: dict[str, IdentityRecord] = {}
@@ -143,6 +157,24 @@ def _identity(id: str, description: str, criterion: Optional[int], bounds: dict,
     def wrap(fn):
         REGISTRY[id] = IdentityRecord(id, description, criterion, bounds, quick, fn)
         return fn
+
+    return wrap
+
+
+def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
+    """Register ``cell(ck, ctx, bounds, env, n[, r|k])``, run once per grid
+    point: ``bounds[over]`` (``"rs"``/``"ks"``) outside, ``n = start ..
+    bounds["max_n"]`` inside, a fresh Context and the label prefix per cell."""
+    def wrap(cell):
+        def run(bounds, env, ck):
+            grid = [(f"{over[0]}={v} ", (v,)) for v in bounds[over]] if over else [("", ())]
+            for tag, extra in grid:
+                for n in range(start, bounds["max_n"] + 1):
+                    ck.prefix = f"{tag}n={n}"
+                    cell(ck, Context(), bounds, env, n, *extra)
+
+        _identity(id, description, criterion, bounds, quick)(run)
+        return cell
 
     return wrap
 
@@ -183,51 +215,47 @@ def _colored_fexc_from_plain(
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "lemma7-grammar-exc",
     "grammar {I->Ipq, p->xy, x->xy, y->xy} generates the excedance/drop/fix/cycle distribution",
     1,
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_lemma7(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        g = Grammar(ctx, {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"})
-        lhs = g.iterate(ctx.var("I"), n)
-        rhs = ctx.var("I") * gen_poly(
-            ctx, "plain", n,
-            {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_lemma7(ck, ctx, bounds, env, n):
+    g = Grammar(ctx, {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"})
+    lhs = g.iterate(ctx.var("I"), n)
+    rhs = ctx.var("I") * gen_poly(
+        ctx, "plain", n,
+        {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"},
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "lemma8-grammar-onek",
     "grammar {I->Iy, x->kxy, y->kxy} generates the 1/k-Eulerian coefficients, k symbolic and numeric",
     1,
     {"max_n": 7, "ks": (1, 2, 3)},
     {"max_n": 5, "ks": (1, 2)},
 )
-def _run_lemma8(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        g = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
-        lhs = g.iterate(ctx.var("I"), n)
-        rhs = ctx.var("I") * gen_poly(
-            ctx, "plain", n,
-            {"exc": "x", "drop": "y", "fix": "y", "rlen": "k"},
-            max_class=env.max_class,
+def _run_lemma8(ck, ctx, bounds, env, n):
+    g = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
+    lhs = g.iterate(ctx.var("I"), n)
+    rhs = ctx.var("I") * gen_poly(
+        ctx, "plain", n,
+        {"exc": "x", "drop": "y", "fix": "y", "rlen": "k"},
+        max_class=env.max_class,
+    )
+    ck.eq("symbolic", lhs, rhs)
+    for k in bounds["ks"]:
+        gk = Grammar(ctx, {"I": "I*y", "x": f"{k}*x*y", "y": f"{k}*x*y"})
+        ck.eq(
+            f"k={k}",
+            gk.iterate(ctx.var("I"), n),
+            lhs.substitute({"k": k}),
         )
-        ck.eq(f"n={n} symbolic", lhs, rhs)
-        for k in bounds["ks"]:
-            gk = Grammar(ctx, {"I": "I*y", "x": f"{k}*x*y", "y": f"{k}*x*y"})
-            ck.eq(
-                f"n={n} k={k}",
-                gk.iterate(ctx.var("I"), n),
-                lhs.substitute({"k": k}),
-            )
 
 
 @_identity(
@@ -263,133 +291,123 @@ def _run_change_of_grammar(bounds, env, ck):
         )
 
 
-@_identity(
+@_sweep(
     "lemma-g3-grammar-signed",
     "the signed-permutation grammar generates the six-statistic distribution",
     1,
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_g3(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        rhs_rule = "(1+p)*x*y"
-        g3 = Grammar(ctx, {
-            "J": "q*J*(t+s*p)", "s": rhs_rule, "t": rhs_rule,
-            "x": rhs_rule, "y": rhs_rule,
-        })
-        lhs = g3.iterate(ctx.var("J"), n)
-        rhs = ctx.var("J") * gen_poly(
-            ctx, "signed", n,
-            {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_g3(ck, ctx, bounds, env, n):
+    rhs_rule = "(1+p)*x*y"
+    g3 = Grammar(ctx, {
+        "J": "q*J*(t+s*p)", "s": rhs_rule, "t": rhs_rule,
+        "x": rhs_rule, "y": rhs_rule,
+    })
+    lhs = g3.iterate(ctx.var("J"), n)
+    rhs = ctx.var("J") * gen_poly(
+        ctx, "signed", n,
+        {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "lemma-g8-grammar-colored",
     "grammar {u->uv^r, v->u^r v} encodes the colored Eulerian coefficients",
     1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_g8(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            g8 = Grammar(ctx, {"u": f"u*v^{r}", "v": f"u^{r}*v"})
-            seed = ctx.monomial({"u": r - 1, "v": 1})
-            lhs = g8.iterate(seed, n)
-            counts = gen_poly(
-                ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class
-            ).coeffs_in("x")
-            rhs = ctx.sum(
-                c * ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1})
-                for kk, c in enumerate(counts)
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_g8(ck, ctx, bounds, env, n, r):
+    g8 = Grammar(ctx, {"u": f"u*v^{r}", "v": f"u^{r}*v"})
+    seed = ctx.monomial({"u": r - 1, "v": 1})
+    lhs = g8.iterate(seed, n)
+    counts = gen_poly(
+        ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class
+    ).coeffs_in("x")
+    rhs = ctx.sum(
+        c * ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1})
+        for kk, c in enumerate(counts)
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "g10-grammar-colored",
     "first colored grammar vs the (exc, aexc, fix, cyc) distribution",
     1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_g10(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            g10 = Grammar(ctx, {
-                "I": f"q*I*(({r}-1)*x + p)",
-                "x": f"{r}*x*y", "y": f"{r}*x*y", "p": f"{r}*x*y",
-            })
-            lhs = g10.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * gen_poly(
-                ctx, "colored", n,
-                {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_g10(ck, ctx, bounds, env, n, r):
+    g10 = Grammar(ctx, {
+        "I": f"q*I*(({r}-1)*x + p)",
+        "x": f"{r}*x*y", "y": f"{r}*x*y", "p": f"{r}*x*y",
+    })
+    lhs = g10.iterate(ctx.var("I"), n)
+    rhs = ctx.var("I") * gen_poly(
+        ctx, "colored", n,
+        {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "g12-grammar-colored",
     "second colored grammar (color-sum refinement) vs enumeration, p symbolic",
     1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_g12(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            bracket_r = q_bracket(ctx, r, "p")
-            bracket_r1 = q_bracket(ctx, r - 1, "p")
-            rule = bracket_r * ctx.poly("x*y")
-            g12 = Grammar(ctx, {
-                "I": ctx.var("q") * ctx.var("I")
-                * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
-                "x": rule, "y": rule, "t": rule, "s": rule,
-            })
-            lhs = g12.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * gen_poly(
-                ctx, "colored", n,
-                {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
-                 "csum": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_g12(ck, ctx, bounds, env, n, r):
+    bracket_r = q_bracket(ctx, r, "p")
+    bracket_r1 = q_bracket(ctx, r - 1, "p")
+    rule = bracket_r * ctx.poly("x*y")
+    g12 = Grammar(ctx, {
+        "I": ctx.var("q") * ctx.var("I")
+        * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
+        "x": rule, "y": rule, "t": rule, "s": rule,
+    })
+    lhs = g12.iterate(ctx.var("I"), n)
+    rhs = ctx.var("I") * gen_poly(
+        ctx, "colored", n,
+        {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
+         "csum": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "g14-grammar-colored",
     "third colored grammar (natural-order statistics) vs enumeration, p symbolic",
     1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_g14(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            bracket_r1 = q_bracket(ctx, r - 1, "p")
-            rule = ctx.poly("x*y") + ctx.var("p") * bracket_r1 * ctx.poly("y^2")
-            g14 = Grammar(ctx, {
-                "I": ctx.var("q") * ctx.var("I")
-                * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
-                "t": rule, "s": rule, "x": rule, "y": rule,
-            })
-            lhs = g14.iterate(ctx.var("I"), n)
-            rhs = ctx.var("I") * gen_poly(
-                ctx, "colored", n,
-                {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-                 "csum": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_g14(ck, ctx, bounds, env, n, r):
+    bracket_r1 = q_bracket(ctx, r - 1, "p")
+    rule = ctx.poly("x*y") + ctx.var("p") * bracket_r1 * ctx.poly("y^2")
+    g14 = Grammar(ctx, {
+        "I": ctx.var("q") * ctx.var("I")
+        * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
+        "t": rule, "s": rule, "x": rule, "y": rule,
+    })
+    lhs = g14.iterate(ctx.var("I"), n)
+    rhs = ctx.var("I") * gen_poly(
+        ctx, "colored", n,
+        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
+         "csum": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,86 +415,82 @@ def _run_g14(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "rec-anxq",
     "the derivative recurrence for A_n(x,q) matches the excedance/cycle distribution",
     2,
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_rec_anxq(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        ck.eq(
-            f"n={n}",
-            q_eulerian(ctx, n),
-            gen_poly(ctx, "plain", n, {"exc": "x", "cyc": "q"}, max_class=env.max_class),
-        )
+def _run_rec_anxq(ck, ctx, bounds, env, n):
+    ck.eq(
+        "",
+        q_eulerian(ctx, n),
+        gen_poly(ctx, "plain", n, {"exc": "x", "cyc": "q"}, max_class=env.max_class),
+    )
 
 
-@_identity(
+@_sweep(
     "rec-anjk",
     "the 1/k-Eulerian coefficient recurrence matches x^exc k^(n-cyc) enumeration",
     2,
     {"max_n": 8, "ks": (1, 2, 3, 4)},
     {"max_n": 6, "ks": (1, 2, 3)},
+    start=1,
 )
-def _run_rec_anjk(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        sym = one_over_k_eulerian(ctx, n, None)
-        enum = gen_poly(
-            ctx, "plain", n, {"exc": "x", "rlen": "k"}, max_class=env.max_class
+def _run_rec_anjk(ck, ctx, bounds, env, n):
+    sym = one_over_k_eulerian(ctx, n, None)
+    enum = gen_poly(
+        ctx, "plain", n, {"exc": "x", "rlen": "k"}, max_class=env.max_class
+    )
+    ck.eq("symbolic", sym, enum)
+    scaled = (ctx.var("k") ** n) * q_eulerian(ctx, n)
+    for k in bounds["ks"]:
+        ck.eq(
+            f"k={k} numeric rows",
+            one_over_k_eulerian(ctx, n, k),
+            sym.substitute({"k": k}),
         )
-        ck.eq(f"n={n} symbolic", sym, enum)
-        scaled = (ctx.var("k") ** n) * q_eulerian(ctx, n)
-        for k in bounds["ks"]:
-            ck.eq(
-                f"n={n} k={k} numeric rows",
-                one_over_k_eulerian(ctx, n, k),
-                sym.substitute({"k": k}),
-            )
-            ck.eq(
-                f"n={n} k={k} equals k^n A_n(x,1/k)",
-                scaled.eval_rational({"q": Fraction(1, k)}).substitute({"k": k}),
-                one_over_k_eulerian(ctx, n, k),
-            )
+        ck.eq(
+            f"k={k} equals k^n A_n(x,1/k)",
+            scaled.eval_rational({"q": Fraction(1, k)}).substitute({"k": k}),
+            one_over_k_eulerian(ctx, n, k),
+        )
 
 
-@_identity(
+@_sweep(
     "rec-enij-prop14",
     "the partial-gamma triangle recurrence equals cycle counts over no-double-ascent classes",
     2,
     {"max_n": 8},
     {"max_n": 6},
+    start=1,
 )
-def _run_rec_enij(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        tri = gamma_triangle(ctx, n)
-        seen = {
-            (fix, exc)
-            for (cda, fix, exc) in marginal(
-                "plain", n, ("cda", "fix", "exc"), max_class=env.max_class
-            )
-            if cda == 0
-        }
-        for (i, j) in sorted(set(tri) | seen):
-            lhs = tri.get((i, j), ctx.zero())
-            rhs = gen_poly(
-                ctx, "plain", n, {"cyc": "q"},
-                where=lambda s, i=i, j=j: s["cda"] == 0 and s["fix"] == i and s["exc"] == j,
-                max_class=env.max_class,
-            )
-            ck.eq(f"n={n} gamma[{i},{j}]", lhs, rhs)
-        ck.eq(
-            f"n={n} reassembly",
-            fix_cyc_eulerian(ctx, n),
-            gen_poly(
-                ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"},
-                max_class=env.max_class,
-            ),
+def _run_rec_enij(ck, ctx, bounds, env, n):
+    tri = gamma_triangle(ctx, n)
+    seen = {
+        (fix, exc)
+        for (cda, fix, exc) in marginal(
+            "plain", n, ("cda", "fix", "exc"), max_class=env.max_class
         )
+        if cda == 0
+    }
+    for (i, j) in sorted(set(tri) | seen):
+        lhs = tri.get((i, j), ctx.zero())
+        rhs = gen_poly(
+            ctx, "plain", n, {"cyc": "q"},
+            where=lambda s, i=i, j=j: s["cda"] == 0 and s["fix"] == i and s["exc"] == j,
+            max_class=env.max_class,
+        )
+        ck.eq(f"gamma[{i},{j}]", lhs, rhs)
+    ck.eq(
+        "reassembly",
+        fix_cyc_eulerian(ctx, n),
+        gen_poly(
+            ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"},
+            max_class=env.max_class,
+        ),
+    )
 
 
 @_identity(
@@ -506,25 +520,23 @@ def _run_rec_arnk(bounds, env, ck):
             )
 
 
-@_identity(
+@_sweep(
     "rec-bnxq",
     "the type-B q-Eulerian recurrence matches weak excedances weighted by positive entries",
     2,
     {"max_n": 6},
     {"max_n": 5},
 )
-def _run_rec_bnxq(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        fam = type_b_q_eulerian(ctx, n)
-        raw = gen_poly(ctx, "signed", n, {"wexc": "x", "neg": "q"}, max_class=env.max_class)
-        ck.eq(f"n={n} enumeration", fam, raw.reverse_in("q", n))
-        colored_sym = colored_eulerian(ctx, n, None)
-        ck.eq(
-            f"n={n} colored specialisation r=q+1",
-            colored_sym.substitute({"r": ctx.poly("q+1")}),
-            fam,
-        )
+def _run_rec_bnxq(ck, ctx, bounds, env, n):
+    fam = type_b_q_eulerian(ctx, n)
+    raw = gen_poly(ctx, "signed", n, {"wexc": "x", "neg": "q"}, max_class=env.max_class)
+    ck.eq("enumeration", fam, raw.reverse_in("q", n))
+    colored_sym = colored_eulerian(ctx, n, None)
+    ck.eq(
+        "colored specialisation r=q+1",
+        colored_sym.substitute({"r": ctx.poly("q+1")}),
+        fam,
+    )
 
 
 @_identity(
@@ -565,51 +577,47 @@ def _run_thm18(bounds, env, ck):
         })
 
 
-@_identity(
+@_sweep(
     "rec-onek-decom",
     "the plus/minus recurrence system assembles the symmetric decomposition of A_n^{(k)}",
     2,
     {"max_n": 8, "ks": (1, 2, 3, 4)},
     {"max_n": 6, "ks": (1, 2, 3)},
+    over="ks", start=1,
 )
-def _run_rec_onek_decom(bounds, env, ck):
-    for k in bounds["ks"]:
-        for n in range(1, bounds["max_n"] + 1):
-            ctx = Context()
-            a, b = one_over_k_decomposition(ctx, n, k)
-            full = one_over_k_eulerian(ctx, n, k)
-            ck.eq(f"k={k} n={n} reassembly", a + ctx.var("x") * b, full)
-            seq = CoeffSeq.from_poly(full, "x", m=max(n - 1, 0))
-            da, db = decompose(seq)
-            ck.eq(f"k={k} n={n} a-part", a, da.to_poly(ctx))
-            ck.eq(f"k={k} n={n} b-part", b, db.to_poly(ctx))
+def _run_rec_onek_decom(ck, ctx, bounds, env, n, k):
+    a, b = one_over_k_decomposition(ctx, n, k)
+    full = one_over_k_eulerian(ctx, n, k)
+    ck.eq("reassembly", a + ctx.var("x") * b, full)
+    seq = CoeffSeq.from_poly(full, "x", m=max(n - 1, 0))
+    da, db = decompose(seq)
+    ck.eq("a-part", a, da.to_poly(ctx))
+    ck.eq("b-part", b, db.to_poly(ctx))
 
 
-@_identity(
+@_sweep(
     "rec-alpha-decom",
     "the colored plus/minus system assembles the symmetric decomposition of A_{n,r}(x)",
     2,
     {"max_n": 8, "rs": (1, 2, 3, 4)},
     {"max_n": 6, "rs": (2, 3)},
+    over="rs",
 )
-def _run_rec_alpha_decom(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            a, b = colored_decomposition(ctx, n, r)
-            full = colored_eulerian(ctx, n, r)
-            ck.eq(f"r={r} n={n} reassembly", a + ctx.var("x") * b, full)
-            seq = CoeffSeq.from_poly(full, "x", m=n)
-            da, db = decompose(seq)
-            ck.eq(f"r={r} n={n} a-part", a, da.to_poly(ctx))
-            ck.eq(f"r={r} n={n} b-part", b, db.to_poly(ctx))
-            if r >= 2 and n >= 1:
-                plus, minus = alpha_tables(ctx, n, r)
-                ck.ok(
-                    f"r={r} n={n} nonnegative",
-                    all(c.constant_term() >= 0 for c in plus.values())
-                    and all(c.constant_term() >= 0 for c in minus.values()),
-                )
+def _run_rec_alpha_decom(ck, ctx, bounds, env, n, r):
+    a, b = colored_decomposition(ctx, n, r)
+    full = colored_eulerian(ctx, n, r)
+    ck.eq("reassembly", a + ctx.var("x") * b, full)
+    seq = CoeffSeq.from_poly(full, "x", m=n)
+    da, db = decompose(seq)
+    ck.eq("a-part", a, da.to_poly(ctx))
+    ck.eq("b-part", b, db.to_poly(ctx))
+    if r >= 2 and n >= 1:
+        plus, minus = alpha_tables(ctx, n, r)
+        ck.ok(
+            "nonnegative",
+            all(c.constant_term() >= 0 for c in plus.values())
+            and all(c.constant_term() >= 0 for c in minus.values()),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -617,135 +625,125 @@ def _run_rec_alpha_decom(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "thm9-signed-transform",
     "the six-variable signed Eulerian polynomial is a substituted plain Eulerian polynomial",
     3,
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_thm9(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = gen_poly(
-            ctx, "signed", n,
-            {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
-        rhs = substituted_eulerian(
-            ctx, n,
-            ctx.poly("(1+p)*x"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
-            max_class=env.max_class,
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_thm9(ck, ctx, bounds, env, n):
+    lhs = gen_poly(
+        ctx, "signed", n,
+        {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
+        max_class=env.max_class,
+    )
+    rhs = substituted_eulerian(
+        ctx, n,
+        ctx.poly("(1+p)*x"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "thm12-signed-typeA",
     "the natural-order signed statistics arise from the substitution x -> x+py",
     3,
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_thm12(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = gen_poly(
-            ctx, "signed", n,
-            {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-             "neg": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
-        rhs = substituted_eulerian(
-            ctx, n,
-            ctx.poly("x+p*y"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
-            max_class=env.max_class,
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_thm12(ck, ctx, bounds, env, n):
+    lhs = gen_poly(
+        ctx, "signed", n,
+        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
+         "neg": "p", "cyc": "q"},
+        max_class=env.max_class,
+    )
+    rhs = substituted_eulerian(
+        ctx, n,
+        ctx.poly("x+p*y"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "thm22-colored-transform",
     "first multivariate colored Eulerian polynomial as a substituted plain one",
     3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_thm22(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            lhs = gen_poly(
-                ctx, "colored", n,
-                {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            rhs = substituted_eulerian(
-                ctx, n,
-                ctx.const(r) * ctx.var("x"),
-                ctx.const(r) * ctx.var("y"),
-                ctx.const(r - 1) * ctx.var("x") + ctx.var("p"),
-                "q",
-                max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_thm22(ck, ctx, bounds, env, n, r):
+    lhs = gen_poly(
+        ctx, "colored", n,
+        {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    rhs = substituted_eulerian(
+        ctx, n,
+        ctx.const(r) * ctx.var("x"),
+        ctx.const(r) * ctx.var("y"),
+        ctx.const(r - 1) * ctx.var("x") + ctx.var("p"),
+        "q",
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "thm24-colored-transform",
     "second colored transform: color sums enter through p-brackets",
     3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_thm24(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            br = q_bracket(ctx, r, "p")
-            br1 = q_bracket(ctx, r - 1, "p")
-            lhs = gen_poly(
-                ctx, "colored", n,
-                {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
-                 "csum": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            rhs = substituted_eulerian(
-                ctx, n,
-                br * ctx.var("x"), br * ctx.var("y"),
-                ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-                max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_thm24(ck, ctx, bounds, env, n, r):
+    br = q_bracket(ctx, r, "p")
+    br1 = q_bracket(ctx, r - 1, "p")
+    lhs = gen_poly(
+        ctx, "colored", n,
+        {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
+         "csum": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    rhs = substituted_eulerian(
+        ctx, n,
+        br * ctx.var("x"), br * ctx.var("y"),
+        ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "thm26-colored-transform",
     "third colored transform: natural-order statistics via x -> x + p[r-1]_p y",
     3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
+    over="rs",
 )
-def _run_thm26(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(bounds["max_n"] + 1):
-            ctx = Context()
-            br = q_bracket(ctx, r, "p")
-            br1 = q_bracket(ctx, r - 1, "p")
-            lhs = gen_poly(
-                ctx, "colored", n,
-                {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-                 "csum": "p", "cyc": "q"},
-                r=r, max_class=env.max_class,
-            )
-            rhs = substituted_eulerian(
-                ctx, n,
-                ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
-                br * ctx.var("y"),
-                ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-                max_class=env.max_class,
-            )
-            ck.eq(f"r={r} n={n}", lhs, rhs)
+def _run_thm26(ck, ctx, bounds, env, n, r):
+    br = q_bracket(ctx, r, "p")
+    br1 = q_bracket(ctx, r - 1, "p")
+    lhs = gen_poly(
+        ctx, "colored", n,
+        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
+         "csum": "p", "cyc": "q"},
+        r=r, max_class=env.max_class,
+    )
+    rhs = substituted_eulerian(
+        ctx, n,
+        ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
+        br * ctx.var("y"),
+        ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
+        max_class=env.max_class,
+    )
+    ck.eq("", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -753,136 +751,128 @@ def _run_thm26(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "sign-anx11",
     "A_n(x,1,-1) collapses to -(x-1)^(n-1)",
     4,
     {"max_n": 7},
     {"max_n": 6},
+    start=1,
 )
-def _run_sign_anx11(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 1, "q": -1})
-        rhs = -((ctx.var("x") - 1) ** (n - 1))
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_sign_anx11(ck, ctx, bounds, env, n):
+    lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 1, "q": -1})
+    rhs = -((ctx.var("x") - 1) ** (n - 1))
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "sign-anx12",
     "A_n(x,0,-1) collapses to -x [n-1]_x",
     4,
     {"max_n": 7},
     {"max_n": 6},
+    start=1,
 )
-def _run_sign_anx12(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 0, "q": -1})
-        rhs = -(ctx.var("x") * q_bracket(ctx, n - 1, "x"))
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_sign_anx12(ck, ctx, bounds, env, n):
+    lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 0, "q": -1})
+    rhs = -(ctx.var("x") * q_bracket(ctx, n - 1, "x"))
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "sign-gamma-binomials",
     "the three binomial evaluations of gamma_n(x, ., -1)",
     4,
     {"max_n": 7},
     {"max_n": 6},
+    start=2,
 )
-def _run_sign_gamma(bounds, env, ck):
-    for n in range(2, bounds["max_n"] + 1):
-        ctx = Context()
-        g = gamma_poly(ctx, n)
-        x = ctx.var("x")
-        rhs1 = ctx.sum(
-            (-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1)
-        )
-        ck.eq(f"n={n} p=1", g.substitute({"p": 1, "q": -1}), rhs1)
-        rhs2 = ctx.sum(
-            (-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1)
-            for ell in range(n + 1)
-        )
-        ck.eq(f"n={n} p=0", g.substitute({"p": 0, "q": -1}), rhs2)
-        rhs3 = ctx.sum(
-            (-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1)
-            for ell in range(2 * n + 1)
-        )
-        ck.eq(f"n={n} p=x", g.substitute({"p": x, "q": -1}), rhs3)
+def _run_sign_gamma(ck, ctx, bounds, env, n):
+    g = gamma_poly(ctx, n)
+    x = ctx.var("x")
+    rhs1 = ctx.sum(
+        (-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1)
+    )
+    ck.eq("p=1", g.substitute({"p": 1, "q": -1}), rhs1)
+    rhs2 = ctx.sum(
+        (-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1)
+        for ell in range(n + 1)
+    )
+    ck.eq("p=0", g.substitute({"p": 0, "q": -1}), rhs2)
+    rhs3 = ctx.sum(
+        (-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1)
+        for ell in range(2 * n + 1)
+    )
+    ck.eq("p=x", g.substitute({"p": x, "q": -1}), rhs3)
 
 
-@_identity(
+@_sweep(
     "sign-dnb-fexc",
     "signed derangements: the flag-excedance alternating-cycle sum telescopes",
     4,
     {"max_n": 7},
     {"max_n": 5},
+    start=1,
 )
-def _run_sign_dnb(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = gen_poly(
-            ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
-            where=lambda s: s["fix"] == 0,
-            max_class=env.max_class,
-        ).substitute({"q": -1})
-        x, p = ctx.var("x"), ctx.var("p")
-        rhs = -ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(
-            p * x ** (2 * i - 1) for i in range(1, n + 1)
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_sign_dnb(ck, ctx, bounds, env, n):
+    lhs = gen_poly(
+        ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
+        where=lambda s: s["fix"] == 0,
+        max_class=env.max_class,
+    ).substitute({"q": -1})
+    x, p = ctx.var("x"), ctx.var("p")
+    rhs = -ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(
+        p * x ** (2 * i - 1) for i in range(1, n + 1)
+    )
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "sign-bagno-garber",
     "colored flag excedances with alternating cycle signs collapse to -(x^r-1)^n/(x-1)",
     4,
     {"max_n": 7, "rs": (1, 2, 3), "direct_max_n": 4},
     {"max_n": 5, "rs": (1, 2), "direct_max_n": 3},
+    over="rs", start=1,
 )
-def _run_bagno_garber(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(1, bounds["max_n"] + 1):
-            ctx = Context()
-            lhs = _colored_fexc_from_plain(ctx, n, r, max_class=env.max_class)
-            if n <= bounds["direct_max_n"]:
-                direct = gen_poly(
-                    ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r, max_class=env.max_class
-                )
-                ck.eq(f"r={r} n={n} factorised vs direct", lhs, direct)
-            signed = lhs.substitute({"q": -1})
-            x = ctx.var("x")
-            ck.eq(
-                f"r={r} n={n}",
-                (x - 1) * signed,
-                -((x**r - 1) ** n),
-            )
+def _run_bagno_garber(ck, ctx, bounds, env, n, r):
+    lhs = _colored_fexc_from_plain(ctx, n, r, max_class=env.max_class)
+    if n <= bounds["direct_max_n"]:
+        direct = gen_poly(
+            ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r, max_class=env.max_class
+        )
+        ck.eq("factorised vs direct", lhs, direct)
+    signed = lhs.substitute({"q": -1})
+    x = ctx.var("x")
+    ck.eq(
+        "",
+        (x - 1) * signed,
+        -((x**r - 1) ** n),
+    )
 
 
-@_identity(
+@_sweep(
     "sign-anr-typeA",
     "flag excedances of colored derangements without singletons, at cycle sign -1",
     4,
     {"max_n": 7, "rs": (1, 2, 3), "direct_max_n": 4},
     {"max_n": 5, "rs": (1, 2), "direct_max_n": 3},
+    over="rs", start=1,
 )
-def _run_sign_anr(bounds, env, ck):
-    for r in bounds["rs"]:
-        for n in range(1, bounds["max_n"] + 1):
-            ctx = Context()
-            lhs = _colored_fexc_from_plain(
-                ctx, n, r, derangements_only=True, max_class=env.max_class
-            )
-            if n <= bounds["direct_max_n"]:
-                direct = gen_poly(
-                    ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
-                    r=r, where=lambda s: s["fix"] == 0 and s["single"] == 0,
-                    max_class=env.max_class,
-                )
-                ck.eq(f"r={r} n={n} factorised vs direct", lhs, direct)
-            x = ctx.var("x")
-            rhs = -(x * q_bracket(ctx, n - 1, "x") * q_bracket(ctx, r, "x") ** n)
-            ck.eq(f"r={r} n={n}", lhs.substitute({"q": -1}), rhs)
+def _run_sign_anr(ck, ctx, bounds, env, n, r):
+    lhs = _colored_fexc_from_plain(
+        ctx, n, r, derangements_only=True, max_class=env.max_class
+    )
+    if n <= bounds["direct_max_n"]:
+        direct = gen_poly(
+            ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
+            r=r, where=lambda s: s["fix"] == 0 and s["single"] == 0,
+            max_class=env.max_class,
+        )
+        ck.eq("factorised vs direct", lhs, direct)
+    x = ctx.var("x")
+    rhs = -(x * q_bracket(ctx, n - 1, "x") * q_bracket(ctx, r, "x") ** n)
+    ck.eq("", lhs.substitute({"q": -1}), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -890,117 +880,110 @@ def _run_sign_anr(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "cor-foata-gamma",
     "Eulerian gamma coefficients count no-double-descent permutations by descents",
     5,
     {"max_n": 8},
     {"max_n": 6},
+    start=1,
 )
-def _run_foata(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        an = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
-        table = {
-            des: cnt
-            for (dd, des), cnt in marginal(
-                "plain", n, ("dd", "des"), max_class=env.max_class
-            ).items()
-            if dd == 0
-        }
-        ck.eq(f"n={n} basis sum", an, gamma_assemble(ctx, table, n - 1))
-        gammas = gamma_expand(CoeffSeq.from_poly(an, "x", m=n - 1))
-        ck.eq(
-            f"n={n} gamma vector",
-            [int(g) for g in gammas],
-            [table.get(i, 0) for i in range(len(gammas))],
-        )
+def _run_foata(ck, ctx, bounds, env, n):
+    an = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
+    table = {
+        des: cnt
+        for (dd, des), cnt in marginal(
+            "plain", n, ("dd", "des"), max_class=env.max_class
+        ).items()
+        if dd == 0
+    }
+    ck.eq("basis sum", an, gamma_assemble(ctx, table, n - 1))
+    gammas = gamma_expand(CoeffSeq.from_poly(an, "x", m=n - 1))
+    ck.eq(
+        "gamma vector",
+        [int(g) for g in gammas],
+        [table.get(i, 0) for i in range(len(gammas))],
+    )
 
 
-@_identity(
+@_sweep(
     "cor-zeng-dnxq",
     "derangement q-polynomials expand over no-double-ascent derangements",
     5,
     {"max_n": 8},
     {"max_n": 6},
+    start=1,
 )
-def _run_zeng(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = gen_poly(
-            ctx, "plain", n, {"exc": "x", "cyc": "q"},
-            where=lambda s: s["fix"] == 0, max_class=env.max_class,
+def _run_zeng(ck, ctx, bounds, env, n):
+    lhs = gen_poly(
+        ctx, "plain", n, {"exc": "x", "cyc": "q"},
+        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+    )
+    qsums = {
+        k: gen_poly(
+            ctx, "plain", n, {"cyc": "q"},
+            where=lambda s, k=k: s["fix"] == 0 and s["cda"] == 0 and s["exc"] == k,
+            max_class=env.max_class,
         )
-        qsums = {
-            k: gen_poly(
-                ctx, "plain", n, {"cyc": "q"},
-                where=lambda s, k=k: s["fix"] == 0 and s["cda"] == 0 and s["exc"] == k,
-                max_class=env.max_class,
-            )
-            for k in range(1, n // 2 + 1)
-        }
-        rhs = gamma_assemble(ctx, qsums, n)
-        ck.eq(f"n={n}", lhs, rhs)
+        for k in range(1, n // 2 + 1)
+    }
+    rhs = gamma_assemble(ctx, qsums, n)
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "cor-petersen-lpk",
     "type-B Eulerian polynomials expand over left-peak counts with weight 4^i",
     5,
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_petersen(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        bn = gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class)
-        weighted = {
-            lpk: 4**lpk * cnt
-            for (lpk,), cnt in marginal("plain", n, ("lpk",), max_class=env.max_class).items()
-        }
-        ck.eq(f"n={n}", bn, gamma_assemble(ctx, weighted, n))
+def _run_petersen(ck, ctx, bounds, env, n):
+    bn = gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class)
+    weighted = {
+        lpk: 4**lpk * cnt
+        for (lpk,), cnt in marginal("plain", n, ("lpk",), max_class=env.max_class).items()
+    }
+    ck.eq("", bn, gamma_assemble(ctx, weighted, n))
 
 
-@_identity(
+@_sweep(
     "cor-springer",
     "no-double-ascent permutations weighted 2^(n-exc) sum to binomial Springer sums",
     5,
     {"max_n": 7},
     {"max_n": 6},
 )
-def _run_springer(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        lhs = sum(
-            cnt * 2 ** (n - exc)
-            for (cda, exc), cnt in marginal(
-                "plain", n, ("cda", "exc"), max_class=env.max_class
-            ).items()
-            if cda == 0
-        )
-        rhs = sum(binomial(n, i) * springer(i) for i in range(n + 1))
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_springer(ck, ctx, bounds, env, n):
+    lhs = sum(
+        cnt * 2 ** (n - exc)
+        for (cda, exc), cnt in marginal(
+            "plain", n, ("cda", "exc"), max_class=env.max_class
+        ).items()
+        if cda == 0
+    )
+    rhs = sum(binomial(n, i) * springer(i) for i in range(n + 1))
+    ck.eq("", lhs, rhs)
 
 
-@_identity(
+@_sweep(
     "cor-lpk-nocda",
     "left peaks are equidistributed with a 2-power weighting of no-double-ascent classes",
     5,
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_lpk_nocda(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        lhs = gen_poly(ctx, "plain", n, {"lpk": "x"}, max_class=env.max_class)
-        x = ctx.var("x")
-        rhs = ctx.sum(
-            cnt * 2 ** (n - fix - 2 * exc) * x**exc
-            for (cda, exc, fix), cnt in marginal(
-                "plain", n, ("cda", "exc", "fix"), max_class=env.max_class
-            ).items()
-            if cda == 0
-        )
-        ck.eq(f"n={n}", lhs, rhs)
+def _run_lpk_nocda(ck, ctx, bounds, env, n):
+    lhs = gen_poly(ctx, "plain", n, {"lpk": "x"}, max_class=env.max_class)
+    x = ctx.var("x")
+    rhs = ctx.sum(
+        cnt * 2 ** (n - fix - 2 * exc) * x**exc
+        for (cda, exc, fix), cnt in marginal(
+            "plain", n, ("cda", "exc", "fix"), max_class=env.max_class
+        ).items()
+        if cda == 0
+    )
+    ck.eq("", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,153 +991,147 @@ def _run_lpk_nocda(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 GRID_POINTS = tuple(Fraction(i, 4) for i in range(5))
+SPIRAL_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+ALT_POINTS = (Fraction(1), Fraction(2), Fraction(3))
+GAMMA_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2))
+BIGAMMA_POINTS = (Fraction(1), Fraction(2))
 
 
-@_identity(
+@_sweep(
     "shape-anpq-grid",
     "A_n(x,p,q) is alternatingly increasing on the rational unit grid",
     6,
     {"max_n": 8},
     {"max_n": 6},
+    start=1,
 )
-def _run_shape_grid(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        fam = fix_cyc_eulerian(ctx, n)
-        for pv in GRID_POINTS:
-            for qv in GRID_POINTS:
-                inst = fam.eval_rational({"p": pv, "q": qv})
-                seq = CoeffSeq.from_poly(inst, "x", m=max(n - 1, 0))
-                report = shape_report(seq)
-                ck.ok(
-                    f"n={n} p={pv} q={qv} alternatingly increasing",
-                    report.verdicts["alternatingly_increasing"],
-                    str(seq.coeffs),
-                )
-                nonneg = all(c >= 0 for c in seq.coeffs)
-                ck.ok(
-                    f"n={n} p={pv} q={qv} implication chain",
-                    shape.implications_hold(report.verdicts, nonneg),
-                    str(report.verdicts),
-                )
+def _run_shape_grid(ck, ctx, bounds, env, n):
+    fam = fix_cyc_eulerian(ctx, n)
+    for pv in GRID_POINTS:
+        for qv in GRID_POINTS:
+            inst = fam.eval_rational({"p": pv, "q": qv})
+            seq = CoeffSeq.from_poly(inst, "x", m=max(n - 1, 0))
+            report = shape_report(seq)
+            ck.ok(
+                f"p={pv} q={qv} alternatingly increasing",
+                report.verdicts["alternatingly_increasing"],
+                str(seq.coeffs),
+            )
+            nonneg = all(c >= 0 for c in seq.coeffs)
+            ck.ok(
+                f"p={pv} q={qv} implication chain",
+                shape.implications_hold(report.verdicts, nonneg),
+                str(report.verdicts),
+            )
 
 
-@_identity(
+@_sweep(
     "shape-onek-bigamma",
     "A_n(x, 1/k) and A_n^{(k)}(x) are bi-gamma-positive",
     6,
     {"max_n": 8, "ks": (1, 2, 3, 4)},
     {"max_n": 6, "ks": (1, 2, 3)},
+    over="ks", start=1,
 )
-def _run_shape_onek(bounds, env, ck):
-    for k in bounds["ks"]:
-        for n in range(1, bounds["max_n"] + 1):
-            ctx = Context()
-            rational = q_eulerian(ctx, n).eval_rational({"q": Fraction(1, k)})
-            seq_q = CoeffSeq.from_poly(rational, "x", m=max(n - 1, 0))
-            ck.ok(
-                f"k={k} n={n} A_n(x,1/k) bi-gamma",
-                shape_check(seq_q, "bi_gamma_positive"),
-                str(seq_q.coeffs),
-            )
-            onek = one_over_k_eulerian(ctx, n, k)
-            seq_i = CoeffSeq.from_poly(onek, "x", m=max(n - 1, 0))
-            ck.ok(
-                f"k={k} n={n} A_n^(k) bi-gamma",
-                shape_check(seq_i, "bi_gamma_positive"),
-                str(seq_i.coeffs),
-            )
-            ck.eq(
-                f"k={k} n={n} scaling",
-                onek,
-                k**n * rational,
-            )
+def _run_shape_onek(ck, ctx, bounds, env, n, k):
+    rational = q_eulerian(ctx, n).eval_rational({"q": Fraction(1, k)})
+    seq_q = CoeffSeq.from_poly(rational, "x", m=max(n - 1, 0))
+    ck.ok(
+        "A_n(x,1/k) bi-gamma",
+        shape_check(seq_q, "bi_gamma_positive"),
+        str(seq_q.coeffs),
+    )
+    onek = one_over_k_eulerian(ctx, n, k)
+    seq_i = CoeffSeq.from_poly(onek, "x", m=max(n - 1, 0))
+    ck.ok(
+        "A_n^(k) bi-gamma",
+        shape_check(seq_i, "bi_gamma_positive"),
+        str(seq_i.coeffs),
+    )
+    ck.eq(
+        "scaling",
+        onek,
+        k**n * rational,
+    )
 
 
-@_identity(
+@_sweep(
     "shape-dnb-altinc",
     "type-B derangement polynomials are alternatingly increasing",
     6,
     {"max_n": 6},
     {"max_n": 5},
+    start=1,
 )
-def _run_shape_dnb(bounds, env, ck):
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        dnb = gen_poly(
-            ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0,
-            max_class=env.max_class,
-        )
-        ck.eq(
-            f"n={n} equals 2^n A_n(x,1/2,1)",
-            dnb,
-            (2**n * fix_cyc_eulerian(ctx, n)).eval_rational({"p": Fraction(1, 2)})
-            .substitute({"q": 1}),
-        )
-        seq = CoeffSeq.from_poly(dnb, "x", m=max(n - 1, 0))
-        ck.ok(
-            f"n={n} alternatingly increasing",
-            shape_check(seq, "alternatingly_increasing"),
-            str(seq.coeffs),
-        )
+def _run_shape_dnb(ck, ctx, bounds, env, n):
+    dnb = gen_poly(
+        ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0,
+        max_class=env.max_class,
+    )
+    ck.eq(
+        "equals 2^n A_n(x,1/2,1)",
+        dnb,
+        (2**n * fix_cyc_eulerian(ctx, n)).eval_rational({"p": Fraction(1, 2)})
+        .substitute({"q": 1}),
+    )
+    seq = CoeffSeq.from_poly(dnb, "x", m=max(n - 1, 0))
+    ck.ok(
+        "alternatingly increasing",
+        shape_check(seq, "alternatingly_increasing"),
+        str(seq.coeffs),
+    )
 
 
-@_identity(
+@_sweep(
     "shape-bnq-spiral",
     "B_n(x,q) is spiral for q <= 1 and alternatingly increasing for q >= 1",
     6,
     {"max_n": 7},
     {"max_n": 5},
+    start=1,
 )
-def _run_shape_bnq(bounds, env, ck):
-    spiral_points = (Fraction(0), Fraction(1, 2), Fraction(1))
-    alt_points = (Fraction(1), Fraction(2), Fraction(3))
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        fam = type_b_q_eulerian(ctx, n)
-        for qv in spiral_points:
-            seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
-            ck.ok(f"n={n} q={qv} spiral", shape_check(seq, "spiral"), str(seq.coeffs))
-        for qv in alt_points:
-            seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
-            ck.ok(
-                f"n={n} q={qv} alternatingly increasing",
-                shape_check(seq, "alternatingly_increasing"),
-                str(seq.coeffs),
-            )
+def _run_shape_bnq(ck, ctx, bounds, env, n):
+    fam = type_b_q_eulerian(ctx, n)
+    for qv in SPIRAL_POINTS:
+        seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
+        ck.ok(f"q={qv} spiral", shape_check(seq, "spiral"), str(seq.coeffs))
+    for qv in ALT_POINTS:
+        seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
+        ck.ok(
+            f"q={qv} alternatingly increasing",
+            shape_check(seq, "alternatingly_increasing"),
+            str(seq.coeffs),
+        )
 
 
-@_identity(
+@_sweep(
     "shape-dfexc-gamma",
     "flag-excedance derangement polynomials are gamma-positive; the full-group version is bi-gamma",
     6,
     {"max_n": 6},
     {"max_n": 5},
+    start=1,
 )
-def _run_shape_dfexc(bounds, env, ck):
-    gamma_points = (Fraction(1, 2), Fraction(1), Fraction(2))
-    bigamma_points = (Fraction(1), Fraction(2))
-    for n in range(1, bounds["max_n"] + 1):
-        ctx = Context()
-        dn = gen_poly(
-            ctx, "signed", n, {"fexc": "x", "cyc": "q"},
-            where=lambda s: s["fix"] == 0, max_class=env.max_class,
+def _run_shape_dfexc(ck, ctx, bounds, env, n):
+    dn = gen_poly(
+        ctx, "signed", n, {"fexc": "x", "cyc": "q"},
+        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+    )
+    for qv in GAMMA_POINTS:
+        seq = CoeffSeq.from_poly(dn.eval_rational({"q": qv}), "x", m=2 * n)
+        ck.ok(
+            f"q={qv} gamma-positive",
+            shape_check(seq, "gamma_positive"),
+            str(seq.coeffs),
         )
-        for qv in gamma_points:
-            seq = CoeffSeq.from_poly(dn.eval_rational({"q": qv}), "x", m=2 * n)
-            ck.ok(
-                f"n={n} q={qv} gamma-positive",
-                shape_check(seq, "gamma_positive"),
-                str(seq.coeffs),
-            )
-        fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"}, max_class=env.max_class)
-        for pv in bigamma_points:
-            seq = CoeffSeq.from_poly(fn.eval_rational({"p": pv}), "x", m=2 * n - 1)
-            ck.ok(
-                f"n={n} p={pv} bi-gamma-positive",
-                shape_check(seq, "bi_gamma_positive"),
-                str(seq.coeffs),
-            )
+    fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"}, max_class=env.max_class)
+    for pv in BIGAMMA_POINTS:
+        seq = CoeffSeq.from_poly(fn.eval_rational({"p": pv}), "x", m=2 * n - 1)
+        ck.ok(
+            f"p={pv} bi-gamma-positive",
+            shape_check(seq, "bi_gamma_positive"),
+            str(seq.coeffs),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1232,43 +1209,41 @@ def _run_four_spec(bounds, env, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_sweep(
     "stirling-ap-onek",
     "ascent plateaux of k-Stirling permutations generate A_n^{(k)} and its decomposition",
     8,
     {"max_n": 5, "ks": (1, 2, 3)},
     {"max_n": 4, "ks": (1, 2)},
+    over="ks", start=1,
 )
-def _run_stirling(bounds, env, ck):
-    for k in bounds["ks"]:
-        for n in range(1, bounds["max_n"] + 1):
-            ctx = Context()
-            ap_poly, lap_poly = permstats.stirling_identities(
-                ctx, n, k, max_class=env.max_class
-            )
-            onek = one_over_k_eulerian(ctx, n, k)
-            ck.eq(f"k={k} n={n} ascent plateaux", ap_poly, onek)
-            ck.eq(
-                f"k={k} n={n} left plateaux are the reversal",
-                lap_poly,
-                ap_poly.reverse_in("x", n),
-            )
-            a_enum = gen_poly(
-                ctx, "stirling", n, {"ap": "x"}, k=k,
-                where=lambda s: s["first_block_constant"] == 1,
-                max_class=env.max_class,
-            )
-            xb_enum = gen_poly(
-                ctx, "stirling", n, {"ap": "x"}, k=k,
-                where=lambda s: s["first_block_constant"] == 0,
-                max_class=env.max_class,
-            )
-            a_rec, b_rec = one_over_k_decomposition(ctx, n, k)
-            ck.eq(f"k={k} n={n} constant-first-block slice", a_enum, a_rec)
-            ck.eq(f"k={k} n={n} complement slice", xb_enum, ctx.var("x") * b_rec)
-            da, db = decompose(CoeffSeq.from_poly(ap_poly, "x", m=max(n - 1, 0)))
-            ck.eq(f"k={k} n={n} a vs decompose", a_enum, da.to_poly(ctx))
-            ck.eq(f"k={k} n={n} b vs decompose", xb_enum, ctx.var("x") * db.to_poly(ctx))
+def _run_stirling(ck, ctx, bounds, env, n, k):
+    ap_poly, lap_poly = permstats.stirling_identities(
+        ctx, n, k, max_class=env.max_class
+    )
+    onek = one_over_k_eulerian(ctx, n, k)
+    ck.eq("ascent plateaux", ap_poly, onek)
+    ck.eq(
+        "left plateaux are the reversal",
+        lap_poly,
+        ap_poly.reverse_in("x", n),
+    )
+    a_enum = gen_poly(
+        ctx, "stirling", n, {"ap": "x"}, k=k,
+        where=lambda s: s["first_block_constant"] == 1,
+        max_class=env.max_class,
+    )
+    xb_enum = gen_poly(
+        ctx, "stirling", n, {"ap": "x"}, k=k,
+        where=lambda s: s["first_block_constant"] == 0,
+        max_class=env.max_class,
+    )
+    a_rec, b_rec = one_over_k_decomposition(ctx, n, k)
+    ck.eq("constant-first-block slice", a_enum, a_rec)
+    ck.eq("complement slice", xb_enum, ctx.var("x") * b_rec)
+    da, db = decompose(CoeffSeq.from_poly(ap_poly, "x", m=max(n - 1, 0)))
+    ck.eq("a vs decompose", a_enum, da.to_poly(ctx))
+    ck.eq("b vs decompose", xb_enum, ctx.var("x") * db.to_poly(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -1524,38 +1499,34 @@ def _run_prop_decompose(bounds, env, ck):
     ck.eq("failures", failures, 0)
 
 
-@_identity(
+@_sweep(
     "equidist-des-exc-drop",
     "descents, excedances and drops are equidistributed",
     None,
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_equidist(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        des = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
-        exc = gen_poly(ctx, "plain", n, {"exc": "x"}, max_class=env.max_class)
-        drop = gen_poly(ctx, "plain", n, {"drop": "x"}, max_class=env.max_class)
-        ck.eq(f"n={n} des vs exc", des, exc)
-        ck.eq(f"n={n} exc vs drop", exc, drop)
+def _run_equidist(ck, ctx, bounds, env, n):
+    des = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
+    exc = gen_poly(ctx, "plain", n, {"exc": "x"}, max_class=env.max_class)
+    drop = gen_poly(ctx, "plain", n, {"drop": "x"}, max_class=env.max_class)
+    ck.eq("des vs exc", des, exc)
+    ck.eq("exc vs drop", exc, drop)
 
 
-@_identity(
+@_sweep(
     "equidist-desb-wexc",
     "type-B descents and weak excedances are equidistributed",
     None,
     {"max_n": 6},
     {"max_n": 5},
 )
-def _run_equidist_b(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        ck.eq(
-            f"n={n}",
-            gen_poly(ctx, "signed", n, {"des_B": "x"}, max_class=env.max_class),
-            gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class),
-        )
+def _run_equidist_b(ck, ctx, bounds, env, n):
+    ck.eq(
+        "",
+        gen_poly(ctx, "signed", n, {"des_B": "x"}, max_class=env.max_class),
+        gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class),
+    )
 
 
 @_identity(
@@ -1647,37 +1618,35 @@ def _run_dnr(bounds, env, ck):
         ck.eq(f"n={n} reversal", wexc_poly, exc_poly.reverse_in("x", n))
 
 
-@_identity(
+@_sweep(
     "mongelli-signed",
     "the two doubled-excedance formulas for signed permutations and their derangements",
     None,
     {"max_n": 6},
     {"max_n": 4},
 )
-def _run_mongelli(bounds, env, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        lhs_full = gen_poly(
-            ctx, "signed", n, {"exc_A": "u", "neg": "p"}, max_class=env.max_class
-        ).substitute({"u": ctx.poly("x^2")})
-        arg = ctx.poly("x^2 + p")
-        onep = ctx.poly("1 + p")
+def _run_mongelli(ck, ctx, bounds, env, n):
+    lhs_full = gen_poly(
+        ctx, "signed", n, {"exc_A": "u", "neg": "p"}, max_class=env.max_class
+    ).substitute({"u": ctx.poly("x^2")})
+    arg = ctx.poly("x^2 + p")
+    onep = ctx.poly("1 + p")
 
-        def lift(f, deg):
-            # sum_j f_j (x^2 + p)^j (1 + p)^(deg - j)
-            return ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
+    def lift(f, deg):
+        # sum_j f_j (x^2 + p)^j (1 + p)^(deg - j)
+        return ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
 
-        ck.eq(f"n={n} full group", lhs_full, lift(classical_eulerian(ctx, n), n))
-        lhs_der = gen_poly(
-            ctx, "signed", n, {"exc_A": "u", "neg": "p"},
-            where=lambda s: s["fix"] == 0, max_class=env.max_class,
-        ).substitute({"u": ctx.poly("x^2")})
-        p = ctx.var("p")
-        rhs_der = ctx.sum(
-            binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k)
-            for k in range(n + 1)
-        )
-        ck.eq(f"n={n} derangements", lhs_der, rhs_der)
+    ck.eq("full group", lhs_full, lift(classical_eulerian(ctx, n), n))
+    lhs_der = gen_poly(
+        ctx, "signed", n, {"exc_A": "u", "neg": "p"},
+        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+    ).substitute({"u": ctx.poly("x^2")})
+    p = ctx.var("p")
+    rhs_der = ctx.sum(
+        binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k)
+        for k in range(n + 1)
+    )
+    ck.eq("derangements", lhs_der, rhs_der)
 
 
 # ---------------------------------------------------------------------------
@@ -1733,11 +1702,9 @@ def run_verify(
 
 
 def _run_one(args):
-    ident, profile, overrides, seed, max_class = args
-    result = run_verify(
-        ident, profile=profile, overrides=overrides, seed=seed, max_class=max_class
-    )
-    return result.to_json_obj()
+    ident, profile, seed, max_class = args
+    # run_verify is read at call time, so a tracer that rebinds it reaches the workers
+    return run_verify(ident, profile=profile, seed=seed, max_class=max_class)
 
 
 def run_suite(
@@ -1747,7 +1714,6 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     max_class: Optional[int] = None,
     jobs: int = 1,
-    overrides: Optional[dict] = None,
 ) -> list[IdentityResult]:
     """Run a deterministic-ordered batch of identities, optionally in parallel."""
     selected = ids if ids is not None else identity_ids()
@@ -1758,23 +1724,8 @@ def run_suite(
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(jobs) as pool:
-            raw = pool.map(
-                _run_one,
-                [(ident, profile, overrides, seed, max_class) for ident in selected],
-            )
-        results = [
-            IdentityResult(
-                obj["id"], obj["status"], obj["elapsed"], obj["detail"],
-                obj["details"], obj["mismatches"], obj["checks"],
-            )
-            for obj in raw
-        ]
-    else:
-        results = [
-            run_verify(
-                ident, profile=profile, overrides=overrides,
-                seed=seed, max_class=max_class,
-            )
-            for ident in selected
-        ]
-    return results
+            return pool.map(_run_one, [(ident, profile, seed, max_class) for ident in selected])
+    return [
+        run_verify(ident, profile=profile, seed=seed, max_class=max_class)
+        for ident in selected
+    ]

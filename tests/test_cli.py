@@ -206,6 +206,47 @@ def test_verify_json(capsys):
     assert "5" in payload["details"]["xi_plus[3]"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--id", "prop-ring-axioms", "--max-n", "1", "--profile", "quick"),
+        ("--id", "rec-anxq", "--r", "3", "--max-n", "3"),
+        ("--id", "stat-identities", "--max-n", "1"),
+    ],
+)
+def test_verify_rejects_overrides_the_identity_does_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "does not take" in err
+
+
+@pytest.mark.parametrize("jobs", ["-4", "0", "two"])
+def test_suite_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--ids", "cor-springer", "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --jobs:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (",,", "names no identity"),
+        ("", "names no identity"),
+        ("cor-springer,nope", "unknown identity 'nope'"),
+    ],
+)
+def test_suite_ids_naming_no_known_identity_exit_2(capsys, ids, message):
+    code, out, err = run_cli(capsys, "suite", "--ids", ids)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
 def test_suite_subset(capsys):
     code, out, _ = run_cli(
         capsys, "suite", "--profile", "quick",

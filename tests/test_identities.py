@@ -1,8 +1,10 @@
 import pytest
 
-from excedance_lab import permstats
+from excedance_lab import identities, permstats
 from excedance_lab.identities import (
     REGISTRY,
+    BadOverride,
+    Checker,
     UnknownIdentity,
     criterion_map,
     identity_ids,
@@ -75,11 +77,12 @@ def test_suite_empty_filter_runs_nothing():
 
 
 def test_suite_parallel_matches_sequential():
-    ids = ["cor-springer", "rec-anxq", "stirling-ap-onek"]
+    ids = ["cor-springer", "rec-anxq", "stirling-ap-onek", "thm18-crun"]
     seq = run_suite(profile="quick", ids=ids, jobs=1)
     par = run_suite(profile="quick", ids=ids, jobs=2)
-    assert [r.id for r in seq] == [r.id for r in par]
-    assert [r.status for r in seq] == [r.status for r in par]
+    for field in ("id", "status", "checks", "details", "mismatches"):
+        assert [getattr(r, field) for r in seq] == [getattr(r, field) for r in par]
+    assert par[-1].details["xi_plus[3]"] == "1 + 5*x"
 
 
 def test_property_identities_are_seed_stable():
@@ -152,3 +155,74 @@ def test_check_counts_survive_parallel_runs():
     par = run_suite(profile="quick", ids=ids, jobs=2)
     assert [r.checks for r in seq] == [r.checks for r in par]
     assert all(r.checks > 0 for r in par)
+
+
+def test_overrides_the_identity_does_not_read_are_rejected():
+    with pytest.raises(BadOverride) as exc:
+        run_verify("rec-anxq", overrides={"rs": (3,)})
+    assert "rs" in str(exc.value) and "max_n" in str(exc.value)
+    with pytest.raises(BadOverride):
+        run_verify("stat-identities", overrides={"max_n": 1})
+
+
+def _full_labels(monkeypatch, ident):
+    """Run ``ident`` at quick bounds and return every comparison's full label."""
+    labels = []
+    for name in ("eq", "ok"):
+        real = getattr(Checker, name)
+
+        def spy(self, context, *args, _real=real):
+            labels.append(self.label(context))
+            return _real(self, context, *args)
+
+        monkeypatch.setattr(Checker, name, spy)
+    assert run_verify(ident, profile="quick").status == "pass"
+    return labels
+
+
+def test_sweep_labels_keep_their_format(monkeypatch):
+    q = {ident: record.effective_bounds("quick") for ident, record in REGISTRY.items()}
+    expected = {
+        "rec-anxq": [f"n={n}" for n in range(q["rec-anxq"]["max_n"] + 1)],
+        # this cell uses no Context
+        "cor-springer": [f"n={n}" for n in range(q["cor-springer"]["max_n"] + 1)],
+        "rec-onek-decom": [
+            f"k={k} n={n} {part}"
+            for k in q["rec-onek-decom"]["ks"]
+            for n in range(1, q["rec-onek-decom"]["max_n"] + 1)
+            for part in ("reassembly", "a-part", "b-part")
+        ],
+        "g10-grammar-colored": [
+            f"r={r} n={n}"
+            for r in q["g10-grammar-colored"]["rs"]
+            for n in range(q["g10-grammar-colored"]["max_n"] + 1)
+        ],
+        "rec-anjk": [
+            label
+            for n in range(1, q["rec-anjk"]["max_n"] + 1)
+            for label in [f"n={n} symbolic"] + [
+                f"n={n} k={k} {what}"
+                for k in q["rec-anjk"]["ks"]
+                for what in ("numeric rows", "equals k^n A_n(x,1/k)")
+            ]
+        ],
+        # hand-written: n comes before r
+        "rec-arnk": [
+            f"n={n} r={r} symbolic specialisation"
+            for n in range(q["rec-arnk"]["sym_max_n"] + 1)
+            for r in q["rec-arnk"]["rs"]
+        ] + [
+            f"n={n} r={r} enumeration"
+            for r in q["rec-arnk"]["rs"]
+            for n in range(q["rec-arnk"]["max_n"] + 1)
+        ],
+    }
+    for ident, labels in expected.items():
+        assert _full_labels(monkeypatch, ident) == labels, ident
+
+
+def test_sweep_mismatch_names_its_cell(monkeypatch):
+    monkeypatch.setattr(identities, "q_eulerian", lambda ctx, n: ctx.var("x"))
+    res = run_verify("rec-anxq")
+    assert res.status == "fail"
+    assert res.mismatches[0]["context"] == "n=0"
