@@ -16,6 +16,7 @@ from .grammar import Grammar, parse_rules
 from .multipoly import Context, ParseError, Poly, as_fraction, poly_from_json
 from .permstats import (
     BadClassSize,
+    BadGuard,
     PermObject,
     SizeExceeded,
     UnknownStat,
@@ -44,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Context", "Poly", "ParseError", "as_fraction", "poly_from_json",
     "Grammar", "parse_rules",
-    "BadClassSize", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
+    "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
     "enumerate_class", "gen_poly", "marginal", "stirling_identities",
     "family", "q_bracket", "springer", "substituted_eulerian",
     "CoeffSeq", "NotSymmetric", "PartialGamma", "ShapeReport",

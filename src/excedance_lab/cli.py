@@ -2,8 +2,9 @@
 
 Subcommands: family, enumerate, grammar, shape, fs-action, verify, suite.
 Rationals on the command line are written ``a/b``.  The enumeration size
-guard can be overridden with the environment variable
-``EXCEDANCE_LAB_MAX_CLASS``.
+guard is set only by the environment variable ``EXCEDANCE_LAB_MAX_CLASS``
+(an integer >= 1).  Malformed input, a malformed guard included, exits 2 with
+one ``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from . import families, fsaction, identities, permstats
 from .grammar import parse_rules
 from .multipoly import Context, ParseError, as_fraction
-from .shape import CoeffSeq, shape_report
+from .shape import BadLength, CoeffSeq, shape_report
 
 
 def _add_format(parser, default="text", choices=("text", "json", "csv")):
@@ -34,11 +35,17 @@ def _int_or_sym(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type for --jobs: an integer >= 1."""
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
-    return int(value)
+def _int_at_least(minimum: int):
+    """Argparse type for counts (suite --jobs, grammar --n): an integer >= minimum."""
+
+    def parse(value: str) -> int:
+        if not value.strip().isdecimal() or int(value) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {value!r}"
+            )
+        return int(value)
+
+    return parse
 
 
 def _parse_int_or_sym(value):
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive = gram_sub.add_parser("derive", help="apply the formal derivative n times")
     p_derive.add_argument("--rules", required=True, help="rule file, one 'v -> poly' per line")
     p_derive.add_argument("--seed", required=True, help="start polynomial expression")
-    p_derive.add_argument("--n", type=int, required=True)
+    p_derive.add_argument("--n", type=_int_at_least(0), required=True)
     _add_format(p_derive, choices=("text", "json"))
     p_derive.set_defaults(fn=_cmd_grammar)
 
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run the whole identity registry")
     p_suite.add_argument("--profile", default="quick", choices=("quick", "full"))
     p_suite.add_argument("--ids", default=None, help="comma-separated subset")
-    p_suite.add_argument("--jobs", type=_positive_int, default=1)
+    p_suite.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_suite.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)
     _add_format(p_suite, choices=("text", "json"))
     p_suite.set_defaults(fn=_cmd_suite)
@@ -324,10 +331,12 @@ def main(argv=None) -> int:
         families.BadParams,
         families.OutOfTable,
         permstats.BadClassSize,
+        permstats.BadGuard,
         permstats.SizeExceeded,
         permstats.UnknownStat,
         fsaction.ValueAbsent,
         ParseError,
+        BadLength,
         OSError,
         identities.BadOverride,
     ) as exc:

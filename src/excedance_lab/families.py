@@ -344,8 +344,6 @@ def substituted_eulerian(
     drop_weight: Poly,
     fix_weight: Poly,
     cyc_var: Union[str, int] = "q",
-    *,
-    max_class: Optional[int] = None,
 ) -> Poly:
     """sum over S_n of  excW^exc * dropW^drop * fixW^fix * q^cyc.
 
@@ -353,9 +351,7 @@ def substituted_eulerian(
     transform theorems: rational substitutions into A_n(x,p,q) are realised
     by weighting each statistic with a polynomial.
     """
-    joint = permstats.marginal(
-        "plain", n, ("exc", "drop", "fix", "cyc"), max_class=max_class
-    )
+    joint = permstats.marginal("plain", n, ("exc", "drop", "fix", "cyc"))
     qv = Poly(ctx, {((ctx._resolve(cyc_var), 1),): 1})
     pow_exc: dict[int, Poly] = {0: ctx.const(1)}
     pow_drop: dict[int, Poly] = {0: ctx.const(1)}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import permstats
 from .multipoly import ParseError
@@ -118,29 +118,27 @@ def act(perm: PermObject, x: int) -> PermObject:
     return _perm_from_cycles(perm.n, cycles)
 
 
-def verify_bijection(
-    n: int, i: int, j: int, k: int, *, max_class: Optional[int] = None
-) -> tuple[int, int, bool]:
+def verify_bijection(n: int, i: int, j: int, k: int) -> tuple[int, int, bool]:
     """Counts of the no-double-ascent and one-double-ascent classes plus the
     bijection verdict  |class2| == (n - i - 2j) |class1|  with injectivity."""
-    cells = _bijection_cells(n, max_class=max_class)
+    cells = _bijection_cells(n)
     count1 = len(cells[0].get((i, j, k), ()))
     count2 = len(cells[1].get((i, j + 1, k), ()))
     ok = _cell_ok(n, i, j, k, cells)
     return count1, count2, ok
 
 
-def verify_bijection_all(n: int, *, max_class: Optional[int] = None) -> bool:
+def verify_bijection_all(n: int) -> bool:
     """The bijection verdict over every (i, j, k) cell at size n."""
-    cells = _bijection_cells(n, max_class=max_class)
+    cells = _bijection_cells(n)
     keys = set(cells[0]) | {(i, j - 1, k) for (i, j, k) in cells[1]}
     return all(_cell_ok(n, i, j, k, cells) for (i, j, k) in keys)
 
 
-def _bijection_cells(n: int, *, max_class: Optional[int] = None):
+def _bijection_cells(n: int):
     no_cda: dict[tuple[int, int, int], list] = defaultdict(list)
     one_cda: dict[tuple[int, int, int], set] = defaultdict(set)
-    for perm, stats in permstats.enumerate_class("plain", n, max_class=max_class):
+    for perm, stats in permstats.enumerate_class("plain", n):
         cell = (stats["fix"], stats["exc"], stats["cyc"])
         if stats["cda"] == 0:
             no_cda[cell].append(perm.word)
@@ -180,7 +178,10 @@ def parse_cycles(text: str) -> PermObject:
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             raise ParseError("empty cycle")
-        entries = [int(tok) for tok in body.split(",")]
+        try:
+            entries = [int(tok) for tok in body.split(",")]
+        except ValueError:
+            raise ParseError(f"bad cycle entry in ({body})") from None
         for v in entries:
             if v < 1 or v in values:
                 raise ParseError(f"bad cycle entry {v}")

@@ -12,11 +12,15 @@ Identities are grouped by the acceptance criterion they certify (the
 worker scheduling.
 
 Adding an identity: a theorem checked over ``n`` (and ``r`` or ``k``) is a
-``@_sweep`` cell, called per grid point with a fresh Context and the label
-prefix ``n=5`` (``r=2 n=5``, ``k=2 n=5``); it passes only the label's rest,
-or ``""``.  Write the body by hand (``@_identity``) when labels do not start
-with that prefix, the grid has a second loop, or work follows it.  A sweep
-shares plumbing only: no formula or Poly crosses cells or routes.
+``@_sweep`` cell ``cell(ck, ctx, bounds, n[, r|k])``, called per grid point
+with a fresh Context and the label prefix ``n=5`` (``r=2 n=5``, ``k=2 n=5``);
+it passes only the label's rest, or ``""``.  Write the body by hand
+(``@_identity``, ``run(bounds, rng, ck)``) when labels do not start with that
+prefix, the grid has a second loop, or work follows it.  ``rng`` is
+``random.Random(f"{seed}:{id}")``, one stream per identity.  A sweep shares
+plumbing only: no formula or Poly crosses cells or routes.  No body passes the
+enumeration size guard: it is the process-wide ``EXCEDANCE_LAB_MAX_CLASS``
+setting that ``permstats`` checks before every enumeration.
 """
 
 from __future__ import annotations
@@ -70,15 +74,6 @@ class BadOverride(ValueError):
     """An override names a bound the identity does not read."""
 
 
-@dataclass
-class Env:
-    seed: int = DEFAULT_SEED
-    max_class: Optional[int] = None
-
-    def rng(self, ident: str) -> random.Random:
-        return random.Random(f"{self.seed}:{ident}")
-
-
 class Checker:
     """Accumulates mismatches, a count of comparisons and report details for
     one identity run."""
@@ -119,7 +114,7 @@ class IdentityRecord:
     criterion: Optional[int]
     bounds: dict
     quick: dict
-    run: Callable[[dict, Env, Checker], None] = field(repr=False)
+    run: Callable[[dict, random.Random, Checker], None] = field(repr=False)
 
     def effective_bounds(self, profile: str, overrides: Optional[dict] = None) -> dict:
         merged = dict(self.bounds)
@@ -133,6 +128,11 @@ class IdentityRecord:
                 f"its bounds are {', '.join(self.bounds)}"
             )
         merged.update(given)
+        if "max_n" in given:
+            # a max_n override bounds every n the identity visits (sym_max_n, ...)
+            for key in merged:
+                if key.endswith("_max_n"):
+                    merged[key] = min(merged[key], given["max_n"])
         return merged
 
 
@@ -162,16 +162,16 @@ def _identity(id: str, description: str, criterion: Optional[int], bounds: dict,
 
 
 def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
-    """Register ``cell(ck, ctx, bounds, env, n[, r|k])``, run once per grid
+    """Register ``cell(ck, ctx, bounds, n[, r|k])``, run once per grid
     point: ``bounds[over]`` (``"rs"``/``"ks"``) outside, ``n = start ..
     bounds["max_n"]`` inside, a fresh Context and the label prefix per cell."""
     def wrap(cell):
-        def run(bounds, env, ck):
+        def run(bounds, rng, ck):
             grid = [(f"{over[0]}={v} ", (v,)) for v in bounds[over]] if over else [("", ())]
             for tag, extra in grid:
                 for n in range(start, bounds["max_n"] + 1):
                     ck.prefix = f"{tag}n={n}"
-                    cell(ck, Context(), bounds, env, n, *extra)
+                    cell(ck, Context(), bounds, n, *extra)
 
         _identity(id, description, criterion, bounds, quick)(run)
         return cell
@@ -185,7 +185,7 @@ def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
 
 
 def _colored_fexc_from_plain(
-    ctx: Context, n: int, r: int, *, derangements_only: bool = False, max_class=None
+    ctx: Context, n: int, r: int, *, derangements_only: bool = False
 ) -> Poly:
     """sum over colored class of x^fexc q^cyc, computed from the plain class.
 
@@ -200,7 +200,7 @@ def _colored_fexc_from_plain(
     exc_factor = x**r + x * q_bracket(ctx, r - 1, "x") if r > 1 else x
     rest_factor = q_bracket(ctx, r, "x")
     qv = ctx.var("q")
-    joint = marginal("plain", n, ("exc", "fix", "cyc"), max_class=max_class)
+    joint = marginal("plain", n, ("exc", "fix", "cyc"))
     # fixed points take any color: color 0 is a fixed point (x^0), color
     # c > 0 is a singleton contributing x^c (derangements have fix = 0)
     return ctx.sum(
@@ -222,13 +222,11 @@ def _colored_fexc_from_plain(
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_lemma7(ck, ctx, bounds, env, n):
+def _run_lemma7(ck, ctx, bounds, n):
     g = Grammar(ctx, {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"})
     lhs = g.iterate(ctx.var("I"), n)
     rhs = ctx.var("I") * gen_poly(
-        ctx, "plain", n,
-        {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"},
-        max_class=env.max_class,
+        ctx, "plain", n, {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"}
     )
     ck.eq("", lhs, rhs)
 
@@ -240,13 +238,11 @@ def _run_lemma7(ck, ctx, bounds, env, n):
     {"max_n": 7, "ks": (1, 2, 3)},
     {"max_n": 5, "ks": (1, 2)},
 )
-def _run_lemma8(ck, ctx, bounds, env, n):
+def _run_lemma8(ck, ctx, bounds, n):
     g = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
     lhs = g.iterate(ctx.var("I"), n)
     rhs = ctx.var("I") * gen_poly(
-        ctx, "plain", n,
-        {"exc": "x", "drop": "y", "fix": "y", "rlen": "k"},
-        max_class=env.max_class,
+        ctx, "plain", n, {"exc": "x", "drop": "y", "fix": "y", "rlen": "k"}
     )
     ck.eq("symbolic", lhs, rhs)
     for k in bounds["ks"]:
@@ -265,7 +261,7 @@ def _run_lemma8(ck, ctx, bounds, env, n):
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_change_of_grammar(bounds, env, ck):
+def _run_change_of_grammar(bounds, rng, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
         g0 = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
@@ -298,7 +294,7 @@ def _run_change_of_grammar(bounds, env, ck):
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_g3(ck, ctx, bounds, env, n):
+def _run_g3(ck, ctx, bounds, n):
     rhs_rule = "(1+p)*x*y"
     g3 = Grammar(ctx, {
         "J": "q*J*(t+s*p)", "s": rhs_rule, "t": rhs_rule,
@@ -308,7 +304,6 @@ def _run_g3(ck, ctx, bounds, env, n):
     rhs = ctx.var("J") * gen_poly(
         ctx, "signed", n,
         {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-        max_class=env.max_class,
     )
     ck.eq("", lhs, rhs)
 
@@ -321,13 +316,11 @@ def _run_g3(ck, ctx, bounds, env, n):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_g8(ck, ctx, bounds, env, n, r):
+def _run_g8(ck, ctx, bounds, n, r):
     g8 = Grammar(ctx, {"u": f"u*v^{r}", "v": f"u^{r}*v"})
     seed = ctx.monomial({"u": r - 1, "v": 1})
     lhs = g8.iterate(seed, n)
-    counts = gen_poly(
-        ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class
-    ).coeffs_in("x")
+    counts = gen_poly(ctx, "colored", n, {"exc_f": "x"}, r=r).coeffs_in("x")
     rhs = ctx.sum(
         c * ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1})
         for kk, c in enumerate(counts)
@@ -343,16 +336,14 @@ def _run_g8(ck, ctx, bounds, env, n, r):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_g10(ck, ctx, bounds, env, n, r):
+def _run_g10(ck, ctx, bounds, n, r):
     g10 = Grammar(ctx, {
         "I": f"q*I*(({r}-1)*x + p)",
         "x": f"{r}*x*y", "y": f"{r}*x*y", "p": f"{r}*x*y",
     })
     lhs = g10.iterate(ctx.var("I"), n)
     rhs = ctx.var("I") * gen_poly(
-        ctx, "colored", n,
-        {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        ctx, "colored", n, {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}, r=r
     )
     ck.eq("", lhs, rhs)
 
@@ -365,7 +356,7 @@ def _run_g10(ck, ctx, bounds, env, n, r):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_g12(ck, ctx, bounds, env, n, r):
+def _run_g12(ck, ctx, bounds, n, r):
     bracket_r = q_bracket(ctx, r, "p")
     bracket_r1 = q_bracket(ctx, r - 1, "p")
     rule = bracket_r * ctx.poly("x*y")
@@ -379,7 +370,7 @@ def _run_g12(ck, ctx, bounds, env, n, r):
         ctx, "colored", n,
         {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
          "csum": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        r=r,
     )
     ck.eq("", lhs, rhs)
 
@@ -392,7 +383,7 @@ def _run_g12(ck, ctx, bounds, env, n, r):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_g14(ck, ctx, bounds, env, n, r):
+def _run_g14(ck, ctx, bounds, n, r):
     bracket_r1 = q_bracket(ctx, r - 1, "p")
     rule = ctx.poly("x*y") + ctx.var("p") * bracket_r1 * ctx.poly("y^2")
     g14 = Grammar(ctx, {
@@ -405,7 +396,7 @@ def _run_g14(ck, ctx, bounds, env, n, r):
         ctx, "colored", n,
         {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
          "csum": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        r=r,
     )
     ck.eq("", lhs, rhs)
 
@@ -422,12 +413,8 @@ def _run_g14(ck, ctx, bounds, env, n, r):
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_rec_anxq(ck, ctx, bounds, env, n):
-    ck.eq(
-        "",
-        q_eulerian(ctx, n),
-        gen_poly(ctx, "plain", n, {"exc": "x", "cyc": "q"}, max_class=env.max_class),
-    )
+def _run_rec_anxq(ck, ctx, bounds, n):
+    ck.eq("", q_eulerian(ctx, n), gen_poly(ctx, "plain", n, {"exc": "x", "cyc": "q"}))
 
 
 @_sweep(
@@ -438,11 +425,9 @@ def _run_rec_anxq(ck, ctx, bounds, env, n):
     {"max_n": 6, "ks": (1, 2, 3)},
     start=1,
 )
-def _run_rec_anjk(ck, ctx, bounds, env, n):
+def _run_rec_anjk(ck, ctx, bounds, n):
     sym = one_over_k_eulerian(ctx, n, None)
-    enum = gen_poly(
-        ctx, "plain", n, {"exc": "x", "rlen": "k"}, max_class=env.max_class
-    )
+    enum = gen_poly(ctx, "plain", n, {"exc": "x", "rlen": "k"})
     ck.eq("symbolic", sym, enum)
     scaled = (ctx.var("k") ** n) * q_eulerian(ctx, n)
     for k in bounds["ks"]:
@@ -466,13 +451,11 @@ def _run_rec_anjk(ck, ctx, bounds, env, n):
     {"max_n": 6},
     start=1,
 )
-def _run_rec_enij(ck, ctx, bounds, env, n):
+def _run_rec_enij(ck, ctx, bounds, n):
     tri = gamma_triangle(ctx, n)
     seen = {
         (fix, exc)
-        for (cda, fix, exc) in marginal(
-            "plain", n, ("cda", "fix", "exc"), max_class=env.max_class
-        )
+        for (cda, fix, exc) in marginal("plain", n, ("cda", "fix", "exc"))
         if cda == 0
     }
     for (i, j) in sorted(set(tri) | seen):
@@ -480,16 +463,12 @@ def _run_rec_enij(ck, ctx, bounds, env, n):
         rhs = gen_poly(
             ctx, "plain", n, {"cyc": "q"},
             where=lambda s, i=i, j=j: s["cda"] == 0 and s["fix"] == i and s["exc"] == j,
-            max_class=env.max_class,
         )
         ck.eq(f"gamma[{i},{j}]", lhs, rhs)
     ck.eq(
         "reassembly",
         fix_cyc_eulerian(ctx, n),
-        gen_poly(
-            ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"},
-            max_class=env.max_class,
-        ),
+        gen_poly(ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"}),
     )
 
 
@@ -500,7 +479,7 @@ def _run_rec_enij(ck, ctx, bounds, env, n):
     {"max_n": 5, "rs": (1, 2, 3), "sym_max_n": 8},
     {"max_n": 4, "rs": (1, 2), "sym_max_n": 6},
 )
-def _run_rec_arnk(bounds, env, ck):
+def _run_rec_arnk(bounds, rng, ck):
     for n in range(bounds["sym_max_n"] + 1):
         ctx = Context()
         sym = colored_eulerian(ctx, n, None)
@@ -516,7 +495,7 @@ def _run_rec_arnk(bounds, env, ck):
             ck.eq(
                 f"n={n} r={r} enumeration",
                 colored_eulerian(ctx, n, r),
-                gen_poly(ctx, "colored", n, {"exc_f": "x"}, r=r, max_class=env.max_class),
+                gen_poly(ctx, "colored", n, {"exc_f": "x"}, r=r),
             )
 
 
@@ -527,9 +506,9 @@ def _run_rec_arnk(bounds, env, ck):
     {"max_n": 6},
     {"max_n": 5},
 )
-def _run_rec_bnxq(ck, ctx, bounds, env, n):
+def _run_rec_bnxq(ck, ctx, bounds, n):
     fam = type_b_q_eulerian(ctx, n)
-    raw = gen_poly(ctx, "signed", n, {"wexc": "x", "neg": "q"}, max_class=env.max_class)
+    raw = gen_poly(ctx, "signed", n, {"wexc": "x", "neg": "q"})
     ck.eq("enumeration", fam, raw.reverse_in("q", n))
     colored_sym = colored_eulerian(ctx, n, None)
     ck.eq(
@@ -546,11 +525,11 @@ def _run_rec_bnxq(ck, ctx, bounds, env, n):
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_thm18(bounds, env, ck):
+def _run_thm18(bounds, rng, ck):
     for n in range(2, bounds["max_n"] + 1):
         ctx = Context()
         plus, minus = one_over_k_pm_tables(ctx, n, 2)
-        by_crun = marginal("plain", n, ("crun", "cpk_inf"), max_class=env.max_class)
+        by_crun = marginal("plain", n, ("crun", "cpk_inf"))
         enum_plus: dict[int, int] = {}
         enum_minus: dict[int, int] = {}
         for (crun, cpk), cnt in by_crun.items():
@@ -561,9 +540,7 @@ def _run_thm18(bounds, env, ck):
             ck.eq(f"n={n} xi+[{i}]", plus.get(i, ctx.zero()), ctx.const(enum_plus.get(i, 0)))
         for i in sorted(set(minus) | set(enum_minus)):
             ck.eq(f"n={n} xi-[{i}]", minus.get(i, ctx.zero()), ctx.const(enum_minus.get(i, 0)))
-        lhs = gen_poly(
-            ctx, "plain", n, {"exc": "x", "rlen": "k"}, max_class=env.max_class
-        ).substitute({"k": 2})
+        lhs = gen_poly(ctx, "plain", n, {"exc": "x", "rlen": "k"}).substitute({"k": 2})
         a, b = one_over_k_decomposition(ctx, n, 2)
         ck.eq(f"n={n} decomposition", lhs, a + ctx.var("x") * b)
         if n == 3:
@@ -585,7 +562,7 @@ def _run_thm18(bounds, env, ck):
     {"max_n": 6, "ks": (1, 2, 3)},
     over="ks", start=1,
 )
-def _run_rec_onek_decom(ck, ctx, bounds, env, n, k):
+def _run_rec_onek_decom(ck, ctx, bounds, n, k):
     a, b = one_over_k_decomposition(ctx, n, k)
     full = one_over_k_eulerian(ctx, n, k)
     ck.eq("reassembly", a + ctx.var("x") * b, full)
@@ -603,7 +580,7 @@ def _run_rec_onek_decom(ck, ctx, bounds, env, n, k):
     {"max_n": 6, "rs": (2, 3)},
     over="rs",
 )
-def _run_rec_alpha_decom(ck, ctx, bounds, env, n, r):
+def _run_rec_alpha_decom(ck, ctx, bounds, n, r):
     a, b = colored_decomposition(ctx, n, r)
     full = colored_eulerian(ctx, n, r)
     ck.eq("reassembly", a + ctx.var("x") * b, full)
@@ -632,16 +609,13 @@ def _run_rec_alpha_decom(ck, ctx, bounds, env, n, r):
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_thm9(ck, ctx, bounds, env, n):
+def _run_thm9(ck, ctx, bounds, n):
     lhs = gen_poly(
         ctx, "signed", n,
         {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-        max_class=env.max_class,
     )
     rhs = substituted_eulerian(
-        ctx, n,
-        ctx.poly("(1+p)*x"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
-        max_class=env.max_class,
+        ctx, n, ctx.poly("(1+p)*x"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q"
     )
     ck.eq("", lhs, rhs)
 
@@ -653,17 +627,14 @@ def _run_thm9(ck, ctx, bounds, env, n):
     {"max_n": 5},
     {"max_n": 4},
 )
-def _run_thm12(ck, ctx, bounds, env, n):
+def _run_thm12(ck, ctx, bounds, n):
     lhs = gen_poly(
         ctx, "signed", n,
         {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
          "neg": "p", "cyc": "q"},
-        max_class=env.max_class,
     )
     rhs = substituted_eulerian(
-        ctx, n,
-        ctx.poly("x+p*y"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q",
-        max_class=env.max_class,
+        ctx, n, ctx.poly("x+p*y"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q"
     )
     ck.eq("", lhs, rhs)
 
@@ -676,11 +647,9 @@ def _run_thm12(ck, ctx, bounds, env, n):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_thm22(ck, ctx, bounds, env, n, r):
+def _run_thm22(ck, ctx, bounds, n, r):
     lhs = gen_poly(
-        ctx, "colored", n,
-        {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        ctx, "colored", n, {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}, r=r
     )
     rhs = substituted_eulerian(
         ctx, n,
@@ -688,7 +657,6 @@ def _run_thm22(ck, ctx, bounds, env, n, r):
         ctx.const(r) * ctx.var("y"),
         ctx.const(r - 1) * ctx.var("x") + ctx.var("p"),
         "q",
-        max_class=env.max_class,
     )
     ck.eq("", lhs, rhs)
 
@@ -701,20 +669,19 @@ def _run_thm22(ck, ctx, bounds, env, n, r):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_thm24(ck, ctx, bounds, env, n, r):
+def _run_thm24(ck, ctx, bounds, n, r):
     br = q_bracket(ctx, r, "p")
     br1 = q_bracket(ctx, r - 1, "p")
     lhs = gen_poly(
         ctx, "colored", n,
         {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
          "csum": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        r=r,
     )
     rhs = substituted_eulerian(
         ctx, n,
         br * ctx.var("x"), br * ctx.var("y"),
         ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-        max_class=env.max_class,
     )
     ck.eq("", lhs, rhs)
 
@@ -727,21 +694,20 @@ def _run_thm24(ck, ctx, bounds, env, n, r):
     {"max_n": 3, "rs": (1, 2)},
     over="rs",
 )
-def _run_thm26(ck, ctx, bounds, env, n, r):
+def _run_thm26(ck, ctx, bounds, n, r):
     br = q_bracket(ctx, r, "p")
     br1 = q_bracket(ctx, r - 1, "p")
     lhs = gen_poly(
         ctx, "colored", n,
         {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
          "csum": "p", "cyc": "q"},
-        r=r, max_class=env.max_class,
+        r=r,
     )
     rhs = substituted_eulerian(
         ctx, n,
         ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
         br * ctx.var("y"),
         ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-        max_class=env.max_class,
     )
     ck.eq("", lhs, rhs)
 
@@ -759,7 +725,7 @@ def _run_thm26(ck, ctx, bounds, env, n, r):
     {"max_n": 6},
     start=1,
 )
-def _run_sign_anx11(ck, ctx, bounds, env, n):
+def _run_sign_anx11(ck, ctx, bounds, n):
     lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 1, "q": -1})
     rhs = -((ctx.var("x") - 1) ** (n - 1))
     ck.eq("", lhs, rhs)
@@ -773,7 +739,7 @@ def _run_sign_anx11(ck, ctx, bounds, env, n):
     {"max_n": 6},
     start=1,
 )
-def _run_sign_anx12(ck, ctx, bounds, env, n):
+def _run_sign_anx12(ck, ctx, bounds, n):
     lhs = fix_cyc_eulerian(ctx, n).substitute({"p": 0, "q": -1})
     rhs = -(ctx.var("x") * q_bracket(ctx, n - 1, "x"))
     ck.eq("", lhs, rhs)
@@ -787,7 +753,7 @@ def _run_sign_anx12(ck, ctx, bounds, env, n):
     {"max_n": 6},
     start=2,
 )
-def _run_sign_gamma(ck, ctx, bounds, env, n):
+def _run_sign_gamma(ck, ctx, bounds, n):
     g = gamma_poly(ctx, n)
     x = ctx.var("x")
     rhs1 = ctx.sum(
@@ -814,11 +780,10 @@ def _run_sign_gamma(ck, ctx, bounds, env, n):
     {"max_n": 5},
     start=1,
 )
-def _run_sign_dnb(ck, ctx, bounds, env, n):
+def _run_sign_dnb(ck, ctx, bounds, n):
     lhs = gen_poly(
         ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
         where=lambda s: s["fix"] == 0,
-        max_class=env.max_class,
     ).substitute({"q": -1})
     x, p = ctx.var("x"), ctx.var("p")
     rhs = -ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(
@@ -835,12 +800,10 @@ def _run_sign_dnb(ck, ctx, bounds, env, n):
     {"max_n": 5, "rs": (1, 2), "direct_max_n": 3},
     over="rs", start=1,
 )
-def _run_bagno_garber(ck, ctx, bounds, env, n, r):
-    lhs = _colored_fexc_from_plain(ctx, n, r, max_class=env.max_class)
+def _run_bagno_garber(ck, ctx, bounds, n, r):
+    lhs = _colored_fexc_from_plain(ctx, n, r)
     if n <= bounds["direct_max_n"]:
-        direct = gen_poly(
-            ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r, max_class=env.max_class
-        )
+        direct = gen_poly(ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r)
         ck.eq("factorised vs direct", lhs, direct)
     signed = lhs.substitute({"q": -1})
     x = ctx.var("x")
@@ -859,15 +822,12 @@ def _run_bagno_garber(ck, ctx, bounds, env, n, r):
     {"max_n": 5, "rs": (1, 2), "direct_max_n": 3},
     over="rs", start=1,
 )
-def _run_sign_anr(ck, ctx, bounds, env, n, r):
-    lhs = _colored_fexc_from_plain(
-        ctx, n, r, derangements_only=True, max_class=env.max_class
-    )
+def _run_sign_anr(ck, ctx, bounds, n, r):
+    lhs = _colored_fexc_from_plain(ctx, n, r, derangements_only=True)
     if n <= bounds["direct_max_n"]:
         direct = gen_poly(
             ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
             r=r, where=lambda s: s["fix"] == 0 and s["single"] == 0,
-            max_class=env.max_class,
         )
         ck.eq("factorised vs direct", lhs, direct)
     x = ctx.var("x")
@@ -888,13 +848,11 @@ def _run_sign_anr(ck, ctx, bounds, env, n, r):
     {"max_n": 6},
     start=1,
 )
-def _run_foata(ck, ctx, bounds, env, n):
-    an = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
+def _run_foata(ck, ctx, bounds, n):
+    an = gen_poly(ctx, "plain", n, {"des": "x"})
     table = {
         des: cnt
-        for (dd, des), cnt in marginal(
-            "plain", n, ("dd", "des"), max_class=env.max_class
-        ).items()
+        for (dd, des), cnt in marginal("plain", n, ("dd", "des")).items()
         if dd == 0
     }
     ck.eq("basis sum", an, gamma_assemble(ctx, table, n - 1))
@@ -914,16 +872,14 @@ def _run_foata(ck, ctx, bounds, env, n):
     {"max_n": 6},
     start=1,
 )
-def _run_zeng(ck, ctx, bounds, env, n):
+def _run_zeng(ck, ctx, bounds, n):
     lhs = gen_poly(
-        ctx, "plain", n, {"exc": "x", "cyc": "q"},
-        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+        ctx, "plain", n, {"exc": "x", "cyc": "q"}, where=lambda s: s["fix"] == 0
     )
     qsums = {
         k: gen_poly(
             ctx, "plain", n, {"cyc": "q"},
             where=lambda s, k=k: s["fix"] == 0 and s["cda"] == 0 and s["exc"] == k,
-            max_class=env.max_class,
         )
         for k in range(1, n // 2 + 1)
     }
@@ -938,11 +894,11 @@ def _run_zeng(ck, ctx, bounds, env, n):
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_petersen(ck, ctx, bounds, env, n):
-    bn = gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class)
+def _run_petersen(ck, ctx, bounds, n):
+    bn = gen_poly(ctx, "signed", n, {"wexc": "x"})
     weighted = {
         lpk: 4**lpk * cnt
-        for (lpk,), cnt in marginal("plain", n, ("lpk",), max_class=env.max_class).items()
+        for (lpk,), cnt in marginal("plain", n, ("lpk",)).items()
     }
     ck.eq("", bn, gamma_assemble(ctx, weighted, n))
 
@@ -954,12 +910,10 @@ def _run_petersen(ck, ctx, bounds, env, n):
     {"max_n": 7},
     {"max_n": 6},
 )
-def _run_springer(ck, ctx, bounds, env, n):
+def _run_springer(ck, ctx, bounds, n):
     lhs = sum(
         cnt * 2 ** (n - exc)
-        for (cda, exc), cnt in marginal(
-            "plain", n, ("cda", "exc"), max_class=env.max_class
-        ).items()
+        for (cda, exc), cnt in marginal("plain", n, ("cda", "exc")).items()
         if cda == 0
     )
     rhs = sum(binomial(n, i) * springer(i) for i in range(n + 1))
@@ -973,14 +927,12 @@ def _run_springer(ck, ctx, bounds, env, n):
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_lpk_nocda(ck, ctx, bounds, env, n):
-    lhs = gen_poly(ctx, "plain", n, {"lpk": "x"}, max_class=env.max_class)
+def _run_lpk_nocda(ck, ctx, bounds, n):
+    lhs = gen_poly(ctx, "plain", n, {"lpk": "x"})
     x = ctx.var("x")
     rhs = ctx.sum(
         cnt * 2 ** (n - fix - 2 * exc) * x**exc
-        for (cda, exc, fix), cnt in marginal(
-            "plain", n, ("cda", "exc", "fix"), max_class=env.max_class
-        ).items()
+        for (cda, exc, fix), cnt in marginal("plain", n, ("cda", "exc", "fix")).items()
         if cda == 0
     )
     ck.eq("", lhs, rhs)
@@ -1005,7 +957,7 @@ BIGAMMA_POINTS = (Fraction(1), Fraction(2))
     {"max_n": 6},
     start=1,
 )
-def _run_shape_grid(ck, ctx, bounds, env, n):
+def _run_shape_grid(ck, ctx, bounds, n):
     fam = fix_cyc_eulerian(ctx, n)
     for pv in GRID_POINTS:
         for qv in GRID_POINTS:
@@ -1033,7 +985,7 @@ def _run_shape_grid(ck, ctx, bounds, env, n):
     {"max_n": 6, "ks": (1, 2, 3)},
     over="ks", start=1,
 )
-def _run_shape_onek(ck, ctx, bounds, env, n, k):
+def _run_shape_onek(ck, ctx, bounds, n, k):
     rational = q_eulerian(ctx, n).eval_rational({"q": Fraction(1, k)})
     seq_q = CoeffSeq.from_poly(rational, "x", m=max(n - 1, 0))
     ck.ok(
@@ -1063,11 +1015,8 @@ def _run_shape_onek(ck, ctx, bounds, env, n, k):
     {"max_n": 5},
     start=1,
 )
-def _run_shape_dnb(ck, ctx, bounds, env, n):
-    dnb = gen_poly(
-        ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0,
-        max_class=env.max_class,
-    )
+def _run_shape_dnb(ck, ctx, bounds, n):
+    dnb = gen_poly(ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0)
     ck.eq(
         "equals 2^n A_n(x,1/2,1)",
         dnb,
@@ -1090,7 +1039,7 @@ def _run_shape_dnb(ck, ctx, bounds, env, n):
     {"max_n": 5},
     start=1,
 )
-def _run_shape_bnq(ck, ctx, bounds, env, n):
+def _run_shape_bnq(ck, ctx, bounds, n):
     fam = type_b_q_eulerian(ctx, n)
     for qv in SPIRAL_POINTS:
         seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
@@ -1112,10 +1061,9 @@ def _run_shape_bnq(ck, ctx, bounds, env, n):
     {"max_n": 5},
     start=1,
 )
-def _run_shape_dfexc(ck, ctx, bounds, env, n):
+def _run_shape_dfexc(ck, ctx, bounds, n):
     dn = gen_poly(
-        ctx, "signed", n, {"fexc": "x", "cyc": "q"},
-        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+        ctx, "signed", n, {"fexc": "x", "cyc": "q"}, where=lambda s: s["fix"] == 0
     )
     for qv in GAMMA_POINTS:
         seq = CoeffSeq.from_poly(dn.eval_rational({"q": qv}), "x", m=2 * n)
@@ -1124,7 +1072,7 @@ def _run_shape_dfexc(ck, ctx, bounds, env, n):
             shape_check(seq, "gamma_positive"),
             str(seq.coeffs),
         )
-    fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"}, max_class=env.max_class)
+    fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"})
     for pv in BIGAMMA_POINTS:
         seq = CoeffSeq.from_poly(fn.eval_rational({"p": pv}), "x", m=2 * n - 1)
         ck.ok(
@@ -1146,13 +1094,10 @@ def _run_shape_dfexc(ck, ctx, bounds, env, n):
     {"max_n": 6},
     {"max_n": 4},
 )
-def _run_thm11(bounds, env, ck):
+def _run_thm11(bounds, rng, ck):
     ctx = Context()
     weights = {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p"}
-    bs = [
-        gen_poly(ctx, "signed", m, weights, max_class=env.max_class)
-        for m in range(bounds["max_n"] + 1)
-    ]
+    bs = [gen_poly(ctx, "signed", m, weights) for m in range(bounds["max_n"] + 1)]
     tsp = ctx.poly("t + s*p")
     onep = ctx.poly("1 + p")
     for n in range(2, bounds["max_n"] + 1):
@@ -1170,20 +1115,18 @@ def _run_thm11(bounds, env, ck):
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_four_spec(bounds, env, ck):
+def _run_four_spec(bounds, rng, ck):
     ctx = Context()
     x = ctx.var("x")
     top = bounds["max_n"]
-    a = [gen_poly(ctx, "plain", m, {"exc": "x"}, max_class=env.max_class) for m in range(top + 1)]
+    a = [gen_poly(ctx, "plain", m, {"exc": "x"}) for m in range(top + 1)]
     d = [
-        gen_poly(ctx, "plain", m, {"exc": "x"}, where=lambda s: s["fix"] == 0,
-                 max_class=env.max_class)
+        gen_poly(ctx, "plain", m, {"exc": "x"}, where=lambda s: s["fix"] == 0)
         for m in range(top + 1)
     ]
-    b = [gen_poly(ctx, "signed", m, {"wexc": "x"}, max_class=env.max_class) for m in range(top + 1)]
+    b = [gen_poly(ctx, "signed", m, {"wexc": "x"}) for m in range(top + 1)]
     db = [
-        gen_poly(ctx, "signed", m, {"exc": "x"}, where=lambda s: s["fix"] == 0,
-                    max_class=env.max_class)
+        gen_poly(ctx, "signed", m, {"exc": "x"}, where=lambda s: s["fix"] == 0)
         for m in range(top + 1)
     ]
 
@@ -1217,10 +1160,8 @@ def _run_four_spec(bounds, env, ck):
     {"max_n": 4, "ks": (1, 2)},
     over="ks", start=1,
 )
-def _run_stirling(ck, ctx, bounds, env, n, k):
-    ap_poly, lap_poly = permstats.stirling_identities(
-        ctx, n, k, max_class=env.max_class
-    )
+def _run_stirling(ck, ctx, bounds, n, k):
+    ap_poly, lap_poly = permstats.stirling_identities(ctx, n, k)
     onek = one_over_k_eulerian(ctx, n, k)
     ck.eq("ascent plateaux", ap_poly, onek)
     ck.eq(
@@ -1231,12 +1172,10 @@ def _run_stirling(ck, ctx, bounds, env, n, k):
     a_enum = gen_poly(
         ctx, "stirling", n, {"ap": "x"}, k=k,
         where=lambda s: s["first_block_constant"] == 1,
-        max_class=env.max_class,
     )
     xb_enum = gen_poly(
         ctx, "stirling", n, {"ap": "x"}, k=k,
         where=lambda s: s["first_block_constant"] == 0,
-        max_class=env.max_class,
     )
     a_rec, b_rec = one_over_k_decomposition(ctx, n, k)
     ck.eq("constant-first-block slice", a_enum, a_rec)
@@ -1258,9 +1197,9 @@ def _run_stirling(ck, ctx, bounds, env, n, k):
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_fs(bounds, env, ck):
+def _run_fs(bounds, rng, ck):
     for n in range(1, bounds["max_n"] + 1):
-        ck.ok(f"n={n} all cells", fsaction.verify_bijection_all(n, max_class=env.max_class))
+        ck.ok(f"n={n} all cells", fsaction.verify_bijection_all(n))
     perm = fsaction.parse_cycles("(1,10,6,5,7,3,2,8)(4,9)")
     ck.eq("worked example CDD", fsaction.cdd_values(perm), [3, 6])
     img3 = fsaction.act(perm, 3)
@@ -1301,8 +1240,7 @@ def _random_poly(ctx, rng, nvars=3, max_terms=4, max_exp=3, big=False):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_ring(bounds, env, ck):
-    rng = env.rng("prop-ring-axioms")
+def _run_prop_ring(bounds, rng, ck):
     ctx = Context()
     failures = 0
     for case in range(bounds["instances"]):
@@ -1328,8 +1266,7 @@ def _run_prop_ring(bounds, env, ck):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_leibniz(bounds, env, ck):
-    rng = env.rng("prop-leibniz")
+def _run_prop_leibniz(bounds, rng, ck):
     ctx = Context()
     failures = 0
     for case in range(bounds["instances"]):
@@ -1358,8 +1295,7 @@ def _run_prop_leibniz(bounds, env, ck):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_subst(bounds, env, ck):
-    rng = env.rng("prop-substitution")
+def _run_prop_subst(bounds, rng, ck):
     ctx = Context()
     failures = 0
     for case in range(bounds["instances"]):
@@ -1408,8 +1344,7 @@ def _random_gamma_positive(ctx, rng, m, zero_at_origin=False):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_gamma_closure(bounds, env, ck):
-    rng = env.rng("prop-gamma-closure")
+def _run_prop_gamma_closure(bounds, rng, ck):
     ctx = Context()
     failures = 0
     for case in range(bounds["instances"]):
@@ -1437,8 +1372,7 @@ def _run_prop_gamma_closure(bounds, env, ck):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_gamma_derivative(bounds, env, ck):
-    rng = env.rng("prop-gamma-derivative")
+def _run_prop_gamma_derivative(bounds, rng, ck):
     ctx = Context()
     failures = 0
     for case in range(bounds["instances"]):
@@ -1467,8 +1401,7 @@ def _run_prop_gamma_derivative(bounds, env, ck):
     {"instances": 1000},
     {"instances": 200},
 )
-def _run_prop_decompose(bounds, env, ck):
-    rng = env.rng("prop-decompose-unique")
+def _run_prop_decompose(bounds, rng, ck):
     failures = 0
     for case in range(bounds["instances"]):
         m = rng.randint(0, 8)
@@ -1506,10 +1439,10 @@ def _run_prop_decompose(bounds, env, ck):
     {"max_n": 8},
     {"max_n": 6},
 )
-def _run_equidist(ck, ctx, bounds, env, n):
-    des = gen_poly(ctx, "plain", n, {"des": "x"}, max_class=env.max_class)
-    exc = gen_poly(ctx, "plain", n, {"exc": "x"}, max_class=env.max_class)
-    drop = gen_poly(ctx, "plain", n, {"drop": "x"}, max_class=env.max_class)
+def _run_equidist(ck, ctx, bounds, n):
+    des = gen_poly(ctx, "plain", n, {"des": "x"})
+    exc = gen_poly(ctx, "plain", n, {"exc": "x"})
+    drop = gen_poly(ctx, "plain", n, {"drop": "x"})
     ck.eq("des vs exc", des, exc)
     ck.eq("exc vs drop", exc, drop)
 
@@ -1521,11 +1454,11 @@ def _run_equidist(ck, ctx, bounds, env, n):
     {"max_n": 6},
     {"max_n": 5},
 )
-def _run_equidist_b(ck, ctx, bounds, env, n):
+def _run_equidist_b(ck, ctx, bounds, n):
     ck.eq(
         "",
-        gen_poly(ctx, "signed", n, {"des_B": "x"}, max_class=env.max_class),
-        gen_poly(ctx, "signed", n, {"wexc": "x"}, max_class=env.max_class),
+        gen_poly(ctx, "signed", n, {"des_B": "x"}),
+        gen_poly(ctx, "signed", n, {"wexc": "x"}),
     )
 
 
@@ -1536,10 +1469,10 @@ def _run_equidist_b(ck, ctx, bounds, env, n):
     {"plain_max_n": 7, "signed_max_n": 4, "colored_max_n": 4, "rs": (1, 2, 3)},
     {"plain_max_n": 6, "signed_max_n": 3, "colored_max_n": 3, "rs": (1, 2)},
 )
-def _run_stat_identities(bounds, env, ck):
+def _run_stat_identities(bounds, rng, ck):
     bad = 0
     for n in range(1, bounds["plain_max_n"] + 1):
-        for obj, stats in permstats.enumerate_class("plain", n, max_class=env.max_class):
+        for obj, stats in permstats.enumerate_class("plain", n):
             runs = 0
             for cyc in obj.cycles():
                 word = list(cyc) + [float("inf")]
@@ -1558,7 +1491,7 @@ def _run_stat_identities(bounds, env, ck):
             if stats["exc"] + stats["drop"] + stats["fix"] != n:
                 bad += 1
     for n in range(bounds["signed_max_n"] + 1):
-        for obj, stats in permstats.enumerate_class("signed", n, max_class=env.max_class):
+        for obj, stats in permstats.enumerate_class("signed", n):
             word = obj.word
             exc_a = sum(1 for i, v in enumerate(word, 1) if v > i)
             neg = sum(1 for v in word if v < 0)
@@ -1568,9 +1501,7 @@ def _run_stat_identities(bounds, env, ck):
                 bad += 1
     for r in bounds["rs"]:
         for n in range(bounds["colored_max_n"] + 1):
-            for obj, stats in permstats.enumerate_class(
-                "colored", n, r=r, max_class=env.max_class
-            ):
+            for obj, stats in permstats.enumerate_class("colored", n, r=r):
                 word = obj.word
                 exc_f = sum(
                     1 for i, (v, c) in enumerate(word, 1)
@@ -1590,31 +1521,25 @@ def _run_stat_identities(bounds, env, ck):
     {"max_n": 6, "rs": (1, 2, 3), "rev_max_n": 7},
     {"max_n": 4, "rs": (1, 2), "rev_max_n": 6},
 )
-def _run_dnr(bounds, env, ck):
+def _run_dnr(bounds, rng, ck):
     for r in bounds["rs"]:
         for n in range(bounds["max_n"] + 1):
             ctx = Context()
             lhs = gen_poly(
                 ctx, "colored", n, {"exc_f": "x", "cyc": "q"},
-                r=r, where=lambda s: s["fix"] == 0, max_class=env.max_class,
+                r=r, where=lambda s: s["fix"] == 0,
             )
             x, q = ctx.var("x"), ctx.var("q")
             rhs = ctx.sum(
                 cnt * (r - 1) ** fix * r ** (n - fix) * x ** (exc + fix) * q**cyc
                 for (exc, fix, cyc), cnt
-                in marginal("plain", n, ("exc", "fix", "cyc"), max_class=env.max_class).items()
+                in marginal("plain", n, ("exc", "fix", "cyc")).items()
             )
             ck.eq(f"r={r} n={n}", lhs, rhs)
     for n in range(bounds["rev_max_n"] + 1):
         ctx = Context()
-        wexc_poly = gen_poly(
-            ctx, "plain", n, {"wexc": "x", "fix": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
-        exc_poly = gen_poly(
-            ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"},
-            max_class=env.max_class,
-        )
+        wexc_poly = gen_poly(ctx, "plain", n, {"wexc": "x", "fix": "p", "cyc": "q"})
+        exc_poly = gen_poly(ctx, "plain", n, {"exc": "x", "fix": "p", "cyc": "q"})
         ck.eq(f"n={n} reversal", wexc_poly, exc_poly.reverse_in("x", n))
 
 
@@ -1625,9 +1550,9 @@ def _run_dnr(bounds, env, ck):
     {"max_n": 6},
     {"max_n": 4},
 )
-def _run_mongelli(ck, ctx, bounds, env, n):
+def _run_mongelli(ck, ctx, bounds, n):
     lhs_full = gen_poly(
-        ctx, "signed", n, {"exc_A": "u", "neg": "p"}, max_class=env.max_class
+        ctx, "signed", n, {"exc_A": "u", "neg": "p"}
     ).substitute({"u": ctx.poly("x^2")})
     arg = ctx.poly("x^2 + p")
     onep = ctx.poly("1 + p")
@@ -1639,7 +1564,7 @@ def _run_mongelli(ck, ctx, bounds, env, n):
     ck.eq("full group", lhs_full, lift(classical_eulerian(ctx, n), n))
     lhs_der = gen_poly(
         ctx, "signed", n, {"exc_A": "u", "neg": "p"},
-        where=lambda s: s["fix"] == 0, max_class=env.max_class,
+        where=lambda s: s["fix"] == 0,
     ).substitute({"u": ctx.poly("x^2")})
     p = ctx.var("p")
     rhs_der = ctx.sum(
@@ -1672,17 +1597,15 @@ def run_verify(
     profile: str = "full",
     overrides: Optional[dict] = None,
     seed: int = DEFAULT_SEED,
-    max_class: Optional[int] = None,
 ) -> IdentityResult:
     record = REGISTRY.get(ident)
     if record is None:
         raise UnknownIdentity(ident)
-    env = Env(seed=seed, max_class=max_class)
     bounds = record.effective_bounds(profile, overrides)
     ck = Checker()
     start = time.monotonic()
     try:
-        record.run(bounds, env, ck)
+        record.run(bounds, random.Random(f"{seed}:{ident}"), ck)
     except SizeExceeded as exc:
         return IdentityResult(
             ident, "skipped", time.monotonic() - start,
@@ -1702,9 +1625,9 @@ def run_verify(
 
 
 def _run_one(args):
-    ident, profile, seed, max_class = args
+    ident, profile, seed = args
     # run_verify is read at call time, so a tracer that rebinds it reaches the workers
-    return run_verify(ident, profile=profile, seed=seed, max_class=max_class)
+    return run_verify(ident, profile=profile, seed=seed)
 
 
 def run_suite(
@@ -1712,10 +1635,10 @@ def run_suite(
     profile: str = "full",
     ids: Optional[list[str]] = None,
     seed: int = DEFAULT_SEED,
-    max_class: Optional[int] = None,
     jobs: int = 1,
 ) -> list[IdentityResult]:
-    """Run a deterministic-ordered batch of identities, optionally in parallel."""
+    """Run a deterministic-ordered batch of identities, optionally in parallel;
+    forked workers inherit the environment, and with it the size guard."""
     selected = ids if ids is not None else identity_ids()
     for ident in selected:
         if ident not in REGISTRY:
@@ -1724,8 +1647,5 @@ def run_suite(
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_run_one, [(ident, profile, seed, max_class) for ident in selected])
-    return [
-        run_verify(ident, profile=profile, seed=seed, max_class=max_class)
-        for ident in selected
-    ]
+            return pool.map(_run_one, [(ident, profile, seed) for ident in selected])
+    return [run_verify(ident, profile=profile, seed=seed) for ident in selected]

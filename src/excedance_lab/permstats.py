@@ -37,6 +37,13 @@ queries against the same class enumerate it only once.  ``marginal`` (joint
 counts of statistics by name) is the only door to that cache from outside
 this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
 runs the size guard before it reads.
+
+The size guard is one process-wide setting: the environment variable
+``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
+``DEFAULT_MAX_CLASS``), read only by ``guard_limit``.  ``_check_guard`` runs
+it before every enumeration, streamed or cached; a class larger than the guard
+raises ``SizeExceeded`` and a malformed value raises ``BadGuard``.  Library
+callers set it in ``os.environ``; forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -86,11 +93,23 @@ class BadClassSize(ValueError):
     """A class size parameter outside its domain: n < 0, colored r < 1, stirling k < 1."""
 
 
-def guard_limit(max_class: Optional[int] = None) -> int:
-    if max_class is not None:
-        return max_class
-    env = os.environ.get(ENV_GUARD)
-    return int(env) if env else DEFAULT_MAX_CLASS
+class BadGuard(ValueError):
+    """The size guard variable holds something other than an integer >= 1."""
+
+
+def guard_limit() -> int:
+    """The enumeration size guard: ``EXCEDANCE_LAB_MAX_CLASS`` if set, else
+    ``DEFAULT_MAX_CLASS``."""
+    value = os.environ.get(ENV_GUARD)
+    if not value:
+        return DEFAULT_MAX_CLASS
+    try:
+        guard = int(value)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise BadGuard(f"{ENV_GUARD} must be an integer >= 1, got {value!r}")
+    return guard
 
 
 def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
@@ -118,9 +137,9 @@ def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _check_guard(kind, n, r, k, max_class):
+def _check_guard(kind, n, r, k):
     size = class_size(kind, n, r=r, k=k)
-    guard = guard_limit(max_class)
+    guard = guard_limit()
     if size > guard:
         raise SizeExceeded(size, guard)
     return size
@@ -431,15 +450,10 @@ def stat_names(kind: str) -> tuple[str, ...]:
 
 
 def enumerate_class(
-    kind: str,
-    n: int,
-    *,
-    r: int = 1,
-    k: int = 1,
-    max_class: Optional[int] = None,
+    kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> Iterator[tuple[PermObject, dict[str, int]]]:
     """Stream (object, statistics) pairs in deterministic lexicographic order."""
-    _check_guard(kind, n, r, k, max_class)
+    _check_guard(kind, n, r, k)
     if kind == "plain":
         for word in _plain_words(n):
             yield PermObject("plain", n, word), _plain_full(
@@ -510,7 +524,7 @@ def _full_stats(kind, tup, n, r):
     return dict(zip(STIRLING_BASE, tup))
 
 
-def _full_cells(kind, n, r, k, max_class, names=()):
+def _full_cells(kind, n, r, k, names=()):
     """(stats dict, count) for each cell of the class's cached distribution.
 
     The one loop behind every read of the cache: it checks ``names`` against
@@ -520,19 +534,13 @@ def _full_cells(kind, n, r, k, max_class, names=()):
     for stat in names:
         if stat not in known:
             raise UnknownStat(stat)
-    _check_guard(kind, n, r, k, max_class)
+    _check_guard(kind, n, r, k)
     dist = _distribution_cached(kind, n, r, k)
     return ((_full_stats(kind, tup, n, r), count) for tup, count in dist.items())
 
 
 def marginal(
-    kind: str,
-    n: int,
-    names: tuple[str, ...],
-    *,
-    r: int = 1,
-    k: int = 1,
-    max_class: Optional[int] = None,
+    kind: str, n: int, names: tuple[str, ...], *, r: int = 1, k: int = 1
 ) -> dict[tuple[int, ...], int]:
     """Joint counts of the named statistics over the class.
 
@@ -540,24 +548,19 @@ def marginal(
     ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.
     """
     out: dict[tuple[int, ...], int] = {}
-    for stats, count in _full_cells(kind, n, r, k, max_class, names):
+    for stats, count in _full_cells(kind, n, r, k, names):
         key = tuple(stats[stat] for stat in names)
         out[key] = out.get(key, 0) + count
     return out
 
 
 def stat_distribution(
-    kind: str,
-    n: int,
-    *,
-    r: int = 1,
-    k: int = 1,
-    max_class: Optional[int] = None,
+    kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> dict[tuple[tuple[str, int], ...], int]:
     """Counts of full stat dicts (as sorted item tuples) over the class."""
     return {
         tuple(sorted(stats.items())): count
-        for stats, count in _full_cells(kind, n, r, k, max_class)
+        for stats, count in _full_cells(kind, n, r, k)
     }
 
 
@@ -570,7 +573,6 @@ def gen_poly(
     r: int = 1,
     k: int = 1,
     where: Optional[Callable[[dict[str, int]], bool]] = None,
-    max_class: Optional[int] = None,
 ) -> Poly:
     """Generating polynomial  sum over the class of  prod var^stat.
 
@@ -578,7 +580,7 @@ def gen_poly(
     statistics may share a variable, in which case exponents add.  ``where``
     filters on the statistics dict.
     """
-    cells = _full_cells(kind, n, r, k, max_class, tuple(weighting))
+    cells = _full_cells(kind, n, r, k, tuple(weighting))
     weight_vids = {stat: ctx._resolve(v) for stat, v in weighting.items()}
     acc: dict = {}
     for stats, count in cells:
@@ -594,10 +596,8 @@ def gen_poly(
     return Poly(ctx, {key: c for key, c in acc.items() if c})
 
 
-def stirling_identities(
-    ctx: Context, n: int, k: int, var: str = "x", max_class: Optional[int] = None
-) -> tuple[Poly, Poly]:
+def stirling_identities(ctx: Context, n: int, k: int, var: str = "x") -> tuple[Poly, Poly]:
     """(sum x^ap, sum x^lap) over the k-Stirling permutations of order n."""
-    ap = gen_poly(ctx, "stirling", n, {"ap": var}, k=k, max_class=max_class)
-    lap = gen_poly(ctx, "stirling", n, {"lap": var}, k=k, max_class=max_class)
+    ap = gen_poly(ctx, "stirling", n, {"ap": var}, k=k)
+    lap = gen_poly(ctx, "stirling", n, {"lap": var}, k=k)
     return ap, lap

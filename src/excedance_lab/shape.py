@@ -43,6 +43,10 @@ class NotSymmetric(ValueError):
     """Raised when a gamma expansion is requested for an asymmetric sequence."""
 
 
+class BadLength(ValueError):
+    """A declared length below the degree of the coefficient sequence."""
+
+
 @dataclass(frozen=True)
 class CoeffSeq:
     """Exact coefficients ``coeffs[0..m]`` of a polynomial of declared length m.
@@ -60,7 +64,7 @@ class CoeffSeq:
         if m is None:
             m = len(vals) - 1
         if m < len(vals) - 1:
-            raise ValueError("declared length below the support")
+            raise BadLength(f"declared length {m} below the support, which reaches {len(vals) - 1}")
         vals = vals + (0,) * (m + 1 - len(vals))
         return CoeffSeq(vals, m)
 

@@ -184,3 +184,48 @@ def colored_joint(n: int, r: int) -> Counter:
                 "exc_A": sum(values[i] > i and color[i] == 0 for i in values),
             })] += 1
     return counts
+
+
+def _multiset_words(counts: dict):
+    """Every distinct word using value v exactly counts[v] times."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for v in sorted(counts):
+        if counts[v]:
+            counts[v] -= 1
+            for rest in _multiset_words(counts):
+                yield (v,) + rest
+            counts[v] += 1
+
+
+def stirling_joint(n: int, k: int) -> Counter:
+    """Joint distribution of (ap, lap, first_block_constant) over the
+    k-Stirling permutations of order n, keyed by sorted (name, value) items.
+
+    The words are the distinct arrangements of {1^k, ..., n^k} in which every
+    entry between two occurrences of i is at least i.  A plateau starts at a
+    position where k equal entries follow a smaller one: ``ap`` counts those
+    starts in the word, ``lap`` the starts in the word with w_0 = 0 prepended,
+    and ``first_block_constant`` says whether w_1 = ... = w_k.
+    """
+
+    def plateaux(w):
+        return sum(
+            w[i - 1] < w[i] and len(set(w[i:i + k])) == 1
+            for i in range(1, len(w) - k + 1)
+        )
+
+    counts: Counter = Counter()
+    for word in _multiset_words({v: k for v in range(1, n + 1)}):
+        occurrences = {v: [i for i, w in enumerate(word) if w == v] for v in set(word)}
+        if any(
+            min(word[occ[0]:occ[-1] + 1]) < v for v, occ in occurrences.items()
+        ):
+            continue
+        counts[_key({
+            "ap": plateaux(word),
+            "lap": plateaux((0,) + word),
+            "first_block_constant": int(len(word) >= k and len(set(word[:k])) == 1),
+        })] += 1
+    return counts

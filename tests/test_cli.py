@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from excedance_lab.cli import main
 from excedance_lab.multipoly import Context, poly_from_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +104,47 @@ def test_enumerate_guard_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "4")
     assert code == 2
     assert "exceeds guard" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_malformed_guard_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", value)
+    code, out, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "EXCEDANCE_LAB_MAX_CLASS" in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--name", "A_pq", "--n", "-1"),
+        ("enumerate", "--kind", "plain", "--n", "2", "--stats", "bogus"),
+        ("grammar", "derive", "--rules", "RULES", "--seed", "x", "--n", "-1"),
+        ("shape", "--family", "A_q", "--n", "3", "--q", "1/2", "--m", "0"),
+        ("fs-action", "--perm", "(1,a)"),
+        ("verify", "--id", "rec-anxq", "--r", "3"),
+        ("suite", "--ids", ",,"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_arguments_exit_2_without_traceback(tmp_path, argv):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("x -> x*y\n")
+    argv = [str(rules) if arg == "RULES" else arg for arg in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "excedance_lab.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error: " in line]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from excedance_lab import identities, permstats
@@ -47,8 +49,9 @@ def test_springer_trivial_bound():
     assert res.status == "pass"
 
 
-def test_size_guard_surfaces_as_skipped():
-    res = run_verify("lemma7-grammar-exc", profile="quick", max_class=3)
+def test_size_guard_surfaces_as_skipped(monkeypatch):
+    monkeypatch.setenv(permstats.ENV_GUARD, "3")
+    res = run_verify("lemma7-grammar-exc", profile="quick")
     assert res.status == "skipped"
     assert "size guard" in res.detail
 
@@ -97,7 +100,7 @@ def test_failure_shape(monkeypatch):
 
     record = mod.REGISTRY["rec-anxq"]
 
-    def broken(bounds, env, ck):
+    def broken(bounds, rng, ck):
         from excedance_lab.multipoly import Context
 
         ctx = Context()
@@ -109,6 +112,24 @@ def test_failure_shape(monkeypatch):
     assert res.mismatches[0]["diff"] == "-1"
     obj = res.to_json_obj()
     assert obj["status"] == "fail" and obj["mismatches"]
+
+
+def test_size_guard_crosses_the_fork(monkeypatch):
+    # forked workers inherit the guard from the environment
+    monkeypatch.setenv(permstats.ENV_GUARD, "100")
+    ids = ["cor-springer", "rec-enij-prop14", "lemma-g8-grammar-colored", "sign-anx11"]
+    seq = run_suite(profile="quick", ids=ids, jobs=1)
+    par = run_suite(profile="quick", ids=ids, jobs=2)
+    expected = ["skipped", "skipped", "pass", "pass"]
+    assert [r.status for r in seq] == [r.status for r in par] == expected
+
+
+def test_max_n_override_bounds_every_n(monkeypatch):
+    for ident in ("rec-arnk", "dnr-wexc-formula"):
+        for max_n in (0, 2):
+            labels = _full_labels(monkeypatch, ident, overrides={"max_n": max_n})
+            visited = {int(n) for label in labels for n in re.findall(r"\bn=(\d+)", label)}
+            assert visited == set(range(max_n + 1)), (ident, max_n, labels)
 
 
 def test_no_class_past_the_guard_is_enumerated(monkeypatch):
@@ -126,7 +147,8 @@ def test_no_class_past_the_guard_is_enumerated(monkeypatch):
 
     spy.cache_info = real.cache_info
     monkeypatch.setattr(permstats, "_distribution_cached", spy)
-    results = run_suite(profile="quick", max_class=guard)
+    monkeypatch.setenv(permstats.ENV_GUARD, str(guard))
+    results = run_suite(profile="quick")
     assert oversized == []
     status = {r.id: r.status for r in results}
     assert status["cor-springer"] == "skipped"
@@ -165,7 +187,7 @@ def test_overrides_the_identity_does_not_read_are_rejected():
         run_verify("stat-identities", overrides={"max_n": 1})
 
 
-def _full_labels(monkeypatch, ident):
+def _full_labels(monkeypatch, ident, overrides=None):
     """Run ``ident`` at quick bounds and return every comparison's full label."""
     labels = []
     for name in ("eq", "ok"):
@@ -176,7 +198,7 @@ def _full_labels(monkeypatch, ident):
             return _real(self, context, *args)
 
         monkeypatch.setattr(Checker, name, spy)
-    assert run_verify(ident, profile="quick").status == "pass"
+    assert run_verify(ident, profile="quick", overrides=overrides).status == "pass"
     return labels
 
 

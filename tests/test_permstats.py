@@ -6,6 +6,7 @@ from excedance_lab import permstats
 from excedance_lab.multipoly import Context
 from excedance_lab.permstats import (
     BadClassSize,
+    BadGuard,
     PermObject,
     SizeExceeded,
     UnknownStat,
@@ -25,6 +26,7 @@ from oracles import (
     plain_exc_fix_cyc,
     plain_joint,
     signed_joint,
+    stirling_joint,
 )
 
 
@@ -128,13 +130,25 @@ def test_unknown_stat(ctx):
 
 
 def test_size_guard(ctx, monkeypatch):
+    monkeypatch.setenv(permstats.ENV_GUARD, "10")
     with pytest.raises(SizeExceeded):
-        gen_poly(ctx, "plain", 4, {"exc": "x"}, max_class=10)
-    monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "10")
+        gen_poly(ctx, "plain", 4, {"exc": "x"})
     with pytest.raises(SizeExceeded):
         list(enumerate_class("plain", 4))
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "100")
     assert len(list(enumerate_class("plain", 4))) == 24
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_malformed_guard_is_rejected(ctx, monkeypatch, value):
+    monkeypatch.setenv(permstats.ENV_GUARD, value)
+    with pytest.raises(BadGuard) as exc:
+        permstats.guard_limit()
+    assert permstats.ENV_GUARD in str(exc.value) and repr(value) in str(exc.value)
+    with pytest.raises(BadGuard):
+        gen_poly(ctx, "plain", 3, {"exc": "x"})
+    with pytest.raises(BadGuard):
+        list(enumerate_class("plain", 3))
 
 
 def test_equidistribution_small(ctx):
@@ -180,20 +194,26 @@ def test_distribution_agrees_with_streaming():
 
 
 @pytest.mark.parametrize(
-    "kind, r, top, base",
+    "kind, r_or_k, top, base",
     [
         ("plain", 1, 6, permstats.PLAIN_BASE),
         ("signed", 1, 5, permstats.SIGNED_BASE),
         ("colored", 1, 4, permstats.COLORED_BASE),
         ("colored", 2, 4, permstats.COLORED_BASE),
         ("colored", 3, 4, permstats.COLORED_BASE),
+        ("stirling", 1, 4, permstats.STIRLING_BASE),
+        ("stirling", 2, 4, permstats.STIRLING_BASE),
+        ("stirling", 3, 3, permstats.STIRLING_BASE),
     ],
 )
-def test_joint_distributions_match_definition_oracles(kind, r, top, base):
+def test_joint_distributions_match_definition_oracles(kind, r_or_k, top, base):
+    # the second parameter is r for colored classes and k for stirling ones
+    size = {"k": r_or_k} if kind == "stirling" else {"r": r_or_k}
     oracles = {
         "plain": plain_joint,
         "signed": signed_joint,
-        "colored": lambda n: colored_joint(n, r),
+        "colored": lambda n: colored_joint(n, r_or_k),
+        "stirling": lambda n: stirling_joint(n, r_or_k),
     }
     for n in range(top + 1):
         expected = oracles[kind](n)
@@ -204,11 +224,11 @@ def test_joint_distributions_match_definition_oracles(kind, r, top, base):
             return tuple((name, stats[name]) for name in names)
 
         cached: Counter = Counter()
-        for items, count in stat_distribution(kind, n, r=r).items():
+        for items, count in stat_distribution(kind, n, **size).items():
             cached[key(dict(items))] += count
-        streamed = Counter(key(s) for _, s in enumerate_class(kind, n, r=r))
-        assert cached == expected, (kind, n, r)
-        assert streamed == expected, (kind, n, r)
+        streamed = Counter(key(s) for _, s in enumerate_class(kind, n, **size))
+        assert cached == expected, (kind, n, size)
+        assert streamed == expected, (kind, n, size)
 
 
 def test_marginal_projects_the_joint_distribution():
@@ -229,13 +249,14 @@ def test_marginal_projects_the_joint_distribution():
     assert marginal("plain", 0, ()) == {(): 1}
 
 
-def test_marginal_checks_names_and_guard():
+def test_marginal_checks_names_and_guard(monkeypatch):
     with pytest.raises(UnknownStat):
         marginal("plain", 3, ("exc", "nope"))
     with pytest.raises(UnknownStat):
         marginal("signed", 3, ("crun",))
+    monkeypatch.setenv(permstats.ENV_GUARD, "23")
     with pytest.raises(SizeExceeded):
-        marginal("plain", 4, ("exc",), max_class=23)
+        marginal("plain", 4, ("exc",))
     with pytest.raises(BadClassSize):
         marginal("colored", 2, ("exc_f",), r=0)
 
