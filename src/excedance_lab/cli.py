@@ -87,8 +87,11 @@ def _cmd_family(args) -> int:
 def _cmd_enumerate(args) -> int:
     kind = args.kind
     all_stats = permstats.stat_names(kind)
-    if args.stats:
+    if args.stats is not None:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
+        if not wanted:
+            print(f"error: --stats {args.stats!r} names no statistic", file=sys.stderr)
+            return 2
         for s in wanted:
             if s not in all_stats:
                 raise permstats.UnknownStat(s)
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--r", type=int, default=1)
     p_enum.add_argument("--k", type=int, default=1)
-    p_enum.add_argument("--stats", default="")
+    p_enum.add_argument("--stats", default=None, help="comma-separated subset")
     _add_format(p_enum, default="csv", choices=("csv", "json"))
     p_enum.set_defaults(fn=_cmd_enumerate)
 

@@ -225,11 +225,6 @@ def one_over_k_decomposition(ctx: Context, n: int, k: Optional[int]) -> tuple[Po
     return gamma_assemble(ctx, plus, n - 1), gamma_assemble(ctx, minus, n - 2)
 
 
-def xi_tables(ctx: Context, n: int) -> tuple[dict[int, Poly], dict[int, Poly]]:
-    """The cycle-run gamma tables: xi+- coincide with the k = 2 pm tables."""
-    return one_over_k_pm_tables(ctx, n, 2)
-
-
 # ---------------------------------------------------------------------------
 # colored Eulerian polynomials
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ class UnknownIdentity(KeyError):
 
 
 class BadOverride(ValueError):
-    """An override names a bound the identity does not read."""
+    """An override names a bound the identity does not read, or gives a
+    bound outside its domain."""
 
 
 class Checker:
@@ -127,6 +128,16 @@ class IdentityRecord:
                 f"{self.id} does not take {', '.join(unknown)}; "
                 f"its bounds are {', '.join(self.bounds)}"
             )
+        for key, value in given.items():
+            # n bounds are integers >= 0; ks and rs list class parameters >= 1
+            if isinstance(value, tuple):
+                valid = all(isinstance(v, int) and v >= 1 for v in value)
+                domain = "integers >= 1"
+            else:
+                valid = isinstance(value, int) and value >= 0
+                domain = "an integer >= 0"
+            if not valid:
+                raise BadOverride(f"{self.id}: {key} must be {domain}, got {value!r}")
         merged.update(given)
         if "max_n" in given:
             # a max_n override bounds every n the identity visits (sym_max_n, ...)

@@ -21,14 +21,20 @@ canonical cycle word with +infinity.  They differ (e.g. on a 2-cycle) and
 both are needed: the wraparound version drives the cycle-classification
 action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
-Each class has one statistics kernel, shared by the streaming
-``enumerate_class`` and the cached joint distribution.  The signed and colored
-kernels split into a part that depends only on the underlying permutation pi
-(its inverse and its cycle count, from ``_cycles_plain``, the only orbit walk)
-and a part that reads the sign or colour vector; the distribution computes the
-pi part once per permutation and the decoration part once per vector.
-``cycle_roles`` is the one classifier of cycle entries, read by the cycle
-statistics here and by the cycle action in ``fsaction``.
+Each class has one per-object statistics kernel (``plain_base_stats``,
+``signed_base_stats``, ``_colored_stats``, ``stirling_base_stats``); the
+streaming ``enumerate_class`` reads it.  The cached joint distributions of the
+plain, signed and colored classes are built another way, by walks that derive
+each object's statistics from its predecessor's in O(1): plain permutations by
+cycle insertion S_{m-1} -> S_m, signed and colored ones by fixing pi and
+walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP 4A
+7.2.1.1).  The walks still visit every object and read only word and cycle
+deltas.  The stream and the cache share no statistics code beyond
+``_perm_part`` (the inverse and cycle count of pi, from ``_cycles_plain``, the
+one orbit walk), so the tests that compare them, and each with the definition
+oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the
+one classifier of cycle entries, read by the cycle statistics here and by the
+cycle action in ``fsaction``.
 
 Enumeration order is lexicographic on the one-line word (colors as a
 secondary key), so golden outputs are stable.  Aggregation goes through a
@@ -313,40 +319,36 @@ def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
     return inv, len(_cycles_plain(pi))
 
 
-def _signed_stats(pi, eps, inv, cyc) -> tuple[int, ...]:
-    """The signed kernel: ``eps[v-1]`` is the sign of the letter with absolute
-    value v, so the signed word is eps[pi_i - 1] * pi_i."""
-    n = len(pi)
+def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The signed kernel; ``letter[v]`` is the letter of absolute value v,
+    so sigma(v) = letter[pi_v]."""
+    n = len(word)
+    pi = tuple(abs(v) for v in word)
+    inv, cyc = _perm_part(pi)
+    letter = [0] * (n + 1)
+    for v in word:
+        letter[abs(v)] = v
     exc = aexc = fix = single = neg = exc_A = 0
-    for v0 in range(n):
-        v = v0 + 1
-        sv = eps[v0]
-        w = pi[v0]
-        if sv < 0:
+    for v in range(1, n + 1):
+        lv = letter[v]
+        w = pi[v - 1]
+        if lv < 0:
             neg += 1
         if w == v:
-            if sv > 0:
+            if lv > 0:
                 fix += 1
             else:
                 single += 1
-        elif eps[w - 1] * w > sv * v:
+        elif letter[w] > lv:
             exc += 1
         else:
             aexc += 1
-        if sv * v > inv[v]:
+        if lv > inv[v]:
             exc_A += 1
-    sig = [eps[w - 1] * w for w in pi]
-    des_B = (1 if n and sig[0] < 0 else 0) + sum(
-        sig[i] > sig[i + 1] for i in range(n - 1)
+    des_B = (1 if n and word[0] < 0 else 0) + sum(
+        word[i] > word[i + 1] for i in range(n - 1)
     )
     return (exc, aexc, fix, single, neg, cyc, exc_A, des_B)
-
-
-def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
-    pi = tuple(abs(v) for v in word)
-    sign = {abs(v): 1 if v > 0 else -1 for v in word}
-    eps = [sign[v] for v in range(1, len(word) + 1)]
-    return _signed_stats(pi, eps, *_perm_part(pi))
 
 
 def _signed_full(base: tuple[int, ...], n: int) -> dict[str, int]:
@@ -433,6 +435,243 @@ def _stirling_words(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# incremental walks behind the cached distributions
+# ---------------------------------------------------------------------------
+#
+# A walk keys each object by its base statistics packed into one int, one
+# fixed-width field per statistic in base-tuple order, so the change from one
+# object to the next is one int addition and the counting runs over ints.
+
+
+def _packing(count: int, largest: int) -> tuple[int, list[int]]:
+    """Field width and the unit of each field, for ``count`` statistics whose
+    values lie in [0, largest]."""
+    width = max(1, largest.bit_length())
+    return width, [1 << (width * i) for i in range(count)]
+
+
+def _unpack(packed: Counter, count: int, width: int) -> Counter:
+    mask = (1 << width) - 1
+    return Counter({
+        tuple((key >> (width * i)) & mask for i in range(count)): c
+        for key, c in packed.items()
+    })
+
+
+def _plain_insertion_counts(n: int) -> Counter:
+    """Joint distribution of ``PLAIN_BASE`` over S_n, by cycle insertion.
+
+    Each sigma in S_m comes from one tau in S_{m-1}: m is added as a fixed
+    point, or inserted after some a, so that sigma(a) = m and sigma(m) = b,
+    the old tau(a).  Only word positions a and m change, and m is the largest
+    letter.  A cycle entry's role reads its predecessor, its successor and
+    whether it is its cycle's least entry, so only a, b and m change roles (m
+    is never least); cpk_inf drops the peak whose successor is the least
+    entry.  Each child's key is its parent's plus a delta read off the
+    entries around a, b and m - 1.
+    """
+    if n == 0:
+        return Counter({(0,) * len(PLAIN_BASE): 1})
+    width, units = _packing(len(PLAIN_BASE), n)
+    EXC, DROP, FIX, CYC, DES, DD, LPK, CDA, CDD, CPK, CPKI = units
+    packed: Counter = Counter()
+    # 1-based word, inverse and least entry of each cycle; w[0] = 0 and the
+    # never-written w[n + 1] = w[-1] = 0 pad the word
+    w = [0] * (n + 2)
+    inv = [0] * (n + 2)
+    least = [0] * (n + 2)
+
+    def deltas(m: int) -> list[int]:
+        """Key change from the current tau in S_{m-1} to each child: index 0
+        adds m as a fixed point, index a >= 1 inserts m after a."""
+        s, t = w[m - 2], w[m - 1]  # the word's last two letters
+        # the old last position m - 1 counted a double descent iff s > t
+        out = [FIX + CYC - (DD if s > t else 0)] * m
+        # for a <= m - 3, positions m - 1 and m read only s, t and b
+        tail_b_below_t = DES + DD + (0 if s > t else LPK)
+        tail_b_above_t = -DD if s > t else 0
+        for a in range(1, m):
+            b = w[a]
+            mn = least[a]
+            # exc/drop/fix at a and m; m is a wraparound peak, and an
+            # infinity peak unless its successor b is the least entry
+            if b > a:
+                d = DROP + CPK + CPKI
+            elif b < a:
+                d = EXC + CPK + (CPKI if b != mn else 0)
+            else:
+                d = EXC + DROP - FIX + CPK
+            if a != mn:  # a's successor becomes m
+                if inv[a] < a:
+                    if a > b:  # peak -> double ascent
+                        d += CDA - CPK - (CPKI if b != mn else 0)
+                elif a > b:  # double descent -> valley
+                    d -= CDD
+            if b != mn and a < b:  # b's predecessor becomes m
+                c = w[b]
+                if b < c:  # double ascent -> valley
+                    d -= CDA
+                else:  # peak -> double descent
+                    d += CDD - CPK - (CPKI if c != mn else 0)
+            # des, dd, lpk: position a now holds m, position m holds b
+            p = w[a - 1]
+            if a < m - 2:
+                q = w[a + 1]
+                d += DES + LPK
+                if p > b:
+                    d -= DES + (DD if w[a - 2] > p else LPK)
+                    if b > q:
+                        d -= DES + DD
+                elif b > q:
+                    d -= DES + LPK
+                if b < q > w[a + 2]:
+                    d += DD - LPK
+                d += tail_b_below_t if b < t else tail_b_above_t
+            elif a == m - 2:
+                d += DES + LPK + (DES + DD + DD if b < t else -DES - DD)
+                if p > b:
+                    d -= DES + (DD if w[a - 2] > p else LPK) + (DD if b > t else 0)
+                elif b > t:
+                    d -= LPK
+            else:
+                d += DES + DD + LPK
+                if s > t:
+                    d -= DES + DD + (DD if w[m - 3] > s else LPK)
+            out[a] = d
+        return out
+
+    def walk(m: int, key: int) -> None:
+        out = deltas(m)
+        if m == n:
+            packed.update(map(key.__add__, out))
+            return
+        for a in range(1, m):
+            b = w[a]
+            w[a], w[m] = m, b
+            inv[m], inv[b] = a, m
+            least[m] = least[a]
+            walk(m + 1, key + out[a])
+            w[a], inv[b] = b, a
+        w[m] = inv[m] = least[m] = m
+        walk(m + 1, key + out[0])
+
+    walk(1, 0)
+    return _unpack(packed, len(PLAIN_BASE), width)
+
+
+def _gray_steps(n: int, r: int) -> list[tuple[int, int, int]]:
+    """The reflected r-ary Gray code on n digits, from all zeros, as one
+    (position, old digit, new digit) per step; position 0 moves fastest."""
+    digits = [0] * n
+    steps = []
+    for count in range(1, r**n):
+        pos, block = 0, count
+        while block % r == 0:
+            pos += 1
+            block //= r
+        old = digits[pos]
+        # a digit sweeps up in even blocks of the digits above it, down in odd
+        digits[pos] = old + 1 if block // r % 2 == 0 else old - 1
+        steps.append((pos, old, digits[pos]))
+    return steps
+
+
+def _signed_gray_counts(n: int) -> Counter:
+    """Joint distribution of ``SIGNED_BASE`` over B_n: for each pi, walk the
+    sign vectors in reflected binary Gray order.
+
+    Flipping the sign of value u, at position j = pi^-1(u), moves neg; exc_A
+    at u; the exc/aexc/fix/single category of positions u and j; and des_B
+    across the pairs (j - 1, j) and (j, j + 1), with sigma(0) = 0.  Each of
+    these compares the letter +-u with a letter x, and the flip changes the
+    outcome iff |x| < u.  So the delta is +D_u when u turns negative and -D_u
+    when it turns positive, with D_u fixed by pi.
+    """
+    width, units = _packing(len(SIGNED_BASE), n)
+    EXC, AEXC, FIX, SINGLE, NEG, CYC, EXC_A, DES_B = units
+    # step code 2u turns value u negative, 2u + 1 turns it positive
+    steps = [2 * (pos + 1) + old for pos, old, _ in _gray_steps(n, 2)]
+    flip = [0] * (2 * n + 2)
+    packed: Counter = Counter()
+    for pi in itertools.permutations(range(1, n + 1)):
+        inv, cyc = _perm_part(pi)
+        word = (0, *pi, n + 1)  # positions 0 and n + 1 are sentinels
+        exc = fix = des = 0
+        for i in range(1, n + 1):
+            v = word[i]
+            if v > i:
+                exc += 1
+            elif v == i:
+                fix += 1
+            if i < n and v > word[i + 1]:
+                des += 1
+        # all signs positive: exc_A = exc and des_B = des
+        key = exc * (EXC + EXC_A) + (n - exc - fix) * AEXC + fix * FIX + cyc * CYC
+        key += des * DES_B
+        for u in range(1, n + 1):
+            j = inv[u]
+            w = word[u]
+            d = NEG
+            if u > j:
+                d -= EXC_A
+            if w == u:
+                d += SINGLE - FIX
+            else:
+                # position v is an excedance iff sigma(v) exceeds the
+                # letter of absolute value v
+                if w < u:  # at u: sigma(u) = +-w against +-u
+                    d += EXC - AEXC
+                if j < u:  # at j: sigma(j) = +-u against +-j
+                    d += AEXC - EXC
+            if word[j - 1] < u:
+                d += DES_B
+            if word[j + 1] < u:
+                d -= DES_B
+            flip[2 * u] = d
+            flip[2 * u + 1] = -d
+        packed.update(itertools.accumulate(map(flip.__getitem__, steps), initial=key))
+    return _unpack(packed, len(SIGNED_BASE), width)
+
+
+def _colored_gray_counts(n: int, r: int) -> Counter:
+    """Joint distribution of ``COLORED_BASE`` over the r-colored permutations
+    of order n: for each pi, walk the colour vectors in reflected r-ary Gray
+    order.
+
+    One step moves the colour of one position i by one: csum moves by one,
+    exc_B does not read colours, and fix, single and exc_A change only when
+    the colour leaves or returns to 0.
+    """
+    width, units = _packing(len(COLORED_BASE), max(n, n * (r - 1)))
+    EXC_B, FIX, SINGLE, CSUM, CYC, EXC_A = units
+    # step code 4i + 0 leaves colour 0 at position i, + 1 returns to 0,
+    # + 2 and + 3 move up and down between nonzero colours
+    steps = [
+        4 * pos + (0 if old == 0 else 1 if new == 0 else 2 if new > old else 3)
+        for pos, old, new in _gray_steps(n, r)
+    ]
+    move = [0, 0, CSUM, -CSUM] * n
+    packed: Counter = Counter()
+    for pi in itertools.permutations(range(1, n + 1)):
+        _, cyc = _perm_part(pi)
+        exc = fix = 0
+        for i, v in enumerate(pi):
+            if v > i + 1:
+                exc += 1
+                d = CSUM - EXC_A
+            elif v == i + 1:
+                fix += 1
+                d = CSUM + SINGLE - FIX
+            else:
+                d = CSUM
+            move[4 * i] = d
+            move[4 * i + 1] = -d
+        key = exc * (EXC_B + EXC_A) + fix * FIX + cyc * CYC
+        packed.update(itertools.accumulate(map(move.__getitem__, steps), initial=key))
+    return _unpack(packed, len(COLORED_BASE), width)
+
+
+# ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
 
@@ -487,26 +726,19 @@ def enumerate_class(
 def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, int]:
     """Joint distribution over the base stat tuple (unordered sum).
 
-    The cached value is shared by every caller in the process, so it is handed
-    out as a read-only view.
+    Plain, signed and colored classes are counted by the incremental walks
+    above, stirling classes by the per-object kernel.  The cached value is
+    shared by every caller in the process, so it is handed out as a read-only
+    view.
     """
-    dist: Counter = Counter()
     if kind == "plain":
-        for word in _plain_words(n):
-            dist[plain_base_stats(word)] += 1
+        dist = _plain_insertion_counts(n)
     elif kind == "signed":
-        sign_vectors = list(itertools.product((1, -1), repeat=n))
-        for pi in itertools.permutations(range(1, n + 1)):
-            inv, cyc = _perm_part(pi)
-            for eps in sign_vectors:
-                dist[_signed_stats(pi, eps, inv, cyc)] += 1
+        dist = _signed_gray_counts(n)
     elif kind == "colored":
-        color_vectors = list(itertools.product(range(r), repeat=n))
-        for pi in itertools.permutations(range(1, n + 1)):
-            cyc = len(_cycles_plain(pi))
-            for colors in color_vectors:
-                dist[_colored_stats(pi, colors, cyc)] += 1
+        dist = _colored_gray_counts(n, r)
     elif kind == "stirling":
+        dist = Counter()
         for word in _stirling_words(n, k):
             dist[stirling_base_stats(word, k)] += 1
     else:

@@ -99,6 +99,17 @@ def test_enumerate_unknown_stat(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("stats", [",", " , ", ""])
+def test_enumerate_stats_naming_no_statistic_exit_2(capsys, stats):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--kind", "plain", "--n", "2", "--stats", stats
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "names no statistic" in err
+
+
 def test_enumerate_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "5")
     code, _, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "4")
@@ -267,6 +278,25 @@ def test_verify_rejects_overrides_the_identity_does_not_read(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "does not take" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--id", "rec-anxq", "--max-n", "-3"),
+        ("--id", "cor-springer", "--max-n", "-1"),
+        ("--id", "rec-anjk", "--k", "-1"),
+        ("--id", "rec-anjk", "--k", "0"),
+        ("--id", "rec-arnk", "--r", "-2"),
+        ("--id", "rec-arnk", "--r", "0"),
+    ],
+)
+def test_verify_rejects_bounds_outside_their_domain(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "must be" in err
 
 
 @pytest.mark.parametrize("jobs", ["-4", "0", "two"])

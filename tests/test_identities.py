@@ -187,6 +187,23 @@ def test_overrides_the_identity_does_not_read_are_rejected():
         run_verify("stat-identities", overrides={"max_n": 1})
 
 
+@pytest.mark.parametrize(
+    "ident, overrides",
+    [
+        ("rec-anxq", {"max_n": -3}),
+        ("rec-arnk", {"sym_max_n": -1}),
+        ("rec-anjk", {"ks": (2, 0)}),
+        ("rec-arnk", {"rs": (-2,)}),
+        ("rec-anxq", {"max_n": 2.5}),
+    ],
+)
+def test_overrides_outside_their_domain_are_rejected(ident, overrides):
+    # a negative n bound used to leave nothing to compare and report vacuous
+    with pytest.raises(BadOverride) as exc:
+        run_verify(ident, overrides=overrides)
+    assert next(iter(overrides)) in str(exc.value)
+
+
 def _full_labels(monkeypatch, ident, overrides=None):
     """Run ``ident`` at quick bounds and return every comparison's full label."""
     labels = []

@@ -172,9 +172,10 @@ def test_joint_distribution_matches_oracle(ctx):
 
 
 def test_distribution_agrees_with_streaming():
-    # the streaming enumerator and the cached distribution share each class's
-    # kernel but not its loop (the signed and colored distributions hoist the
-    # permutation part), so compare multisets; the definition oracles in
+    # the streaming enumerator reads the per-object kernels, the cached
+    # distribution is built by insertion and Gray-code walks: two
+    # implementations that share no statistics code and visit the objects in
+    # different orders, so compare multisets; the definition oracles in
     # test_joint_distributions_match_definition_oracles are the reference
     for kind, kwargs, top in (
         ("plain", {}, 5),
@@ -194,6 +195,68 @@ def test_distribution_agrees_with_streaming():
 
 
 @pytest.mark.parametrize(
+    "kind, n, r, base",
+    [
+        ("plain", 8, 1, permstats.PLAIN_BASE),
+        ("signed", 6, 1, permstats.SIGNED_BASE),
+        ("colored", 5, 2, permstats.COLORED_BASE),
+        ("colored", 5, 3, permstats.COLORED_BASE),
+        ("colored", 4, 4, permstats.COLORED_BASE),
+    ],
+)
+def test_cached_distribution_matches_the_stream_at_depth(kind, n, r, base):
+    # past the oracles' reach, the walks behind the cache against the
+    # per-object kernels behind the stream, on whole base tuples
+    streamed = Counter(
+        tuple(map(stats.__getitem__, base)) for _, stats in enumerate_class(kind, n, r=r)
+    )
+    assert streamed == Counter(dict(permstats._distribution_cached(kind, n, r, 1)))
+
+
+def test_distribution_hook_sees_every_cold_build(monkeypatch):
+    # perfbench/tracer.py and the guard spy in test_identities replace
+    # permstats._distribution_cached and read the real cache's statistics
+    real = permstats._distribution_cached
+    real.cache_clear()
+    assert real.cache_info().misses == 0
+    dist = real("colored", 2, 3, 1)
+    assert real.cache_info().misses == 1
+    with pytest.raises(TypeError):
+        dist[next(iter(dist))] = 0
+    assert real("colored", 2, 3, 1) is dist
+    assert real.cache_info().misses == 1 and real.cache_info().hits == 1
+
+    # every walk runs inside a cold build, and every cold build passes the hook
+    walks = []
+    for name in ("_plain_insertion_counts", "_signed_gray_counts", "_colored_gray_counts"):
+        walk = getattr(permstats, name)
+        monkeypatch.setattr(
+            permstats, name,
+            lambda *args, _walk=walk, _name=name: walks.append(_name) or _walk(*args),
+        )
+    cold = []
+
+    def spy(kind, n, r, k):
+        misses = real.cache_info().misses
+        out = real(kind, n, r, k)
+        if real.cache_info().misses > misses:
+            cold.append(kind)
+        return out
+
+    monkeypatch.setattr(permstats, "_distribution_cached", spy)
+    real.cache_clear()
+    ctx = Context()
+    for kind, size in (("plain", {}), ("signed", {}), ("colored", {"r": 2}), ("stirling", {"k": 2})):
+        name = permstats.stat_names(kind)[0]
+        gen_poly(ctx, kind, 3, {name: "x"}, **size)
+        marginal(kind, 3, (name,), **size)
+        stat_distribution(kind, 3, **size)
+    assert cold == ["plain", "signed", "colored", "stirling"]
+    assert real.cache_info().misses == len(cold)
+    assert walks == ["_plain_insertion_counts", "_signed_gray_counts", "_colored_gray_counts"]
+
+
+@pytest.mark.parametrize(
     "kind, r_or_k, top, base",
     [
         ("plain", 1, 6, permstats.PLAIN_BASE),
@@ -204,6 +267,7 @@ def test_distribution_agrees_with_streaming():
         ("stirling", 1, 4, permstats.STIRLING_BASE),
         ("stirling", 2, 4, permstats.STIRLING_BASE),
         ("stirling", 3, 3, permstats.STIRLING_BASE),
+        ("colored", 4, 4, permstats.COLORED_BASE),
     ],
 )
 def test_joint_distributions_match_definition_oracles(kind, r_or_k, top, base):
