@@ -11,7 +11,7 @@ Core layers:
 * :mod:`excedance_lab.identities` the cross-check registry behind `excedance-lab verify`
 """
 
-from .families import family, q_bracket, springer, substituted_eulerian
+from .families import family, q_bracket, springer
 from .grammar import Grammar, parse_rules
 from .multipoly import Context, ParseError, Poly, as_fraction, poly_from_json
 from .permstats import (
@@ -47,7 +47,7 @@ __all__ = [
     "Grammar", "parse_rules",
     "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
     "enumerate_class", "gen_poly", "marginal", "stirling_identities",
-    "family", "q_bracket", "springer", "substituted_eulerian",
+    "family", "q_bracket", "springer",
     "CoeffSeq", "NotSymmetric", "PartialGamma", "ShapeReport",
     "check", "decompose", "gamma_expand", "partial_gamma_expand", "shape_report",
     "CycleClassified", "act", "classify", "parse_cycles", "verify_bijection",

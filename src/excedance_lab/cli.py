@@ -55,6 +55,12 @@ def _parse_int_or_sym(value):
 
 
 def _family_poly(ctx, args):
+    fam = families.REGISTRY.get(args.name)
+    if fam is not None:
+        # --k/--r (even 'sym') on a family that reads no k/r would be ignored
+        for param, value, reads in (("k", args.k, fam.needs_k), ("r", args.r, fam.needs_r)):
+            if value is not None and not reads:
+                raise families.BadParams(f"family {args.name} reads no {param}; drop --{param}")
     return families.family(
         ctx, args.name, args.n,
         k=_parse_int_or_sym(args.k), r=_parse_int_or_sym(args.r),
@@ -123,7 +129,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_grammar(args) -> int:
     ctx = Context()
     with open(args.rules, "r", encoding="utf-8") as handle:
-        grammar = parse_rules(ctx, handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.rules}: not UTF-8 text ({exc.reason})") from None
+    grammar = parse_rules(ctx, text)
     seed = ctx.poly(args.seed)
     result = grammar.iterate(seed, args.n)
     if args.format == "json":

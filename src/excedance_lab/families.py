@@ -1,8 +1,9 @@
 """Recurrence- and formula-defined polynomial families.
 
 Everything here is built by exact recurrences or closed combinatorial
-formulas, never by enumerating permutation classes; the verification layer
-compares these families against the enumeration side.  Size parameters ``k``
+formulas, never by enumerating permutation classes: the module imports nothing
+from the enumeration side (``tests/test_layering.py`` checks this), and the
+verification layer compares these families against it.  Size parameters ``k``
 (inverse-Eulerian weight) and ``r`` (color count) may be numeric or symbolic:
 pass an int for a numeric value or ``None`` to keep the parameter as a
 registry variable, wherever the recurrence is polynomial in it.
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from . import permstats
 from .multipoly import Context, Poly, binomial
 from .shape import gamma_assemble
 
@@ -325,47 +325,6 @@ def phi_kernel(ctx: Context, n: int) -> Poly:
         return ctx.zero()
     x, y = ctx.var("x"), ctx.var("y")
     return ctx.sum(x**a * y ** (n - a) for a in range(1, n))
-
-
-# ---------------------------------------------------------------------------
-# the substituted-Eulerian transform
-# ---------------------------------------------------------------------------
-
-
-def substituted_eulerian(
-    ctx: Context,
-    n: int,
-    exc_weight: Poly,
-    drop_weight: Poly,
-    fix_weight: Poly,
-    cyc_var: Union[str, int] = "q",
-) -> Poly:
-    """sum over S_n of  excW^exc * dropW^drop * fixW^fix * q^cyc.
-
-    This is the denominator-free form shared by the signed and colored
-    transform theorems: rational substitutions into A_n(x,p,q) are realised
-    by weighting each statistic with a polynomial.
-    """
-    joint = permstats.marginal("plain", n, ("exc", "drop", "fix", "cyc"))
-    qv = Poly(ctx, {((ctx._resolve(cyc_var), 1),): 1})
-    pow_exc: dict[int, Poly] = {0: ctx.const(1)}
-    pow_drop: dict[int, Poly] = {0: ctx.const(1)}
-    pow_fix: dict[int, Poly] = {0: ctx.const(1)}
-    pow_q: dict[int, Poly] = {0: ctx.const(1)}
-
-    def power(cache, base_poly, e):
-        if e not in cache:
-            cache[e] = power(cache, base_poly, e - 1) * base_poly
-        return cache[e]
-
-    return ctx.sum(
-        count
-        * power(pow_exc, exc_weight, e)
-        * power(pow_drop, drop_weight, d)
-        * power(pow_fix, fix_weight, f)
-        * power(pow_q, qv, c)
-        for (e, d, f, c), count in sorted(joint.items())
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ prefix, the grid has a second loop, or work follows it.  ``rng`` is
 plumbing only: no formula or Poly crosses cells or routes.  No body passes the
 enumeration size guard: it is the process-wide ``EXCEDANCE_LAB_MAX_CLASS``
 setting that ``permstats`` checks before every enumeration.
+
+The substitution theorems (thm9, thm12, thm22, thm24, thm26, and the colored
+sign evaluations sign-bagno-garber, sign-anr-typeA and dnr-wexc-formula) take
+their plain side from the grammar route: ``_eulerian_xypq`` iterates the
+lemma-7 grammar to A_n(x,y,p,q) and binds the identity's x, y and p in it with
+one simultaneous ``Poly.substitute``.  Only their signed or colored side
+enumerates, so each such check compares two routes, not two enumerations.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ from .families import (
     q_bracket,
     q_eulerian,
     springer,
-    substituted_eulerian,
     type_b_q_eulerian,
 )
 from .grammar import Grammar
@@ -195,30 +201,15 @@ def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
 # ---------------------------------------------------------------------------
 
 
-def _colored_fexc_from_plain(
-    ctx: Context, n: int, r: int, *, derangements_only: bool = False
-) -> Poly:
-    """sum over colored class of x^fexc q^cyc, computed from the plain class.
+LEMMA7_RULES = {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"}
 
-    Colors are independent across positions once the underlying permutation
-    is fixed: an excedance position contributes x^r + x [r-1]_x, every other
-    non-fixed position contributes [r]_x.  The derangement variant keeps only
-    fixed-point-free underlying permutations (fixed points would need t or s
-    weights, both zero there).  Cross-validated against direct colored
-    enumeration at small n by the calling identity.
-    """
-    x = ctx.var("x")
-    exc_factor = x**r + x * q_bracket(ctx, r - 1, "x") if r > 1 else x
-    rest_factor = q_bracket(ctx, r, "x")
-    qv = ctx.var("q")
-    joint = marginal("plain", n, ("exc", "fix", "cyc"))
-    # fixed points take any color: color 0 is a fixed point (x^0), color
-    # c > 0 is a singleton contributing x^c (derangements have fix = 0)
-    return ctx.sum(
-        cnt * exc_factor**exc * rest_factor ** (n - exc - fix) * rest_factor**fix * qv**cyc
-        for (exc, fix, cyc), cnt in joint.items()
-        if not (derangements_only and fix)
-    )
+
+def _eulerian_xypq(ctx: Context, n: int, bindings: dict) -> Poly:
+    """A_n(x,y,p,q) = sum over S_n of x^exc y^drop p^fix q^cyc, read from the
+    lemma-7 grammar (``lemma7-grammar-exc`` certifies it against S_n), with
+    ``bindings`` substituted for its variables simultaneously."""
+    iterate = Grammar(ctx, LEMMA7_RULES).iterate(ctx.var("I"), n)
+    return iterate.substitute({"I": 1, **bindings})
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +225,7 @@ def _colored_fexc_from_plain(
     {"max_n": 5},
 )
 def _run_lemma7(ck, ctx, bounds, n):
-    g = Grammar(ctx, {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"})
-    lhs = g.iterate(ctx.var("I"), n)
+    lhs = Grammar(ctx, LEMMA7_RULES).iterate(ctx.var("I"), n)
     rhs = ctx.var("I") * gen_poly(
         ctx, "plain", n, {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"}
     )
@@ -287,7 +277,7 @@ def _run_change_of_grammar(bounds, rng, ck):
             g1.iterate(ctx.var("I"), n).substitute(bound),
             g0.iterate(ctx.var("I"), n),
         )
-        g = Grammar(ctx, {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"})
+        g = Grammar(ctx, LEMMA7_RULES)
         g2 = Grammar(ctx, {"I": "I*p*q", "p": "u", "u": "u*v", "v": "2*u"})
         ck.eq(
             f"G2->G n={n}",
@@ -610,6 +600,10 @@ def _run_rec_alpha_decom(ck, ctx, bounds, n, r):
 
 # ---------------------------------------------------------------------------
 # criterion 3: the substitution theorems
+#
+# Each left-hand side enumerates a signed or colored class; each right-hand
+# side binds x, y and p in the grammar-generated A_n(x,y,p,q) and never
+# enumerates S_n.
 # ---------------------------------------------------------------------------
 
 
@@ -625,8 +619,8 @@ def _run_thm9(ck, ctx, bounds, n):
         ctx, "signed", n,
         {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
     )
-    rhs = substituted_eulerian(
-        ctx, n, ctx.poly("(1+p)*x"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q"
+    rhs = _eulerian_xypq(
+        ctx, n, {"x": ctx.poly("(1+p)*x"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
     )
     ck.eq("", lhs, rhs)
 
@@ -644,8 +638,8 @@ def _run_thm12(ck, ctx, bounds, n):
         {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
          "neg": "p", "cyc": "q"},
     )
-    rhs = substituted_eulerian(
-        ctx, n, ctx.poly("x+p*y"), ctx.poly("(1+p)*y"), ctx.poly("t+s*p"), "q"
+    rhs = _eulerian_xypq(
+        ctx, n, {"x": ctx.poly("x+p*y"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
     )
     ck.eq("", lhs, rhs)
 
@@ -662,13 +656,11 @@ def _run_thm22(ck, ctx, bounds, n, r):
     lhs = gen_poly(
         ctx, "colored", n, {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}, r=r
     )
-    rhs = substituted_eulerian(
-        ctx, n,
-        ctx.const(r) * ctx.var("x"),
-        ctx.const(r) * ctx.var("y"),
-        ctx.const(r - 1) * ctx.var("x") + ctx.var("p"),
-        "q",
-    )
+    rhs = _eulerian_xypq(ctx, n, {
+        "x": r * ctx.var("x"),
+        "y": r * ctx.var("y"),
+        "p": (r - 1) * ctx.var("x") + ctx.var("p"),
+    })
     ck.eq("", lhs, rhs)
 
 
@@ -689,11 +681,10 @@ def _run_thm24(ck, ctx, bounds, n, r):
          "csum": "p", "cyc": "q"},
         r=r,
     )
-    rhs = substituted_eulerian(
-        ctx, n,
-        br * ctx.var("x"), br * ctx.var("y"),
-        ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-    )
+    rhs = _eulerian_xypq(ctx, n, {
+        "x": br * ctx.var("x"), "y": br * ctx.var("y"),
+        "p": ctx.var("t") + ctx.var("s") * ctx.var("p") * br1,
+    })
     ck.eq("", lhs, rhs)
 
 
@@ -714,12 +705,11 @@ def _run_thm26(ck, ctx, bounds, n, r):
          "csum": "p", "cyc": "q"},
         r=r,
     )
-    rhs = substituted_eulerian(
-        ctx, n,
-        ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
-        br * ctx.var("y"),
-        ctx.var("t") + ctx.var("s") * ctx.var("p") * br1, "q",
-    )
+    rhs = _eulerian_xypq(ctx, n, {
+        "x": ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
+        "y": br * ctx.var("y"),
+        "p": ctx.var("t") + ctx.var("s") * ctx.var("p") * br1,
+    })
     ck.eq("", lhs, rhs)
 
 
@@ -803,6 +793,19 @@ def _run_sign_dnb(ck, ctx, bounds, n):
     ck.eq("", lhs, rhs)
 
 
+def _colored_fexc_bindings(ctx: Context, r: int) -> dict:
+    """Bindings that turn A_n(x,y,p,q) into the colored sum of x^fexc q^cyc.
+
+    Colors are independent across positions once the underlying permutation
+    is fixed: an excedance contributes x^r + x [r-1]_x and a drop [r]_x.  A
+    fixed point takes any color (color 0 is a fixed point, x^0; color c > 0
+    a singleton, x^c), so it contributes [r]_x too.
+    """
+    x = ctx.var("x")
+    rest = q_bracket(ctx, r, "x")
+    return {"x": x**r + x * q_bracket(ctx, r - 1, "x"), "y": rest, "p": rest}
+
+
 @_sweep(
     "sign-bagno-garber",
     "colored flag excedances with alternating cycle signs collapse to -(x^r-1)^n/(x-1)",
@@ -812,7 +815,7 @@ def _run_sign_dnb(ck, ctx, bounds, n):
     over="rs", start=1,
 )
 def _run_bagno_garber(ck, ctx, bounds, n, r):
-    lhs = _colored_fexc_from_plain(ctx, n, r)
+    lhs = _eulerian_xypq(ctx, n, _colored_fexc_bindings(ctx, r))
     if n <= bounds["direct_max_n"]:
         direct = gen_poly(ctx, "colored", n, {"fexc_r": "x", "cyc": "q"}, r=r)
         ck.eq("factorised vs direct", lhs, direct)
@@ -834,7 +837,8 @@ def _run_bagno_garber(ck, ctx, bounds, n, r):
     over="rs", start=1,
 )
 def _run_sign_anr(ck, ctx, bounds, n, r):
-    lhs = _colored_fexc_from_plain(ctx, n, r, derangements_only=True)
+    # p -> 0 keeps the permutations whose underlying pi has no fixed point
+    lhs = _eulerian_xypq(ctx, n, {**_colored_fexc_bindings(ctx, r), "p": 0})
     if n <= bounds["direct_max_n"]:
         direct = gen_poly(
             ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
@@ -1540,12 +1544,8 @@ def _run_dnr(bounds, rng, ck):
                 ctx, "colored", n, {"exc_f": "x", "cyc": "q"},
                 r=r, where=lambda s: s["fix"] == 0,
             )
-            x, q = ctx.var("x"), ctx.var("q")
-            rhs = ctx.sum(
-                cnt * (r - 1) ** fix * r ** (n - fix) * x ** (exc + fix) * q**cyc
-                for (exc, fix, cyc), cnt
-                in marginal("plain", n, ("exc", "fix", "cyc")).items()
-            )
+            x = ctx.var("x")
+            rhs = _eulerian_xypq(ctx, n, {"x": r * x, "y": r, "p": (r - 1) * x})
             ck.eq(f"r={r} n={n}", lhs, rhs)
     for n in range(bounds["rev_max_n"] + 1):
         ctx = Context()

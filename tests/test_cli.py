@@ -158,6 +158,43 @@ def test_malformed_arguments_exit_2_without_traceback(tmp_path, argv):
     assert [line for line in proc.stderr.splitlines() if "error: " in line]
 
 
+def test_rules_file_not_utf8_exits_2(capsys, tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(
+        capsys, "grammar", "derive", "--rules", str(rules), "--seed", "x", "--n", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(rules) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--name", "A_q", "--n", "3", "--k", "2"),
+        ("family", "--name", "A_q", "--n", "3", "--k", "sym"),
+        ("family", "--name", "one_over_k", "--n", "3", "--r", "2"),
+        ("shape", "--family", "A_classic", "--n", "3", "--k", "2"),
+        ("shape", "--family", "A_classic", "--n", "3", "--r", "sym"),
+    ],
+)
+def test_k_or_r_on_a_family_that_reads_none_exit_2(capsys, argv):
+    # these used to print the family and exit 0, silently ignoring the flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"reads no {argv[-2][2:]}" in err
+
+
+def test_k_sym_on_a_k_family_is_symbolic(capsys):
+    code, out, _ = run_cli(capsys, "family", "--name", "one_over_k", "--n", "2", "--k", "sym")
+    assert code == 0
+    assert out.strip() == "1 + k*x"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

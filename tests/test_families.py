@@ -18,7 +18,6 @@ from excedance_lab.families import (
     q_bracket,
     q_eulerian,
     springer,
-    substituted_eulerian,
     type_b_q_eulerian,
 )
 from excedance_lab.multipoly import Context
@@ -136,26 +135,6 @@ def test_q_bracket_values(ctx):
     assert q_bracket(ctx, 0, "p").is_zero()
     assert q_bracket(ctx, 1, "p") == ctx.const(1)
     assert q_bracket(ctx, 3, "x") == ctx.poly("1 + x + x^2")
-
-
-def test_substituted_eulerian_examples(ctx):
-    got = substituted_eulerian(
-        ctx, 1, ctx.poly("x"), ctx.poly("y"), ctx.poly("t + s*p"), "q"
-    )
-    assert got == ctx.poly("q*(t + s*p)")
-    r = 3
-    got_r = substituted_eulerian(
-        ctx, 1, ctx.poly("3*x"), ctx.poly("3*y"), ctx.poly("(3-1)*x + p"), "q"
-    )
-    assert got_r == ctx.poly("q*((3-1)*x + p)")
-    # identity weights reproduce the four-variable distribution
-    got_id = substituted_eulerian(ctx, 3, ctx.var("x"), ctx.var("y"), ctx.var("p"), "q")
-    expected = ctx.zero()
-    for (e, f, c), cnt in plain_exc_fix_cyc(3).items():
-        expected = expected + cnt * ctx.monomial(
-            {"x": e, "y": 3 - e - f, "p": f, "q": c}
-        )
-    assert got_id == expected
 
 
 def test_classical_and_derangement(ctx):

@@ -8,11 +8,15 @@ from excedance_lab.identities import (
     BadOverride,
     Checker,
     UnknownIdentity,
+    _eulerian_xypq,
     criterion_map,
     identity_ids,
     run_suite,
     run_verify,
 )
+from excedance_lab.multipoly import Context
+
+from oracles import plain_exc_fix_cyc
 
 
 def test_registry_ids_unique_and_nonempty():
@@ -153,6 +157,50 @@ def test_no_class_past_the_guard_is_enumerated(monkeypatch):
     status = {r.id: r.status for r in results}
     assert status["cor-springer"] == "skipped"
     assert status["rec-enij-prop14"] == "skipped"
+
+
+def test_eulerian_xypq_examples():
+    ctx = Context()
+    signed = _eulerian_xypq(
+        ctx, 1, {"x": ctx.poly("x"), "y": ctx.poly("y"), "p": ctx.poly("t + s*p")}
+    )
+    assert signed == ctx.poly("q*(t + s*p)")
+    colored = _eulerian_xypq(
+        ctx, 1, {"x": ctx.poly("3*x"), "y": ctx.poly("3*y"), "p": ctx.poly("(3-1)*x + p")}
+    )
+    assert colored == ctx.poly("q*((3-1)*x + p)")
+    # with no bindings it is the four-variable distribution of S_n
+    expected = ctx.zero()
+    for (e, f, c), cnt in plain_exc_fix_cyc(3).items():
+        expected = expected + cnt * ctx.monomial({"x": e, "y": 3 - e - f, "p": f, "q": c})
+    assert _eulerian_xypq(ctx, 3, {}) == expected
+
+
+def test_substitution_sides_read_no_plain_class(monkeypatch):
+    # the right-hand sides bind variables in the grammar-generated A_n(x,y,p,q)
+    # and never read S_n; the signed and colored left-hand sides still enumerate
+    reads = []
+    real = permstats._distribution_cached
+
+    def spy(kind, n, r, k):
+        reads.append((kind, n))
+        return real(kind, n, r, k)
+
+    spy.cache_info = real.cache_info
+    monkeypatch.setattr(permstats, "_distribution_cached", spy)
+    ids = [
+        "thm9-signed-transform", "thm12-signed-typeA", "thm22-colored-transform",
+        "thm24-colored-transform", "thm26-colored-transform",
+        "sign-bagno-garber", "sign-anr-typeA",
+    ]
+    assert [r.status for r in run_suite(profile="quick", ids=ids)] == ["pass"] * len(ids)
+    assert {kind for kind, _ in reads} == {"signed", "colored"}
+    reads.clear()
+    # rev_max_n = 0 leaves the reversal loop one plain read: S_0
+    res = run_verify("dnr-wexc-formula", profile="quick", overrides={"rev_max_n": 0})
+    assert res.status == "pass"
+    assert {read for read in reads if read[0] != "colored"} == {("plain", 0)}
+    assert ("colored", 4) in reads
 
 
 def test_every_identity_compares_something_at_quick_bounds():

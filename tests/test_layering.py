@@ -1,0 +1,59 @@
+"""The package's import graph keeps the routes independent.
+
+``multipoly``, ``grammar``, ``shape`` and ``families`` (the algebra, grammar
+and recurrence routes) never reach the enumeration side, and ``permstats``
+(the enumeration route) never reaches the other routes or the registry.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "excedance_lab"
+
+
+def package_imports(module: str) -> set[str]:
+    """Names of the sibling modules ``module`` imports, at any depth of its body."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)  # from . import x
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])  # from .x import y
+            elif node.module and node.module.startswith("excedance_lab."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "excedance_lab":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("excedance_lab.")
+            )
+    return found
+
+
+# identities compares the routes, so it sits above all of them
+ENUMERATION_SIDE = {"permstats", "fsaction", "identities"}
+FORBIDDEN = {
+    "multipoly": ENUMERATION_SIDE,
+    "grammar": ENUMERATION_SIDE,
+    "shape": ENUMERATION_SIDE,
+    "families": ENUMERATION_SIDE,
+    "permstats": {"families", "grammar", "shape", "identities"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN))
+def test_routes_import_nothing_from_each_other(module):
+    assert package_imports(module) & FORBIDDEN[module] == set()
+
+
+def test_the_import_parser_finds_known_imports():
+    # guards the test above against passing because it parses nothing
+    assert {"families", "fsaction", "permstats", "shape", "grammar", "multipoly"} <= (
+        package_imports("identities")
+    )
+    assert "permstats" in package_imports("fsaction")
