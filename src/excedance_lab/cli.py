@@ -55,16 +55,9 @@ def _parse_int_or_sym(value):
 
 
 def _family_poly(ctx, args):
-    fam = families.REGISTRY.get(args.name)
-    if fam is not None:
-        # --k/--r (even 'sym') on a family that reads no k/r would be ignored
-        for param, value, reads in (("k", args.k, fam.needs_k), ("r", args.r, fam.needs_r)):
-            if value is not None and not reads:
-                raise families.BadParams(f"family {args.name} reads no {param}; drop --{param}")
-    return families.family(
-        ctx, args.name, args.n,
-        k=_parse_int_or_sym(args.k), r=_parse_int_or_sym(args.r),
-    )
+    # pass only the flags given, so the registry rejects one the family does not read
+    params = {p: _parse_int_or_sym(v) for p, v in (("k", args.k), ("r", args.r)) if v is not None}
+    return families.family(ctx, args.name, args.n, **params)
 
 
 def _cmd_family(args) -> int:

@@ -16,12 +16,18 @@ The central triangle gamma[n, i, j](q) is defined by
 with gamma[1,1,0] = q, and reassembles the fix/cycle Eulerian polynomials:
 
     A_n(x,p,q) = sum_i p^i sum_j gamma[n,i,j](q) x^j (1+x)^(n-i-2j).
+
+This triangle, the 1/k-Eulerian and colored Eulerian coefficient rows, and the
+plus/minus and alpha systems are linear table recurrences.  Each family lists
+its terms, ``(source table, index offset, weight)``, with weights written in
+the target's indices as the recurrence is stated above, and ``_recur`` runs
+them; the runner shares plumbing only, never a formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .multipoly import Context, Poly, binomial
 from .shape import gamma_assemble
@@ -60,10 +66,37 @@ def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly:
     return ctx.const(value)
 
 
-def _x_polys(ctx: Context, tables: tuple[dict[int, Poly], ...]) -> tuple[Poly, ...]:
+def _x_polys(ctx: Context, tables: Iterable[dict[int, Poly]]) -> tuple[Poly, ...]:
     """Each table {i: c_i} as the polynomial  sum c_i x^i."""
     x = ctx.var("x")
     return tuple(ctx.sum(c * x**i for i, c in table.items()) for table in tables)
+
+
+def _recur(ctx: Context, tables: dict[str, dict], steps: Iterable[int], terms: dict) -> dict:
+    """Advance named coefficient tables one level per m in ``steps``.
+
+    ``terms[name]`` lists ``(source, offset, weight)``: the new ``tables[name][t]``
+    is the sum of ``weight(m, *t) * tables[source][t + offset]``.  Indices are
+    ints or tuples, offsets alike.  Targets come from the source entries, zero
+    weights are skipped and zero sums dropped, so no index range is written out.
+    """
+    for m in steps:
+        nxt = {}
+        for name, name_terms in terms.items():
+            parts: dict = {}
+            for source, offset, weight in name_terms:
+                for s, c in tables[source].items():
+                    if isinstance(s, int):
+                        t = s - offset
+                        w = weight(m, t)
+                    else:
+                        t = tuple(a - b for a, b in zip(s, offset))
+                        w = weight(m, *t)
+                    if w:
+                        parts.setdefault(t, []).append(w * c)
+            nxt[name] = {t: v for t, cs in parts.items() if (v := ctx.sum(cs))}
+        tables = nxt
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +109,12 @@ def gamma_triangle(ctx: Context, n: int) -> dict[tuple[int, int], Poly]:
     if n < 1:
         raise BadParams("gamma triangle starts at n = 1")
     q = ctx.var("q")
-    cur: dict[tuple[int, int], Poly] = {(1, 0): q}
-    for m in range(1, n):
-        nxt: dict[tuple[int, int], Poly] = {}
-        for i in range(m + 2):
-            for j in range((m + 1 - i) // 2 + 1):
-                term = ctx.zero()
-                g = cur.get((i - 1, j))
-                if g is not None:
-                    term = term + q * g
-                g = cur.get((i + 1, j - 1))
-                if g is not None:
-                    term = term + (i + 1) * g
-                g = cur.get((i, j))
-                if g is not None and j:
-                    term = term + j * g
-                g = cur.get((i, j - 1))
-                if g is not None:
-                    term = term + (2 * m - 2 * i - 4 * j + 4) * g
-                if term:
-                    nxt[(i, j)] = term
-        cur = nxt
-    return cur
+    return _recur(ctx, {"g": {(1, 0): q}}, range(1, n), {"g": [
+        ("g", (-1, 0), lambda m, i, j: q),
+        ("g", (1, -1), lambda m, i, j: i + 1),
+        ("g", (0, 0), lambda m, i, j: j),
+        ("g", (0, -1), lambda m, i, j: 2 * m - 2 * i - 4 * j + 4),
+    ]})["g"]
 
 
 def gamma_poly(ctx: Context, n: int) -> Poly:
@@ -150,32 +167,20 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def one_over_k_coeffs(ctx: Context, n: int, k: Optional[int]) -> list[Poly]:
-    """Coefficient row [A_{n,0;k}, ..., A_{n,n-1;k}] (entries polynomial in k)."""
-    if n < 1:
-        raise BadParams("coefficient rows start at n = 1")
-    kp = _param_poly(ctx, k, "k")
-    one = ctx.const(1)
-    row = [one]
-    for m in range(1, n):
-        nxt = []
-        for j in range(m + 1):
-            term = ctx.zero()
-            if j < len(row):
-                term = term + (one + j * kp) * row[j]
-            if 0 <= j - 1 < len(row):
-                term = term + (m - j + 1) * kp * row[j - 1]
-            nxt.append(term)
-        row = nxt
-    return row
-
-
 def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
-    """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j."""
+    """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j, from the row recurrence
+    A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{1,0;k} = 1."""
     if n == 0:
         return ctx.const(1)
-    x = ctx.var("x")
-    return ctx.sum(c * x**j for j, c in enumerate(one_over_k_coeffs(ctx, n, k)))
+    if n < 0:
+        raise BadParams("n must be nonnegative")
+    kp = _param_poly(ctx, k, "k")
+    one = ctx.const(1)
+    row = _recur(ctx, {"A": {0: one}}, range(1, n), {"A": [
+        ("A", 0, lambda m, j: one + j * kp),
+        ("A", -1, lambda m, j: (m - j + 1) * kp),
+    ]})["A"]
+    return _x_polys(ctx, [row])[0]
 
 
 def one_over_k_pm_tables(
@@ -186,32 +191,19 @@ def one_over_k_pm_tables(
         raise BadParams("the plus/minus system starts at n = 1")
     kp = _param_poly(ctx, k, "k")
     one = ctx.const(1)
-    plus: dict[int, Poly] = {0: one}
-    minus: dict[int, Poly] = {}
-    for m in range(1, n):
-        nplus: dict[int, Poly] = {}
-        nminus: dict[int, Poly] = {}
-        for i in range((m + 1) // 2 + 1):
-            term = ctx.zero()
-            if i in plus:
-                term = term + (one + i * kp) * plus[i]
-            if i - 1 in plus:
-                term = term + 2 * (m - 2 * i + 1) * kp * plus[i - 1]
-            if i - 1 in minus:
-                term = term + minus[i - 1]
-            if term:
-                nplus[i] = term
-            term = ctx.zero()
-            if i in minus:
-                term = term + (i + 1) * kp * minus[i]
-            if i - 1 in minus:
-                term = term + 2 * (m - 2 * i) * kp * minus[i - 1]
-            if i in plus:
-                term = term + (kp - one) * plus[i]
-            if term:
-                nminus[i] = term
-        plus, minus = nplus, nminus
-    return plus, minus
+    tables = _recur(ctx, {"+": {0: one}, "-": {}}, range(1, n), {
+        "+": [
+            ("+", 0, lambda m, i: one + i * kp),
+            ("+", -1, lambda m, i: 2 * (m - 2 * i + 1) * kp),
+            ("-", -1, lambda m, i: 1),
+        ],
+        "-": [
+            ("-", 0, lambda m, i: (i + 1) * kp),
+            ("-", -1, lambda m, i: 2 * (m - 2 * i) * kp),
+            ("+", 0, lambda m, i: kp - one),
+        ],
+    })
+    return tables["+"], tables["-"]
 
 
 def one_over_k_pm_polys(ctx: Context, n: int, k: Optional[int]) -> tuple[Poly, Poly]:
@@ -230,30 +222,18 @@ def one_over_k_decomposition(ctx: Context, n: int, k: Optional[int]) -> tuple[Po
 # ---------------------------------------------------------------------------
 
 
-def colored_eulerian_coeffs(ctx: Context, n: int, r: Optional[int]) -> list[Poly]:
-    """Row [A_r(n,0), ..., A_r(n,n)] from the coefficient recurrence."""
+def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
+    """A_{n,r}(x): the flag-order excedance polynomial of the wreath product, from
+    A_r(m,j) = (rj + 1) A_r(m-1,j) + (r(m-j) + r - 1) A_r(m-1,j-1),  A_r(0,0) = 1."""
     if n < 0:
         raise BadParams("n must be nonnegative")
     rp = _param_poly(ctx, r, "r")
     one = ctx.const(1)
-    row: list[Poly] = [one]
-    for m in range(1, n + 1):
-        nxt = []
-        for j in range(m + 1):
-            term = ctx.zero()
-            if j < len(row):
-                term = term + (rp * j + one) * row[j]
-            if 0 <= j - 1 < len(row):
-                term = term + (rp * (m - j) + rp - one) * row[j - 1]
-            nxt.append(term)
-        row = nxt
-    return row
-
-
-def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
-    """A_{n,r}(x): the flag-order excedance polynomial of the wreath product."""
-    x = ctx.var("x")
-    return ctx.sum(c * x**j for j, c in enumerate(colored_eulerian_coeffs(ctx, n, r)))
+    row = _recur(ctx, {"A": {0: one}}, range(1, n + 1), {"A": [
+        ("A", 0, lambda m, j: rp * j + one),
+        ("A", -1, lambda m, j: rp * (m - j) + rp - one),
+    ]})["A"]
+    return _x_polys(ctx, [row])[0]
 
 
 def alpha_tables(
@@ -264,32 +244,19 @@ def alpha_tables(
         raise BadParams("n must be nonnegative")
     rp = _param_poly(ctx, r, "r")
     one = ctx.const(1)
-    plus: dict[int, Poly] = {0: one}
-    minus: dict[int, Poly] = {}
-    for m in range(n):
-        nplus: dict[int, Poly] = {}
-        nminus: dict[int, Poly] = {}
-        for i in range(m // 2 + 2):
-            term = ctx.zero()
-            if i in plus:
-                term = term + (one + rp * i) * plus[i]
-            if i - 1 in plus:
-                term = term + 2 * (m - 2 * i + 2) * rp * plus[i - 1]
-            if i - 1 in minus:
-                term = term + 2 * minus[i - 1]
-            if term:
-                nplus[i] = term
-            term = ctx.zero()
-            if i in plus:
-                term = term + (rp - 2 * one) * plus[i]
-            if i in minus:
-                term = term + (rp - one + rp * i) * minus[i]
-            if i - 1 in minus:
-                term = term + 2 * (m - 2 * i + 1) * rp * minus[i - 1]
-            if term:
-                nminus[i] = term
-        plus, minus = nplus, nminus
-    return plus, minus
+    tables = _recur(ctx, {"+": {0: one}, "-": {}}, range(n), {
+        "+": [
+            ("+", 0, lambda m, i: one + rp * i),
+            ("+", -1, lambda m, i: 2 * (m - 2 * i + 2) * rp),
+            ("-", -1, lambda m, i: 2),
+        ],
+        "-": [
+            ("+", 0, lambda m, i: rp - 2 * one),
+            ("-", 0, lambda m, i: rp - one + rp * i),
+            ("-", -1, lambda m, i: 2 * (m - 2 * i + 1) * rp),
+        ],
+    })
+    return tables["+"], tables["-"]
 
 
 def alpha_polys(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly, Poly]:
@@ -337,10 +304,8 @@ class Family:
     name: str
     description: str
     build: Callable
-    needs_k: bool = False
-    needs_r: bool = False
+    params: tuple[str, ...] = ()  # size parameters the builder reads, of "k", "r"
     default_m: Optional[Callable[[int], int]] = None
-    variables: tuple[str, ...] = ("x",)
 
 
 def _build_springer(ctx: Context, n: int) -> Poly:
@@ -357,12 +322,12 @@ def _register(fam: Family):
 _register(Family(
     "A_pq", "fix/cycle Eulerian polynomial A_n(x,p,q)",
     lambda ctx, n: fix_cyc_eulerian(ctx, n),
-    default_m=lambda n: max(n - 1, 0), variables=("x", "p", "q"),
+    default_m=lambda n: max(n - 1, 0),
 ))
 _register(Family(
     "A_q", "cycle q-Eulerian polynomial A_n(x,q)",
     lambda ctx, n: q_eulerian(ctx, n),
-    default_m=lambda n: max(n - 1, 0), variables=("x", "q"),
+    default_m=lambda n: max(n - 1, 0),
 ))
 _register(Family(
     "A_classic", "classical Eulerian polynomial A_n(x)",
@@ -376,22 +341,22 @@ _register(Family(
 ))
 _register(Family(
     "gamma_pq", "partial-gamma generating polynomial gamma_n(x,p,q)",
-    lambda ctx, n: gamma_poly(ctx, n), variables=("x", "p", "q"),
+    lambda ctx, n: gamma_poly(ctx, n),
 ))
 _register(Family(
     "one_over_k", "1/k-Eulerian polynomial  sum_pi x^exc k^(n-cyc)",
     lambda ctx, n, k=None: one_over_k_eulerian(ctx, n, k),
-    needs_k=True, default_m=lambda n: max(n - 1, 0), variables=("x", "k"),
+    params=("k",), default_m=lambda n: max(n - 1, 0),
 ))
 _register(Family(
     "onek_plus", "gamma vector of the symmetric part of A_n^{(k)}",
     lambda ctx, n, k=None: one_over_k_pm_polys(ctx, n, k)[0],
-    needs_k=True, variables=("x", "k"),
+    params=("k",),
 ))
 _register(Family(
     "onek_minus", "gamma vector of the shifted part of A_n^{(k)}",
     lambda ctx, n, k=None: one_over_k_pm_polys(ctx, n, k)[1],
-    needs_k=True, variables=("x", "k"),
+    params=("k",),
 ))
 _register(Family(
     "xi_plus", "cycle-run gamma vector (k = 2 specialisation, 4^cpk weights)",
@@ -404,54 +369,50 @@ _register(Family(
 _register(Family(
     "A_r", "colored Eulerian polynomial A_{n,r}(x)",
     lambda ctx, n, r=None: colored_eulerian(ctx, n, r),
-    needs_r=True, default_m=lambda n: n, variables=("x", "r"),
+    params=("r",), default_m=lambda n: n,
 ))
 _register(Family(
     "alpha_plus", "colored decomposition gamma vector, symmetric part",
     lambda ctx, n, r=None: alpha_polys(ctx, n, r)[0],
-    needs_r=True, variables=("x", "r"),
+    params=("r",),
 ))
 _register(Family(
     "alpha_minus", "colored decomposition gamma vector, shifted part",
     lambda ctx, n, r=None: alpha_polys(ctx, n, r)[1],
-    needs_r=True, variables=("x", "r"),
+    params=("r",),
 ))
 _register(Family(
     "B_typeB_q", "type-B q-Eulerian polynomial B_n(x,q)",
     lambda ctx, n: type_b_q_eulerian(ctx, n),
-    default_m=lambda n: n, variables=("x", "q"),
+    default_m=lambda n: n,
 ))
 _register(Family(
     "phi", "convolution kernel Phi_n(x,y)",
-    lambda ctx, n: phi_kernel(ctx, n), variables=("x", "y"),
+    lambda ctx, n: phi_kernel(ctx, n),
 ))
 _register(Family(
     "springer", "Springer number s_n (constant)",
-    _build_springer, variables=(),
+    _build_springer,
 ))
 _register(Family(
     "q_bracket", "[n]_p = 1 + p + ... + p^(n-1)",
-    lambda ctx, n: q_bracket(ctx, n, "p"), variables=("p",),
+    lambda ctx, n: q_bracket(ctx, n, "p"),
 ))
 
 
-def family(
-    ctx: Context,
-    name: str,
-    n: int,
-    *,
-    k: Optional[int] = None,
-    r: Optional[int] = None,
-) -> Poly:
-    """Build a registered family member; BadParams on a bad name or index."""
+def family(ctx: Context, name: str, n: int, **params: Optional[int]) -> Poly:
+    """Build a registered family member; BadParams on a bad name, index or parameter.
+
+    ``params`` are the size parameters the family reads (``k``, ``r``): an int,
+    or ``None`` for symbolic; an omitted one is symbolic too.  Passing one the
+    family does not read, ``None`` included, is an error rather than ignored.
+    """
     fam = REGISTRY.get(name)
     if fam is None:
         raise BadParams(f"unknown family {name!r} (try: {', '.join(sorted(REGISTRY))})")
+    for param in params:
+        if param not in fam.params:
+            raise BadParams(f"family {name} reads no {param}")
     if n < 0:
         raise BadParams("n must be nonnegative")
-    kwargs = {}
-    if fam.needs_k:
-        kwargs["k"] = k
-    if fam.needs_r:
-        kwargs["r"] = r
-    return fam.build(ctx, n, **kwargs)
+    return fam.build(ctx, n, **params)

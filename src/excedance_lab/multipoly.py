@@ -296,7 +296,8 @@ class Poly:
         powcache: dict[tuple[int, int], Poly] = {}
 
         def image(key: MonoKey, c: Coeff) -> Poly:
-            piece = ctx.const(c)
+            # the unbound part stays one monomial (a subsequence of a sorted key)
+            piece = Poly(ctx, {tuple(ve for ve in key if ve[0] not in subs): c})
             for v, e in key:
                 if v in subs:
                     pw = powcache.get((v, e))
@@ -304,8 +305,6 @@ class Poly:
                         pw = subs[v] ** e
                         powcache[(v, e)] = pw
                     piece = piece * pw
-                else:
-                    piece = piece * Poly(ctx, {((v, e),): 1})
             return piece
 
         return ctx.sum(image(key, c) for key, c in self.terms.items())

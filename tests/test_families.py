@@ -5,15 +5,18 @@ from excedance_lab.families import (
     OutOfTable,
     REGISTRY,
     alpha_polys,
+    alpha_tables,
     colored_eulerian,
     derangement_poly,
     classical_eulerian,
     family,
     fix_cyc_eulerian,
     gamma_poly,
+    gamma_triangle,
     one_over_k_decomposition,
     one_over_k_eulerian,
     one_over_k_pm_polys,
+    one_over_k_pm_tables,
     phi_kernel,
     q_bracket,
     q_eulerian,
@@ -154,3 +157,38 @@ def test_registry_and_bad_params(ctx):
         family(ctx, "one_over_k", 3, k=0)
     # n = 0 is the empty-product convention, not an error
     assert family(ctx, "gamma_pq", 0) == ctx.const(1)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("A_q", {"k": 2}),
+        ("A_classic", {"r": 5}),
+        ("one_over_k", {"r": 2}),
+        ("A_r", {"k": None}),
+        ("xi_plus", {"k": 2}),
+    ],
+)
+def test_family_rejects_a_parameter_it_does_not_read(ctx, name, params):
+    with pytest.raises(BadParams, match=f"reads no {next(iter(params))}"):
+        family(ctx, name, 3, **params)
+
+
+def test_family_parameter_none_is_symbolic_like_an_omitted_one(ctx):
+    assert family(ctx, "one_over_k", 2, k=None) == family(ctx, "one_over_k", 2)
+    assert family(ctx, "A_r", 1, r=None) == ctx.poly("1 + (r-1)*x")
+
+
+@pytest.mark.parametrize("param", [None, 1, 2, 3])
+def test_table_reach(ctx, param):
+    # the runner derives each table's entries from the previous level; these
+    # are the index bounds of the recurrences
+    for n in range(1, 13):
+        assert all(i + 2 * j <= n for i, j in gamma_triangle(ctx, n))
+        plus, minus = one_over_k_pm_tables(ctx, n, param)
+        assert all(i <= (n - 1) // 2 for i in plus)
+        assert all(i <= (n - 2) // 2 for i in minus)
+    for n in range(13):
+        plus, minus = alpha_tables(ctx, n, param)
+        assert all(i <= n // 2 for i in plus)
+        assert all(i <= (n - 1) // 2 for i in minus)

@@ -313,3 +313,32 @@ def test_sweep_mismatch_names_its_cell(monkeypatch):
     res = run_verify("rec-anxq")
     assert res.status == "fail"
     assert res.mismatches[0]["context"] == "n=0"
+
+
+# check count of every identity at profile quick (default seed and guard), each
+# a pass: a refactor that drops a comparison or an identity changes this table
+QUICK_CHECKS = {
+    "lemma7-grammar-exc": 6, "lemma8-grammar-onek": 18, "change-of-grammar": 12,
+    "lemma-g3-grammar-signed": 5, "lemma-g8-grammar-colored": 8, "g10-grammar-colored": 8,
+    "g12-grammar-colored": 8, "g14-grammar-colored": 8, "rec-anxq": 7, "rec-anjk": 42,
+    "rec-enij-prop14": 34, "rec-arnk": 24, "rec-bnxq": 12, "thm18-crun": 25,
+    "rec-onek-decom": 54, "rec-alpha-decom": 54, "thm9-signed-transform": 5,
+    "thm12-signed-typeA": 5, "thm22-colored-transform": 8, "thm24-colored-transform": 8,
+    "thm26-colored-transform": 8, "sign-anx11": 6, "sign-anx12": 6,
+    "sign-gamma-binomials": 15, "sign-dnb-fexc": 5, "sign-bagno-garber": 16,
+    "sign-anr-typeA": 16, "cor-foata-gamma": 12, "cor-zeng-dnxq": 6, "cor-petersen-lpk": 6,
+    "cor-springer": 7, "cor-lpk-nocda": 7, "shape-anpq-grid": 300,
+    "shape-onek-bigamma": 54, "shape-dnb-altinc": 10, "shape-bnq-spiral": 30,
+    "shape-dfexc-gamma": 25, "thm11-phi-recurrence": 3, "cor-four-specializations": 16,
+    "stirling-ap-onek": 48, "fs-bijection": 12, "prop-ring-axioms": 1, "prop-leibniz": 1,
+    "prop-substitution": 1, "prop-gamma-closure": 1, "prop-gamma-derivative": 1,
+    "prop-decompose-unique": 1, "equidist-des-exc-drop": 14, "equidist-desb-wexc": 6,
+    "stat-identities": 1, "dnr-wexc-formula": 17, "mongelli-signed": 10,
+}
+
+
+def test_quick_suite_keeps_its_recorded_checks(monkeypatch):
+    monkeypatch.delenv(permstats.ENV_GUARD, raising=False)
+    results = run_suite(profile="quick")
+    assert {r.id: r.checks for r in results} == QUICK_CHECKS
+    assert [r.id for r in results if r.status != "pass"] == []
