@@ -167,7 +167,7 @@ def _cmd_shape(args) -> int:
         }))
     else:
         def fmt(vals):
-            return "none" if vals is None else " ".join(str(v) for v in vals)
+            return " ".join(str(v) for v in vals)
 
         print(f"coefficients (m={report.seq.m}): {fmt(report.seq.coeffs)}")
         print(f"a-part: {fmt(report.a.coeffs)}")

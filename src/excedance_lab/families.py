@@ -170,11 +170,11 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
 def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
     """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j, from the row recurrence
     A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{1,0;k} = 1."""
-    if n == 0:
-        return ctx.const(1)
     if n < 0:
         raise BadParams("n must be nonnegative")
     kp = _param_poly(ctx, k, "k")
+    if n == 0:
+        return ctx.const(1)
     one = ctx.const(1)
     row = _recur(ctx, {"A": {0: one}}, range(1, n), {"A": [
         ("A", 0, lambda m, j: one + j * kp),

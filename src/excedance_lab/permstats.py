@@ -29,7 +29,7 @@ each object's statistics from its predecessor's in O(1): plain permutations by
 cycle insertion S_{m-1} -> S_m, signed and colored ones by fixing pi and
 walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP 4A
 7.2.1.1).  The walks still visit every object and read only word and cycle
-deltas.  The stream and the cache share no statistics code beyond
+deltas.  The stream and the cache share no base-statistics code beyond
 ``_perm_part`` (the inverse and cycle count of pi, from ``_cycles_plain``, the
 one orbit walk), so the tests that compare them, and each with the definition
 oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the
@@ -43,6 +43,14 @@ queries against the same class enumerate it only once.  ``marginal`` (joint
 counts of statistics by name) is the only door to that cache from outside
 this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
 runs the size guard before it reads.
+
+The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
+``COLORED_DERIVED``) are one tuple formula per class, ``_derive``, which
+appends them to the base tuple in ``stat_names`` order; the stream and every
+cache read share it.  Cache reads resolve the requested names to indices once
+and project the full tuples by index.  Statistics dicts exist only where a
+caller reads by name: a fresh one per cell for a ``gen_poly`` ``where`` filter,
+and one per object in the stream.
 
 The size guard is one process-wide setting: the environment variable
 ``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
@@ -80,6 +88,15 @@ SIGNED_DERIVED = ("aexc_A", "fexc", "wexc")
 COLORED_BASE = ("exc_B", "fix", "single", "csum", "cyc", "exc_A")
 COLORED_DERIVED = ("exc_f", "aexc_f", "aexc_A", "fexc_r")
 STIRLING_BASE = ("ap", "lap", "first_block_constant")
+
+# Base-tuple indices read by the derived-statistics formulas of ``_derive``.
+P_EXC, P_FIX, P_CYC, P_CPK_INF = map(PLAIN_BASE.index, ("exc", "fix", "cyc", "cpk_inf"))
+S_EXC, S_FIX, S_SINGLE, S_NEG, S_EXC_A = map(
+    SIGNED_BASE.index, ("exc", "fix", "single", "neg", "exc_A")
+)
+C_EXC_B, C_FIX, C_SINGLE, C_CSUM, C_EXC_A = map(
+    COLORED_BASE.index, ("exc_B", "fix", "single", "csum", "exc_A")
+)
 
 
 class SizeExceeded(RuntimeError):
@@ -277,20 +294,18 @@ def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
 
 def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
-    exc = drop = fix = 0
-    for i, v in enumerate(word, 1):
-        if v > i:
-            exc += 1
-        elif v < i:
-            drop += 1
-        else:
-            fix += 1
+    exc = drop = fix = des = dd = lpk = 0
     # one pass over the word padded with 0 on both sides: des and lpk look at
     # positions 1..n-1, dd at positions 1..n
-    des = dd = lpk = 0
     padded = (0, *word, 0)
     for i in range(1, n + 1):
         a, b, c = padded[i - 1], padded[i], padded[i + 1]
+        if b > i:
+            exc += 1
+        elif b < i:
+            drop += 1
+        else:
+            fix += 1
         if b > c:
             if a > b:
                 dd += 1
@@ -300,14 +315,6 @@ def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
                     lpk += 1
     cycles = _cycles_plain(word)
     return (exc, drop, fix, len(cycles), des, dd, lpk, *_cycle_roles_counts(cycles))
-
-
-def _plain_full(base: tuple[int, ...], n: int) -> dict[str, int]:
-    stats = dict(zip(PLAIN_BASE, base))
-    stats["wexc"] = stats["exc"] + stats["fix"]
-    stats["crun"] = 2 * stats["cpk_inf"] + stats["cyc"]
-    stats["rlen"] = n - stats["cyc"]
-    return stats
 
 
 def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
@@ -351,14 +358,6 @@ def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     return (exc, aexc, fix, single, neg, cyc, exc_A, des_B)
 
 
-def _signed_full(base: tuple[int, ...], n: int) -> dict[str, int]:
-    stats = dict(zip(SIGNED_BASE, base))
-    stats["aexc_A"] = n - stats["exc_A"] - stats["fix"] - stats["single"]
-    stats["fexc"] = 2 * stats["exc_A"] + stats["neg"]
-    stats["wexc"] = stats["exc"] + stats["fix"]
-    return stats
-
-
 def _colored_stats(pi, colors, cyc) -> tuple[int, ...]:
     """The colored kernel: ``colors[i-1]`` is the colour at position i."""
     exc_B = fix = single = exc_A = 0
@@ -378,15 +377,6 @@ def _colored_stats(pi, colors, cyc) -> tuple[int, ...]:
 def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     pi = tuple(v for v, _ in word)
     return _colored_stats(pi, [c for _, c in word], len(_cycles_plain(pi)))
-
-
-def _colored_full(base: tuple[int, ...], n: int, r: int) -> dict[str, int]:
-    stats = dict(zip(COLORED_BASE, base))
-    stats["exc_f"] = stats["exc_B"] + stats["single"]
-    stats["aexc_f"] = n - stats["exc_f"] - stats["fix"]
-    stats["aexc_A"] = n - stats["exc_A"] - stats["fix"] - stats["single"]
-    stats["fexc_r"] = r * stats["exc_A"] + stats["csum"]
-    return stats
 
 
 def stirling_base_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -688,38 +678,59 @@ def stat_names(kind: str) -> tuple[str, ...]:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
+    """The class's full-tuple formula: a base tuple followed by its derived
+    statistics, in ``stat_names(kind)`` order."""
+    if kind == "plain":
+        return lambda b: b + (
+            b[P_EXC] + b[P_FIX],  # wexc
+            2 * b[P_CPK_INF] + b[P_CYC],  # crun
+            n - b[P_CYC],  # rlen
+        )
+    if kind == "signed":
+        return lambda b: b + (
+            n - b[S_EXC_A] - b[S_FIX] - b[S_SINGLE],  # aexc_A
+            2 * b[S_EXC_A] + b[S_NEG],  # fexc
+            b[S_EXC] + b[S_FIX],  # wexc
+        )
+    if kind == "colored":
+        return lambda b: b + (
+            b[C_EXC_B] + b[C_SINGLE],  # exc_f
+            n - b[C_EXC_B] - b[C_SINGLE] - b[C_FIX],  # aexc_f
+            n - b[C_EXC_A] - b[C_FIX] - b[C_SINGLE],  # aexc_A
+            r * b[C_EXC_A] + b[C_CSUM],  # fexc_r
+        )
+    if kind == "stirling":
+        return lambda b: b
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def enumerate_class(
     kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> Iterator[tuple[PermObject, dict[str, int]]]:
     """Stream (object, statistics) pairs in deterministic lexicographic order."""
     _check_guard(kind, n, r, k)
+    names, full = stat_names(kind), _derive(kind, n, r)
     if kind == "plain":
         for word in _plain_words(n):
-            yield PermObject("plain", n, word), _plain_full(
-                plain_base_stats(word), n
-            )
+            yield PermObject("plain", n, word), dict(zip(names, full(plain_base_stats(word))))
     elif kind == "signed":
         for word in _signed_words(n):
-            yield PermObject("signed", n, word), _signed_full(
-                signed_base_stats(word), n
-            )
+            yield PermObject("signed", n, word), dict(zip(names, full(signed_base_stats(word))))
     elif kind == "colored":
         # value-major generation with nested color vectors is already the
         # (value, color)-lexicographic order on words
         for pi in itertools.permutations(range(1, n + 1)):
             cyc = len(_cycles_plain(pi))
             for colors in itertools.product(range(r), repeat=n):
-                word = tuple(zip(pi, colors))
-                yield PermObject("colored", n, word, r=r), _colored_full(
-                    _colored_stats(pi, colors, cyc), n, r
+                yield PermObject("colored", n, tuple(zip(pi, colors)), r=r), dict(
+                    zip(names, full(_colored_stats(pi, colors, cyc)))
                 )
-    elif kind == "stirling":
+    else:
         for word in _stirling_words(n, k):
             yield PermObject("stirling", n, word, k=k), dict(
-                zip(STIRLING_BASE, stirling_base_stats(word, k))
+                zip(names, full(stirling_base_stats(word, k)))
             )
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -746,29 +757,32 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, in
     return MappingProxyType(dist)
 
 
-def _full_stats(kind, tup, n, r):
-    if kind == "plain":
-        return _plain_full(tup, n)
-    if kind == "signed":
-        return _signed_full(tup, n)
-    if kind == "colored":
-        return _colored_full(tup, n, r)
-    return dict(zip(STIRLING_BASE, tup))
-
-
 def _full_cells(kind, n, r, k, names=()):
-    """(stats dict, count) for each cell of the class's cached distribution.
+    """The indices of ``names`` in the class's full tuple, and (full tuple,
+    count) for each cell of its cached distribution.
 
-    The one loop behind every read of the cache: it checks ``names`` against
-    the class, runs the size guard, then expands each base tuple by name.
+    The one loop behind every read of the cache: it resolves ``names``
+    against the class, runs the size guard, then extends each base tuple by
+    ``_derive``.
     """
     known = stat_names(kind)
     for stat in names:
         if stat not in known:
             raise UnknownStat(stat)
+    indices = tuple(map(known.index, names))
     _check_guard(kind, n, r, k)
+    full = _derive(kind, n, r)
     dist = _distribution_cached(kind, n, r, k)
-    return ((_full_stats(kind, tup, n, r), count) for tup, count in dist.items())
+    return indices, ((full(tup), count) for tup, count in dist.items())
+
+
+def _project(indices, cells) -> dict[tuple[int, ...], int]:
+    """Sum the counts of ``cells`` by their values at ``indices``."""
+    out: dict[tuple[int, ...], int] = {}
+    for full, count in cells:
+        key = tuple(map(full.__getitem__, indices))
+        out[key] = out.get(key, 0) + count
+    return out
 
 
 def marginal(
@@ -779,21 +793,16 @@ def marginal(
     Keys are value tuples in the order of ``names``, e.g.
     ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for stats, count in _full_cells(kind, n, r, k, names):
-        key = tuple(stats[stat] for stat in names)
-        out[key] = out.get(key, 0) + count
-    return out
+    return _project(*_full_cells(kind, n, r, k, names))
 
 
 def stat_distribution(
     kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> dict[tuple[tuple[str, int], ...], int]:
     """Counts of full stat dicts (as sorted item tuples) over the class."""
-    return {
-        tuple(sorted(stats.items())): count
-        for stats, count in _full_cells(kind, n, r, k)
-    }
+    names = stat_names(kind)
+    _, cells = _full_cells(kind, n, r, k)
+    return {tuple(sorted(zip(names, full))): count for full, count in cells}
 
 
 def gen_poly(
@@ -810,22 +819,22 @@ def gen_poly(
 
     ``weighting`` maps statistic names to variables (names or ids); several
     statistics may share a variable, in which case exponents add.  ``where``
-    filters on the statistics dict.
+    filters on a fresh statistics dict per cell.
     """
-    cells = _full_cells(kind, n, r, k, tuple(weighting))
-    weight_vids = {stat: ctx._resolve(v) for stat, v in weighting.items()}
+    indices, cells = _full_cells(kind, n, r, k, tuple(weighting))
+    vids = [ctx._resolve(v) for v in weighting.values()]
+    if where is not None:
+        names = stat_names(kind)
+        cells = ((full, count) for full, count in cells if where(dict(zip(names, full))))
     acc: dict = {}
-    for stats, count in cells:
-        if where is not None and not where(stats):
-            continue
+    for values, count in _project(indices, cells).items():
         exps: dict[int, int] = {}
-        for stat, vid in weight_vids.items():
-            e = stats[stat]
+        for vid, e in zip(vids, values):
             if e:
                 exps[vid] = exps.get(vid, 0) + e
         key = tuple(sorted(exps.items()))
         acc[key] = acc.get(key, 0) + count
-    return Poly(ctx, {key: c for key, c in acc.items() if c})
+    return Poly(ctx, acc)
 
 
 def stirling_identities(ctx: Context, n: int, k: int, var: str = "x") -> tuple[Poly, Poly]:

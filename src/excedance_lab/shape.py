@@ -195,29 +195,11 @@ def check(f: CoeffSeq, prop: str) -> bool:
         return all(g >= 0 for g in gamma_expand(a)) and all(
             g >= 0 for g in gamma_expand(b)
         )
-    if prop == "alternatingly_increasing":
-        # chain f_0 <= f_m <= f_1 <= f_{m-1} <= ...
-        seq = [f[0]]
-        lo, hi = 1, f.m
-        while hi >= lo:
-            seq.append(f[hi])
-            hi -= 1
-            if hi < lo:
-                break
-            seq.append(f[lo])
-            lo += 1
-        return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
-    # spiral: f_m <= f_0 <= f_{m-1} <= f_1 <= ...
-    seq = [f[f.m]]
-    lo, hi = 0, f.m - 1
-    while lo <= hi:
-        seq.append(f[lo])
-        lo += 1
-        if lo > hi:
-            break
-        seq.append(f[hi])
-        hi -= 1
-    return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
+    # alternatingly increasing: f_0 <= f_m <= f_1 <= f_{m-1} <= ...; spiral is
+    # the same chain of the reversed sequence, f_m <= f_0 <= f_{m-1} <= ...
+    c = f.coeffs if prop == "alternatingly_increasing" else f.coeffs[::-1]
+    chain = [c[f.m - t // 2] if t % 2 else c[t // 2] for t in range(f.m + 1)]
+    return all(lo <= hi for lo, hi in zip(chain, chain[1:]))
 
 
 @dataclass
@@ -227,13 +209,13 @@ class ShapeReport:
     seq: CoeffSeq
     a: CoeffSeq
     b: CoeffSeq
-    gamma_a: list[Number] | None
-    gamma_b: list[Number] | None
+    gamma_a: list[Number]
+    gamma_b: list[Number]
     verdicts: dict[str, bool]
 
     def to_json_obj(self) -> dict:
         def nums(vals):
-            return None if vals is None else [str(v) for v in vals]
+            return [str(v) for v in vals]
 
         return {
             "m": self.seq.m,
@@ -247,18 +229,10 @@ class ShapeReport:
 
 
 def shape_report(f: CoeffSeq) -> ShapeReport:
-    """Full report: decomposition, gamma vectors where defined, all verdicts."""
+    """Full report: decomposition, gamma vectors of both parts, all verdicts."""
     a, b = decompose(f)
-    try:
-        ga = gamma_expand(a)
-    except NotSymmetric:  # pragma: no cover - decompose output is symmetric
-        ga = None
-    try:
-        gb = gamma_expand(b)
-    except NotSymmetric:  # pragma: no cover
-        gb = None
     verdicts = {prop: check(f, prop) for prop in PROPERTIES}
-    return ShapeReport(f, a, b, ga, gb, verdicts)
+    return ShapeReport(f, a, b, gamma_expand(a), gamma_expand(b), verdicts)
 
 
 def implications_hold(verdicts: dict[str, bool], nonnegative: bool) -> bool:

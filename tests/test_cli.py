@@ -189,6 +189,20 @@ def test_k_or_r_on_a_family_that_reads_none_exit_2(capsys, argv):
     assert f"reads no {argv[-2][2:]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--name", "one_over_k", "--n", "0", "--k", "0"),
+        ("--name", "A_r", "--n", "0", "--r", "0"),
+    ],
+)
+def test_bad_parameter_at_n_zero_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "family", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "positive integer" in err
+
+
 def test_k_sym_on_a_k_family_is_symbolic(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "one_over_k", "--n", "2", "--k", "sym")
     assert code == 0

@@ -159,6 +159,13 @@ def test_registry_and_bad_params(ctx):
     assert family(ctx, "gamma_pq", 0) == ctx.const(1)
 
 
+@pytest.mark.parametrize("name, params", [("one_over_k", {"k": 0}), ("A_r", {"r": 0})])
+def test_bad_parameter_at_n_zero(ctx, name, params):
+    # the parameter is checked before the n = 0 shortcut returns 1
+    with pytest.raises(BadParams, match="positive integer"):
+        family(ctx, name, 0, **params)
+
+
 @pytest.mark.parametrize(
     "name, params",
     [

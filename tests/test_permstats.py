@@ -124,6 +124,46 @@ def test_gen_poly_shared_variable_adds_exponents(ctx):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize(
+    "kind, n, size",
+    [("plain", 5, {}), ("signed", 4, {}), ("colored", 3, {"r": 3}), ("stirling", 4, {"k": 2})],
+)
+def test_gen_poly_weights_every_statistic_like_the_stream(ctx, kind, n, size):
+    # every statistic, base and derived, on its own variable: the cached read
+    # by index against the stream's per-object dicts, filtered and not
+    names = permstats.stat_names(kind)
+    weighting = {name: f"v{i}" for i, name in enumerate(names)}
+    last = names[-1]
+
+    def even_last(stats):
+        return stats[last] % 2 == 0
+
+    for where in (None, even_last):
+        counts = Counter(
+            tuple(stats[name] for name in names)
+            for _, stats in enumerate_class(kind, n, **size)
+            if where is None or where(stats)
+        )
+        streamed = ctx.sum(
+            ctx.monomial(dict(zip(weighting.values(), exps)), count)
+            for exps, count in counts.items()
+        )
+        assert gen_poly(ctx, kind, n, weighting, where=where, **size) == streamed
+
+
+def test_where_cannot_change_the_cache(ctx):
+    weighting = {"exc": "x", "fix": "y", "crun": "z"}
+    before = gen_poly(ctx, "plain", 4, weighting)
+
+    def meddle(stats):
+        stats["exc"] += 5
+        stats.clear()
+        return True
+
+    assert gen_poly(ctx, "plain", 4, weighting, where=meddle) == before
+    assert gen_poly(ctx, "plain", 4, weighting) == before
+
+
 def test_unknown_stat(ctx):
     with pytest.raises(UnknownStat):
         gen_poly(ctx, "plain", 3, {"nope": "x"})
@@ -341,53 +381,58 @@ def test_colored_one_element_class(ctx):
     assert [s["exc_f"] for _, s in rows] == [0, 1, 1]
 
 
+def expand(kind, n, base, r=1):
+    # the stream's per-object expansion of a base tuple into named statistics
+    return dict(zip(permstats.stat_names(kind), permstats._derive(kind, n, r)(base)))
+
+
 def test_signed_worked_example():
-    from excedance_lab.permstats import signed_base_stats, _signed_full
+    from excedance_lab.permstats import signed_base_stats
 
     obj = PermObject("signed", 8, (2, -5, 1, 3, 4, -6, 8, 7))
     assert obj.cycle_string() == "(1,2,-5,4,3)(-6)(7,8)"
-    st = _signed_full(signed_base_stats(obj.word), 8)
+    st = expand("signed", 8, signed_base_stats(obj.word))
     assert st["exc_A"] == 2 and st["neg"] == 2 and st["fexc"] == 6
 
 
 def test_signed_second_worked_example():
-    from excedance_lab.permstats import signed_base_stats, _signed_full
+    from excedance_lab.permstats import signed_base_stats
 
     word = (-3, 5, 1, -7, 2, 4, 6, 8, -9)
-    st = _signed_full(signed_base_stats(word), 9)
+    st = expand("signed", 9, signed_base_stats(word))
     assert st["fix"] == 1 and st["single"] == 1
     assert st["exc"] == 3 and st["aexc"] == 4 and st["neg"] == 3
     assert PermObject("signed", 9, word).cycle_string() == "(1,-3)(2,5)(4,-7,6)(8)(-9)"
 
 
 def test_colored_worked_example():
-    from excedance_lab.permstats import colored_base_stats, _colored_full
+    from excedance_lab.permstats import colored_base_stats
 
     word = ((4, 0), (1, 0), (3, 2), (5, 1), (2, 0))
     obj = PermObject("colored", 5, word, r=3)
     assert obj.cycle_string() == "(1,4,5^1,2)(3^2)"
-    st = _colored_full(colored_base_stats(word), 5, 3)
+    st = expand("colored", 5, colored_base_stats(word), r=3)
     assert st["exc_A"] == 1 and st["aexc_A"] == 3
     assert st["single"] == 1 and st["csum"] == 3 and st["cyc"] == 2
 
 
 def test_cycle_peak_conventions_differ_on_two_cycles():
-    from excedance_lab.permstats import plain_base_stats, _plain_full
+    from excedance_lab.permstats import plain_base_stats
 
-    st = _plain_full(plain_base_stats((2, 1)), 2)
+    st = expand("plain", 2, plain_base_stats((2, 1)))
     assert st["cpk_sec2"] == 1  # wraparound closes 1 < 2 > 1
     assert st["cpk_inf"] == 0  # the infinity sentinel keeps 2 ascending
     assert st["crun"] == 1
 
 
 def test_crun_example():
-    from excedance_lab.permstats import plain_base_stats, _plain_full
+    from excedance_lab.permstats import plain_base_stats
 
     # cycles (1,4,2)(3,5,6)(7): alternating runs 3 + 1 + 1
     word = (4, 1, 5, 2, 6, 3, 7)
     obj = PermObject("plain", 7, word)
     assert obj.cycle_string() == "(1,4,2)(3,5,6)(7)"
-    st = _plain_full(plain_base_stats(word), 7)
+    st = expand("plain", 7, plain_base_stats(word))
     assert st["crun"] == 5
 
 

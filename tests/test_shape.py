@@ -135,6 +135,12 @@ def test_check_chains():
     assert not check(seq([1, 20, 8, 0], m=3), "alternatingly_increasing")
     assert check(seq([0, 3, 2]), "alternatingly_increasing")
     assert check(seq([2, 3, 0]), "spiral")
+    # spiral chains spelled out: f_m <= f_0 <= f_{m-1} <= f_1 <= ...
+    assert check(seq([], m=0), "spiral") and check(seq([5]), "spiral")
+    assert check(seq([2, 1]), "spiral") and not check(seq([1, 2]), "spiral")
+    assert check(seq([2, 4, 3, 1]), "spiral")  # 1 <= 2 <= 3 <= 4
+    assert not check(seq([2, 3, 4, 1]), "spiral")  # 1 <= 2 <= 4, but 4 > 3
+    assert not check(seq([1, 4, 3, 2]), "spiral")  # f_3 = 2 > f_0 = 1
     assert check(seq([1, 3, 2]), "unimodal")
     assert not check(seq([2, 1, 3]), "unimodal")
     assert check(seq([1, 6, 1]), "gamma_positive")
