@@ -96,18 +96,18 @@ def _cmd_enumerate(args) -> int:
                 raise permstats.UnknownStat(s)
     else:
         wanted = list(all_stats)
-    rows = []
-    for obj, stats in permstats.enumerate_class(kind, args.n, r=args.r, k=args.k):
-        rows.append((obj, stats))
+    # the guard runs on this call, so a class it refuses writes nothing
+    rows = permstats.enumerate_class(kind, args.n, r=args.r, k=args.k)
     if args.format == "json":
-        print(json.dumps([
-            {
+        # row by row, the bytes json.dumps writes for the whole list
+        sys.stdout.write("[")
+        for i, (obj, stats) in enumerate(rows):
+            sys.stdout.write((", " if i else "") + json.dumps({
                 "word": obj.word_string(),
                 "cycles": obj.cycle_string(),
                 "stats": {s: stats[s] for s in wanted},
-            }
-            for obj, stats in rows
-        ]))
+            }))
+        print("]")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["word", "cycles"] + wanted)

@@ -23,18 +23,20 @@ action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
 Each class has one per-object statistics kernel (``plain_base_stats``,
 ``signed_base_stats``, ``_colored_stats``, ``stirling_base_stats``); the
-streaming ``enumerate_class`` reads it.  The cached joint distributions of the
-plain, signed and colored classes are built another way, by walks that derive
-each object's statistics from its predecessor's in O(1): plain permutations by
-cycle insertion S_{m-1} -> S_m, signed and colored ones by fixing pi and
-walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP 4A
-7.2.1.1).  The walks still visit every object and read only word and cycle
+streaming ``enumerate_class`` reads it.  The cached joint distributions of all
+four classes are built another way, by walks that derive each object's
+statistics from its parent's or predecessor's by a delta: plain permutations
+by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
+block m^k into a word of order m - 1, signed and colored ones by fixing pi
+and walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP
+4A 7.2.1.1).  The walks still visit every object and read only word and cycle
 deltas.  The stream and the cache share no base-statistics code beyond
 ``_perm_part`` (the inverse and cycle count of pi, from ``_cycles_plain``, the
 one orbit walk), so the tests that compare them, and each with the definition
 oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the
-one classifier of cycle entries, read by the cycle statistics here and by the
-cycle action in ``fsaction``.
+one classifier of cycle entries, read by the cycle action in ``fsaction``;
+the plain kernel counts the same roles in one pass (``_cycle_roles_counts``),
+and a test holds the two to each other on all of S_7.
 
 Enumeration order is lexicographic on the one-line word (colors as a
 secondary key), so golden outputs are stable.  Aggregation goes through a
@@ -279,17 +281,30 @@ def cycle_roles(cycle: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
-    """(cda, cdd, cpk) with the wraparound sentinel, plus cpk_inf."""
-    roles: list[str] = []
-    last_peaks = 0
+    """(cda, cdd, cpk) with the wraparound sentinel, plus cpk_inf: the counts
+    of ``cycle_roles``, in one pass over the entries."""
+    cda = cdd = cpk_inf = last_peaks = 0
     for cyc in cycles:
-        cyc_roles = cycle_roles(cyc)
-        roles += cyc_roles
-        # the +infinity sentinel keeps the last letter ascending, so only a
-        # wraparound peak in the last place is not an infinity peak
-        last_peaks += cyc_roles[-1] == ROLE_CPK
-    cpk = roles.count(ROLE_CPK)
-    return roles.count(ROLE_CDA), roles.count(ROLE_CDD), cpk, cpk - last_peaks
+        if len(cyc) == 1:
+            continue
+        prev, cur = cyc[0], cyc[1]
+        for nxt in cyc[2:]:
+            if prev < cur:
+                if cur < nxt:
+                    cda += 1
+                else:
+                    cpk_inf += 1
+            elif cur > nxt:
+                cdd += 1
+            prev, cur = cur, nxt
+        # the last entry is followed by the least one: a wraparound peak after
+        # an ascent, else a double descent; the +infinity sentinel keeps it
+        # ascending, so it is never an infinity peak
+        if prev < cur:
+            last_peaks += 1
+        else:
+            cdd += 1
+    return cda, cdd, cpk_inf + last_peaks, cpk_inf
 
 
 def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -549,6 +564,52 @@ def _plain_insertion_counts(n: int) -> Counter:
     return _unpack(packed, len(PLAIN_BASE), width)
 
 
+def _stirling_insertion_counts(n: int, k: int) -> Counter:
+    """Joint distribution of ``STIRLING_BASE`` over the k-Stirling
+    permutations of order n, by block insertion.
+
+    The k copies of the largest letter m are always adjacent, so each word of
+    order m comes from one word of order m - 1 by putting the block m^k into
+    one of its k(m - 1) + 1 gaps.  A letter's block counts (as a plateau, or
+    as the first block) only while its copies are adjacent and follow a
+    smaller letter or start the word.  The new block always counts: as a
+    plateau after any letter, as the first block in gap 0.  The block covering
+    the position right after the gap stops counting, since the gap either
+    splits it or puts m before it; no other block changes.  So each child's
+    key is its parent's plus the new block's share minus that block's.
+    """
+    if n <= 1:
+        return Counter({(0, n, n): 1})  # ap, lap, first_block_constant
+    width, units = _packing(len(STIRLING_BASE), n)
+    AP, LAP, FBC = units
+    plateau, first = AP + LAP, FBC + LAP
+    # share[v]: what letter v's block adds to the key, 0 when it does not count
+    share = [0] * (n + 1)
+    share[1] = first
+    packed: Counter = Counter()
+
+    def walk(m: int, word: list[int], key: int) -> None:
+        """Count the descendants of ``word`` (order m - 1) at order n."""
+        # gap g sits before word[g]; the last gap has no block after it
+        out = [plateau - share[v] for v in word]
+        out[0] += first - plateau
+        out.append(plateau)
+        if m == n:
+            packed.update(map(key.__add__, out))
+            return
+        block = [m] * k
+        for g, d in enumerate(out):
+            v = word[g] if g < len(word) else 0
+            kept = share[v]
+            share[v] = 0
+            share[m] = plateau if g else first
+            walk(m + 1, word[:g] + block + word[g:], key + d)
+            share[v] = kept
+
+    walk(2, [1] * k, first)
+    return _unpack(packed, len(STIRLING_BASE), width)
+
+
 def _gray_steps(n: int, r: int) -> list[tuple[int, int, int]]:
     """The reflected r-ary Gray code on n digits, from all zeros, as one
     (position, old digit, new digit) per step; position 0 moves fastest."""
@@ -708,8 +769,15 @@ def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
 def enumerate_class(
     kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> Iterator[tuple[PermObject, dict[str, int]]]:
-    """Stream (object, statistics) pairs in deterministic lexicographic order."""
+    """Stream (object, statistics) pairs in deterministic lexicographic order.
+
+    The size guard runs on the call, before the first pair is asked for.
+    """
     _check_guard(kind, n, r, k)
+    return _stream(kind, n, r, k)
+
+
+def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dict[str, int]]]:
     names, full = stat_names(kind), _derive(kind, n, r)
     if kind == "plain":
         for word in _plain_words(n):
@@ -737,10 +805,10 @@ def enumerate_class(
 def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, int]:
     """Joint distribution over the base stat tuple (unordered sum).
 
-    Plain, signed and colored classes are counted by the incremental walks
-    above, stirling classes by the per-object kernel.  The cached value is
-    shared by every caller in the process, so it is handed out as a read-only
-    view.
+    All four classes are counted by the incremental walks above: plain and
+    stirling classes by insertion, signed and colored ones by Gray-code walks.
+    The cached value is shared by every caller in the process, so it is
+    handed out as a read-only view.
     """
     if kind == "plain":
         dist = _plain_insertion_counts(n)
@@ -749,9 +817,7 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, in
     elif kind == "colored":
         dist = _colored_gray_counts(n, r)
     elif kind == "stirling":
-        dist = Counter()
-        for word in _stirling_words(n, k):
-            dist[stirling_base_stats(word, k)] += 1
+        dist = _stirling_insertion_counts(n, k)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return MappingProxyType(dist)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from excedance_lab import permstats
 from excedance_lab.cli import main
 from excedance_lab.multipoly import Context, poly_from_json
 
@@ -92,6 +94,35 @@ def test_enumerate_json(capsys):
     assert [row["word"] for row in rows] == ["1^0", "1^1", "1^2"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_writes_rows_as_they_arrive(monkeypatch, fmt):
+    # the CLI writes each row before it asks for the next object, and the
+    # JSON it writes row by row is the bytes of one json.dumps of the list
+    real = permstats.enumerate_class
+    out = io.StringIO()
+    written = []
+
+    def rows(kind, n, *, r, k):
+        for item in real(kind, n, r=r, k=k):
+            yield item
+            written.append(out.getvalue())
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(permstats, "enumerate_class", rows)
+    assert main(["enumerate", "--kind", "plain", "--n", "3", "--stats", "exc,cyc",
+                 "--format", fmt]) == 0
+    assert len(written) == 6
+    assert all(a and len(a) < len(b) for a, b in zip(written, written[1:]))
+    if fmt == "csv":
+        assert written[0] == "word,cycles,exc,cyc\n1 2 3,(1)(2)(3),0,3\n"
+    else:
+        assert out.getvalue() == json.dumps([
+            {"word": obj.word_string(), "cycles": obj.cycle_string(),
+             "stats": {"exc": stats["exc"], "cyc": stats["cyc"]}}
+            for obj, stats in real("plain", 3)
+        ]) + "\n"
+
+
 def test_enumerate_unknown_stat(capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "--kind", "plain", "--n", "2", "--stats", "bogus"
@@ -112,8 +143,9 @@ def test_enumerate_stats_naming_no_statistic_exit_2(capsys, stats):
 
 def test_enumerate_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "5")
-    code, _, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "4")
+    code, out, err = run_cli(capsys, "enumerate", "--kind", "plain", "--n", "4")
     assert code == 2
+    assert out == ""
     assert "exceeds guard" in err
 
 

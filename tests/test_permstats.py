@@ -1,16 +1,22 @@
+import itertools
 from collections import Counter
 
 import pytest
 
 from excedance_lab import permstats
+from excedance_lab.families import one_over_k_eulerian
 from excedance_lab.multipoly import Context
 from excedance_lab.permstats import (
+    ROLE_CDA,
+    ROLE_CDD,
+    ROLE_CPK,
     BadClassSize,
     BadGuard,
     PermObject,
     SizeExceeded,
     UnknownStat,
     class_size,
+    cycle_roles,
     enumerate_class,
     gen_poly,
     marginal,
@@ -175,6 +181,8 @@ def test_size_guard(ctx, monkeypatch):
         gen_poly(ctx, "plain", 4, {"exc": "x"})
     with pytest.raises(SizeExceeded):
         list(enumerate_class("plain", 4))
+    with pytest.raises(SizeExceeded):  # on the call, before any object is asked for
+        enumerate_class("plain", 4)
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "100")
     assert len(list(enumerate_class("plain", 4))) == 24
 
@@ -268,7 +276,9 @@ def test_distribution_hook_sees_every_cold_build(monkeypatch):
 
     # every walk runs inside a cold build, and every cold build passes the hook
     walks = []
-    for name in ("_plain_insertion_counts", "_signed_gray_counts", "_colored_gray_counts"):
+    names = ("_plain_insertion_counts", "_signed_gray_counts", "_colored_gray_counts",
+             "_stirling_insertion_counts")
+    for name in names:
         walk = getattr(permstats, name)
         monkeypatch.setattr(
             permstats, name,
@@ -293,7 +303,27 @@ def test_distribution_hook_sees_every_cold_build(monkeypatch):
         stat_distribution(kind, 3, **size)
     assert cold == ["plain", "signed", "colored", "stirling"]
     assert real.cache_info().misses == len(cold)
-    assert walks == ["_plain_insertion_counts", "_signed_gray_counts", "_colored_gray_counts"]
+    assert walks == list(names)
+
+
+def test_stirling_cache_reads_no_per_object_kernel(ctx, monkeypatch):
+    # the block-insertion walk reads word deltas only, so the stream's words
+    # and kernel stay an independent check on the cache
+    def refuse(*args):
+        raise AssertionError("a cold stirling build read the per-object route")
+
+    monkeypatch.setattr(permstats, "_stirling_words", refuse)
+    monkeypatch.setattr(permstats, "stirling_base_stats", refuse)
+    permstats._distribution_cached.cache_clear()
+    assert gen_poly(ctx, "stirling", 4, {"ap": "x", "lap": "y"}, k=3)
+    assert sum(marginal("stirling", 3, ("first_block_constant",), k=2).values()) == 15
+
+
+def test_stirling_walk_at_order_seven(ctx):
+    # past the oracles' reach: the walk against the 1/k-Eulerian recurrence
+    ap = gen_poly(ctx, "stirling", 7, {"ap": "x"}, k=2)
+    assert ap == one_over_k_eulerian(ctx, 7, 2)
+    assert sum(c.constant_term() for c in ap.coeffs_in("x")) == class_size("stirling", 7, k=2)
 
 
 @pytest.mark.parametrize(
@@ -308,6 +338,9 @@ def test_distribution_hook_sees_every_cold_build(monkeypatch):
         ("stirling", 2, 4, permstats.STIRLING_BASE),
         ("stirling", 3, 3, permstats.STIRLING_BASE),
         ("colored", 4, 4, permstats.COLORED_BASE),
+        # new reaches are appended, so the ids of the cases above stay stable
+        ("stirling", 1, 6, permstats.STIRLING_BASE),
+        ("stirling", 4, 3, permstats.STIRLING_BASE),
     ],
 )
 def test_joint_distributions_match_definition_oracles(kind, r_or_k, top, base):
@@ -423,6 +456,18 @@ def test_cycle_peak_conventions_differ_on_two_cycles():
     assert st["cpk_sec2"] == 1  # wraparound closes 1 < 2 > 1
     assert st["cpk_inf"] == 0  # the infinity sentinel keeps 2 ascending
     assert st["crun"] == 1
+
+
+def test_role_counts_match_the_classifier():
+    # the plain kernel's one-pass counter against fsaction's classifier,
+    # on every permutation of order 7
+    for word in itertools.permutations(range(1, 8)):
+        roles = [cycle_roles(cyc) for cyc in permstats._cycles_plain(word)]
+        flat = [role for cyc_roles in roles for role in cyc_roles]
+        cpk = flat.count(ROLE_CPK)
+        last_peaks = sum(cyc_roles[-1] == ROLE_CPK for cyc_roles in roles)
+        expected = (flat.count(ROLE_CDA), flat.count(ROLE_CDD), cpk, cpk - last_peaks)
+        assert permstats._cycle_roles_counts(permstats._cycles_plain(word)) == expected, word
 
 
 def test_crun_example():
