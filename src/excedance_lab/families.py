@@ -27,7 +27,7 @@ them; the runner shares plumbing only, never a formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .multipoly import Context, Poly, binomial
 from .shape import gamma_assemble
@@ -50,11 +50,11 @@ def springer(n: int) -> int:
     return SPRINGER[n]
 
 
-def q_bracket(ctx: Context, n: int, base: Union[str, int] = "p") -> Poly:
-    """[n]_base = 1 + base + ... + base^(n-1), with [0] = 0."""
+def q_bracket(ctx: Context, n: int, base: str = "p") -> Poly:
+    """[n]_base = 1 + base + ... + base^(n-1), with [0] = 0; ``base`` names a variable."""
     if n < 0:
         raise BadParams("bracket index must be nonnegative")
-    b = Poly(ctx, {((ctx._resolve(base), 1),): 1})
+    b = ctx.var(base)
     return ctx.sum(b**i for i in range(n))
 
 

@@ -3,7 +3,11 @@
 A grammar assigns to some variables a polynomial replacement rule; the
 induced derivative ``D_G`` is the linear operator with ``D_G(v) = G(v)``,
 ``D_G(c) = 0`` for constants and for variables without a rule, extended by
-the Leibniz rule ``D_G(uv) = D_G(u) v + u D_G(v)``.
+the Leibniz rule ``D_G(uv) = D_G(u) v + u D_G(v)``.  That derivation is
+
+    D_G = sum over ruled v of  G(v) * d/dv,
+
+so :meth:`Grammar.derive` is a sum of partial derivatives times rules.
 
 Rules here are restricted to polynomial right-hand sides, which covers every
 grammar used by the enclosing toolkit.  Symbolic parameters appearing inside
@@ -19,39 +23,27 @@ from .multipoly import Context, ParseError, Poly
 
 
 class Grammar:
-    """A substitution-rule map ``variable -> polynomial`` over one context."""
+    """A substitution-rule map ``variable name -> polynomial`` over one context."""
 
-    def __init__(self, ctx: Context, rules: Mapping[Union[str, int], Poly]):
+    def __init__(self, ctx: Context, rules: Mapping[str, Union[Poly, str]]):
         self.ctx = ctx
-        self.rules: dict[int, Poly] = {}
+        self.rules: dict[str, Poly] = {}
         for var, rhs in rules.items():
             if isinstance(rhs, str):
                 rhs = ctx.poly(rhs)
             if rhs.ctx is not ctx:
                 raise ValueError("rule right-hand side from a different context")
-            self.rules[ctx._resolve(var)] = rhs
+            ctx.varid(var)
+            self.rules[var] = rhs
 
     def derive(self, f: Union[Poly, str]) -> Poly:
-        """Apply ``D_G`` once.
+        """Apply ``D_G`` once: ``sum G(v) * df/dv`` over the ruled variables.
 
-        Each monomial contributes, for every ruled variable it contains,
-        ``exponent * rule(v) * monomial / v``.
+        ``f`` must come from the grammar's context (``ValueError`` otherwise).
         """
         if isinstance(f, str):
             f = self.ctx.poly(f)
-        ctx = self.ctx
-        pieces = []
-        for key, c in f.terms.items():
-            for i, (v, e) in enumerate(key):
-                rule = self.rules.get(v)
-                if rule is None:
-                    continue
-                if e == 1:
-                    rest = key[:i] + key[i + 1 :]
-                else:
-                    rest = key[:i] + ((v, e - 1),) + key[i + 1 :]
-                pieces.append(rule * Poly(ctx, {rest: c * e}))
-        return ctx.sum(pieces)
+        return self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
 
     def iterate(self, f: Union[Poly, str], n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""
@@ -64,11 +56,7 @@ class Grammar:
         return f
 
     def __repr__(self):
-        body = ", ".join(
-            f"{self.ctx.name(v)} -> {rhs}" for v, rhs in sorted(
-                self.rules.items(), key=lambda kv: self.ctx.name(kv[0])
-            )
-        )
+        body = ", ".join(f"{v} -> {rhs}" for v, rhs in sorted(self.rules.items()))
         return f"Grammar({body})"
 
 

@@ -1238,14 +1238,13 @@ def _run_fs(bounds, rng, ck):
 
 def _random_poly(ctx, rng, nvars=3, max_terms=4, max_exp=3, big=False):
     vars_ = ("x", "y", "z")[:nvars]
-    terms = []
+    rows = []
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.randint(-8, 8)
         if big and rng.random() < 0.3:
             coeff = rng.choice([-1, 1]) * (2**64 + rng.randint(0, 2**20))
-        exps = {v: rng.randint(0, max_exp) for v in vars_}
-        terms.append(ctx.monomial({v: e for v, e in exps.items() if e}, coeff))
-    return ctx.sum(terms)
+        rows.append(([rng.randint(0, max_exp) for _ in vars_], coeff))
+    return ctx.polynomial(vars_, rows)
 
 
 @_identity(

@@ -10,6 +10,11 @@ with no zero exponents, and coefficients are Python ints (or
 ``fractions.Fraction`` after rational evaluation; integral fractions are
 normalised back to int).  The zero polynomial has no terms.
 
+This module is the only reader and builder of monomial keys: other modules
+name variables as strings and build polynomials through the ``Context``
+constructors, with :meth:`Context.polynomial` as the bulk constructor for
+rows of exponents.
+
 Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  Sums of
 many polynomials go through :meth:`Context.sum`, which accumulates in place in
@@ -74,7 +79,7 @@ class Context:
         """Intern ``name`` and return its id."""
         vid = self._ids.get(name)
         if vid is None:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
                 raise ParseError(f"bad variable name {name!r}")
             vid = len(self._names)
             self._ids[name] = vid
@@ -86,9 +91,6 @@ class Context:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
-
-    def _resolve(self, var: Union[str, int]) -> int:
-        return self.varid(var) if isinstance(var, str) else var
 
     # -- constructors ---------------------------------------------------
 
@@ -104,11 +106,24 @@ class Context:
 
     def monomial(self, exponents: Mapping[str, int], coeff: Coeff = 1) -> "Poly":
         """Build ``coeff * prod(var^e)`` from a name->exponent mapping."""
-        key = tuple(sorted((self.varid(v), e) for v, e in exponents.items() if e))
-        if any(e < 0 for _, e in key):
-            raise ValueError("negative exponent")
-        coeff = _norm_coeff(coeff)
-        return Poly(self, {key: coeff} if coeff else {})
+        return self.polynomial(exponents, [(exponents.values(), coeff)])
+
+    def polynomial(self, names: Iterable[str], rows: Iterable[tuple[Iterable[int], Coeff]]) -> "Poly":
+        """``sum coeff * prod(name^e)`` over ``(exponents, coeff)`` rows whose
+        exponents align with ``names``, which are resolved once.  A repeated
+        name adds its exponents, equal monomials merge, zero terms drop."""
+        vids = [self.varid(v) for v in names]
+        out: dict[MonoKey, Coeff] = {}
+        for exponents, c in rows:
+            exps: dict[int, int] = {}
+            for vid, e in zip(vids, exponents):
+                if e < 0:
+                    raise ValueError("negative exponent")
+                if e:
+                    exps[vid] = exps.get(vid, 0) + e
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, 0) + c
+        return Poly(self, {key: _norm_coeff(c) for key, c in out.items() if c})
 
     def poly(self, text: str) -> "Poly":
         """Parse canonical (or any reasonable) polynomial text."""
@@ -237,9 +252,9 @@ class Poly:
         seen = {vid for key in self.terms for vid, _ in key}
         return tuple(sorted(self.ctx.name(v) for v in seen))
 
-    def degree(self, var: Union[str, int]) -> int:
+    def degree(self, var: str) -> int:
         """Degree in one variable (0 for the zero polynomial)."""
-        vid = self.ctx._resolve(var)
+        vid = self.ctx.varid(var)
         deg = 0
         for key in self.terms:
             for v, e in key:
@@ -259,29 +274,23 @@ class Poly:
 
     # -- calculus and substitution ---------------------------------------
 
-    def differentiate(self, var: Union[str, int]) -> "Poly":
+    def differentiate(self, var: str) -> "Poly":
         """Formal partial derivative (linear, satisfies the product rule)."""
-        vid = self.ctx._resolve(var)
+        vid = self.ctx.varid(var)
         out: dict[MonoKey, Coeff] = {}
         for key, c in self.terms.items():
             for i, (v, e) in enumerate(key):
                 if v == vid:
-                    if e == 1:
-                        newkey = key[:i] + key[i + 1 :]
-                    else:
-                        newkey = key[:i] + ((v, e - 1),) + key[i + 1 :]
-                    s = out.get(newkey, 0) + c * e
-                    if s:
-                        out[newkey] = s
-                    else:
-                        out.pop(newkey, None)
+                    # lowering one exponent is injective on keys: nothing merges
+                    lower = ((v, e - 1),) if e > 1 else ()
+                    out[key[:i] + lower + key[i + 1 :]] = _norm_coeff(c * e)
                     break
         return Poly(self.ctx, out)
 
     def substitute(self, bindings: Mapping) -> "Poly":
         """Simultaneous substitution of polynomials (or constants) for variables.
 
-        Unbound variables pass through.  Bindings may be keyed by name or id.
+        Unbound variables pass through.  Bindings are keyed by variable name.
         """
         ctx = self.ctx
         subs: dict[int, Poly] = {}
@@ -290,7 +299,7 @@ class Poly:
                 val = ctx.const(val if isinstance(val, (int, Fraction)) else as_fraction(val))
             elif val.ctx is not ctx:
                 raise ValueError("binding from a different context")
-            subs[ctx._resolve(var)] = val
+            subs[ctx.varid(var)] = val
         if not subs:
             return self
         powcache: dict[tuple[int, int], Poly] = {}
@@ -313,9 +322,9 @@ class Poly:
         """Evaluate some variables at exact rationals; the rest stay free."""
         return self.substitute({var: as_fraction(val) for var, val in point.items()})
 
-    def coeffs_in(self, var: Union[str, int]) -> list["Poly"]:
+    def coeffs_in(self, var: str) -> list["Poly"]:
         """Coefficient list [c_0, ..., c_d] with  f = sum c_i * var^i."""
-        vid = self.ctx._resolve(var)
+        vid = self.ctx.varid(var)
         buckets: dict[int, dict[MonoKey, Coeff]] = {}
         deg = 0
         for key, c in self.terms.items():
@@ -330,7 +339,7 @@ class Poly:
             buckets.setdefault(e, {})[rest] = c
         return [Poly(self.ctx, buckets.get(i, {})) for i in range(deg + 1)]
 
-    def reverse_in(self, var: Union[str, int], length: int) -> "Poly":
+    def reverse_in(self, var: str, length: int) -> "Poly":
         """Coefficient reversal  var^length * f(1/var)  as a polynomial.
 
         Requires length >= degree in ``var``.
@@ -338,7 +347,7 @@ class Poly:
         coeffs = self.coeffs_in(var)
         if length < len(coeffs) - 1:
             raise ValueError("length below the actual degree")
-        v = Poly(self.ctx, {((self.ctx._resolve(var), 1),): 1})
+        v = self.ctx.var(var)
         return self.ctx.sum(c * v ** (length - i) for i, c in enumerate(coeffs))
 
     # -- rendering --------------------------------------------------------

@@ -70,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional
 
 from .multipoly import Context, Poly
 
@@ -115,7 +115,7 @@ class UnknownStat(KeyError):
 
 
 class BadClassSize(ValueError):
-    """A class size parameter outside its domain: n < 0, colored r < 1, stirling k < 1."""
+    """A size parameter outside its domain: n < 0, r < 1 or k < 1, or r or k != 1 where unread."""
 
 
 class BadGuard(ValueError):
@@ -145,6 +145,10 @@ def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
         raise BadClassSize(f"colored classes need r >= 1, got {r}")
     if kind == "stirling" and k < 1:
         raise BadClassSize(f"stirling classes need k >= 1, got {k}")
+    if kind != "colored" and r != 1:
+        raise BadClassSize(f"{kind} classes read no r, got r={r}")
+    if kind != "stirling" and k != 1:
+        raise BadClassSize(f"{kind} classes read no k, got k={k}")
     fact = 1
     for i in range(2, n + 1):
         fact *= i
@@ -426,17 +430,25 @@ def _signed_words(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, .
             yield from _signed_words(n, prefix + (v,))
 
 
-def _stirling_words(n: int, k: int) -> list[tuple[int, ...]]:
-    words = [()]
-    for m in range(1, n + 1):
-        block = (m,) * k
-        words = [
-            w[:pos] + block + w[pos:]
-            for w in words
-            for pos in range(len(w) + 1)
-        ]
-    words.sort()
-    return words
+def _stirling_words(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-Stirling words of order n in lexicographic order, one at a time: the
+    next letter is at least every open (started, unfinished) letter, and only the
+    largest open letter may continue, so the open letters form a stack."""
+    left = [k] * (n + 1)  # copies of each letter still to place
+
+    def grow(prefix: tuple[int, ...], stack: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == n * k:
+            yield prefix
+            return
+        top = stack[-1] if stack else 0
+        for m in range(top or 1, n + 1):
+            if m == top or left[m] == k:
+                left[m] -= 1
+                rest = stack[:-1] if m == top else stack
+                yield from grow(prefix + (m,), rest + (m,) if left[m] else rest)
+                left[m] += 1
+
+    return grow((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +887,7 @@ def gen_poly(
     ctx: Context,
     kind: str,
     n: int,
-    weighting: Mapping[str, Union[str, int]],
+    weighting: Mapping[str, str],
     *,
     r: int = 1,
     k: int = 1,
@@ -883,24 +895,15 @@ def gen_poly(
 ) -> Poly:
     """Generating polynomial  sum over the class of  prod var^stat.
 
-    ``weighting`` maps statistic names to variables (names or ids); several
-    statistics may share a variable, in which case exponents add.  ``where``
-    filters on a fresh statistics dict per cell.
+    ``weighting`` maps statistic names to variable names; several statistics
+    may share a variable, in which case exponents add.  ``where`` filters on a
+    fresh statistics dict per cell.
     """
     indices, cells = _full_cells(kind, n, r, k, tuple(weighting))
-    vids = [ctx._resolve(v) for v in weighting.values()]
     if where is not None:
         names = stat_names(kind)
         cells = ((full, count) for full, count in cells if where(dict(zip(names, full))))
-    acc: dict = {}
-    for values, count in _project(indices, cells).items():
-        exps: dict[int, int] = {}
-        for vid, e in zip(vids, values):
-            if e:
-                exps[vid] = exps.get(vid, 0) + e
-        key = tuple(sorted(exps.items()))
-        acc[key] = acc.get(key, 0) + count
-    return Poly(ctx, acc)
+    return ctx.polynomial(weighting.values(), _project(indices, cells).items())
 
 
 def stirling_identities(ctx: Context, n: int, k: int, var: str = "x") -> tuple[Poly, Poly]:

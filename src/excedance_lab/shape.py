@@ -69,11 +69,11 @@ class CoeffSeq:
         return CoeffSeq(vals, m)
 
     @staticmethod
-    def from_poly(f: Poly, var: Union[str, int], m: int | None = None) -> "CoeffSeq":
+    def from_poly(f: Poly, var: str, m: int | None = None) -> "CoeffSeq":
         """Extract the coefficient sequence of a univariate polynomial."""
         coeffs = []
         for c in f.coeffs_in(var):
-            if set(c.terms) - {()}:
+            if c.variables():
                 raise ValueError("polynomial is not univariate in the chosen variable")
             coeffs.append(c.constant_term())
         return CoeffSeq.make(coeffs, m)
@@ -85,8 +85,7 @@ class CoeffSeq:
         return all(c == 0 for c in self.coeffs)
 
     def to_poly(self, ctx: Context, var: str = "x") -> Poly:
-        x = ctx.var(var)
-        return ctx.sum(c * x**i for i, c in enumerate(self.coeffs) if c)
+        return ctx.polynomial([var], (((i,), c) for i, c in enumerate(self.coeffs)))
 
 
 def _div_one_minus_x(coeffs: Sequence[Number]) -> list[Number]:

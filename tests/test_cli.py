@@ -247,6 +247,7 @@ def test_k_sym_on_a_k_family_is_symbolic(capsys):
         ("--kind", "colored", "--n", "2", "--r", "0"),
         ("--kind", "stirling", "--n", "2", "--k", "0"),
         ("--kind", "plain", "--n", "-1"),
+        ("--kind", "plain", "--n", "2", "--r", "5"),
     ],
 )
 def test_enumerate_bad_sizes_exit_2(capsys, argv):

@@ -92,3 +92,19 @@ def test_rules_from_other_context_rejected(ctx):
     other = Context()
     with pytest.raises(ValueError):
         Grammar(ctx, {"x": other.poly("x*y")})
+
+
+def test_derive_of_a_polynomial_from_other_context_rejected():
+    # the same names interned in another order must not be read by raw id
+    c1, c2 = Context(["x", "y"]), Context(["y", "x"])
+    g = Grammar(c1, {"x": "x*y"})
+    with pytest.raises(ValueError):
+        g.derive(c2.poly("y"))
+    with pytest.raises(ValueError):
+        g.derive(c2.poly("x"))
+
+
+def test_rules_are_keyed_by_name(ctx):
+    ctx.varid("x")
+    with pytest.raises(ParseError):
+        Grammar(ctx, {0: "x*y"})

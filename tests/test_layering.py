@@ -3,6 +3,9 @@
 ``multipoly``, ``grammar``, ``shape`` and ``families`` (the algebra, grammar
 and recurrence routes) never reach the enumeration side, and ``permstats``
 (the enumeration route) never reaches the other routes or the registry.
+
+``multipoly`` alone knows the monomial-key format: no other module reads
+``.terms``, builds a ``Poly`` from raw terms or resolves raw variable ids.
 """
 
 import ast
@@ -57,3 +60,33 @@ def test_the_import_parser_finds_known_imports():
         package_imports("identities")
     )
     assert "permstats" in package_imports("fsaction")
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def key_format_uses(source: str) -> set[str]:
+    """The reads of ``.terms`` and the calls of ``Poly`` or ``._resolve`` in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "terms":
+            found.add(f"line {node.lineno}: .terms")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("Poly", "_resolve"):
+                found.add(f"line {node.lineno}: {name}(...)")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "multipoly"])
+def test_only_multipoly_reads_monomial_keys(module):
+    assert key_format_uses((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
+def test_the_key_format_finder_finds_each_use():
+    # guards the test above against passing because it finds nothing
+    source = "f.terms\nPoly(ctx, {})\nmultipoly.Poly(ctx, {})\nctx._resolve(0)\nf.to_text()\n"
+    assert key_format_uses(source) == {
+        "line 1: .terms", "line 2: Poly(...)", "line 3: Poly(...)", "line 4: _resolve(...)",
+    }

@@ -54,6 +54,9 @@ def test_differentiate_basics(ctx):
     assert ctx.poly("x^2*y").differentiate("x") == ctx.poly("2*x*y")
     assert ctx.const(17).differentiate("x") == ctx.zero()
     assert ctx.poly("5*y").differentiate("x").is_zero()
+    # integral fractions come back as int, as everywhere in the module
+    d = ctx.poly("x^2/2").differentiate("x")
+    assert d == ctx.var("x") and type(d.coeffs_in("x")[1].constant_term()) is int
 
 
 def test_differentiate_recurrence_step(ctx):
@@ -255,6 +258,22 @@ def test_sum_of_nothing_is_zero(ctx):
 def test_sum_rejects_a_foreign_context(ctx):
     with pytest.raises(ValueError):
         ctx.sum([ctx.var("x"), Context().var("x")])
+
+
+def test_polynomial_from_rows(ctx):
+    # a repeated name adds its exponents, equal monomials merge, zeros drop
+    rows = [
+        ((1, 0, 1), 2), ((2, 0, 0), 3), ((0, 1, 0), 0),
+        ((0, 0, 0), Fraction(4, 2)), ((0, 2, 0), 1), ((0, 2, 0), -1),
+    ]
+    f = ctx.polynomial(["x", "y", "x"], rows)
+    assert f == ctx.poly("5*x^2 + 2")
+    assert type(f.constant_term()) is int
+    assert ctx.polynomial([], []).is_zero()
+    with pytest.raises(ValueError):
+        ctx.polynomial(["x"], [((-1,), 1)])
+    with pytest.raises(ParseError):
+        ctx.polynomial([0], [((1,), 1)])
 
 
 # -- property tests ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -56,6 +57,11 @@ def test_class_sizes():
         ("colored", 2, {"r": 0}),
         ("colored", -1, {"r": 2}),
         ("stirling", 2, {"k": 0}),
+        # a parameter the class does not read is refused, not ignored
+        ("plain", 2, {"r": 5}),
+        ("signed", 2, {"k": 0}),
+        ("stirling", 2, {"k": 2, "r": 2}),
+        ("colored", 2, {"r": 2, "k": 3}),
     ],
 )
 def test_bad_class_sizes_raise(ctx, kind, n, kwargs):
@@ -319,6 +325,17 @@ def test_stirling_cache_reads_no_per_object_kernel(ctx, monkeypatch):
     assert sum(marginal("stirling", 3, ("first_block_constant",), k=2).values()) == 15
 
 
+def test_stirling_stream_yields_before_building_the_class():
+    tracemalloc.start()
+    try:
+        obj, stats = next(enumerate_class("stirling", 7, k=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obj.word == (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7) and stats["ap"] == 6
+    assert peak < 1 << 20  # the class's 135,135 words take about 22 MiB
+
+
 def test_stirling_walk_at_order_seven(ctx):
     # past the oracles' reach: the walk against the 1/k-Eulerian recurrence
     ap = gen_poly(ctx, "stirling", 7, {"ap": "x"}, k=2)
@@ -500,6 +517,16 @@ def test_stirling_words_are_valid_and_sorted():
         for v in set(word):
             first, last = word.index(v), len(word) - 1 - word[::-1].index(v)
             assert all(word[i] >= v for i in range(first, last + 1))
+
+    # the lazy generator against the sorted list of every word, built by block insertion
+    def sorted_by_insertion(n, k):
+        words = [()]
+        for m in range(1, n + 1):
+            words = [w[:pos] + (m,) * k + w[pos:] for w in words for pos in range(len(w) + 1)]
+        return sorted(words)
+
+    for n, k in itertools.product(range(6), range(1, 5)):
+        assert list(permstats._stirling_words(n, k)) == sorted_by_insertion(n, k), (n, k)
 
 
 def test_plain_derived_stats(ctx):
