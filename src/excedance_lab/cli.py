@@ -16,7 +16,7 @@ import sys
 
 from . import families, fsaction, identities, permstats
 from .grammar import parse_rules
-from .multipoly import Context, ParseError, as_fraction
+from .multipoly import Context, ExponentOverflow, ParseError, as_fraction
 from .shape import BadLength, CoeffSeq, shape_report
 
 
@@ -342,6 +342,7 @@ def main(argv=None) -> int:
         permstats.UnknownStat,
         fsaction.ValueAbsent,
         ParseError,
+        ExponentOverflow,
         BadLength,
         OSError,
         identities.BadOverride,

@@ -5,15 +5,23 @@ variable names and small integer ids.  Terms are stored sparsely as
 
     monomial key -> coefficient
 
-where a monomial key is a tuple of ``(var_id, exponent)`` pairs sorted by id,
-with no zero exponents, and coefficients are Python ints (or
-``fractions.Fraction`` after rational evaluation; integral fractions are
-normalised back to int).  The zero polynomial has no terms.
+where a monomial key is one packed int: the exponent of variable id ``v``
+sits in bits ``20*v`` to ``20*v + 19`` (``Context.FIELD = 20``), so the
+constant monomial is key 0 and the key of a product is the sum of the keys.
+The top bit of each field is a guard bit.  Stored exponents stay below
+``2**19``, so adding two keys never carries into the next field, and a
+product or bulk build whose keys would set a guard bit raises
+:class:`ExponentOverflow`; an exponent never wraps.  Coefficients are Python
+ints (or ``fractions.Fraction`` after rational evaluation; integral fractions
+are normalised back to int).  The zero polynomial has no terms.
 
 This module is the only reader and builder of monomial keys: other modules
 name variables as strings and build polynomials through the ``Context``
 constructors, with :meth:`Context.polynomial` as the bulk constructor for
-rows of exponents.
+rows of exponents.  :attr:`Poly.terms` is the boundary for code outside the
+package that reads keys: a read-only, live view of the store whose keys are
+tuples of ``(var_id, exponent)`` pairs sorted by id, with no zero exponents.
+``Poly(ctx, terms)`` packs a mapping in that form.
 
 Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  Sums of
@@ -30,8 +38,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import reduce
+from operator import or_
+from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
 MonoKey = tuple[tuple[int, int], ...]
@@ -39,6 +50,10 @@ MonoKey = tuple[tuple[int, int], ...]
 
 class ParseError(ValueError):
     """Raised for malformed polynomial or rational text."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when an exponent reaches its monomial field's guard bit."""
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -66,12 +81,19 @@ class Context:
 
     Ids are assigned in order of first use.  Term ordering and printing go
     through names, so two contexts that intern the same names in different
-    orders still render and compare polynomials identically.
+    orders still render and compare polynomials identically.  The context
+    also owns the key layout: ``FIELD`` bits per variable, and a guard mask
+    with the top bit of every interned variable's field.
     """
+
+    FIELD = 20
+    _MASK = (1 << FIELD) - 1
+    _LIMIT = 1 << (FIELD - 1)  # exponents stay below the guard bit
 
     def __init__(self, names: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
+        self._guard = 0
         for name in names:
             self.varid(name)
 
@@ -84,6 +106,7 @@ class Context:
             vid = len(self._names)
             self._ids[name] = vid
             self._names.append(name)
+            self._guard |= self._LIMIT << (self.FIELD * vid)
         return vid
 
     def name(self, vid: int) -> str:
@@ -92,17 +115,63 @@ class Context:
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
 
+    # -- monomial keys ----------------------------------------------------
+
+    def _shift(self, name: str) -> int:
+        """Bit offset of ``name``'s exponent field."""
+        return self.FIELD * self.varid(name)
+
+    def _bad_exponent(self, vid: int, e: int) -> ValueError:
+        if e < 0:
+            return ValueError("negative exponent")
+        return ExponentOverflow(
+            f"exponent {e} of {self._names[vid]} exceeds {self._LIMIT - 1}"
+        )
+
+    def _check(self, keys: Iterable[int]) -> None:
+        """Raise :class:`ExponentOverflow` if any of ``keys`` sets a guard bit."""
+        hit = reduce(or_, keys, 0) & self._guard
+        if hit:
+            vid = (hit.bit_length() - 1) // self.FIELD
+            raise ExponentOverflow(
+                f"exponent of {self._names[vid]} exceeds {self._LIMIT - 1}"
+            )
+
+    def _pack(self, key: MonoKey) -> int:
+        """Packed form of a tuple key (pairs sorted by interned id)."""
+        packed, last = 0, -1
+        for vid, e in key:
+            if not last < vid < len(self._names):
+                raise ValueError(f"bad monomial key {key!r}")
+            if e >> (self.FIELD - 1):
+                raise self._bad_exponent(vid, e)
+            packed += e << (self.FIELD * vid)
+            last = vid
+        return packed
+
+    def _unpack(self, key: int) -> MonoKey:
+        """Tuple form of a packed key: ``(var_id, exponent)`` pairs, zeros left out."""
+        out = []
+        vid = 0
+        while key:
+            e = key & self._MASK
+            if e:
+                out.append((vid, e))
+            key >>= self.FIELD
+            vid += 1
+        return tuple(out)
+
     # -- constructors ---------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._of(self, {})
 
     def const(self, c: Coeff) -> "Poly":
         c = _norm_coeff(c)
-        return Poly(self, {(): c} if c else {})
+        return Poly._of(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
-        return Poly(self, {((self.varid(name), 1),): 1})
+        return Poly._of(self, {1 << self._shift(name): 1})
 
     def monomial(self, exponents: Mapping[str, int], coeff: Coeff = 1) -> "Poly":
         """Build ``coeff * prod(var^e)`` from a name->exponent mapping."""
@@ -113,17 +182,31 @@ class Context:
         exponents align with ``names``, which are resolved once.  A repeated
         name adds its exponents, equal monomials merge, zero terms drop."""
         vids = [self.varid(v) for v in names]
-        out: dict[MonoKey, Coeff] = {}
+        if len(set(vids)) < len(vids):
+            rows = self._fold_repeats(vids, rows)
+            vids = list(dict.fromkeys(vids))
+        shifts = [self.FIELD * vid for vid in vids]
+        guard_bit = self.FIELD - 1
+        out: dict[int, Coeff] = {}
         for exponents, c in rows:
-            exps: dict[int, int] = {}
+            key = 0
+            for s, e in zip(shifts, exponents):
+                if e >> guard_bit:  # negative, or at the guard bit
+                    raise self._bad_exponent(s // self.FIELD, e)
+                key += e << s
+            out[key] = out.get(key, 0) + c
+        return Poly._of(self, _normalised(out))
+
+    @staticmethod
+    def _fold_repeats(vids: list[int], rows):
+        """Rows with a repeated id's exponents added, in first-seen id order."""
+        for exponents, c in rows:
+            total = dict.fromkeys(vids, 0)
             for vid, e in zip(vids, exponents):
                 if e < 0:
                     raise ValueError("negative exponent")
-                if e:
-                    exps[vid] = exps.get(vid, 0) + e
-            key = tuple(sorted(exps.items()))
-            out[key] = out.get(key, 0) + c
-        return Poly(self, {key: _norm_coeff(c) for key, c in out.items() if c})
+                total[vid] += e
+            yield total.values(), c
 
     def poly(self, text: str) -> "Poly":
         """Parse canonical (or any reasonable) polynomial text."""
@@ -136,30 +219,78 @@ class Context:
         integral fractions normalised to int), without copying the running
         total at every step.  The inputs are never mutated.
         """
-        out: dict[MonoKey, Coeff] = {}
+        out: dict[int, Coeff] = {}
         for p in polys:
             if p.ctx is not self:
                 raise ValueError("polynomials from different contexts")
             if not out:
-                out.update(p.terms)
+                out.update(p._t)
                 continue
-            for key, c in p.terms.items():
+            for key, c in p._t.items():
                 s = out.get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Poly(self, {key: _norm_coeff(c) for key, c in out.items()})
+        return Poly._of(self, _normalised(out))
+
+
+def _normalised(out: dict[int, Coeff]) -> dict[int, Coeff]:
+    """``out`` without zero coefficients and with integral fractions as int."""
+    return {key: c if type(c) is int else _norm_coeff(c) for key, c in out.items() if c}
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's store with tuple keys."""
+
+    __slots__ = ("_ctx", "_t")
+
+    def __init__(self, ctx: Context, store: dict[int, Coeff]):
+        self._ctx = ctx
+        self._t = store
+
+    def __len__(self):
+        return len(self._t)
+
+    def __iter__(self):
+        return map(self._ctx._unpack, self._t)
+
+    def __getitem__(self, key):
+        try:
+            packed = self._ctx._pack(key)
+            if self._ctx._unpack(packed) == key:  # canonical: no zero exponents
+                return self._t[packed]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(key)
 
 
 class Poly:
     """Immutable sparse polynomial with exact coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_t")
 
-    def __init__(self, ctx: Context, terms: dict[MonoKey, Coeff]):
+    def __init__(self, ctx: Context, terms: Mapping[MonoKey, Coeff]):
+        """Pack ``terms``, keyed by tuples as :attr:`terms` shows them."""
+        out: dict[int, Coeff] = {}
+        for key, c in terms.items():
+            packed = ctx._pack(key)
+            out[packed] = out.get(packed, 0) + c
         self.ctx = ctx
-        self.terms = terms
+        self._t = _normalised(out)
+
+    @classmethod
+    def _of(cls, ctx: Context, store: dict[int, Coeff]) -> "Poly":
+        """A polynomial that owns ``store``: packed keys, canonical coefficients."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p._t = store
+        return p
+
+    @property
+    def terms(self) -> Mapping[MonoKey, Coeff]:
+        """Read-only, live view of the terms with tuple keys (see module doc)."""
+        return _Terms(self.ctx, self._t)
 
     # -- ring structure -------------------------------------------------
 
@@ -176,19 +307,19 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        out = dict(self._t)
+        for key, c in other._t.items():
             s = out.get(key, 0) + c
             if s:
-                out[key] = _norm_coeff(s)
+                out[key] = s if type(s) is int else _norm_coeff(s)
             else:
                 out.pop(key, None)
-        return Poly(self.ctx, out)
+        return Poly._of(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {k: -c for k, c in self.terms.items()})
+        return Poly._of(self.ctx, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -203,16 +334,14 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[MonoKey, Coeff] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _mono_mul(ka, kb)
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly(self.ctx, {k: _norm_coeff(c) for k, c in out.items()})
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for ka, ca in self._t.items():
+            for kb, cb in other._t.items():
+                key = ka + kb  # a product key is the sum of the factors' keys
+                out[key] = get(key, 0) + ca * cb
+        self.ctx._check(out)
+        return Poly._of(self.ctx, _normalised(out))
 
     __rmul__ = __mul__
 
@@ -234,58 +363,56 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         if other.ctx is self.ctx:
-            return self.terms == other.terms
+            return self._t == other._t
         return self._named_terms() == other._named_terms()
 
     def __hash__(self):
         return hash(frozenset(self._named_terms().items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def variables(self) -> tuple[str, ...]:
-        seen = {vid for key in self.terms for vid, _ in key}
-        return tuple(sorted(self.ctx.name(v) for v in seen))
+        seen = reduce(or_, self._t, 0)
+        ctx = self.ctx
+        return tuple(sorted(
+            name for vid, name in enumerate(ctx._names)
+            if (seen >> (ctx.FIELD * vid)) & ctx._MASK
+        ))
 
     def degree(self, var: str) -> int:
         """Degree in one variable (0 for the zero polynomial)."""
-        vid = self.ctx.varid(var)
-        deg = 0
-        for key in self.terms:
-            for v, e in key:
-                if v == vid:
-                    deg = max(deg, e)
-        return deg
+        s, mask = self.ctx._shift(var), Context._MASK
+        return max(((key >> s) & mask for key in self._t), default=0)
 
     def constant_term(self) -> Coeff:
-        return self.terms.get((), 0)
+        return self._t.get(0, 0)
 
     def _named_terms(self) -> dict[tuple[tuple[str, int], ...], Coeff]:
-        name = self.ctx.name
+        unpack, name = self.ctx._unpack, self.ctx.name
         return {
-            tuple(sorted((name(v), e) for v, e in key)): c
-            for key, c in self.terms.items()
+            tuple(sorted((name(v), e) for v, e in unpack(key))): c
+            for key, c in self._t.items()
         }
 
     # -- calculus and substitution ---------------------------------------
 
     def differentiate(self, var: str) -> "Poly":
         """Formal partial derivative (linear, satisfies the product rule)."""
-        vid = self.ctx.varid(var)
-        out: dict[MonoKey, Coeff] = {}
-        for key, c in self.terms.items():
-            for i, (v, e) in enumerate(key):
-                if v == vid:
-                    # lowering one exponent is injective on keys: nothing merges
-                    lower = ((v, e - 1),) if e > 1 else ()
-                    out[key[:i] + lower + key[i + 1 :]] = _norm_coeff(c * e)
-                    break
-        return Poly(self.ctx, out)
+        s, mask = self.ctx._shift(var), Context._MASK
+        one = 1 << s
+        out: dict[int, Coeff] = {}
+        for key, c in self._t.items():
+            e = (key >> s) & mask
+            if e:
+                # lowering one exponent is injective on keys: nothing merges
+                out[key - one] = c * e if type(c) is int else _norm_coeff(c * e)
+        return Poly._of(self.ctx, out)
 
     def substitute(self, bindings: Mapping) -> "Poly":
         """Simultaneous substitution of polynomials (or constants) for variables.
@@ -302,21 +429,26 @@ class Poly:
             subs[ctx.varid(var)] = val
         if not subs:
             return self
+        mask = Context._MASK
+        # the bound variables are multiplied in in id order
+        bound = [(vid, ctx.FIELD * vid, subs[vid]) for vid in sorted(subs)]
+        free = ~sum(mask << s for _, s, _ in bound)
         powcache: dict[tuple[int, int], Poly] = {}
 
-        def image(key: MonoKey, c: Coeff) -> Poly:
-            # the unbound part stays one monomial (a subsequence of a sorted key)
-            piece = Poly(ctx, {tuple(ve for ve in key if ve[0] not in subs): c})
-            for v, e in key:
-                if v in subs:
-                    pw = powcache.get((v, e))
+        def image(key: int, c: Coeff) -> Poly:
+            # the unbound fields stay one monomial
+            piece = Poly._of(ctx, {key & free: c})
+            for vid, s, val in bound:
+                e = (key >> s) & mask
+                if e:
+                    pw = powcache.get((vid, e))
                     if pw is None:
-                        pw = subs[v] ** e
-                        powcache[(v, e)] = pw
+                        pw = val**e
+                        powcache[(vid, e)] = pw
                     piece = piece * pw
             return piece
 
-        return ctx.sum(image(key, c) for key, c in self.terms.items())
+        return ctx.sum(image(key, c) for key, c in self._t.items())
 
     def eval_rational(self, point: Mapping) -> "Poly":
         """Evaluate some variables at exact rationals; the rest stay free."""
@@ -324,20 +456,13 @@ class Poly:
 
     def coeffs_in(self, var: str) -> list["Poly"]:
         """Coefficient list [c_0, ..., c_d] with  f = sum c_i * var^i."""
-        vid = self.ctx.varid(var)
-        buckets: dict[int, dict[MonoKey, Coeff]] = {}
-        deg = 0
-        for key, c in self.terms.items():
-            e = 0
-            rest = key
-            for i, (v, ee) in enumerate(key):
-                if v == vid:
-                    e = ee
-                    rest = key[:i] + key[i + 1 :]
-                    break
-            deg = max(deg, e)
-            buckets.setdefault(e, {})[rest] = c
-        return [Poly(self.ctx, buckets.get(i, {})) for i in range(deg + 1)]
+        s, mask = self.ctx._shift(var), Context._MASK
+        buckets: dict[int, dict[int, Coeff]] = {}
+        for key, c in self._t.items():
+            e = (key >> s) & mask
+            buckets.setdefault(e, {})[key - (e << s)] = c
+        deg = max(buckets, default=0)
+        return [Poly._of(self.ctx, buckets.get(i, {})) for i in range(deg + 1)]
 
     def reverse_in(self, var: str, length: int) -> "Poly":
         """Coefficient reversal  var^length * f(1/var)  as a polynomial.
@@ -357,7 +482,7 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text form, parseable back by :meth:`Context.poly`."""
-        if not self.terms:
+        if not self._t:
             return "0"
         pieces = []
         for named, c in self._sorted_named():
@@ -401,17 +526,6 @@ def poly_from_json(ctx: Context, data) -> Poly:
     return ctx.sum(
         ctx.monomial(term["exponents"], as_fraction(term["coeff"])) for term in data
     )
-
-
-def _mono_mul(a: MonoKey, b: MonoKey) -> MonoKey:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 # -- parser ---------------------------------------------------------------
@@ -472,9 +586,9 @@ class _Parser:
                 result = result * rhs
             else:
                 # exact division is only supported for nonzero rational literals
-                if not rhs.terms:
+                if not rhs._t:
                     raise ParseError("division by zero")
-                if set(rhs.terms) != {()}:
+                if rhs._t.keys() != {0}:
                     raise ParseError("division by a non-constant")
                 result = result * self.ctx.const(Fraction(1, 1) / Fraction(rhs.constant_term()))
         return result
@@ -488,7 +602,7 @@ class _Parser:
                 inner = self.expr()
                 if self.take() != ")":
                     raise ParseError("unclosed exponent parenthesis")
-                if set(inner.terms) - {()} or not isinstance(inner.constant_term(), int):
+                if inner._t.keys() - {0} or not isinstance(inner.constant_term(), int):
                     raise ParseError("exponent must be an integer literal")
                 e = inner.constant_term()
             elif tok is not None and tok.isdigit():

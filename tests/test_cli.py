@@ -20,6 +20,18 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so an escaped exception shows as a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "excedance_lab.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_family_text(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "A_pq", "--n", "2")
     assert code == 0
@@ -175,15 +187,7 @@ def test_malformed_guard_exits_2(capsys, monkeypatch, value):
 def test_malformed_arguments_exit_2_without_traceback(tmp_path, argv):
     rules = tmp_path / "rules.txt"
     rules.write_text("x -> x*y\n")
-    argv = [str(rules) if arg == "RULES" else arg for arg in argv]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "excedance_lab.cli", *argv], env=env,
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli_process(*[str(rules) if arg == "RULES" else arg for arg in argv])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -200,6 +204,19 @@ def test_rules_file_not_utf8_exits_2(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert str(rules) in err and "UTF-8" in err
+
+
+def test_exponent_past_the_field_width_exits_2(tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("x -> x*y\n")
+    proc = run_cli_process(
+        "grammar", "derive", "--rules", str(rules), "--seed", "x^524288", "--n", "1"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "exponent of x exceeds 524287" in proc.stderr
 
 
 @pytest.mark.parametrize(

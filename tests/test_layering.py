@@ -5,7 +5,8 @@ and recurrence routes) never reach the enumeration side, and ``permstats``
 (the enumeration route) never reaches the other routes or the registry.
 
 ``multipoly`` alone knows the monomial-key format: no other module reads
-``.terms``, builds a ``Poly`` from raw terms or resolves raw variable ids.
+``.terms`` or the packed store ``._t``, builds a ``Poly`` from raw terms or
+through ``._of``, packs or unpacks keys, or resolves raw variable ids.
 """
 
 import ast
@@ -65,12 +66,15 @@ def test_the_import_parser_finds_known_imports():
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
+KEY_ATTRIBUTES = ("terms", "_t", "_of", "_pack", "_unpack")
+
+
 def key_format_uses(source: str) -> set[str]:
-    """The reads of ``.terms`` and the calls of ``Poly`` or ``._resolve`` in ``source``."""
+    """The uses of ``KEY_ATTRIBUTES`` and the calls of ``Poly`` or ``._resolve`` in ``source``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "terms":
-            found.add(f"line {node.lineno}: .terms")
+        if isinstance(node, ast.Attribute) and node.attr in KEY_ATTRIBUTES:
+            found.add(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -86,7 +90,11 @@ def test_only_multipoly_reads_monomial_keys(module):
 
 def test_the_key_format_finder_finds_each_use():
     # guards the test above against passing because it finds nothing
-    source = "f.terms\nPoly(ctx, {})\nmultipoly.Poly(ctx, {})\nctx._resolve(0)\nf.to_text()\n"
+    source = (
+        "f.terms\nPoly(ctx, {})\nmultipoly.Poly(ctx, {})\nctx._resolve(0)\nf.to_text()\n"
+        "f._t\nPoly._of(ctx, {})\nctx._pack(key)\nctx._unpack(0)\n"
+    )
     assert key_format_uses(source) == {
         "line 1: .terms", "line 2: Poly(...)", "line 3: Poly(...)", "line 4: _resolve(...)",
+        "line 6: ._t", "line 7: ._of", "line 8: ._pack", "line 9: ._unpack",
     }

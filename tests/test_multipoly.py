@@ -1,15 +1,21 @@
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from excedance_lab.multipoly import (
     Context,
+    ExponentOverflow,
     ParseError,
+    Poly,
     as_fraction,
     binomial,
     horner_eval,
@@ -274,6 +280,143 @@ def test_polynomial_from_rows(ctx):
         ctx.polynomial(["x"], [((-1,), 1)])
     with pytest.raises(ParseError):
         ctx.polynomial([0], [((1,), 1)])
+
+
+# -- packed keys -------------------------------------------------------------
+
+LIMIT = 1 << 19  # exponents stay below each field's guard bit
+
+
+def test_exponent_past_the_field_width_raises(ctx):
+    x = ctx.var("x")
+    with pytest.raises(ExponentOverflow):
+        x ** LIMIT
+    with pytest.raises(ExponentOverflow):
+        ctx.poly("x^524288")
+    with pytest.raises(ExponentOverflow):
+        ctx.polynomial(["x"], [((LIMIT,), 1)])
+    with pytest.raises(ExponentOverflow):
+        ctx.polynomial(["x", "x", "x"], [((LIMIT - 1, LIMIT - 1, LIMIT - 1), 1)])
+    with pytest.raises(ExponentOverflow):
+        Poly(ctx, {((ctx.varid("x"), LIMIT),): 1})
+    half = x ** (1 << 18)
+    with pytest.raises(ExponentOverflow):
+        half * half
+    # the guard covers every interned variable's field, not only the first
+    with pytest.raises(ExponentOverflow):
+        ctx.var("y") ** LIMIT
+
+
+def test_largest_exponent_works(ctx):
+    x, y = ctx.var("x"), ctx.var("y")
+    top = x ** (LIMIT - 1)
+    assert top.degree("x") == LIMIT - 1 and top.to_text() == f"x^{LIMIT - 1}"
+    assert ctx.poly(top.to_text()) == top
+    z = ctx.var("z")
+    f = top * y ** (LIMIT - 1) * (1 + z)
+    assert f.degree("x") == f.degree("y") == LIMIT - 1 and f.degree("z") == 1
+    assert f.differentiate("y") == (LIMIT - 1) * top * y ** (LIMIT - 2) * (1 + z)
+    with pytest.raises(ExponentOverflow):
+        top * x
+
+
+def test_overflow_raises_under_python_O():
+    code = (
+        "import sys\n"
+        "from excedance_lab.multipoly import Context, ExponentOverflow\n"
+        "x = Context().var('x')\n"
+        "try:\n"
+        "    x ** (1 << 19)\n"
+        "except ExponentOverflow:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "raised 1\n", proc.stderr
+
+
+def test_terms_is_a_read_only_tuple_keyed_view(ctx):
+    x, y = ctx.varid("x"), ctx.varid("y")
+    terms = {((x, 2),): 3, ((x, 1), (y, 4)): -1, (): 5}
+    f = Poly(ctx, terms)
+    assert f == ctx.poly("3*x^2 - x*y^4 + 5")
+    assert f.terms == terms and terms == f.terms
+    assert Poly(ctx, {((x, 2),): 3}).terms == {((x, 2),): 3}
+    assert len(f.terms) == 3
+    assert dict(f.terms.items()) == terms and sorted(f.terms) == sorted(terms)
+    assert sorted(f.terms.values()) == [-1, 3, 5]
+    assert f.terms[((x, 2),)] == 3 and f.terms.get(()) == 5
+    for absent in (((x, 3),), ((x, 2), (y, 0)), ((y, 4), (x, 1)), "x", 7):
+        assert absent not in f.terms
+    assert not hasattr(f.terms, "__setitem__")
+    with pytest.raises(TypeError):
+        f.terms[()] = 1
+    # equal tuple keys merge, zero terms drop
+    assert Poly(ctx, {((x, 1),): 2, ((x, 1), (y, 0)): -2, (): 0}).terms == {}
+    for bad in ({((y, 1), (x, 1)): 1}, {((x, 1), (x, 1)): 1}, {((9, 1),): 1}):
+        with pytest.raises(ValueError):
+            Poly(ctx, bad)
+    with pytest.raises(ValueError):
+        Poly(ctx, {((x, -1),): 1})
+
+
+# a tuple-keyed reference, independent of the packed layout: a monomial is a
+# sorted tuple of (name, exponent) pairs, and each term pair merges exponents
+def _ref(pairs):
+    out = {}
+    for exps, c in pairs:
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_json(terms):
+    return [{"exponents": dict(key), "coeff": str(c)} for key, c in sorted(terms.items())]
+
+
+_NAMES = ("a", "b", "c", "d", "e")
+_big_exps = st.integers(min_value=0, max_value=(1 << 18) - 1)
+_rows = st.lists(
+    st.tuples(st.tuples(*[_big_exps] * len(_NAMES)), st.integers(-5, 5)), max_size=6
+)
+
+
+# coeffs_in returns a dense list of up to 2**18 coefficients per example
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(_NAMES), _rows, _rows, st.sampled_from(_NAMES))
+def test_packed_keys_agree_with_a_tuple_keyed_reference(order, rows_f, rows_g, var):
+    ctx = Context(order)  # interned in a shuffled order
+    f, g = ctx.polynomial(_NAMES, rows_f), ctx.polynomial(_NAMES, rows_g)
+    ref_f = _ref((dict(zip(_NAMES, exps)), c) for exps, c in rows_f)
+    ref_g = _ref((dict(zip(_NAMES, exps)), c) for exps, c in rows_g)
+    assert f.to_json_obj() == _ref_json(ref_f)
+    product = _ref(
+        ({v: dict(ka).get(v, 0) + dict(kb).get(v, 0) for v in _NAMES}, ca * cb)
+        for ka, ca in ref_f.items() for kb, cb in ref_g.items()
+    )
+    assert (f * g).to_json_obj() == _ref_json(product)
+    derivative = _ref(
+        ({**dict(key), var: dict(key)[var] - 1}, c * dict(key)[var])
+        for key, c in ref_f.items() if var in dict(key)
+    )
+    assert f.differentiate(var).to_json_obj() == _ref_json(derivative)
+    at_minus_one = _ref(
+        ({**dict(key), var: 0}, c * (-1) ** dict(key).get(var, 0)) for key, c in ref_f.items()
+    )
+    assert f.substitute({var: -1}).to_json_obj() == _ref_json(at_minus_one)
+    rows_by_degree = {}
+    for key, c in ref_f.items():
+        rest = tuple(p for p in key if p[0] != var)
+        rows_by_degree.setdefault(dict(key).get(var, 0), {})[rest] = c
+    coeffs = f.coeffs_in(var)
+    assert len(coeffs) == 1 + max(rows_by_degree, default=0)
+    assert {i: _ref_json(row) for i, row in rows_by_degree.items()} == {
+        i: c.to_json_obj() for i, c in enumerate(coeffs) if c
+    }
 
 
 # -- property tests ---------------------------------------------------------
