@@ -142,11 +142,11 @@ def _cmd_grammar(args) -> int:
 def _cmd_shape(args) -> int:
     ctx = Context()
     poly = _family_poly(ctx, args)
-    point = {}
-    if args.p is not None:
-        point["p"] = as_fraction(args.p)
-    if args.q is not None:
-        point["q"] = as_fraction(args.q)
+    point = {v: as_fraction(val) for v, val in (("p", args.p), ("q", args.q)) if val is not None}
+    for v in point:
+        # a point the polynomial lacks would be silently ignored
+        if v not in poly.variables():
+            raise families.BadParams(f"family {args.name} at n={args.n} reads no {v}")
     if point:
         poly = poly.eval_rational(point)
     leftover = set(poly.variables()) - {"x"}

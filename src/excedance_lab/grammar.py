@@ -36,21 +36,17 @@ class Grammar:
             ctx.varid(var)
             self.rules[var] = rhs
 
-    def derive(self, f: Union[Poly, str]) -> Poly:
+    def derive(self, f: Poly) -> Poly:
         """Apply ``D_G`` once: ``sum G(v) * df/dv`` over the ruled variables.
 
         ``f`` must come from the grammar's context (``ValueError`` otherwise).
         """
-        if isinstance(f, str):
-            f = self.ctx.poly(f)
         return self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
 
-    def iterate(self, f: Union[Poly, str], n: int) -> Poly:
+    def iterate(self, f: Poly, n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        if isinstance(f, str):
-            f = self.ctx.poly(f)
         for _ in range(n):
             f = self.derive(f)
         return f

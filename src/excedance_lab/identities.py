@@ -16,7 +16,10 @@ Adding an identity: a theorem checked over ``n`` (and ``r`` or ``k``) is a
 with a fresh Context and the label prefix ``n=5`` (``r=2 n=5``, ``k=2 n=5``);
 it passes only the label's rest, or ``""``.  Write the body by hand
 (``@_identity``, ``run(bounds, rng, ck)``) when labels do not start with that
-prefix, the grid has a second loop, or work follows it.  ``rng`` is
+prefix, the grid has a second loop, or work follows it.  A seeded property
+is a ``@_property`` case ``case(ctx, rng)`` that draws one instance and
+returns its failure count; the runner owns the loop over ``instances`` and
+the one ``failures`` comparison.  ``rng`` is
 ``random.Random(f"{seed}:{id}")``, one stream per identity.  A sweep shares
 plumbing only: no formula or Poly crosses cells or routes.  No body passes the
 enumeration size guard: it is the process-wide ``EXCEDANCE_LAB_MAX_CLASS``
@@ -58,7 +61,7 @@ from .families import (
     type_b_q_eulerian,
 )
 from .grammar import Grammar
-from .multipoly import Context, Poly, binomial
+from .multipoly import Context, Poly, binomial, horner_eval
 from .permstats import SizeExceeded, gen_poly, marginal
 from .shape import (
     CoeffSeq,
@@ -192,6 +195,22 @@ def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
 
         _identity(id, description, criterion, bounds, quick)(run)
         return cell
+
+    return wrap
+
+
+def _property(id, description, criterion):
+    """Register ``case(ctx, rng)``, a seeded property that draws one instance
+    from ``rng`` and returns how many of its assertions failed; it runs
+    ``bounds["instances"]`` times on one fresh Context."""
+    def wrap(case):
+        def run(bounds, rng, ck):
+            ctx = Context()
+            ck.eq("failures", sum(case(ctx, rng) for _ in range(bounds["instances"])), 0)
+            ck.note("instances", bounds["instances"])
+
+        _identity(id, description, criterion, {"instances": 1000}, {"instances": 200})(run)
+        return case
 
     return wrap
 
@@ -555,6 +574,15 @@ def _run_thm18(bounds, rng, ck):
         })
 
 
+def _check_decomposition(ck, ctx, a, b, full, m):
+    """``a + x b`` reassembles ``full``, and ``decompose`` of its length-``m``
+    coefficients gives the same a and b."""
+    ck.eq("reassembly", a + ctx.var("x") * b, full)
+    da, db = decompose(CoeffSeq.from_poly(full, "x", m=m))
+    ck.eq("a-part", a, da.to_poly(ctx))
+    ck.eq("b-part", b, db.to_poly(ctx))
+
+
 @_sweep(
     "rec-onek-decom",
     "the plus/minus recurrence system assembles the symmetric decomposition of A_n^{(k)}",
@@ -565,12 +593,7 @@ def _run_thm18(bounds, rng, ck):
 )
 def _run_rec_onek_decom(ck, ctx, bounds, n, k):
     a, b = one_over_k_decomposition(ctx, n, k)
-    full = one_over_k_eulerian(ctx, n, k)
-    ck.eq("reassembly", a + ctx.var("x") * b, full)
-    seq = CoeffSeq.from_poly(full, "x", m=max(n - 1, 0))
-    da, db = decompose(seq)
-    ck.eq("a-part", a, da.to_poly(ctx))
-    ck.eq("b-part", b, db.to_poly(ctx))
+    _check_decomposition(ck, ctx, a, b, one_over_k_eulerian(ctx, n, k), max(n - 1, 0))
 
 
 @_sweep(
@@ -583,12 +606,7 @@ def _run_rec_onek_decom(ck, ctx, bounds, n, k):
 )
 def _run_rec_alpha_decom(ck, ctx, bounds, n, r):
     a, b = colored_decomposition(ctx, n, r)
-    full = colored_eulerian(ctx, n, r)
-    ck.eq("reassembly", a + ctx.var("x") * b, full)
-    seq = CoeffSeq.from_poly(full, "x", m=n)
-    da, db = decompose(seq)
-    ck.eq("a-part", a, da.to_poly(ctx))
-    ck.eq("b-part", b, db.to_poly(ctx))
+    _check_decomposition(ck, ctx, a, b, colored_eulerian(ctx, n, r), n)
     if r >= 2 and n >= 1:
         plus, minus = alpha_tables(ctx, n, r)
         ck.ok(
@@ -964,6 +982,13 @@ GAMMA_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2))
 BIGAMMA_POINTS = (Fraction(1), Fraction(2))
 
 
+def _verdict(ck, label, poly, m, prop):
+    """Check shape ``prop`` on the length-``m`` x-coefficients of ``poly``;
+    a failure shows the coefficients."""
+    seq = CoeffSeq.from_poly(poly, "x", m=m)
+    ck.ok(label, shape_check(seq, prop), str(seq.coeffs))
+
+
 @_sweep(
     "shape-anpq-grid",
     "A_n(x,p,q) is alternatingly increasing on the rational unit grid",
@@ -1001,25 +1026,12 @@ def _run_shape_grid(ck, ctx, bounds, n):
     over="ks", start=1,
 )
 def _run_shape_onek(ck, ctx, bounds, n, k):
+    m = max(n - 1, 0)
     rational = q_eulerian(ctx, n).eval_rational({"q": Fraction(1, k)})
-    seq_q = CoeffSeq.from_poly(rational, "x", m=max(n - 1, 0))
-    ck.ok(
-        "A_n(x,1/k) bi-gamma",
-        shape_check(seq_q, "bi_gamma_positive"),
-        str(seq_q.coeffs),
-    )
+    _verdict(ck, "A_n(x,1/k) bi-gamma", rational, m, "bi_gamma_positive")
     onek = one_over_k_eulerian(ctx, n, k)
-    seq_i = CoeffSeq.from_poly(onek, "x", m=max(n - 1, 0))
-    ck.ok(
-        "A_n^(k) bi-gamma",
-        shape_check(seq_i, "bi_gamma_positive"),
-        str(seq_i.coeffs),
-    )
-    ck.eq(
-        "scaling",
-        onek,
-        k**n * rational,
-    )
+    _verdict(ck, "A_n^(k) bi-gamma", onek, m, "bi_gamma_positive")
+    ck.eq("scaling", onek, k**n * rational)
 
 
 @_sweep(
@@ -1038,12 +1050,7 @@ def _run_shape_dnb(ck, ctx, bounds, n):
         (2**n * fix_cyc_eulerian(ctx, n)).eval_rational({"p": Fraction(1, 2)})
         .substitute({"q": 1}),
     )
-    seq = CoeffSeq.from_poly(dnb, "x", m=max(n - 1, 0))
-    ck.ok(
-        "alternatingly increasing",
-        shape_check(seq, "alternatingly_increasing"),
-        str(seq.coeffs),
-    )
+    _verdict(ck, "alternatingly increasing", dnb, max(n - 1, 0), "alternatingly_increasing")
 
 
 @_sweep(
@@ -1057,14 +1064,11 @@ def _run_shape_dnb(ck, ctx, bounds, n):
 def _run_shape_bnq(ck, ctx, bounds, n):
     fam = type_b_q_eulerian(ctx, n)
     for qv in SPIRAL_POINTS:
-        seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
-        ck.ok(f"q={qv} spiral", shape_check(seq, "spiral"), str(seq.coeffs))
+        _verdict(ck, f"q={qv} spiral", fam.eval_rational({"q": qv}), n, "spiral")
     for qv in ALT_POINTS:
-        seq = CoeffSeq.from_poly(fam.eval_rational({"q": qv}), "x", m=n)
-        ck.ok(
-            f"q={qv} alternatingly increasing",
-            shape_check(seq, "alternatingly_increasing"),
-            str(seq.coeffs),
+        _verdict(
+            ck, f"q={qv} alternatingly increasing", fam.eval_rational({"q": qv}), n,
+            "alternatingly_increasing",
         )
 
 
@@ -1081,19 +1085,14 @@ def _run_shape_dfexc(ck, ctx, bounds, n):
         ctx, "signed", n, {"fexc": "x", "cyc": "q"}, where=lambda s: s["fix"] == 0
     )
     for qv in GAMMA_POINTS:
-        seq = CoeffSeq.from_poly(dn.eval_rational({"q": qv}), "x", m=2 * n)
-        ck.ok(
-            f"q={qv} gamma-positive",
-            shape_check(seq, "gamma_positive"),
-            str(seq.coeffs),
+        _verdict(
+            ck, f"q={qv} gamma-positive", dn.eval_rational({"q": qv}), 2 * n, "gamma_positive"
         )
     fn = gen_poly(ctx, "signed", n, {"fexc": "x", "neg": "p"})
     for pv in BIGAMMA_POINTS:
-        seq = CoeffSeq.from_poly(fn.eval_rational({"p": pv}), "x", m=2 * n - 1)
-        ck.ok(
-            f"p={pv} bi-gamma-positive",
-            shape_check(seq, "bi_gamma_positive"),
-            str(seq.coeffs),
+        _verdict(
+            ck, f"p={pv} bi-gamma-positive", fn.eval_rational({"p": pv}), 2 * n - 1,
+            "bi_gamma_positive",
         )
 
 
@@ -1247,96 +1246,60 @@ def _random_poly(ctx, rng, nvars=3, max_terms=4, max_exp=3, big=False):
     return ctx.polynomial(vars_, rows)
 
 
-@_identity(
+@_property(
     "prop-ring-axioms",
     "ring axioms on random sparse polynomials with past-64-bit coefficients",
     10,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_ring(bounds, rng, ck):
-    ctx = Context()
-    failures = 0
-    for case in range(bounds["instances"]):
-        f = _random_poly(ctx, rng, big=True)
-        g = _random_poly(ctx, rng, big=True)
-        h = _random_poly(ctx, rng)
-        if (f + g) * h != f * h + g * h:
-            failures += 1
-        if f * g != g * f:
-            failures += 1
-        if (f * g) * h != f * (g * h):
-            failures += 1
-        if f + (-f) != ctx.zero():
-            failures += 1
-    ck.eq("failures", failures, 0)
-    ck.note("instances", bounds["instances"])
+def _prop_ring(ctx, rng):
+    f = _random_poly(ctx, rng, big=True)
+    g = _random_poly(ctx, rng, big=True)
+    h = _random_poly(ctx, rng)
+    return (
+        ((f + g) * h != f * h + g * h)
+        + (f * g != g * f)
+        + ((f * g) * h != f * (g * h))
+        + (f + (-f) != ctx.zero())
+    )
 
 
-@_identity(
+@_property(
     "prop-leibniz",
     "formal derivatives and grammar derivatives satisfy linearity and the product rule",
     10,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_leibniz(bounds, rng, ck):
-    ctx = Context()
-    failures = 0
-    for case in range(bounds["instances"]):
-        f = _random_poly(ctx, rng)
-        g = _random_poly(ctx, rng)
-        var = rng.choice(("x", "y", "z"))
-        if (f * g).differentiate(var) != f.differentiate(var) * g + f * g.differentiate(var):
-            failures += 1
-        rules = {}
-        for v in ("x", "y", "z"):
-            if rng.random() < 0.7:
-                rules[v] = _random_poly(ctx, rng, max_terms=2, max_exp=2)
-        gram = Grammar(ctx, rules)
-        if gram.derive(f * g) != gram.derive(f) * g + f * gram.derive(g):
-            failures += 1
-        c1, c2 = rng.randint(-5, 5), rng.randint(-5, 5)
-        if gram.derive(c1 * f + c2 * g) != c1 * gram.derive(f) + c2 * gram.derive(g):
-            failures += 1
-    ck.eq("failures", failures, 0)
+def _prop_leibniz(ctx, rng):
+    f = _random_poly(ctx, rng)
+    g = _random_poly(ctx, rng)
+    var = rng.choice(("x", "y", "z"))
+    failures = (f * g).differentiate(var) != f.differentiate(var) * g + f * g.differentiate(var)
+    rules = {}
+    for v in ("x", "y", "z"):
+        if rng.random() < 0.7:
+            rules[v] = _random_poly(ctx, rng, max_terms=2, max_exp=2)
+    gram = Grammar(ctx, rules)
+    failures += gram.derive(f * g) != gram.derive(f) * g + f * gram.derive(g)
+    c1, c2 = rng.randint(-5, 5), rng.randint(-5, 5)
+    failures += gram.derive(c1 * f + c2 * g) != c1 * gram.derive(f) + c2 * gram.derive(g)
+    return failures
 
 
-@_identity(
+@_property(
     "prop-substitution",
     "substitution composes and full rational evaluation matches Horner evaluation",
     10,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_subst(bounds, rng, ck):
-    ctx = Context()
-    failures = 0
-    for case in range(bounds["instances"]):
-        f = _random_poly(ctx, rng)
-        g = _random_poly(ctx, rng, nvars=2, max_terms=2, max_exp=2)
-        h = _random_poly(ctx, rng, nvars=1, max_terms=2, max_exp=2)
-        step = f.substitute({"z": g}).substitute({"x": h})
-        composed = f.substitute({"z": g.substitute({"x": h}), "x": h})
-        if step != composed:
-            failures += 1
-        point = {
-            v: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            for v in ("x", "y", "z")
-        }
-        direct = f.eval_rational(point)
-        coeffs = f.coeffs_in("x")
-        rest = {"y": point["y"], "z": point["z"]}
-        from .multipoly import horner_eval
-
-        horner = horner_eval(
-            [c.eval_rational(rest) for c in coeffs], point["x"]
-        )
-        if horner is None:
-            horner = ctx.zero()
-        if direct != horner:
-            failures += 1
-    ck.eq("failures", failures, 0)
+def _prop_subst(ctx, rng):
+    f = _random_poly(ctx, rng)
+    g = _random_poly(ctx, rng, nvars=2, max_terms=2, max_exp=2)
+    h = _random_poly(ctx, rng, nvars=1, max_terms=2, max_exp=2)
+    step = f.substitute({"z": g}).substitute({"x": h})
+    composed = f.substitute({"z": g.substitute({"x": h}), "x": h})
+    point = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for v in ("x", "y", "z")}
+    direct = f.eval_rational(point)
+    rest = {"y": point["y"], "z": point["z"]}
+    horner = horner_eval([c.eval_rational(rest) for c in f.coeffs_in("x")], point["x"])
+    return (step != composed) + (direct != horner)
 
 
 def _random_gamma_positive(ctx, rng, m, zero_at_origin=False):
@@ -1348,59 +1311,40 @@ def _random_gamma_positive(ctx, rng, m, zero_at_origin=False):
             table[i] = rng.randint(0, 6)
     if not table:
         table[1 if zero_at_origin and m >= 2 else 0] = rng.randint(1, 6)
-    return gamma_assemble(ctx, table, m), table
+    return gamma_assemble(ctx, table, m)
 
 
-@_identity(
+@_property(
     "prop-gamma-closure",
     "products of gamma-positive with (bi-)gamma-positive polynomials keep the property",
     10,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_gamma_closure(bounds, rng, ck):
-    ctx = Context()
-    failures = 0
-    for case in range(bounds["instances"]):
-        mf = rng.randint(0, 5)
-        mg = rng.randint(0, 5)
-        f, _ = _random_gamma_positive(ctx, rng, mf)
-        g, _ = _random_gamma_positive(ctx, rng, mg)
-        prod = f * g
-        seq = CoeffSeq.from_poly(prod, "x", m=mf + mg)
-        if not shape_check(seq, "gamma_positive"):
-            failures += 1
-        ga, _ = _random_gamma_positive(ctx, rng, mg)
-        gb = _random_gamma_positive(ctx, rng, mg - 1)[0] if mg >= 1 else ctx.zero()
-        bi = ga + ctx.var("x") * gb
-        seq_bi = CoeffSeq.from_poly(f * bi, "x", m=mf + mg)
-        if not shape_check(seq_bi, "bi_gamma_positive"):
-            failures += 1
-    ck.eq("failures", failures, 0)
+def _prop_gamma_closure(ctx, rng):
+    mf = rng.randint(0, 5)
+    mg = rng.randint(0, 5)
+    f = _random_gamma_positive(ctx, rng, mf)
+    g = _random_gamma_positive(ctx, rng, mg)
+    seq = CoeffSeq.from_poly(f * g, "x", m=mf + mg)
+    failures = not shape_check(seq, "gamma_positive")
+    ga = _random_gamma_positive(ctx, rng, mg)
+    gb = _random_gamma_positive(ctx, rng, mg - 1) if mg >= 1 else ctx.zero()
+    seq_bi = CoeffSeq.from_poly(f * (ga + ctx.var("x") * gb), "x", m=mf + mg)
+    return failures + (not shape_check(seq_bi, "bi_gamma_positive"))
 
 
-@_identity(
+@_property(
     "prop-gamma-derivative",
     "derivatives of gamma-positive polynomials vanishing at zero are bi-gamma-positive",
     10,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_gamma_derivative(bounds, rng, ck):
-    ctx = Context()
-    failures = 0
-    for case in range(bounds["instances"]):
-        m = rng.randint(2, 8)
-        f, _ = _random_gamma_positive(ctx, rng, m, zero_at_origin=True)
-        if f.constant_term() != 0:
-            failures += 1
-            continue
-        # gamma_0 = 0 forces f_0 = f_m = 0, so f' has declared length m - 2
-        deriv = f.differentiate("x")
-        seq = CoeffSeq.from_poly(deriv, "x", m=m - 2)
-        if not shape_check(seq, "bi_gamma_positive"):
-            failures += 1
-    ck.eq("failures", failures, 0)
+def _prop_gamma_derivative(ctx, rng):
+    m = rng.randint(2, 8)
+    f = _random_gamma_positive(ctx, rng, m, zero_at_origin=True)
+    if f.constant_term() != 0:
+        return 1
+    # gamma_0 = 0 forces f_0 = f_m = 0, so f' has declared length m - 2
+    seq = CoeffSeq.from_poly(f.differentiate("x"), "x", m=m - 2)
+    return not shape_check(seq, "bi_gamma_positive")
 
 
 # ---------------------------------------------------------------------------
@@ -1408,42 +1352,33 @@ def _run_prop_gamma_derivative(bounds, rng, ck):
 # ---------------------------------------------------------------------------
 
 
-@_identity(
+@_property(
     "prop-decompose-unique",
     "symmetric decomposition is the unique symmetric pair reassembling random sequences",
     None,
-    {"instances": 1000},
-    {"instances": 200},
 )
-def _run_prop_decompose(bounds, rng, ck):
-    failures = 0
-    for case in range(bounds["instances"]):
-        m = rng.randint(0, 8)
-        f = CoeffSeq.make(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m + 1)], m
-        )
-        a, b = decompose(f)
-        sym_a = all(a[i] == a[a.m - i] for i in range(a.m + 1))
-        sym_b = all(b[i] == b[b.m - i] for i in range(b.m + 1))
-        back = all(
-            a[i] + (b[i - 1] if 0 <= i - 1 <= b.m else 0) == f[i]
-            for i in range(m + 1)
-        )
-        if not (sym_a and sym_b and back):
-            failures += 1
-        # uniqueness: a symmetric perturbation that still reassembles must be zero
-        if m >= 1:
-            delta = [Fraction(0)] * (m + 1)
-            j = rng.randint(0, m)
-            delta[j] += 1
-            delta[m - j] += 1 if j != m - j else 0
-            perturbed = CoeffSeq.make(
-                [f[i] + delta[i] for i in range(m + 1)], m
-            )
-            a2, b2 = decompose(perturbed)
-            if a2 == a and b2 == b:
-                failures += 1
-    ck.eq("failures", failures, 0)
+def _prop_decompose(ctx, rng):
+    m = rng.randint(0, 8)
+    f = CoeffSeq.make(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m + 1)], m
+    )
+    a, b = decompose(f)
+    sym_a = all(a[i] == a[a.m - i] for i in range(a.m + 1))
+    sym_b = all(b[i] == b[b.m - i] for i in range(b.m + 1))
+    back = all(
+        a[i] + (b[i - 1] if 0 <= i - 1 <= b.m else 0) == f[i]
+        for i in range(m + 1)
+    )
+    failures = not (sym_a and sym_b and back)
+    # uniqueness: a symmetric perturbation that still reassembles must be zero
+    if m >= 1:
+        delta = [Fraction(0)] * (m + 1)
+        j = rng.randint(0, m)
+        delta[j] += 1
+        delta[m - j] += 1 if j != m - j else 0
+        a2, b2 = decompose(CoeffSeq.make([f[i] + delta[i] for i in range(m + 1)], m))
+        failures += a2 == a and b2 == b
+    return failures
 
 
 @_sweep(
@@ -1613,25 +1548,23 @@ def run_verify(
         raise UnknownIdentity(ident)
     bounds = record.effective_bounds(profile, overrides)
     ck = Checker()
+    mismatches = ck.mismatches
     start = time.monotonic()
     try:
         record.run(bounds, random.Random(f"{seed}:{ident}"), ck)
     except SizeExceeded as exc:
-        return IdentityResult(
-            ident, "skipped", time.monotonic() - start,
-            f"size guard: {exc}", ck.details, [], ck.checks,
-        )
-    elapsed = time.monotonic() - start
-    if ck.mismatches:
-        return IdentityResult(
-            ident, "fail", elapsed,
-            f"{len(ck.mismatches)} mismatch(es)", ck.details, ck.mismatches, ck.checks,
-        )
-    if not ck.checks:
-        return IdentityResult(
-            ident, "vacuous", elapsed, "no comparison ran", ck.details, [], 0
-        )
-    return IdentityResult(ident, "pass", elapsed, "", ck.details, [], ck.checks)
+        # a skip reports the checks made before the guard fired, not their mismatches
+        status, detail, mismatches = "skipped", f"size guard: {exc}", []
+    else:
+        if mismatches:
+            status, detail = "fail", f"{len(mismatches)} mismatch(es)"
+        elif ck.checks:
+            status, detail = "pass", ""
+        else:
+            status, detail = "vacuous", "no comparison ran"
+    return IdentityResult(
+        ident, status, time.monotonic() - start, detail, ck.details, mismatches, ck.checks
+    )
 
 
 def _run_one(args):

@@ -906,8 +906,8 @@ def gen_poly(
     return ctx.polynomial(weighting.values(), _project(indices, cells).items())
 
 
-def stirling_identities(ctx: Context, n: int, k: int, var: str = "x") -> tuple[Poly, Poly]:
+def stirling_identities(ctx: Context, n: int, k: int) -> tuple[Poly, Poly]:
     """(sum x^ap, sum x^lap) over the k-Stirling permutations of order n."""
-    ap = gen_poly(ctx, "stirling", n, {"ap": var}, k=k)
-    lap = gen_poly(ctx, "stirling", n, {"lap": var}, k=k)
+    ap = gen_poly(ctx, "stirling", n, {"ap": "x"}, k=k)
+    lap = gen_poly(ctx, "stirling", n, {"lap": "x"}, k=k)
     return ap, lap

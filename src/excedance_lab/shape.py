@@ -84,8 +84,8 @@ class CoeffSeq:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def to_poly(self, ctx: Context, var: str = "x") -> Poly:
-        return ctx.polynomial([var], (((i,), c) for i, c in enumerate(self.coeffs)))
+    def to_poly(self, ctx: Context) -> Poly:
+        return ctx.polynomial(["x"], (((i,), c) for i, c in enumerate(self.coeffs)))
 
 
 def _div_one_minus_x(coeffs: Sequence[Number]) -> list[Number]:

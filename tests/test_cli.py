@@ -227,6 +227,11 @@ def test_exponent_past_the_field_width_exits_2(tmp_path):
         ("family", "--name", "one_over_k", "--n", "3", "--r", "2"),
         ("shape", "--family", "A_classic", "--n", "3", "--k", "2"),
         ("shape", "--family", "A_classic", "--n", "3", "--r", "sym"),
+        # a point variable the family polynomial lacks, given last
+        ("shape", "--family", "A_q", "--n", "3", "--q", "1", "--p", "1/2"),
+        ("shape", "--family", "A_classic", "--n", "3", "--q", "7"),
+        # A_pq at n=0 is the constant 1, so it has no p
+        ("shape", "--family", "A_pq", "--n", "0", "--p", "1/2"),
     ],
 )
 def test_k_or_r_on_a_family_that_reads_none_exit_2(capsys, argv):

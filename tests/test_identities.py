@@ -14,7 +14,7 @@ from excedance_lab.identities import (
     run_suite,
     run_verify,
 )
-from excedance_lab.multipoly import Context
+from excedance_lab.multipoly import Context, Poly
 
 from oracles import plain_exc_fix_cyc
 
@@ -96,6 +96,32 @@ def test_property_identities_are_seed_stable():
     a = run_verify("prop-ring-axioms", profile="quick", seed=123)
     b = run_verify("prop-ring-axioms", profile="quick", seed=123)
     assert a.status == b.status == "pass"
+
+
+SEEDED_PROPERTIES = (
+    "prop-ring-axioms", "prop-leibniz", "prop-substitution", "prop-gamma-closure",
+    "prop-gamma-derivative", "prop-decompose-unique",
+)
+
+
+def test_seeded_property_failures_are_one_mismatch(monkeypatch):
+    # a wrong d/dv breaks both the product rule and the grammar Leibniz rule
+    def wrong(self, var):
+        return self * self.ctx.var(var)
+
+    monkeypatch.setattr(Poly, "differentiate", wrong)
+    res = run_verify("prop-leibniz", profile="quick")
+    assert res.status == "fail"
+    assert len(res.mismatches) == 1
+    assert res.mismatches[0]["context"] == "failures"
+    assert int(res.mismatches[0]["lhs"]) > 0
+
+
+@pytest.mark.parametrize("ident", SEEDED_PROPERTIES)
+def test_seeded_properties_note_their_instances(ident):
+    res = run_verify(ident, profile="quick")
+    assert res.status == "pass"
+    assert res.details["instances"] == "200"
 
 
 def test_failure_shape(monkeypatch):
