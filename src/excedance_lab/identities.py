@@ -202,11 +202,17 @@ def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
 def _property(id, description, criterion):
     """Register ``case(ctx, rng)``, a seeded property that draws one instance
     from ``rng`` and returns how many of its assertions failed; it runs
-    ``bounds["instances"]`` times on one fresh Context."""
+    ``bounds["instances"]`` times on one fresh Context.  A failing run notes
+    the index of its first failing instance, so running ``first_failure + 1``
+    instances from the same seed reproduces it."""
     def wrap(case):
         def run(bounds, rng, ck):
             ctx = Context()
-            ck.eq("failures", sum(case(ctx, rng) for _ in range(bounds["instances"])), 0)
+            failed = [case(ctx, rng) for _ in range(bounds["instances"])]
+            ck.eq("failures", sum(failed), 0)
+            first = next((i for i, f in enumerate(failed) if f), None)
+            if first is not None:
+                ck.note("first_failure", first)
             ck.note("instances", bounds["instances"])
 
         _identity(id, description, criterion, {"instances": 1000}, {"instances": 200})(run)

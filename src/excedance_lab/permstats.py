@@ -789,28 +789,45 @@ def enumerate_class(
     return _stream(kind, n, r, k)
 
 
+def _object_maker(kind: str, n: int, r: int, k: int) -> Callable[[tuple], PermObject]:
+    """``PermObject(kind, n, word, r=r, k=k)`` for one stream, built by filling
+    the instance ``__dict__`` from one base dict: the frozen dataclass's
+    ``__init__`` sets each of the five fields through ``object.__setattr__``.
+    The objects are the same: frozen, equal and hashed by value."""
+    base = {"kind": kind, "n": n, "word": None, "r": r, "k": k}
+    blank = object.__new__
+
+    def make(word: tuple) -> PermObject:
+        obj = blank(PermObject)
+        fields = obj.__dict__
+        fields.update(base)
+        fields["word"] = word
+        return obj
+
+    return make
+
+
 def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dict[str, int]]]:
     names, full = stat_names(kind), _derive(kind, n, r)
+    make = _object_maker(kind, n, r, k)
     if kind == "plain":
         for word in _plain_words(n):
-            yield PermObject("plain", n, word), dict(zip(names, full(plain_base_stats(word))))
+            yield make(word), dict(zip(names, full(plain_base_stats(word))))
     elif kind == "signed":
         for word in _signed_words(n):
-            yield PermObject("signed", n, word), dict(zip(names, full(signed_base_stats(word))))
+            yield make(word), dict(zip(names, full(signed_base_stats(word))))
     elif kind == "colored":
         # value-major generation with nested color vectors is already the
         # (value, color)-lexicographic order on words
         for pi in itertools.permutations(range(1, n + 1)):
             cyc = len(_cycles_plain(pi))
             for colors in itertools.product(range(r), repeat=n):
-                yield PermObject("colored", n, tuple(zip(pi, colors)), r=r), dict(
+                yield make(tuple(zip(pi, colors))), dict(
                     zip(names, full(_colored_stats(pi, colors, cyc)))
                 )
     else:
         for word in _stirling_words(n, k):
-            yield PermObject("stirling", n, word, k=k), dict(
-                zip(names, full(stirling_base_stats(word, k)))
-            )
+            yield make(word), dict(zip(names, full(stirling_base_stats(word, k))))
 
 
 @lru_cache(maxsize=None)

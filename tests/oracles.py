@@ -229,3 +229,39 @@ def stirling_joint(n: int, k: int) -> Counter:
             "first_block_constant": int(len(word) >= k and len(set(word[:k])) == 1),
         })] += 1
     return counts
+
+
+def foata_strehl_image(word, x) -> tuple:
+    """The modified Foata-Strehl action phi'_x on a one-line word of S_n.
+
+    Written from the block form of the definition.  Read the cycle of x from
+    its least entry and close it with that entry.  If x lies between a larger
+    and a smaller entry (a double descent) it hops left over the maximal run
+    of entries larger than x that ends just before it; between a smaller and
+    a larger entry (a double ascent) it hops right over the maximal run of
+    larger entries that starts just after it.  The least entry, peaks and
+    valleys stay where they are.
+    """
+    sigma = dict(enumerate(word, 1))
+    least = _cycle_minimum(sigma)[x]
+    cyc = [least]
+    while sigma[cyc[-1]] != least:
+        cyc.append(sigma[cyc[-1]])
+    pos = cyc.index(x)
+    if pos == 0:
+        return tuple(word)
+    before, after = cyc[pos - 1], cyc[(pos + 1) % len(cyc)]
+    rest = cyc[:pos] + cyc[pos + 1:]
+    gap = pos
+    if before > x > after:
+        while rest[gap - 1] > x:
+            gap -= 1
+    elif before < x < after:
+        while gap < len(rest) and rest[gap] > x:
+            gap += 1
+    else:
+        return tuple(word)
+    cyc = rest[:gap] + [x] + rest[gap:]
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        sigma[a] = b
+    return tuple(sigma[i] for i in range(1, len(word) + 1))

@@ -3,7 +3,8 @@
 Each criterion test runs the corresponding identity-registry entries at the
 ``full`` profile (the stated bounds), requires exact (zero-tolerance)
 agreement, and prints one PASS/FAIL line.  The final test sweeps the whole
-registry so nothing is silently left out.
+registry so nothing is silently left out.  The full registry runs once per
+module; each criterion test reads its own identities from that run.
 """
 
 import time
@@ -26,9 +27,15 @@ CRITERIA = {
 }
 
 
-def _run_criterion(number: int) -> None:
+@pytest.fixture(scope="module")
+def full_results():
+    return run_suite(profile="full")
+
+
+def _run_criterion(number: int, full_results) -> None:
     ids = criterion_map()[number]
-    results = run_suite(profile="full", ids=ids)
+    results = [r for r in full_results if r.id in ids]
+    assert [r.id for r in results] == ids
     failures = [r for r in results if r.status == "fail"]
     skipped = [r for r in results if r.status == "skipped"]
     status = "PASS" if not failures and not skipped else "FAIL"
@@ -44,12 +51,12 @@ def _run_criterion(number: int) -> None:
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
-def test_criterion(number):
-    _run_criterion(number)
+def test_criterion(number, full_results):
+    _run_criterion(number, full_results)
 
 
-def test_full_registry_green():
-    results = run_suite(profile="full")
+def test_full_registry_green(full_results):
+    results = full_results
     bad = [r for r in results if r.status != "pass"]
     print(
         f"{'PASS' if not bad else 'FAIL'} full registry: "

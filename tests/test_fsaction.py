@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from excedance_lab import fsaction, identities
 from excedance_lab.fsaction import (
     ValueAbsent,
     act,
@@ -11,6 +14,7 @@ from excedance_lab.fsaction import (
 )
 from excedance_lab.multipoly import ParseError
 from excedance_lab.permstats import PermObject, plain_base_stats
+from oracles import foata_strehl_image
 
 
 def perm_of(text):
@@ -88,6 +92,38 @@ def test_act_toggles_role_and_shifts_excedance():
         assert after[0] == before[0] + 1  # exc
         assert after[2] == before[2]  # fix
         assert after[3] == before[3]  # cyc
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_act_matches_the_definition_oracle(n):
+    moved = 0
+    for word in itertools.permutations(range(1, n + 1)):
+        perm = PermObject("plain", n, word)
+        for x in range(1, n + 1):
+            expected = foata_strehl_image(word, x)
+            assert act(perm, x).word == expected, (word, x)
+            moved += expected != word
+    # from n = 3 on some x is movable, e.g. 2 in (1,2,3) or (1,3,2)
+    assert moved > 0 or n < 3
+
+
+def test_a_wrong_window_fails_the_bijection_check(monkeypatch):
+    right = fsaction._reinserted
+
+    def one_late(word, cycle, k, role):
+        # x sits between a and b; put it after b instead
+        image = list(right(word, cycle, k, role))
+        x = cycle[k]
+        a, b = image.index(x) + 1, image[x - 1]
+        image[a - 1], image[b - 1], image[x - 1] = b, x, image[b - 1]
+        return tuple(image)
+
+    assert verify_bijection_all(5)
+    monkeypatch.setattr(fsaction, "_reinserted", one_late)
+    assert not verify_bijection_all(5)
+    res = identities.run_verify("fs-bijection", profile="quick")
+    assert res.status == "fail"
+    assert any(m["context"].endswith("all cells") for m in res.mismatches)
 
 
 def test_verify_bijection_examples():

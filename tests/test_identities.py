@@ -115,6 +115,24 @@ def test_seeded_property_failures_are_one_mismatch(monkeypatch):
     assert len(res.mismatches) == 1
     assert res.mismatches[0]["context"] == "failures"
     assert int(res.mismatches[0]["lhs"]) > 0
+    assert res.details["first_failure"] == "0"
+
+    # wrong only on polynomials of six or more terms: the first instances
+    # pass, and the noted index reproduces the failure from the same seed
+    monkeypatch.undo()
+    right = Poly.differentiate
+
+    def wrong_when_long(self, var):
+        d = right(self, var)
+        return d + 1 if len(self.terms) >= 6 else d
+
+    monkeypatch.setattr(Poly, "differentiate", wrong_when_long)
+    first = int(run_verify("prop-leibniz", profile="quick").details["first_failure"])
+    assert first > 0
+    before = run_verify("prop-leibniz", profile="quick", overrides={"instances": first})
+    assert before.status == "pass" and "first_failure" not in before.details
+    upto = run_verify("prop-leibniz", profile="quick", overrides={"instances": first + 1})
+    assert upto.status == "fail" and upto.details["first_failure"] == str(first)
 
 
 @pytest.mark.parametrize("ident", SEEDED_PROPERTIES)
@@ -122,6 +140,7 @@ def test_seeded_properties_note_their_instances(ident):
     res = run_verify(ident, profile="quick")
     assert res.status == "pass"
     assert res.details["instances"] == "200"
+    assert "first_failure" not in res.details
 
 
 def test_failure_shape(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from collections import Counter
@@ -434,6 +435,29 @@ def test_colored_one_element_class(ctx):
 def expand(kind, n, base, r=1):
     # the stream's per-object expansion of a base tuple into named statistics
     return dict(zip(permstats.stat_names(kind), permstats._derive(kind, n, r)(base)))
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs",
+    [
+        ("plain", 4, {}),
+        ("signed", 3, {}),
+        ("colored", 3, {"r": 2}),
+        ("stirling", 3, {"k": 2}),
+    ],
+)
+def test_stream_objects_are_frozen_value_objects(kind, n, kwargs):
+    words = []
+    for obj, _ in enumerate_class(kind, n, **kwargs):
+        built = PermObject(kind, n, obj.word, **kwargs)
+        assert type(obj) is PermObject
+        assert obj == built and hash(obj) == hash(built) and repr(obj) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.word = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
+        words.append(obj.word)
+    assert len(set(words)) == len(words) == class_size(kind, n, **kwargs)
 
 
 def test_signed_worked_example():
