@@ -552,6 +552,7 @@ def _run_rec_bnxq(ck, ctx, bounds, n):
     {"max_n": 6},
 )
 def _run_thm18(bounds, rng, ck):
+    xi_plus: dict[int, str] = {}
     for n in range(2, bounds["max_n"] + 1):
         ctx = Context()
         plus, minus = one_over_k_pm_tables(ctx, n, 2)
@@ -569,15 +570,12 @@ def _run_thm18(bounds, rng, ck):
         lhs = gen_poly(ctx, "plain", n, {"exc": "x", "rlen": "k"}).substitute({"k": 2})
         a, b = one_over_k_decomposition(ctx, n, 2)
         ck.eq(f"n={n} decomposition", lhs, a + ctx.var("x") * b)
+        if n <= 3:
+            xi_plus[n] = str(families.one_over_k_pm_polys(ctx, n, 2)[0])
         if n == 3:
-            fp, _ = families.one_over_k_pm_polys(ctx, 3, 2)
-            ck.note("xi_plus[3]", fp)
-    ctx = Context()
+            ck.note("xi_plus[3]", xi_plus[3])
     if bounds["max_n"] >= 3:
-        ck.note("xi_plus_tables", {
-            n: str(families.one_over_k_pm_polys(ctx, n, 2)[0])
-            for n in range(2, min(4, bounds["max_n"] + 1))
-        })
+        ck.note("xi_plus_tables", xi_plus)
 
 
 def _check_decomposition(ck, ctx, a, b, full, m):
@@ -1587,7 +1585,12 @@ def run_suite(
     jobs: int = 1,
 ) -> list[IdentityResult]:
     """Run a deterministic-ordered batch of identities, optionally in parallel;
-    forked workers inherit the environment, and with it the size guard."""
+    forked workers inherit the environment, and with it the size guard.
+
+    The pool has ``min(jobs, len(selected))`` workers and is sent one identity
+    per dispatch, so a worker that draws a slow identity does not hold a
+    queue of others behind it; results come back in the batch's order.
+    """
     selected = ids if ids is not None else identity_ids()
     for ident in selected:
         if ident not in REGISTRY:
@@ -1595,6 +1598,7 @@ def run_suite(
     if jobs > 1 and len(selected) > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_run_one, [(ident, profile, seed) for ident in selected])
+        with mp.get_context("fork").Pool(min(jobs, len(selected))) as pool:
+            batch = [(ident, profile, seed) for ident in selected]
+            return pool.map(_run_one, batch, chunksize=1)
     return [run_verify(ident, profile=profile, seed=seed) for ident in selected]

@@ -27,7 +27,9 @@ Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  Sums of
 many polynomials go through :meth:`Context.sum`, which accumulates in place in
 one fresh dict (no copy of the running total per summand) and never mutates
-its inputs.
+its inputs.  :meth:`Poly.substitute` works on the stores directly: one power
+table per bound variable for the whole call, each entry one product from the
+entry below it, and every term's image added into one output dict.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -240,6 +242,57 @@ def _normalised(out: dict[int, Coeff]) -> dict[int, Coeff]:
     return {key: c if type(c) is int else _norm_coeff(c) for key, c in out.items() if c}
 
 
+def _product(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Raw product of two stores, unchecked: zero coefficients may remain."""
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb  # a product key is the sum of the factors' keys
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _power_table(
+    check, val: dict[int, Coeff], exponents: set[int]
+) -> dict[int, dict[int, Coeff]]:
+    """``{e: store of val**e}`` for every ``e`` in ``exponents`` (all >= 1).
+
+    Entries are built in ascending order, each one product from the entry
+    below it: ``val**e = val**last * val**(e - last)``.  For consecutive
+    exponents the step is ``val`` itself; a wider gap's step is raised once
+    by repeated squaring and reused, so a sparse high exponent costs log(e)
+    products, not e.  ``check`` runs on every product before its zero
+    coefficients are dropped.
+    """
+
+    def times(a, b):
+        out = _product(a, b)
+        check(out)
+        return _normalised(out)
+
+    def raised(gap):
+        result, base = None, val
+        while gap:
+            if gap & 1:
+                result = base if result is None else times(result, base)
+            gap >>= 1
+            if gap:
+                base = times(base, base)
+        return result
+
+    table: dict[int, dict[int, Coeff]] = {}
+    steps = {1: val}
+    prev, last = {0: 1}, 0
+    for e in sorted(exponents):
+        step = steps.get(e - last)
+        if step is None:
+            step = steps[e - last] = raised(e - last)
+        prev = table[e] = times(prev, step)
+        last = e
+    return table
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's store with tuple keys."""
 
@@ -334,12 +387,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Coeff] = {}
-        get = out.get
-        for ka, ca in self._t.items():
-            for kb, cb in other._t.items():
-                key = ka + kb  # a product key is the sum of the factors' keys
-                out[key] = get(key, 0) + ca * cb
+        out = _product(self._t, other._t)
         self.ctx._check(out)
         return Poly._of(self.ctx, _normalised(out))
 
@@ -418,6 +466,12 @@ class Poly:
         """Simultaneous substitution of polynomials (or constants) for variables.
 
         Unbound variables pass through.  Bindings are keyed by variable name.
+        Each bound variable gets one power table for the whole call, with an
+        entry for every exponent it has in this polynomial (see
+        :func:`_power_table`).  Each term's free monomial is multiplied by its
+        cached powers at the store level and added into one output dict, with
+        no intermediate :class:`Poly`; every product goes through the guard
+        check, so an exponent never wraps.
         """
         ctx = self.ctx
         subs: dict[int, Poly] = {}
@@ -429,26 +483,25 @@ class Poly:
             subs[ctx.varid(var)] = val
         if not subs:
             return self
-        mask = Context._MASK
-        # the bound variables are multiplied in in id order
-        bound = [(vid, ctx.FIELD * vid, subs[vid]) for vid in sorted(subs)]
-        free = ~sum(mask << s for _, s, _ in bound)
-        powcache: dict[tuple[int, int], Poly] = {}
-
-        def image(key: int, c: Coeff) -> Poly:
-            # the unbound fields stay one monomial
-            piece = Poly._of(ctx, {key & free: c})
-            for vid, s, val in bound:
+        mask, check = Context._MASK, ctx._check
+        bound = []  # (field shift, power table), in id order
+        for vid in sorted(subs):
+            s = ctx.FIELD * vid
+            used = {(key >> s) & mask for key in self._t} - {0}
+            bound.append((s, _power_table(check, subs[vid]._t, used)))
+        free = ~sum(mask << s for s, _ in bound)
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for key, c in self._t.items():
+            piece = {key & free: c}  # the unbound fields stay one monomial
+            for s, powers in bound:
                 e = (key >> s) & mask
                 if e:
-                    pw = powcache.get((vid, e))
-                    if pw is None:
-                        pw = val**e
-                        powcache[(vid, e)] = pw
-                    piece = piece * pw
-            return piece
-
-        return ctx.sum(image(key, c) for key, c in self._t.items())
+                    piece = _product(piece, powers[e])
+                    check(piece)
+            for k, v in piece.items():
+                out[k] = get(k, 0) + v
+        return Poly._of(ctx, _normalised(out))
 
     def eval_rational(self, point: Mapping) -> "Poly":
         """Evaluate some variables at exact rationals; the rest stay free."""

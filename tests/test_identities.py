@@ -1,8 +1,10 @@
+import multiprocessing
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from excedance_lab import identities, permstats
+from excedance_lab import families, identities, permstats
 from excedance_lab.identities import (
     REGISTRY,
     BadOverride,
@@ -60,10 +62,17 @@ def test_size_guard_surfaces_as_skipped(monkeypatch):
     assert "size guard" in res.detail
 
 
-def test_thm18_report_contains_small_table():
+def test_thm18_report_contains_small_table(monkeypatch):
+    seen = []
+    real = families.one_over_k_pm_polys
+    monkeypatch.setattr(
+        families, "one_over_k_pm_polys", lambda ctx, n, k: seen.append(n) or real(ctx, n, k)
+    )
     res = run_verify("thm18-crun", overrides={"max_n": 3})
     assert res.status == "pass"
     assert res.details["xi_plus[3]"] == "1 + 5*x"
+    assert res.details["xi_plus_tables"] == "{2: '1', 3: '1 + 5*x'}"
+    assert seen == [2, 3]  # one build per n feeds both notes
 
 
 def test_override_narrows_bounds():
@@ -90,6 +99,41 @@ def test_suite_parallel_matches_sequential():
     for field in ("id", "status", "checks", "details", "mismatches"):
         assert [getattr(r, field) for r in seq] == [getattr(r, field) for r in par]
     assert par[-1].details["xi_plus[3]"] == "1 + 5*x"
+
+
+class _RecordingPool:
+    """Stands in for a fork pool: records its size and chunk size, runs in-process."""
+
+    def __init__(self, record, processes):
+        record["processes"] = processes
+        self._record = record
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=None):
+        self._record["chunksize"] = chunksize
+        return [func(item) for item in iterable]
+
+
+@pytest.mark.parametrize(
+    "jobs, ids, processes",
+    [
+        (64, ["cor-springer", "rec-anxq"], 2),
+        (3, ["cor-springer", "rec-anxq", "stirling-ap-onek", "thm18-crun"], 3),
+    ],
+)
+def test_suite_pool_is_no_larger_than_the_batch(monkeypatch, jobs, ids, processes):
+    record = {}
+    pool_context = SimpleNamespace(Pool=lambda n: _RecordingPool(record, n))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: pool_context)
+    results = run_suite(profile="quick", ids=ids, jobs=jobs)
+    assert record == {"processes": processes, "chunksize": 1}
+    assert [r.id for r in results] == ids
+    assert all(r.status == "pass" for r in results)
 
 
 def test_property_identities_are_seed_stable():

@@ -102,6 +102,45 @@ def test_eval_rational_signed_derangement_cross_check(ctx):
     assert lhs == expected == ctx.poly("1 + 20*x + 8*x^2")
 
 
+def _substitute_reference(f, bindings):
+    """Term by term with ``Poly`` ``*`` and ``**``: each bound variable's value
+    raised to its exponent, each free variable kept as itself."""
+    ctx = f.ctx
+    total = ctx.zero()
+    for key, c in f.terms.items():
+        piece = ctx.const(c)
+        for vid, e in key:
+            name = ctx.name(vid)
+            piece = piece * bindings.get(name, ctx.var(name)) ** e
+        total = total + piece
+    return total
+
+
+def test_substitute_matches_a_term_by_term_reference(ctx):
+    x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
+    values = [
+        ctx.const(Fraction(2, 3)), ctx.const(Fraction(-3, 2)), ctx.zero(), ctx.const(5),
+        x - y, x + y, x * y + 1, z**2 - 2 * x, Fraction(1, 2) * y + Fraction(1, 2),
+        _random_terms(ctx, random.Random("substitute:value"), fractions=True),
+    ]
+    rng = random.Random("substitute")
+    for _ in range(200):
+        f = _random_terms(ctx, rng, fractions=rng.random() < 0.3) * (z ** rng.randint(0, 2))
+        names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+        bindings = {name: rng.choice(values) for name in names}
+        before = dict(f.terms), {name: dict(v.terms) for name, v in bindings.items()}
+        got = f.substitute(bindings)
+        assert got.terms == _substitute_reference(f, bindings).terms
+        assert all(c != 0 for c in got.terms.values())
+        assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in got.terms.values())
+        assert (dict(f.terms), {name: dict(v.terms) for name, v in bindings.items()}) == before
+    # cancelling values: (x - y)(x + y) = x^2 - y^2
+    assert ctx.poly("x*y").substitute({"x": x - y, "y": x + y}) == ctx.poly("x^2 - y^2")
+    assert ctx.poly("x - y").substitute({"x": y, "y": x}) == ctx.poly("y - x")
+    half = ctx.const(Fraction(1, 2))
+    assert type(ctx.poly("4*x^2").substitute({"x": half}).constant_term()) is int
+
+
 def test_eval_rational_simple(ctx):
     a2 = ctx.poly("p^2*q^2 + q*x")
     assert a2.eval_rational({"p": 1, "q": 1}) == ctx.poly("1 + x")
@@ -320,13 +359,34 @@ def test_largest_exponent_works(ctx):
         top * x
 
 
+def test_substitution_past_the_field_width_raises(ctx):
+    x, y = ctx.var("x"), ctx.var("y")
+    # in the power table
+    with pytest.raises(ExponentOverflow):
+        (x ** (1 << 18)).substitute({"x": x**2})
+    with pytest.raises(ExponentOverflow):
+        (x**2).substitute({"x": y ** (1 << 18)})
+    # unchecked, y^(2^18)^4 would carry out of y's field into the next one
+    with pytest.raises(ExponentOverflow):
+        (x**4).substitute({"x": y ** (1 << 18)})
+    # in the product of a term's free monomial with its powers, in y's field
+    with pytest.raises(ExponentOverflow):
+        (x * y ** (LIMIT - 1)).substitute({"x": y})
+    assert (x * y ** (LIMIT - 2)).substitute({"x": y}) == y ** (LIMIT - 1)
+
+
 def test_overflow_raises_under_python_O():
     code = (
         "import sys\n"
         "from excedance_lab.multipoly import Context, ExponentOverflow\n"
-        "x = Context().var('x')\n"
+        "ctx = Context()\n"
+        "x, y = ctx.var('x'), ctx.var('y')\n"
         "try:\n"
         "    x ** (1 << 19)\n"
+        "except ExponentOverflow:\n"
+        "    print('raised', sys.flags.optimize)\n"
+        "try:\n"
+        "    (x * y ** ((1 << 19) - 1)).substitute({'x': y})\n"
         "except ExponentOverflow:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
@@ -336,7 +396,7 @@ def test_overflow_raises_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert proc.stdout == "raised 1\n", proc.stderr
+    assert proc.stdout == "raised 1\nraised 1\n", proc.stderr
 
 
 def test_terms_is_a_read_only_tuple_keyed_view(ctx):
