@@ -13,7 +13,9 @@ Core layers:
 
 from .families import family, q_bracket, springer
 from .grammar import Grammar, parse_rules
-from .multipoly import Context, ExponentOverflow, ParseError, Poly, as_fraction, poly_from_json
+from .multipoly import (
+    BadInput, Context, ExponentOverflow, ParseError, Poly, as_fraction, poly_from_json,
+)
 from .permstats import (
     BadClassSize,
     BadGuard,
@@ -43,7 +45,8 @@ from .identities import run_suite, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "Context", "Poly", "ParseError", "ExponentOverflow", "as_fraction", "poly_from_json",
+    "BadInput", "Context", "Poly", "ParseError", "ExponentOverflow", "as_fraction",
+    "poly_from_json",
     "Grammar", "parse_rules",
     "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
     "enumerate_class", "gen_poly", "marginal", "stirling_identities",

@@ -4,7 +4,9 @@ Subcommands: family, enumerate, grammar, shape, fs-action, verify, suite.
 Rationals on the command line are written ``a/b``.  The enumeration size
 guard is set only by the environment variable ``EXCEDANCE_LAB_MAX_CLASS``
 (an integer >= 1).  Malformed input, a malformed guard included, exits 2 with
-one ``error:`` line on stderr and no traceback.
+one ``error:`` line on stderr and no traceback: :func:`main` maps every
+:class:`~excedance_lab.multipoly.BadInput` (and ``OSError``) to exit 2, and
+lets any other exception propagate.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 
 from . import families, fsaction, identities, permstats
 from .grammar import parse_rules
-from .multipoly import Context, ExponentOverflow, ParseError, as_fraction
-from .shape import BadLength, CoeffSeq, shape_report
+from .multipoly import BadInput, Context, ParseError, as_fraction
+from .shape import CoeffSeq, shape_report
 
 
 def _add_format(parser, default="text", choices=("text", "json", "csv")):
@@ -89,8 +91,7 @@ def _cmd_enumerate(args) -> int:
     if args.stats is not None:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
-            print(f"error: --stats {args.stats!r} names no statistic", file=sys.stderr)
-            return 2
+            raise BadInput(f"--stats {args.stats!r} names no statistic")
         for s in wanted:
             if s not in all_stats:
                 raise permstats.UnknownStat(s)
@@ -225,8 +226,7 @@ def _cmd_suite(args) -> int:
     if args.ids is not None:
         ids = [s.strip() for s in args.ids.split(",") if s.strip()]
         if not ids:
-            print(f"error: --ids {args.ids!r} names no identity", file=sys.stderr)
-            return 2
+            raise BadInput(f"--ids {args.ids!r} names no identity")
     results = identities.run_suite(
         profile=args.profile, ids=ids, seed=args.seed, jobs=args.jobs,
     )
@@ -333,25 +333,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        families.BadParams,
-        families.OutOfTable,
-        permstats.BadClassSize,
-        permstats.BadGuard,
-        permstats.SizeExceeded,
-        permstats.UnknownStat,
-        fsaction.ValueAbsent,
-        ParseError,
-        ExponentOverflow,
-        BadLength,
-        OSError,
-        identities.BadOverride,
-    ) as exc:
+    except (BadInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except identities.UnknownIdentity as exc:
-        known = ", ".join(identities.identity_ids())
-        print(f"error: unknown identity {exc.args[0]!r}; known ids: {known}", file=sys.stderr)
         return 2
 
 

@@ -29,17 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .multipoly import Context, Poly, binomial
-from .shape import gamma_assemble
+from .multipoly import BadInput, Context, Poly, binomial
+from .shape import PartialGamma, gamma_assemble
 
 SPRINGER = (1, 1, 3, 11, 57, 361, 2763, 24611)
 
 
-class BadParams(ValueError):
+class BadParams(BadInput, ValueError):
     """Family parameters outside the recurrence's domain."""
 
 
-class OutOfTable(LookupError):
+class OutOfTable(BadInput, LookupError):
     """Index beyond a table-backed sequence."""
 
 
@@ -126,14 +126,11 @@ def gamma_poly(ctx: Context, n: int) -> Poly:
 
 
 def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
-    """A_n(x,p,q), assembled from the gamma triangle one p^i slice at a time."""
+    """A_n(x,p,q): the gamma triangle read as a partial-gamma expansion in (x, p),
+    assembled by :meth:`PartialGamma.assemble`."""
     if n == 0:
         return ctx.const(1)
-    rows: dict[int, dict[int, Poly]] = {}
-    for (i, j), g in gamma_triangle(ctx, n).items():
-        rows.setdefault(i, {})[j] = g
-    p = ctx.var("p")
-    return ctx.sum(p**i * gamma_assemble(ctx, row, n - i) for i, row in rows.items())
+    return PartialGamma(n, gamma_triangle(ctx, n)).assemble(ctx, "x", "p")
 
 
 def q_eulerian(ctx: Context, n: int) -> Poly:

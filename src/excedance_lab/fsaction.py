@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import permstats
-from .multipoly import ParseError
+from .multipoly import BadInput, ParseError
 from .permstats import (
     ROLE_CDA,
     ROLE_CDD,
@@ -48,7 +48,7 @@ from .permstats import (
 )
 
 
-class ValueAbsent(ValueError):
+class ValueAbsent(BadInput, ValueError):
     """The requested value does not occur in the permutation."""
 
 

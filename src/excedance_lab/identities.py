@@ -61,7 +61,7 @@ from .families import (
     type_b_q_eulerian,
 )
 from .grammar import Grammar
-from .multipoly import Context, Poly, binomial, horner_eval
+from .multipoly import BadInput, Context, Poly, binomial, horner_eval
 from .permstats import SizeExceeded, gen_poly, marginal
 from .shape import (
     CoeffSeq,
@@ -75,11 +75,14 @@ from .shape import (
 DEFAULT_SEED = 94101
 
 
-class UnknownIdentity(KeyError):
-    """No identity with the requested id."""
+class UnknownIdentity(BadInput, KeyError):
+    """No identity with the requested id; ``args[0]`` is that id."""
+
+    def __str__(self):
+        return f"unknown identity {self.args[0]!r}; known ids: {', '.join(identity_ids())}"
 
 
-class BadOverride(ValueError):
+class BadOverride(BadInput, ValueError):
     """An override names a bound the identity does not read, or gives a
     bound outside its domain."""
 

@@ -24,12 +24,13 @@ tuples of ``(var_id, exponent)`` pairs sorted by id, with no zero exponents.
 ``Poly(ctx, terms)`` packs a mapping in that form.
 
 Everything here is pure and values are immutable by convention: no operation
-mutates its inputs, so polynomials are safe to share across workers.  Sums of
-many polynomials go through :meth:`Context.sum`, which accumulates in place in
-one fresh dict (no copy of the running total per summand) and never mutates
-its inputs.  :meth:`Poly.substitute` works on the stores directly: one power
-table per bound variable for the whole call, each entry one product from the
-entry below it, and every term's image added into one output dict.
+mutates its inputs, so polynomials are safe to share across workers.  ``+``
+and :meth:`Context.sum` share one merge, :func:`_merge_into`, which adds a
+store into a dict in place; ``sum`` runs it once per summand into one fresh
+dict.  :meth:`Poly.substitute` builds one power table per bound variable out
+of ``*`` and ``**`` (so every entry passes the guard check) and adds every
+term's image into one output dict.  :class:`BadInput` is the base of every
+error, here and in the modules above, that reports bad input.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -50,11 +51,15 @@ Coeff = Union[int, Fraction]
 MonoKey = tuple[tuple[int, int], ...]
 
 
-class ParseError(ValueError):
+class BadInput(Exception):
+    """A bad argument or bad outside input; the CLI maps it to exit 2."""
+
+
+class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial or rational text."""
 
 
-class ExponentOverflow(ValueError):
+class ExponentOverflow(BadInput, ValueError):
     """Raised when an exponent reaches its monomial field's guard bit."""
 
 
@@ -225,21 +230,28 @@ class Context:
         for p in polys:
             if p.ctx is not self:
                 raise ValueError("polynomials from different contexts")
-            if not out:
-                out.update(p._t)
-                continue
-            for key, c in p._t.items():
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly._of(self, _normalised(out))
+            _merge_into(out, p._t)
+        return Poly._of(self, out)
 
 
 def _normalised(out: dict[int, Coeff]) -> dict[int, Coeff]:
     """``out`` without zero coefficients and with integral fractions as int."""
     return {key: c if type(c) is int else _norm_coeff(c) for key, c in out.items() if c}
+
+
+def _merge_into(out: dict[int, Coeff], store: dict[int, Coeff]) -> None:
+    """Add the canonical ``store`` into ``out`` in place, keeping ``out`` canonical:
+    zero sums drop and integral fractions become int, entry by entry."""
+    if not out:
+        out.update(store)
+        return
+    get = out.get
+    for key, c in store.items():
+        s = get(key, 0) + c
+        if s:
+            out[key] = s if type(s) is int else _norm_coeff(s)
+        else:
+            out.pop(key, None)
 
 
 def _product(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
@@ -253,42 +265,24 @@ def _product(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
     return out
 
 
-def _power_table(
-    check, val: dict[int, Coeff], exponents: set[int]
-) -> dict[int, dict[int, Coeff]]:
+def _power_table(val: "Poly", exponents: set[int]) -> dict[int, dict[int, Coeff]]:
     """``{e: store of val**e}`` for every ``e`` in ``exponents`` (all >= 1).
 
     Entries are built in ascending order, each one product from the entry
     below it: ``val**e = val**last * val**(e - last)``.  For consecutive
     exponents the step is ``val`` itself; a wider gap's step is raised once
-    by repeated squaring and reused, so a sparse high exponent costs log(e)
-    products, not e.  ``check`` runs on every product before its zero
-    coefficients are dropped.
+    with ``**`` and reused, so a sparse high exponent costs log(e) products,
+    not e.  Every product is a ``Poly`` product, guard check included.
     """
-
-    def times(a, b):
-        out = _product(a, b)
-        check(out)
-        return _normalised(out)
-
-    def raised(gap):
-        result, base = None, val
-        while gap:
-            if gap & 1:
-                result = base if result is None else times(result, base)
-            gap >>= 1
-            if gap:
-                base = times(base, base)
-        return result
-
     table: dict[int, dict[int, Coeff]] = {}
     steps = {1: val}
-    prev, last = {0: 1}, 0
+    prev, last = None, 0
     for e in sorted(exponents):
         step = steps.get(e - last)
         if step is None:
-            step = steps[e - last] = raised(e - last)
-        prev = table[e] = times(prev, step)
+            step = steps[e - last] = val ** (e - last)
+        prev = step if prev is None else prev * step
+        table[e] = prev._t
         last = e
     return table
 
@@ -361,12 +355,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._t)
-        for key, c in other._t.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s if type(s) is int else _norm_coeff(s)
-            else:
-                out.pop(key, None)
+        _merge_into(out, other._t)
         return Poly._of(self.ctx, out)
 
     __radd__ = __add__
@@ -470,8 +459,8 @@ class Poly:
         entry for every exponent it has in this polynomial (see
         :func:`_power_table`).  Each term's free monomial is multiplied by its
         cached powers at the store level and added into one output dict, with
-        no intermediate :class:`Poly`; every product goes through the guard
-        check, so an exponent never wraps.
+        no intermediate :class:`Poly`; every product, in the tables and here,
+        goes through the guard check, so an exponent never wraps.
         """
         ctx = self.ctx
         subs: dict[int, Poly] = {}
@@ -488,7 +477,7 @@ class Poly:
         for vid in sorted(subs):
             s = ctx.FIELD * vid
             used = {(key >> s) & mask for key in self._t} - {0}
-            bound.append((s, _power_table(check, subs[vid]._t, used)))
+            bound.append((s, _power_table(subs[vid], used)))
         free = ~sum(mask << s for s, _ in bound)
         out: dict[int, Coeff] = {}
         get = out.get
@@ -604,10 +593,24 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    # parentheses and unary minus signs after an operator recurse; real input
+    # nests a few levels, and this bound keeps far below the interpreter's stack
+    MAX_DEPTH = 100
+
     def __init__(self, ctx: Context, tokens: list[str]):
         self.ctx = ctx
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """``parse()`` one level deeper; raises :class:`ParseError` past ``MAX_DEPTH``."""
+        if self.depth == self.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -652,7 +655,7 @@ class _Parser:
             self.take()
             tok = self.take()
             if tok == "(":
-                inner = self.expr()
+                inner = self.nested(self.expr)
                 if self.take() != ")":
                     raise ParseError("unclosed exponent parenthesis")
                 if inner._t.keys() - {0} or not isinstance(inner.constant_term(), int):
@@ -672,12 +675,12 @@ class _Parser:
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             if self.take() != ")":
                 raise ParseError("unclosed parenthesis")
             return inner
         if tok == "-":
-            return -self.factor()
+            return -self.nested(self.factor)
         if tok.isdigit():
             return self.ctx.const(int(tok))
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):

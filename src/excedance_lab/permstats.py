@@ -72,7 +72,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
-from .multipoly import Context, Poly
+from .multipoly import BadInput, Context, Poly
 
 DEFAULT_MAX_CLASS = 20_000_000
 ENV_GUARD = "EXCEDANCE_LAB_MAX_CLASS"
@@ -101,7 +101,7 @@ C_EXC_B, C_FIX, C_SINGLE, C_CSUM, C_EXC_A = map(
 )
 
 
-class SizeExceeded(RuntimeError):
+class SizeExceeded(BadInput, RuntimeError):
     """The requested class is larger than the enumeration guard."""
 
     def __init__(self, size: int, guard: int):
@@ -110,15 +110,15 @@ class SizeExceeded(RuntimeError):
         self.guard = guard
 
 
-class UnknownStat(KeyError):
+class UnknownStat(BadInput, KeyError):
     """A weighting or filter referenced a statistic the class does not have."""
 
 
-class BadClassSize(ValueError):
+class BadClassSize(BadInput, ValueError):
     """A size parameter outside its domain: n < 0, r < 1 or k < 1, or r or k != 1 where unread."""
 
 
-class BadGuard(ValueError):
+class BadGuard(BadInput, ValueError):
     """The size guard variable holds something other than an integer >= 1."""
 
 

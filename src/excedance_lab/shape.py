@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .multipoly import Context, Poly
+from .multipoly import BadInput, Context, Poly
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -39,11 +39,11 @@ PROPERTIES = (
 )
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(BadInput, ValueError):
     """Raised when a gamma expansion is requested for an asymmetric sequence."""
 
 
-class BadLength(ValueError):
+class BadLength(BadInput, ValueError):
     """A declared length below the degree of the coefficient sequence."""
 
 
@@ -259,10 +259,13 @@ class PartialGammaFailure(NotSymmetric):
 
 @dataclass
 class PartialGamma:
-    """Triangle mu[(i, j)] with  p(x,y) = sum_i y^i sum_j mu_ij x^j (1+x)^{n-i-2j}."""
+    """Triangle mu[(i, j)] with  p(x,y) = sum_i y^i sum_j mu_ij x^j (1+x)^{n-i-2j}.
+
+    Entries are numbers, or polynomials of one context in a symbolic parameter
+    (which :meth:`assemble` accepts, as :func:`gamma_assemble` does)."""
 
     n: int
-    mu: dict[tuple[int, int], Number]
+    mu: dict[tuple[int, int], Coefficient]
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.mu.values())

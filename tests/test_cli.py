@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from excedance_lab import permstats
+from excedance_lab import cli, families, fsaction, identities, permstats, shape
 from excedance_lab.cli import main
-from excedance_lab.multipoly import Context, poly_from_json
+from excedance_lab.multipoly import (
+    BadInput, Context, ExponentOverflow, ParseError, poly_from_json,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,17 +183,48 @@ def test_malformed_guard_exits_2(capsys, monkeypatch, value):
         ("fs-action", "--perm", "(1,a)"),
         ("verify", "--id", "rec-anxq", "--r", "3"),
         ("suite", "--ids", ",,"),
+        # nesting past the parser's depth limit, in a rule file and in a seed
+        pytest.param(("grammar", "derive", "--rules", "DEEP_RULES", "--seed", "x", "--n", "1"),
+                     id="grammar-deep-rules"),
+        pytest.param(("grammar", "derive", "--rules", "RULES", "--seed=2*" + "-" * 1000 + "x",
+                      "--n", "1"), id="grammar-deep-seed"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_malformed_arguments_exit_2_without_traceback(tmp_path, argv):
-    rules = tmp_path / "rules.txt"
-    rules.write_text("x -> x*y\n")
-    proc = run_cli_process(*[str(rules) if arg == "RULES" else arg for arg in argv])
+    files = {"RULES": "x -> x*y\n", "DEEP_RULES": "x -> " + "(" * 300 + "x" + ")" * 300 + "\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = run_cli_process(*[str(tmp_path / arg) if arg in files else arg for arg in argv])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if "error: " in line]
+
+
+def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
+    # main maps exactly BadInput (and OSError) to exit 2
+    for cls in (
+        ParseError, ExponentOverflow, families.BadParams, families.OutOfTable,
+        permstats.BadClassSize, permstats.BadGuard, permstats.SizeExceeded,
+        permstats.UnknownStat, fsaction.ValueAbsent, shape.BadLength, shape.NotSymmetric,
+        identities.BadOverride, identities.UnknownIdentity,
+    ):
+        assert issubclass(cls, BadInput), cls
+    assert not issubclass(fsaction.ContractViolation, BadInput)
+    # the builtin base stays, and a KeyError keeps its quoted str
+    assert issubclass(permstats.UnknownStat, KeyError)
+    assert str(permstats.UnknownStat("bogus")) == "'bogus'"
+
+
+def test_an_error_that_is_not_bad_input_propagates(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "_cmd_family", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["family", "--name", "A_pq", "--n", "2"])
+    assert capsys.readouterr().err == ""
 
 
 def test_rules_file_not_utf8_exits_2(capsys, tmp_path):

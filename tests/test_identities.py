@@ -38,8 +38,12 @@ def test_criterion_map_covers_all_ten():
 
 
 def test_unknown_identity():
-    with pytest.raises(UnknownIdentity):
+    with pytest.raises(UnknownIdentity) as err:
         run_verify("no-such-identity")
+    assert err.value.args[0] == "no-such-identity"
+    assert str(err.value) == (
+        "unknown identity 'no-such-identity'; known ids: " + ", ".join(identity_ids())
+    )
     with pytest.raises(UnknownIdentity):
         run_suite(ids=["no-such-identity"])
 

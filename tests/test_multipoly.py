@@ -209,6 +209,18 @@ def test_parse_errors(ctx):
     for bad in ("", "x +", "x ^ y", "(x", "x $ y", "1/(x+1)"):
         with pytest.raises(ParseError):
             ctx.poly(bad)
+    # nesting past the depth limit: a ParseError, never a RecursionError
+    for deep in (
+        "(" * 300 + "x" + ")" * 300, "2*" + "-" * 1000 + "x", "x^(" * 150 + "1" + ")" * 150,
+    ):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            ctx.poly(deep)
+
+
+def test_nesting_at_the_depth_limit_parses(ctx):
+    assert ctx.poly("(" * 100 + "x" + ")" * 100) == ctx.var("x")
+    assert ctx.poly("2*" + "-" * 100 + "x") == ctx.poly("2*x")
+    assert ctx.poly("-" * 1000 + "x") == ctx.var("x")  # leading signs do not nest
 
 
 @pytest.mark.parametrize(
@@ -445,8 +457,9 @@ _rows = st.lists(
 )
 
 
-# coeffs_in returns a dense list of up to 2**18 coefficients per example
-@settings(max_examples=40, deadline=None)
+# coeffs_in returns a dense list of up to 2**18 coefficients per example, so
+# the draw is fixed: the same 40 examples, and the same run time, every run
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.permutations(_NAMES), _rows, _rows, st.sampled_from(_NAMES))
 def test_packed_keys_agree_with_a_tuple_keyed_reference(order, rows_f, rows_g, var):
     ctx = Context(order)  # interned in a shuffled order
