@@ -133,16 +133,24 @@ def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
     return PartialGamma(n, gamma_triangle(ctx, n)).assemble(ctx, "x", "p")
 
 
-def q_eulerian(ctx: Context, n: int) -> Poly:
-    """A_n(x,q) from A_{n+1} = (n x + q) A_n + x(1-x) dA_n/dx, A_0 = 1."""
+def _q_eulerian_rows(ctx: Context, n: int) -> list[Poly]:
+    """[A_0(x,q), ..., A_n(x,q)] from one sweep of
+    A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
     if n < 0:
         raise BadParams("n must be nonnegative")
     x, q = ctx.var("x"), ctx.var("q")
-    one = ctx.const(1)
-    f = one
+    weight = x * (1 - x)
+    rows = [ctx.const(1)]
     for m in range(n):
-        f = (m * x + q) * f + x * (one - x) * f.differentiate("x")
-    return f
+        f = rows[-1]
+        rows.append((m * x + q) * f + weight * f.differentiate("x"))
+    return rows
+
+
+def q_eulerian(ctx: Context, n: int) -> Poly:
+    """A_n(x,q), the last row of one sweep of the recurrence
+    A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
+    return _q_eulerian_rows(ctx, n)[-1]
 
 
 def classical_eulerian(ctx: Context, n: int) -> Poly:
@@ -151,12 +159,13 @@ def classical_eulerian(ctx: Context, n: int) -> Poly:
 
 
 def derangement_poly(ctx: Context, n: int) -> Poly:
-    """d_n(x) by inclusion-exclusion over fixed points of A_m(x)."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    """d_n(x) = sum_j (-1)^j C(n,j) A_{n-j}(x), inclusion-exclusion over fixed
+    points: A_0..A_n(x,q) come from one sweep of the q-Eulerian recurrence, and
+    q = 1 is substituted once, in the sum."""
+    rows = _q_eulerian_rows(ctx, n)
     return ctx.sum(
-        ((-1) ** j * binomial(n, j)) * classical_eulerian(ctx, n - j) for j in range(n + 1)
-    )
+        (-1) ** j * binomial(n, j) * rows[n - j] for j in range(n + 1)
+    ).substitute({"q": 1})
 
 
 # ---------------------------------------------------------------------------

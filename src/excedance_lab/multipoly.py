@@ -27,10 +27,13 @@ Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  ``+``
 and :meth:`Context.sum` share one merge, :func:`_merge_into`, which adds a
 store into a dict in place; ``sum`` runs it once per summand into one fresh
-dict.  :meth:`Poly.substitute` builds one power table per bound variable out
-of ``*`` and ``**`` (so every entry passes the guard check) and adds every
-term's image into one output dict.  :class:`BadInput` is the base of every
-error, here and in the modules above, that reports bad input.
+dict.  Every product goes through one store kernel, :func:`_product`, where
+a scalar or one-term factor ``c*m`` only shifts the other factor's keys by
+``m`` and scales its coefficients by ``c``: nothing merges and no zero is
+left to drop.  :meth:`Poly.substitute` builds one power table per bound
+variable out of ``*`` and ``**`` (so every entry passes the guard check) and
+adds every term's image into one output dict.  :class:`BadInput` is the base
+of every error, here and in the modules above, that reports bad input.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -254,15 +257,27 @@ def _merge_into(out: dict[int, Coeff], store: dict[int, Coeff]) -> None:
             out.pop(key, None)
 
 
-def _product(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Raw product of two stores, unchecked: zero coefficients may remain."""
-    out: dict[int, Coeff] = {}
+def _product(ctx: Context, a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Product of two canonical stores of ``ctx``: a fresh canonical store,
+    guard-checked.  A one-term factor ``c*key`` (a scalar is ``key`` 0) only
+    shifts the other factor's keys and scales its coefficients, so nothing
+    merges, no coefficient vanishes, and ``key`` 0 leaves nothing to check."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((key, c),) = b.items()
+        out = {k + key: p if type(p := v * c) is int else _norm_coeff(p) for k, v in a.items()}
+        if key:
+            ctx._check(out)
+        return out
+    out = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = ka + kb  # a product key is the sum of the factors' keys
             out[key] = get(key, 0) + ca * cb
-    return out
+    ctx._check(out)
+    return _normalised(out)
 
 
 def _power_table(val: "Poly", exponents: set[int]) -> dict[int, dict[int, Coeff]]:
@@ -341,21 +356,24 @@ class Poly:
 
     # -- ring structure -------------------------------------------------
 
-    def _coerce(self, other) -> "Poly":
+    def _store(self, other) -> dict[int, Coeff]:
+        """The canonical store of ``other``: a polynomial of this context or a
+        scalar; ``NotImplemented`` for anything else."""
         if isinstance(other, Poly):
             if other.ctx is not self.ctx:
                 raise ValueError("polynomials from different contexts")
-            return other
+            return other._t
         if isinstance(other, (int, Fraction)):
-            return self.ctx.const(other)
+            c = _norm_coeff(other)
+            return {0: c} if c else {}
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        store = self._store(other)
+        if store is NotImplemented:
             return NotImplemented
         out = dict(self._t)
-        _merge_into(out, other._t)
+        _merge_into(out, store)
         return Poly._of(self.ctx, out)
 
     __radd__ = __add__
@@ -364,21 +382,19 @@ class Poly:
         return Poly._of(self.ctx, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        store = self._store(other)
+        if store is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self + -Poly._of(self.ctx, store)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        store = self._store(other)
+        if store is NotImplemented:
             return NotImplemented
-        out = _product(self._t, other._t)
-        self.ctx._check(out)
-        return Poly._of(self.ctx, _normalised(out))
+        return Poly._of(self.ctx, _product(self.ctx, self._t, store))
 
     __rmul__ = __mul__
 
@@ -404,6 +420,8 @@ class Poly:
         return self._named_terms() == other._named_terms()
 
     def __hash__(self):
+        if self._t.keys() <= {0}:  # a constant hashes as its scalar, which it equals
+            return hash(self._t.get(0, 0))
         return hash(frozenset(self._named_terms().items()))
 
     def __bool__(self):
@@ -472,7 +490,7 @@ class Poly:
             subs[ctx.varid(var)] = val
         if not subs:
             return self
-        mask, check = Context._MASK, ctx._check
+        mask = Context._MASK
         bound = []  # (field shift, power table), in id order
         for vid in sorted(subs):
             s = ctx.FIELD * vid
@@ -486,8 +504,7 @@ class Poly:
             for s, powers in bound:
                 e = (key >> s) & mask
                 if e:
-                    piece = _product(piece, powers[e])
-                    check(piece)
+                    piece = _product(ctx, piece, powers[e])
             for k, v in piece.items():
                 out[k] = get(k, 0) + v
         return Poly._of(ctx, _normalised(out))

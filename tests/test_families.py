@@ -23,7 +23,7 @@ from excedance_lab.families import (
     springer,
     type_b_q_eulerian,
 )
-from excedance_lab.multipoly import Context
+from excedance_lab.multipoly import Context, Poly, binomial
 
 from oracles import plain_exc_fix_cyc
 
@@ -145,6 +145,25 @@ def test_classical_and_derangement(ctx):
     assert derangement_poly(ctx, 0) == ctx.const(1)
     assert derangement_poly(ctx, 1).is_zero()
     assert derangement_poly(ctx, 4) == ctx.poly("x + 7*x^2 + x^3")
+
+
+def test_derangement_is_inclusion_exclusion_over_one_sweep(ctx, monkeypatch):
+    for n in range(11):
+        expected = ctx.zero()
+        for j in range(n + 1):
+            expected = expected + (-1) ** j * binomial(n, j) * classical_eulerian(ctx, n - j)
+        assert derangement_poly(ctx, n) == expected
+    calls = []
+    differentiate = Poly.differentiate
+    monkeypatch.setattr(
+        Poly, "differentiate", lambda f, var: calls.append(var) or differentiate(f, var)
+    )
+    derangement_poly(ctx, 30)
+    assert calls == ["x"] * 30  # one recurrence step per row, not one sweep per row
+    with pytest.raises(BadParams):
+        q_eulerian(ctx, -1)
+    with pytest.raises(BadParams):
+        derangement_poly(ctx, -1)
 
 
 def test_registry_and_bad_params(ctx):
