@@ -26,8 +26,9 @@ them; the runner shares plumbing only, never a formula.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .multipoly import BadInput, Context, Poly, binomial
 from .shape import PartialGamma, gamma_assemble
@@ -133,24 +134,25 @@ def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
     return PartialGamma(n, gamma_triangle(ctx, n)).assemble(ctx, "x", "p")
 
 
-def _q_eulerian_rows(ctx: Context, n: int) -> list[Poly]:
-    """[A_0(x,q), ..., A_n(x,q)] from one sweep of
+def _q_eulerian_rows(ctx: Context, n: int) -> Iterator[Poly]:
+    """A_0(x,q), ..., A_n(x,q) in turn, from one sweep of
     A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
     if n < 0:
         raise BadParams("n must be nonnegative")
     x, q = ctx.var("x"), ctx.var("q")
     weight = x * (1 - x)
-    rows = [ctx.const(1)]
+    f = ctx.const(1)
+    yield f
     for m in range(n):
-        f = rows[-1]
-        rows.append((m * x + q) * f + weight * f.differentiate("x"))
-    return rows
+        f = (m * x + q) * f + weight * f.differentiate("x")
+        yield f
 
 
 def q_eulerian(ctx: Context, n: int) -> Poly:
     """A_n(x,q), the last row of one sweep of the recurrence
     A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
-    return _q_eulerian_rows(ctx, n)[-1]
+    (last,) = deque(_q_eulerian_rows(ctx, n), maxlen=1)
+    return last
 
 
 def classical_eulerian(ctx: Context, n: int) -> Poly:
@@ -162,7 +164,7 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
     """d_n(x) = sum_j (-1)^j C(n,j) A_{n-j}(x), inclusion-exclusion over fixed
     points: A_0..A_n(x,q) come from one sweep of the q-Eulerian recurrence, and
     q = 1 is substituted once, in the sum."""
-    rows = _q_eulerian_rows(ctx, n)
+    rows = list(_q_eulerian_rows(ctx, n))
     return ctx.sum(
         (-1) ** j * binomial(n, j) * rows[n - j] for j in range(n + 1)
     ).substitute({"q": 1})

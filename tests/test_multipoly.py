@@ -541,11 +541,11 @@ _NAMES = ("a", "b", "c", "d", "e")
 _TOP = (1 << 18) - 1  # two such exponents add up to one below the guard bit
 
 
-def _draw_rows(rng, count, top):
-    """``count`` rows of exponents in [0, top], the boundary values 0, 1 and
-    ``top`` often, with coefficients in [-5, 5]."""
+def _draw_rows(rng, count):
+    """``count`` rows of exponents in [0, ``_TOP``], the boundary values 0, 1
+    and ``_TOP`` often, with coefficients in [-5, 5]."""
     def exponent():
-        return rng.choice((0, 1, top, rng.randint(0, top)))
+        return rng.choice((0, 1, _TOP, rng.randint(0, _TOP)))
     return [
         (tuple(exponent() for _ in _NAMES), rng.randint(-5, 5)) for _ in range(count)
     ]
@@ -555,15 +555,12 @@ def _packed_key_examples(count=40, seed=17):
     """A fixed draw of ``(order, rows_f, rows_g, var)``: a shuffled interning
     order, two row lists and a variable.  Every fourth example has a one-row
     ``f`` and every second a one-row ``g``, so the one-term product meets
-    exponents near the guard.  Every third example draws exponents up to
-    ``_TOP`` and the others up to 4, because ``coeffs_in`` returns a dense
-    list of up to 2**18 coefficients."""
+    exponents near the guard.  Every exponent lies in [0, ``_TOP``]."""
     rng = random.Random(seed)
     for i in range(count):
-        top = _TOP if i % 3 == 0 else 4
         order = rng.sample(_NAMES, len(_NAMES))
-        rows_f = _draw_rows(rng, 1 if i % 4 == 1 else rng.randint(0, 6), top)
-        rows_g = _draw_rows(rng, 1 if i % 2 == 0 else rng.randint(0, 6), top)
+        rows_f = _draw_rows(rng, 1 if i % 4 == 1 else rng.randint(0, 6))
+        rows_g = _draw_rows(rng, 1 if i % 2 == 0 else rng.randint(0, 6))
         yield order, rows_f, rows_g, rng.choice(_NAMES)
 
 
