@@ -14,7 +14,10 @@ worker scheduling.
 Adding an identity: a theorem checked over ``n`` (and ``r`` or ``k``) is a
 ``@_sweep`` cell ``cell(ck, ctx, bounds, n[, r|k])``, called per grid point
 with a fresh Context and the label prefix ``n=5`` (``r=2 n=5``, ``k=2 n=5``);
-it passes only the label's rest, or ``""``.  Write the body by hand
+it passes only the label's rest, or ``""``.  A grammar lemma checked against
+a class is a ``@_grammar_sweep`` and a substitution theorem a
+``@_substitution_sweep``: the decorated function returns only the grammar's
+rules, or the bindings, for ``(ctx, r)``.  Write the body by hand
 (``@_identity``, ``run(bounds, rng, ck)``) when labels do not start with that
 prefix, the grid has a second loop, or work follows it.  A seeded property
 is a ``@_property`` case ``case(ctx, rng)`` that draws one instance and
@@ -25,12 +28,15 @@ plumbing only: no formula or Poly crosses cells or routes.  No body passes the
 enumeration size guard: it is the process-wide ``EXCEDANCE_LAB_MAX_CLASS``
 setting that ``permstats`` checks before every enumeration.
 
-The substitution theorems (thm9, thm12, thm22, thm24, thm26, and the colored
-sign evaluations sign-bagno-garber, sign-anr-typeA and dnr-wexc-formula) take
-their plain side from the grammar route: ``_eulerian_xypq`` iterates the
-lemma-7 grammar to A_n(x,y,p,q) and binds the identity's x, y and p in it with
-one simultaneous ``Poly.substitute``.  Only their signed or colored side
-enumerates, so each such check compares two routes, not two enumerations.
+Each statistic system's weighting (statistic -> variable) is one module
+constant, such as ``SIGNED_B``, that both members of its pair read: lemma-g3
+and thm9, g10 and thm22, g12 and thm24, g14 and thm26.  The substitution
+theorems (thm9, thm12, thm22, thm24, thm26, and the colored sign evaluations
+sign-bagno-garber, sign-anr-typeA and dnr-wexc-formula) take their plain side
+from the grammar route: ``_eulerian_xypq`` iterates the lemma-7 grammar to
+A_n(x,y,p,q) and binds the identity's x, y and p in it with one simultaneous
+``Poly.substitute``.  Only their signed or colored side enumerates, so each
+such check compares two routes, not two enumerations.
 """
 
 from __future__ import annotations
@@ -240,24 +246,62 @@ def _eulerian_xypq(ctx: Context, n: int, bindings: dict) -> Poly:
     return iterate.substitute({"I": 1, **bindings})
 
 
+# each statistic system's statistic -> variable weighting; a grammar lemma and
+# the substitution theorem it pairs with read the same one
+PLAIN_XYPQ = {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"}
+SIGNED_B = {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"}
+SIGNED_A = {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"}
+COLORED_F = {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}
+COLORED_B = {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t", "csum": "p", "cyc": "q"}
+COLORED_A = {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t", "csum": "p", "cyc": "q"}
+
+
+def _grammar_sweep(id, description, bounds, quick, *, kind, weighting, seed="I"):
+    """Register ``rules(ctx, r)`` as a criterion-1 sweep: the grammar
+    iterated n times from the variable ``seed`` equals ``seed`` times
+    ``gen_poly(kind, n, weighting, r=r)``.  ``r`` runs over ``bounds["rs"]``
+    when the bounds have one, else it is 1."""
+    def wrap(rules):
+        @_sweep(id, description, 1, bounds, quick, over="rs" if "rs" in bounds else None)
+        def cell(ck, ctx, bounds, n, r=1):
+            start = ctx.var(seed)
+            lhs = Grammar(ctx, rules(ctx, r)).iterate(start, n)
+            ck.eq("", lhs, start * gen_poly(ctx, kind, n, weighting, r=r))
+
+        return rules
+
+    return wrap
+
+
+def _substitution_sweep(id, description, bounds, quick, *, kind, weighting):
+    """Register ``bindings(ctx, r)`` as a criterion-3 sweep:
+    ``gen_poly(kind, n, weighting, r=r)`` equals ``_eulerian_xypq`` with those
+    bindings; ``r`` as in :func:`_grammar_sweep`."""
+    def wrap(bindings):
+        @_sweep(id, description, 3, bounds, quick, over="rs" if "rs" in bounds else None)
+        def cell(ck, ctx, bounds, n, r=1):
+            lhs = gen_poly(ctx, kind, n, weighting, r=r)
+            ck.eq("", lhs, _eulerian_xypq(ctx, n, bindings(ctx, r)))
+
+        return bindings
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: grammar iterates against enumeration
 # ---------------------------------------------------------------------------
 
 
-@_sweep(
+@_grammar_sweep(
     "lemma7-grammar-exc",
     "grammar {I->Ipq, p->xy, x->xy, y->xy} generates the excedance/drop/fix/cycle distribution",
-    1,
     {"max_n": 7},
     {"max_n": 5},
+    kind="plain", weighting=PLAIN_XYPQ,
 )
-def _run_lemma7(ck, ctx, bounds, n):
-    lhs = Grammar(ctx, LEMMA7_RULES).iterate(ctx.var("I"), n)
-    rhs = ctx.var("I") * gen_poly(
-        ctx, "plain", n, {"exc": "x", "drop": "y", "fix": "p", "cyc": "q"}
-    )
-    ck.eq("", lhs, rhs)
+def _lemma7_rules(ctx, r):
+    return LEMMA7_RULES
 
 
 @_sweep(
@@ -316,25 +360,19 @@ def _run_change_of_grammar(bounds, rng, ck):
         )
 
 
-@_sweep(
+@_grammar_sweep(
     "lemma-g3-grammar-signed",
     "the signed-permutation grammar generates the six-statistic distribution",
-    1,
     {"max_n": 5},
     {"max_n": 4},
+    kind="signed", weighting=SIGNED_B, seed="J",
 )
-def _run_g3(ck, ctx, bounds, n):
+def _g3_rules(ctx, r):
     rhs_rule = "(1+p)*x*y"
-    g3 = Grammar(ctx, {
+    return {
         "J": "q*J*(t+s*p)", "s": rhs_rule, "t": rhs_rule,
         "x": rhs_rule, "y": rhs_rule,
-    })
-    lhs = g3.iterate(ctx.var("J"), n)
-    rhs = ctx.var("J") * gen_poly(
-        ctx, "signed", n,
-        {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-    )
-    ck.eq("", lhs, rhs)
+    }
 
 
 @_sweep(
@@ -357,77 +395,53 @@ def _run_g8(ck, ctx, bounds, n, r):
     ck.eq("", lhs, rhs)
 
 
-@_sweep(
+@_grammar_sweep(
     "g10-grammar-colored",
     "first colored grammar vs the (exc, aexc, fix, cyc) distribution",
-    1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_F,
 )
-def _run_g10(ck, ctx, bounds, n, r):
-    g10 = Grammar(ctx, {
+def _g10_rules(ctx, r):
+    return {
         "I": f"q*I*(({r}-1)*x + p)",
         "x": f"{r}*x*y", "y": f"{r}*x*y", "p": f"{r}*x*y",
-    })
-    lhs = g10.iterate(ctx.var("I"), n)
-    rhs = ctx.var("I") * gen_poly(
-        ctx, "colored", n, {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}, r=r
-    )
-    ck.eq("", lhs, rhs)
+    }
 
 
-@_sweep(
+@_grammar_sweep(
     "g12-grammar-colored",
     "second colored grammar (color-sum refinement) vs enumeration, p symbolic",
-    1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_B,
 )
-def _run_g12(ck, ctx, bounds, n, r):
+def _g12_rules(ctx, r):
     bracket_r = q_bracket(ctx, r, "p")
     bracket_r1 = q_bracket(ctx, r - 1, "p")
     rule = bracket_r * ctx.poly("x*y")
-    g12 = Grammar(ctx, {
+    return {
         "I": ctx.var("q") * ctx.var("I")
         * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
         "x": rule, "y": rule, "t": rule, "s": rule,
-    })
-    lhs = g12.iterate(ctx.var("I"), n)
-    rhs = ctx.var("I") * gen_poly(
-        ctx, "colored", n,
-        {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
-         "csum": "p", "cyc": "q"},
-        r=r,
-    )
-    ck.eq("", lhs, rhs)
+    }
 
 
-@_sweep(
+@_grammar_sweep(
     "g14-grammar-colored",
     "third colored grammar (natural-order statistics) vs enumeration, p symbolic",
-    1,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_A,
 )
-def _run_g14(ck, ctx, bounds, n, r):
+def _g14_rules(ctx, r):
     bracket_r1 = q_bracket(ctx, r - 1, "p")
     rule = ctx.poly("x*y") + ctx.var("p") * bracket_r1 * ctx.poly("y^2")
-    g14 = Grammar(ctx, {
+    return {
         "I": ctx.var("q") * ctx.var("I")
         * (ctx.var("t") + ctx.var("s") * ctx.var("p") * bracket_r1),
         "t": rule, "s": rule, "x": rule, "y": rule,
-    })
-    lhs = g14.iterate(ctx.var("I"), n)
-    rhs = ctx.var("I") * gen_poly(
-        ctx, "colored", n,
-        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-         "csum": "p", "cyc": "q"},
-        r=r,
-    )
-    ck.eq("", lhs, rhs)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -632,110 +646,74 @@ def _run_rec_alpha_decom(ck, ctx, bounds, n, r):
 # ---------------------------------------------------------------------------
 
 
-@_sweep(
+@_substitution_sweep(
     "thm9-signed-transform",
     "the six-variable signed Eulerian polynomial is a substituted plain Eulerian polynomial",
-    3,
     {"max_n": 5},
     {"max_n": 4},
+    kind="signed", weighting=SIGNED_B,
 )
-def _run_thm9(ck, ctx, bounds, n):
-    lhs = gen_poly(
-        ctx, "signed", n,
-        {"exc": "x", "aexc": "y", "single": "s", "fix": "t", "neg": "p", "cyc": "q"},
-    )
-    rhs = _eulerian_xypq(
-        ctx, n, {"x": ctx.poly("(1+p)*x"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
-    )
-    ck.eq("", lhs, rhs)
+def _thm9_bindings(ctx, r):
+    return {"x": ctx.poly("(1+p)*x"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
 
 
-@_sweep(
+@_substitution_sweep(
     "thm12-signed-typeA",
     "the natural-order signed statistics arise from the substitution x -> x+py",
-    3,
     {"max_n": 5},
     {"max_n": 4},
+    kind="signed", weighting=SIGNED_A,
 )
-def _run_thm12(ck, ctx, bounds, n):
-    lhs = gen_poly(
-        ctx, "signed", n,
-        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-         "neg": "p", "cyc": "q"},
-    )
-    rhs = _eulerian_xypq(
-        ctx, n, {"x": ctx.poly("x+p*y"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
-    )
-    ck.eq("", lhs, rhs)
+def _thm12_bindings(ctx, r):
+    return {"x": ctx.poly("x+p*y"), "y": ctx.poly("(1+p)*y"), "p": ctx.poly("t+s*p")}
 
 
-@_sweep(
+@_substitution_sweep(
     "thm22-colored-transform",
     "first multivariate colored Eulerian polynomial as a substituted plain one",
-    3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_F,
 )
-def _run_thm22(ck, ctx, bounds, n, r):
-    lhs = gen_poly(
-        ctx, "colored", n, {"exc_f": "x", "aexc_f": "y", "fix": "p", "cyc": "q"}, r=r
-    )
-    rhs = _eulerian_xypq(ctx, n, {
+def _thm22_bindings(ctx, r):
+    return {
         "x": r * ctx.var("x"),
         "y": r * ctx.var("y"),
         "p": (r - 1) * ctx.var("x") + ctx.var("p"),
-    })
-    ck.eq("", lhs, rhs)
+    }
 
 
-@_sweep(
+@_substitution_sweep(
     "thm24-colored-transform",
     "second colored transform: color sums enter through p-brackets",
-    3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_B,
 )
-def _run_thm24(ck, ctx, bounds, n, r):
+def _thm24_bindings(ctx, r):
     br = q_bracket(ctx, r, "p")
     br1 = q_bracket(ctx, r - 1, "p")
-    lhs = gen_poly(
-        ctx, "colored", n,
-        {"exc_B": "x", "aexc_f": "y", "single": "s", "fix": "t",
-         "csum": "p", "cyc": "q"},
-        r=r,
-    )
-    rhs = _eulerian_xypq(ctx, n, {
+    return {
         "x": br * ctx.var("x"), "y": br * ctx.var("y"),
         "p": ctx.var("t") + ctx.var("s") * ctx.var("p") * br1,
-    })
-    ck.eq("", lhs, rhs)
+    }
 
 
-@_sweep(
+@_substitution_sweep(
     "thm26-colored-transform",
     "third colored transform: natural-order statistics via x -> x + p[r-1]_p y",
-    3,
     {"max_n": 4, "rs": (1, 2, 3)},
     {"max_n": 3, "rs": (1, 2)},
-    over="rs",
+    kind="colored", weighting=COLORED_A,
 )
-def _run_thm26(ck, ctx, bounds, n, r):
+def _thm26_bindings(ctx, r):
     br = q_bracket(ctx, r, "p")
     br1 = q_bracket(ctx, r - 1, "p")
-    lhs = gen_poly(
-        ctx, "colored", n,
-        {"exc_A": "x", "aexc_A": "y", "single": "s", "fix": "t",
-         "csum": "p", "cyc": "q"},
-        r=r,
-    )
-    rhs = _eulerian_xypq(ctx, n, {
+    return {
         "x": ctx.var("x") + ctx.var("p") * br1 * ctx.var("y"),
         "y": br * ctx.var("y"),
         "p": ctx.var("t") + ctx.var("s") * ctx.var("p") * br1,
-    })
-    ck.eq("", lhs, rhs)
+    }
 
 
 # ---------------------------------------------------------------------------

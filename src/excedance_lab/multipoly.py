@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -59,7 +59,8 @@ class BadInput(Exception):
 
 
 class ParseError(BadInput, ValueError):
-    """Raised for malformed polynomial or rational text."""
+    """Raised for malformed polynomial input: polynomial or rational text, a
+    bad variable name, or exponent rows that do not align with their names."""
 
 
 class ExponentOverflow(BadInput, ValueError):
@@ -187,18 +188,22 @@ class Context:
         """Build ``coeff * prod(var^e)`` from a name->exponent mapping."""
         return self.polynomial(exponents, [(exponents.values(), coeff)])
 
-    def polynomial(self, names: Iterable[str], rows: Iterable[tuple[Iterable[int], Coeff]]) -> "Poly":
+    def polynomial(self, names: Iterable[str], rows: Iterable[tuple[Collection[int], Coeff]]) -> "Poly":
         """``sum coeff * prod(name^e)`` over ``(exponents, coeff)`` rows whose
         exponents align with ``names``, which are resolved once.  A repeated
-        name adds its exponents, equal monomials merge, zero terms drop."""
+        name adds its exponents, equal monomials merge, zero terms drop.  A
+        row with more or fewer exponents than names raises :class:`ParseError`."""
         vids = [self.varid(v) for v in names]
         if len(set(vids)) < len(vids):
             rows = self._fold_repeats(vids, rows)
             vids = list(dict.fromkeys(vids))
         shifts = [self.FIELD * vid for vid in vids]
+        width = len(shifts)
         guard_bit = self.FIELD - 1
         out: dict[int, Coeff] = {}
         for exponents, c in rows:
+            if len(exponents) != width:
+                raise _misaligned(exponents, width)
             key = 0
             for s, e in zip(shifts, exponents):
                 if e >> guard_bit:  # negative, or at the guard bit
@@ -211,6 +216,8 @@ class Context:
     def _fold_repeats(vids: list[int], rows):
         """Rows with a repeated id's exponents added, in first-seen id order."""
         for exponents, c in rows:
+            if len(exponents) != len(vids):
+                raise _misaligned(exponents, len(vids))
             total = dict.fromkeys(vids, 0)
             for vid, e in zip(vids, exponents):
                 if e < 0:
@@ -235,6 +242,10 @@ class Context:
                 raise ValueError("polynomials from different contexts")
             _merge_into(out, p._t)
         return Poly._of(self, out)
+
+
+def _misaligned(exponents: Collection[int], width: int) -> ParseError:
+    return ParseError(f"exponent row {tuple(exponents)} does not align with {width} names")
 
 
 def _normalised(out: dict[int, Coeff]) -> dict[int, Coeff]:
@@ -520,19 +531,30 @@ class Poly:
         for key, c in self._t.items():
             e = (key >> s) & mask
             buckets.setdefault(e, {})[key - (e << s)] = c
-        deg = max(buckets, default=0)
-        return [Poly._of(self.ctx, buckets.get(i, {})) for i in range(deg + 1)]
+        zero = self.ctx.zero()  # shared by every missing degree: Polys are immutable
+        return [
+            Poly._of(self.ctx, buckets[i]) if i in buckets else zero
+            for i in range(max(buckets, default=0) + 1)
+        ]
 
     def reverse_in(self, var: str, length: int) -> "Poly":
-        """Coefficient reversal  var^length * f(1/var)  as a polynomial.
+        """Coefficient reversal  var^length * f(1/var)  as a polynomial: each
+        term's exponent e of ``var`` becomes ``length - e``.
 
-        Requires length >= degree in ``var``.
+        Requires length >= degree in ``var``; a reversed exponent at the
+        guard bit raises :class:`ExponentOverflow`.
         """
-        coeffs = self.coeffs_in(var)
-        if length < len(coeffs) - 1:
+        ctx = self.ctx
+        s, mask = ctx._shift(var), Context._MASK
+        exps = [(key >> s) & mask for key in self._t]
+        if length < max(exps, default=0):
             raise ValueError("length below the actual degree")
-        v = self.ctx.var(var)
-        return self.ctx.sum(c * v ** (length - i) for i, c in enumerate(coeffs))
+        top = length - min(exps, default=length)
+        if top >> (ctx.FIELD - 1):
+            raise ctx._bad_exponent(s // ctx.FIELD, top)
+        # key - (e << s) + ((length - e) << s); every length - e fits its field
+        out = {key + ((length - 2 * e) << s): c for (key, c), e in zip(self._t.items(), exps)}
+        return Poly._of(ctx, out)
 
     # -- rendering --------------------------------------------------------
 

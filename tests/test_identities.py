@@ -377,6 +377,14 @@ def test_sweep_labels_keep_their_format(monkeypatch):
             for r in q["g10-grammar-colored"]["rs"]
             for n in range(q["g10-grammar-colored"]["max_n"] + 1)
         ],
+        "lemma-g3-grammar-signed": [
+            f"n={n}" for n in range(q["lemma-g3-grammar-signed"]["max_n"] + 1)
+        ],
+        "thm24-colored-transform": [
+            f"r={r} n={n}"
+            for r in q["thm24-colored-transform"]["rs"]
+            for n in range(q["thm24-colored-transform"]["max_n"] + 1)
+        ],
         "rec-anjk": [
             label
             for n in range(1, q["rec-anjk"]["max_n"] + 1)
@@ -399,6 +407,16 @@ def test_sweep_labels_keep_their_format(monkeypatch):
     }
     for ident, labels in expected.items():
         assert _full_labels(monkeypatch, ident) == labels, ident
+
+
+def test_a_shared_weighting_reaches_both_members_of_its_pair(monkeypatch):
+    # g12 and thm24 read one colored weighting: one wrong entry fails both,
+    # and no other identity reads it
+    monkeypatch.setitem(identities.COLORED_B, "single", "t")
+    results = run_suite(profile="quick")
+    assert [r.id for r in results if r.status != "pass"] == [
+        "g12-grammar-colored", "thm24-colored-transform",
+    ]
 
 
 def test_sweep_mismatch_names_its_cell(monkeypatch):

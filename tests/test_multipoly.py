@@ -176,6 +176,50 @@ def test_reverse_in(ctx):
         f.reverse_in("x", 1)
 
 
+def _reverse_by_coefficients(f, var, length):
+    v = f.ctx.var(var)
+    return f.ctx.sum(c * v ** (length - i) for i, c in enumerate(f.coeffs_in(var)) if c)
+
+
+def test_reverse_in_agrees_with_the_coefficient_list():
+    rng = random.Random(29)
+    for i in range(60):
+        ctx = Context()
+        f = ctx.sum(
+            ctx.monomial(
+                {v: rng.randint(0, 5) for v in ("x", "y", "z")},
+                rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]),
+            )
+            for _ in range(rng.randint(0, 5))
+        )
+        if i % 3 == 0:
+            f = f * ctx.var("x")  # no term free of x
+        deg = len(f.coeffs_in("x")) - 1
+        for length in (deg, deg + 1, deg + rng.randint(2, 9), LIMIT - 1, LIMIT):
+            try:
+                expected = _reverse_by_coefficients(f, "x", length)
+            except ExponentOverflow:
+                with pytest.raises(ExponentOverflow):
+                    f.reverse_in("x", length)
+                continue
+            got = f.reverse_in("x", length)
+            assert got.to_json_obj() == expected.to_json_obj()
+            assert got.reverse_in("x", length) == f
+        if deg:
+            with pytest.raises(ValueError):
+                f.reverse_in("x", deg - 1)
+    zero = Context().zero()
+    assert zero.reverse_in("x", 0).is_zero() and zero.reverse_in("x", LIMIT).is_zero()
+    with pytest.raises(ValueError):
+        zero.reverse_in("x", -1)
+    ctx = Context()
+    with pytest.raises(ExponentOverflow):
+        ctx.poly("1 + x").reverse_in("x", LIMIT)
+    assert ctx.poly("x + x^2").reverse_in("x", LIMIT) == ctx.poly(
+        f"x^{LIMIT - 1} + x^{LIMIT - 2}"
+    )
+
+
 def test_canonical_text_and_parse_round_trip(ctx):
     f = ctx.poly("q*x + p^2*q^2")
     assert f.to_text() == "p^2*q^2 + q*x"
@@ -344,6 +388,21 @@ def test_polynomial_from_rows(ctx):
         ctx.polynomial(["x"], [((-1,), 1)])
     with pytest.raises(ParseError):
         ctx.polynomial([0], [((1,), 1)])
+
+
+@pytest.mark.parametrize(
+    "names, exponents",
+    [
+        (["x", "y"], (1,)),  # too few exponents
+        (["x"], (1, 2)),  # too many
+        (["x", "y", "x"], (1, 2)),  # the same, where a repeated name folds
+        (["x", "x"], (1, 2, 3)),
+    ],
+)
+def test_polynomial_rows_must_align_with_names(ctx, names, exponents):
+    # a misaligned row is an error, never cut to the shorter side
+    with pytest.raises(ParseError, match="does not align"):
+        ctx.polynomial(names, [((0,) * len(names), 1), (exponents, 3)])
 
 
 # -- packed keys -------------------------------------------------------------
