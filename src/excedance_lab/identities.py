@@ -211,14 +211,16 @@ def _sweep(id, description, criterion, bounds, quick, *, over=None, start=0):
 def _property(id, description, criterion):
     """Register ``case(ctx, rng)``, a seeded property that draws one instance
     from ``rng`` and returns how many of its assertions failed; it runs
-    ``bounds["instances"]`` times on one fresh Context.  A failing run notes
-    the index of its first failing instance, so running ``first_failure + 1``
-    instances from the same seed reproduces it."""
+    ``bounds["instances"]`` times on one fresh Context.  Each instance counts
+    as one check, and the failures are one comparison: one mismatch at most.
+    A failing run notes the index of its first failing instance, so running
+    ``first_failure + 1`` instances from the same seed reproduces it."""
     def wrap(case):
         def run(bounds, rng, ck):
             ctx = Context()
             failed = [case(ctx, rng) for _ in range(bounds["instances"])]
             ck.eq("failures", sum(failed), 0)
+            ck.checks += len(failed) - 1
             first = next((i for i, f in enumerate(failed) if f), None)
             if first is not None:
                 ck.note("first_failure", first)

@@ -60,7 +60,8 @@ class BadInput(Exception):
 
 class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial input: polynomial or rational text, a
-    bad variable name, or exponent rows that do not align with their names."""
+    bad variable name, a negative exponent, exponent rows that do not align
+    with their names, or a malformed JSON document."""
 
 
 class ExponentOverflow(BadInput, ValueError):
@@ -132,9 +133,9 @@ class Context:
         """Bit offset of ``name``'s exponent field."""
         return self.FIELD * self.varid(name)
 
-    def _bad_exponent(self, vid: int, e: int) -> ValueError:
+    def _bad_exponent(self, vid: int, e: int) -> BadInput:
         if e < 0:
-            return ValueError("negative exponent")
+            return ParseError(f"negative exponent {e} of {self._names[vid]}")
         return ExponentOverflow(
             f"exponent {e} of {self._names[vid]} exceeds {self._LIMIT - 1}"
         )
@@ -212,8 +213,7 @@ class Context:
             out[key] = out.get(key, 0) + c
         return Poly._of(self, _normalised(out))
 
-    @staticmethod
-    def _fold_repeats(vids: list[int], rows):
+    def _fold_repeats(self, vids: list[int], rows):
         """Rows with a repeated id's exponents added, in first-seen id order."""
         for exponents, c in rows:
             if len(exponents) != len(vids):
@@ -221,7 +221,7 @@ class Context:
             total = dict.fromkeys(vids, 0)
             for vid, e in zip(vids, exponents):
                 if e < 0:
-                    raise ValueError("negative exponent")
+                    raise self._bad_exponent(vid, e)
                 total[vid] += e
             yield total.values(), c
 
@@ -601,12 +601,26 @@ class Poly:
 
 
 def poly_from_json(ctx: Context, data) -> Poly:
-    """Inverse of :meth:`Poly.to_json` / ``to_json_obj``."""
+    """Inverse of :meth:`Poly.to_json` / ``to_json_obj``: JSON text, or the
+    list it decodes to.  Malformed input raises :class:`ParseError`."""
     if isinstance(data, str):
-        data = json.loads(data)
-    return ctx.sum(
-        ctx.monomial(term["exponents"], as_fraction(term["coeff"])) for term in data
-    )
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"polynomial JSON does not parse: {exc}") from exc
+    if not isinstance(data, list):
+        raise ParseError(f"polynomial JSON must be a list of terms, got {type(data).__name__}")
+    return ctx.sum(_term_from_json(ctx, term) for term in data)
+
+
+def _term_from_json(ctx: Context, term) -> Poly:
+    """One term of ``poly_from_json``: {"exponents": {var: e}, "coeff": c}."""
+    if not isinstance(term, dict) or "exponents" not in term or "coeff" not in term:
+        raise ParseError(f"a JSON term needs exponents and coeff, got {term!r}")
+    exponents = term["exponents"]
+    if not isinstance(exponents, dict) or not all(type(e) is int for e in exponents.values()):
+        raise ParseError(f"JSON exponents must map names to integers, got {exponents!r}")
+    return ctx.monomial(exponents, as_fraction(term["coeff"]))
 
 
 # -- parser ---------------------------------------------------------------

@@ -48,11 +48,15 @@ runs the size guard before it reads.
 
 The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
 ``COLORED_DERIVED``) are one tuple formula per class, ``_derive``, which
-appends them to the base tuple in ``stat_names`` order; the stream and every
-cache read share it.  Cache reads resolve the requested names to indices once
-and project the full tuples by index.  Statistics dicts exist only where a
-caller reads by name: a fresh one per cell for a ``gen_poly`` ``where`` filter,
-and one per object in the stream.
+appends them to the base tuple in ``stat_names`` order; the stream and the
+cache share it.  The cache derives each class once, at its cold build: the
+cached entry is a read-only base tuple -> count view that also carries the
+columns every read uses, the full tuples and the counts in the view's order.
+A read resolves the requested names to indices once and projects the full
+tuples with ``operator.itemgetter``.  Statistics dicts exist only where a
+caller reads by name: one per object in the stream and, for a ``gen_poly``
+``where`` filter, one template per cell, built on the class's first filtered
+read; the filter gets a fresh copy of it per cell.
 
 The size guard is one process-wide setting: the environment variable
 ``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
@@ -67,10 +71,12 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Optional
 
 from .multipoly import BadInput, Context, Poly
 
@@ -830,14 +836,49 @@ def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dic
             yield make(word), dict(zip(names, full(stirling_base_stats(word, k))))
 
 
+class _Distribution(Mapping):
+    """A class's cached joint distribution: a read-only view from base tuple
+    to count, carrying the columns derived from it once.
+
+    ``full`` holds each cell's full tuple (``_derive``) and ``counts`` its
+    count, both in the view's order; ``templates()`` builds one statistics
+    dict per cell on its first call and keeps it.
+    """
+
+    __slots__ = ("_view", "names", "full", "counts", "_templates")
+
+    def __init__(self, dist: dict, names: tuple[str, ...], derive: Callable[[tuple], tuple]):
+        self._view = MappingProxyType(dist)
+        self.names = names
+        self.full = tuple(map(derive, dist))
+        self.counts = tuple(dist.values())
+        self._templates: Optional[tuple[dict[str, int], ...]] = None
+
+    def __getitem__(self, key):
+        return self._view[key]
+
+    def __iter__(self):
+        return iter(self._view)
+
+    def __len__(self):
+        return len(self._view)
+
+    def templates(self) -> tuple[dict[str, int], ...]:
+        """One statistics dict per cell, for callers to copy, never to hand out."""
+        if self._templates is None:
+            names = self.names
+            self._templates = tuple(dict(zip(names, full)) for full in self.full)
+        return self._templates
+
+
 @lru_cache(maxsize=None)
-def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, int]:
+def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
     """Joint distribution over the base stat tuple (unordered sum).
 
     All four classes are counted by the incremental walks above: plain and
     stirling classes by insertion, signed and colored ones by Gray-code walks.
     The cached value is shared by every caller in the process, so it is
-    handed out as a read-only view.
+    handed out as a read-only view, with its full tuples derived here once.
     """
     if kind == "plain":
         dist = _plain_insertion_counts(n)
@@ -849,16 +890,15 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> Mapping[tuple, in
         dist = _stirling_insertion_counts(n, k)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return MappingProxyType(dist)
+    return _Distribution(dist, stat_names(kind), _derive(kind, n, r))
 
 
-def _full_cells(kind, n, r, k, names=()):
-    """The indices of ``names`` in the class's full tuple, and (full tuple,
-    count) for each cell of its cached distribution.
+def _cached_class(kind, n, r, k, names=()):
+    """The indices of ``names`` in the class's full tuple, and its cached
+    distribution.
 
-    The one loop behind every read of the cache: it resolves ``names``
-    against the class, runs the size guard, then extends each base tuple by
-    ``_derive``.
+    The one door behind every read of the cache: it resolves ``names``
+    against the class and runs the size guard before it reads.
     """
     known = stat_names(kind)
     for stat in names:
@@ -866,17 +906,19 @@ def _full_cells(kind, n, r, k, names=()):
             raise UnknownStat(stat)
     indices = tuple(map(known.index, names))
     _check_guard(kind, n, r, k)
-    full = _derive(kind, n, r)
-    dist = _distribution_cached(kind, n, r, k)
-    return indices, ((full(tup), count) for tup, count in dist.items())
+    return indices, _distribution_cached(kind, n, r, k)
 
 
-def _project(indices, cells) -> dict[tuple[int, ...], int]:
-    """Sum the counts of ``cells`` by their values at ``indices``."""
-    out: dict[tuple[int, ...], int] = {}
-    for full, count in cells:
-        key = tuple(map(full.__getitem__, indices))
-        out[key] = out.get(key, 0) + count
+def _project(indices, full, counts) -> dict[tuple[int, ...], int]:
+    """Sum ``counts`` by the values of the ``full`` tuples at ``indices``."""
+    if not indices:
+        return {(): sum(counts)} if counts else {}
+    out: dict = {}
+    get = out.get
+    for key, count in zip(map(itemgetter(*indices), full), counts):
+        out[key] = get(key, 0) + count
+    if len(indices) == 1:  # itemgetter of one index gives the bare value
+        return {(value,): count for value, count in out.items()}
     return out
 
 
@@ -888,7 +930,8 @@ def marginal(
     Keys are value tuples in the order of ``names``, e.g.
     ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.
     """
-    return _project(*_full_cells(kind, n, r, k, names))
+    indices, dist = _cached_class(kind, n, r, k, names)
+    return _project(indices, dist.full, dist.counts)
 
 
 def stat_distribution(
@@ -896,8 +939,13 @@ def stat_distribution(
 ) -> dict[tuple[tuple[str, int], ...], int]:
     """Counts of full stat dicts (as sorted item tuples) over the class."""
     names = stat_names(kind)
-    _, cells = _full_cells(kind, n, r, k)
-    return {tuple(sorted(zip(names, full))): count for full, count in cells}
+    order = sorted(range(len(names)), key=names.__getitem__)
+    sorted_names = tuple(map(names.__getitem__, order))
+    _, dist = _cached_class(kind, n, r, k)
+    return {
+        tuple(zip(sorted_names, values)): count
+        for values, count in zip(map(itemgetter(*order), dist.full), dist.counts)
+    }
 
 
 def gen_poly(
@@ -913,14 +961,19 @@ def gen_poly(
     """Generating polynomial  sum over the class of  prod var^stat.
 
     ``weighting`` maps statistic names to variable names; several statistics
-    may share a variable, in which case exponents add.  ``where`` filters on a
-    fresh statistics dict per cell.
+    may share a variable, in which case exponents add.  The class is read from
+    its cached distribution, whose full tuples are derived once per class.
+    ``where`` is called once per cell, in the cache's order, on a fresh copy
+    of the cell's statistics dict, so it may keep or change what it is given.
     """
-    indices, cells = _full_cells(kind, n, r, k, tuple(weighting))
+    indices, dist = _cached_class(kind, n, r, k, tuple(weighting))
+    full, counts = dist.full, dist.counts
     if where is not None:
-        names = stat_names(kind)
-        cells = ((full, count) for full, count in cells if where(dict(zip(names, full))))
-    return ctx.polynomial(weighting.values(), _project(indices, cells).items())
+        keep = [where(stats.copy()) for stats in dist.templates()]
+        full, counts = (
+            tuple(itertools.compress(full, keep)), tuple(itertools.compress(counts, keep))
+        )
+    return ctx.polynomial(weighting.values(), _project(indices, full, counts).items())
 
 
 def stirling_identities(ctx: Context, n: int, k: int) -> tuple[Poly, Poly]:

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from excedance_lab import cli, families, fsaction, identities, permstats, shape
 from excedance_lab.cli import main
@@ -200,6 +201,139 @@ def test_malformed_arguments_exit_2_without_traceback(tmp_path, argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if "error: " in line]
+
+
+def _refused_by(parse):
+    def refused(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+
+    return refused
+
+
+def _spoiled(valid):
+    """``valid`` with one character that no parser of the CLI accepts."""
+    return st.tuples(st.integers(0, len(valid)), st.sampled_from("@#;=!?")).map(
+        lambda cut: valid[:cut[0]] + cut[1] + valid[cut[0]:]
+    )
+
+
+def _not_in(choices):
+    return TEXT.filter(lambda text: text not in choices)
+
+
+def _names_an_unknown(known):
+    def unknown(text):
+        wanted = [name.strip() for name in text.split(",") if name.strip()]
+        return not wanted or any(name not in known for name in wanted)
+
+    return unknown
+
+
+# short text with newlines and non-ASCII in it, so a message that echoes a
+# value unquoted would spill onto a second line
+TEXT = st.text(max_size=8)
+NOT_INT = TEXT.filter(_refused_by(int))
+NEGATIVE = st.integers(max_value=-1).map(str)
+BELOW_ONE = st.integers(max_value=0).map(str)
+
+
+def _argv(*head, **options):
+    """``head`` then one ``--option=value`` per keyword; each value is a
+    strategy or a fixed string."""
+    parts = [st.just(list(head))]
+    for option, value in options.items():
+        value = value if isinstance(value, st.SearchStrategy) else st.just(value)
+        parts.append(value.map(lambda v, o=option: [f"--{o.replace('_', '-')}={v}"]))
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+# per subcommand, argument lists with exactly one malformed option value
+MALFORMED = {
+    "family": st.one_of(
+        _argv("family", name=_not_in(families.REGISTRY), n="2"),
+        _argv("family", name="A_pq", n=st.one_of(NEGATIVE, NOT_INT)),
+        _argv("family", name="one_over_k", n="2",
+              k=st.one_of(BELOW_ONE, TEXT.filter(_refused_by(cli._parse_int_or_sym)))),
+        _argv("family", name="A_pq", n="2", format=_not_in(("text", "json", "csv"))),
+    ),
+    "enumerate": st.one_of(
+        _argv("enumerate", kind=_not_in(permstats.KINDS), n="2"),
+        _argv("enumerate", kind="plain", n=st.one_of(NEGATIVE, NOT_INT)),
+        _argv("enumerate", kind="colored", n="2", r=st.one_of(BELOW_ONE, NOT_INT)),
+        _argv("enumerate", kind="stirling", n="2", k=st.one_of(BELOW_ONE, NOT_INT)),
+        _argv("enumerate", kind="plain", n="2", r=st.integers(min_value=2).map(str)),
+        _argv("enumerate", kind="signed", n="2",
+              stats=TEXT.filter(_names_an_unknown(permstats.stat_names("signed")))),
+        _argv("enumerate", kind="plain", n="2", format=_not_in(("csv", "json"))),
+    ),
+    "grammar": st.one_of(
+        _argv("grammar", "derive", rules="rules.txt", seed=_spoiled("x*y + 2"), n="1"),
+        _argv("grammar", "derive", rules="rules.txt", seed="x", n=st.one_of(NEGATIVE, NOT_INT)),
+        _argv("grammar", "derive", seed="x", n="1",
+              rules=st.text("abc_", min_size=1, max_size=8).map("missing/{}".format)),
+        _argv("grammar", "derive", rules="rules.txt", seed="x", n="1",
+              format=_not_in(("text", "json"))),
+    ),
+    "shape": st.one_of(
+        _argv("shape", family=_not_in(families.REGISTRY), n="3"),
+        _argv("shape", family="A_pq", n=st.one_of(NEGATIVE, NOT_INT), p="1/2", q="1/2"),
+        _argv("shape", family="A_pq", n="3", p=_spoiled("1/2"), q="1/2"),
+        _argv("shape", family="A_pq", n="3", p="1/2", q=_spoiled("3/4")),
+        _argv("shape", family="A_q", n="3", q="1/2", m=st.one_of(NEGATIVE, NOT_INT)),
+        _argv("shape", family="A_q", n="3", q="1/2", report=_not_in(("text", "json"))),
+    ),
+    "fs-action": st.one_of(
+        _argv("fs-action", perm=_spoiled("(1,4,2)(3)")),
+        _argv("fs-action", perm="(1,4,2)(3)",
+              x=st.one_of(NOT_INT, st.integers().filter(lambda v: not 1 <= v <= 4).map(str))),
+    ),
+    "verify": st.one_of(
+        _argv("verify", id=_not_in(identities.REGISTRY)),
+        _argv("verify", id="rec-anxq", max_n=st.one_of(NEGATIVE, NOT_INT)),
+        _argv("verify", id="stirling-ap-onek", k=st.one_of(BELOW_ONE, NOT_INT)),
+        _argv("verify", id="rec-anxq", r=st.integers().map(str)),
+        _argv("verify", id="rec-anxq", profile=_not_in(("quick", "full"))),
+        _argv("verify", id="rec-anxq", seed=NOT_INT),
+    ),
+    "suite": st.one_of(
+        _argv("suite", ids=TEXT.filter(_names_an_unknown(identities.REGISTRY))),
+        _argv("suite", jobs=st.one_of(BELOW_ONE, NOT_INT)),
+        _argv("suite", profile=_not_in(("quick", "full"))),
+        _argv("suite", seed=NOT_INT),
+        _argv("suite", format=_not_in(("text", "json"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(MALFORMED))
+# capsys, tmp_path and monkeypatch serve every example alike: each example
+# reads its own output off capsys, and the files and directory never change
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_option_values_exit_2(capsys, tmp_path, monkeypatch, command, data):
+    (tmp_path / "rules.txt").write_text("x -> x*y\n")
+    monkeypatch.chdir(tmp_path)
+    argv = data.draw(MALFORMED[command], label="argv")
+    try:
+        code = main(argv)
+        usage = []
+    except SystemExit as exc:  # argparse refuses the value before main's handler
+        code = exc.code
+        usage = ["usage:"]
+    out, err = capsys.readouterr()
+    assert code == 2, (argv, err)
+    assert out == ""
+    assert "Traceback" not in err
+    # one error line, after argparse's usage lines if argparse refused the value
+    *before, last = err.splitlines()
+    assert "error: " in last and "error: " not in "".join(before), err
+    assert [line[:6] for line in before[:1]] == usage, err
+    assert all(line.startswith(" ") for line in before[1:]), err
 
 
 def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():

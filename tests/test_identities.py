@@ -187,8 +187,10 @@ def test_seeded_property_failures_are_one_mismatch(monkeypatch):
 def test_seeded_properties_note_their_instances(ident):
     res = run_verify(ident, profile="quick")
     assert res.status == "pass"
-    assert res.details["instances"] == "200"
+    assert res.details["instances"] == "200" and res.checks == 200
     assert "first_failure" not in res.details
+    # with no instance drawn nothing was compared
+    assert run_verify(ident, profile="quick", overrides={"instances": 0}).status == "vacuous"
 
 
 def test_failure_shape(monkeypatch):
@@ -441,9 +443,9 @@ QUICK_CHECKS = {
     "cor-springer": 7, "cor-lpk-nocda": 7, "shape-anpq-grid": 300,
     "shape-onek-bigamma": 54, "shape-dnb-altinc": 10, "shape-bnq-spiral": 30,
     "shape-dfexc-gamma": 25, "thm11-phi-recurrence": 3, "cor-four-specializations": 16,
-    "stirling-ap-onek": 48, "fs-bijection": 12, "prop-ring-axioms": 1, "prop-leibniz": 1,
-    "prop-substitution": 1, "prop-gamma-closure": 1, "prop-gamma-derivative": 1,
-    "prop-decompose-unique": 1, "equidist-des-exc-drop": 14, "equidist-desb-wexc": 6,
+    "stirling-ap-onek": 48, "fs-bijection": 12, "prop-ring-axioms": 200, "prop-leibniz": 200,
+    "prop-substitution": 200, "prop-gamma-closure": 200, "prop-gamma-derivative": 200,
+    "prop-decompose-unique": 200, "equidist-des-exc-drop": 14, "equidist-desb-wexc": 6,
     "stat-identities": 1, "dnr-wexc-formula": 17, "mongelli-signed": 10,
 }
 

@@ -405,6 +405,38 @@ def test_polynomial_rows_must_align_with_names(ctx, names, exponents):
         ctx.polynomial(names, [((0,) * len(names), 1), (exponents, 3)])
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('[{"exponents": {"x": -1}, "coeff": "2"}]', "negative exponent -1 of x"),
+        ([{"exponents": {"x": "2"}, "coeff": "2"}], "integers"),
+        ([{"exponents": {"x": 1.5}, "coeff": "2"}], "integers"),
+        ([{"exponents": {"x": True}, "coeff": "2"}], "integers"),
+        ([{"coeff": "2"}], "needs exponents and coeff"),
+        ([{"exponents": {"x": 1}}], "needs exponents and coeff"),
+        ([3], "needs exponents and coeff"),
+        ({"exponents": {"x": 1}, "coeff": "2"}, "list of terms, got dict"),
+        ("7", "list of terms, got int"),
+        ("x + 1", "does not parse"),
+    ],
+)
+def test_malformed_json_documents_raise_parse_error(ctx, document, message):
+    with pytest.raises(ParseError, match=message):
+        poly_from_json(ctx, document)
+
+
+def test_negative_exponents_raise_parse_error(ctx):
+    # on the plain path, the repeated-name path and through monomial alike
+    for call in (
+        lambda: ctx.polynomial(["x"], [((-3,), 1)]),
+        lambda: ctx.polynomial(["x", "y", "x"], [((1, 0, -2), 1)]),
+        lambda: ctx.monomial({"y": -1}),
+    ):
+        with pytest.raises(ParseError, match="negative exponent"):
+            call()
+    assert issubclass(ParseError, ValueError)
+
+
 # -- packed keys -------------------------------------------------------------
 
 LIMIT = 1 << 19  # exponents stay below each field's guard bit

@@ -175,6 +175,84 @@ def test_where_cannot_change_the_cache(ctx):
 
     assert gen_poly(ctx, "plain", 4, weighting, where=meddle) == before
     assert gen_poly(ctx, "plain", 4, weighting) == before
+    # a filtered read after the meddling one sees every cell's statistics
+    # intact, so the per-cell templates behind ``where`` never leak
+    seen = []
+
+    def record(stats):
+        seen.append(dict(stats))
+        return stats["fix"] == 0
+
+    derangements = gen_poly(ctx, "plain", 4, weighting, where=record)
+    assert derangements == gen_poly(ctx, "plain", 4, weighting, where=lambda s: s["fix"] == 0)
+    assert derangements.substitute({"x": 1, "y": 1, "z": 1}) == derangement_count(4)
+    dist = permstats._distribution_cached("plain", 4, 1, 1)
+    assert seen == [expand("plain", 4, base) for base in dist]
+
+
+def test_each_class_is_derived_once_per_cold_build(ctx, monkeypatch):
+    derived = []
+    real = permstats._derive
+
+    def spy(kind, n, r):
+        derived.append((kind, n, r))
+        return real(kind, n, r)
+
+    monkeypatch.setattr(permstats, "_derive", spy)
+    permstats._distribution_cached.cache_clear()
+    for _ in range(3):
+        gen_poly(ctx, "colored", 3, {"exc_f": "x", "fexc_r": "y"}, r=2)
+        gen_poly(ctx, "colored", 3, {"cyc": "q"}, r=2, where=lambda s: s["fix"] == 0)
+        marginal("colored", 3, ("aexc_A",), r=2)
+        stat_distribution("colored", 3, r=2)
+    assert derived == [("colored", 3, 2)]
+    permstats._distribution_cached.cache_clear()
+    marginal("colored", 3, ("exc_f",), r=2)
+    assert derived == [("colored", 3, 2)] * 2
+
+
+def _projected_by_hand(ctx, kind, n, size, weighting, where):
+    # every cell of the cached distribution, extended by _derive, filtered on
+    # its statistics dict and weighted variable by variable
+    r = size.get("r", 1)
+    names = permstats.stat_names(kind)
+    full = permstats._derive(kind, n, r)
+    terms = []
+    joint: Counter = Counter()
+    for base, count in permstats._distribution_cached(kind, n, r, size.get("k", 1)).items():
+        stats = dict(zip(names, full(base)))
+        if where is not None and not where(stats):
+            continue
+        exponents: Counter = Counter()
+        for stat, var in weighting.items():
+            exponents[var] += stats[stat]
+        terms.append(ctx.monomial(exponents, count))
+        joint[tuple(stats[stat] for stat in weighting)] += count
+    return ctx.sum(terms), dict(joint)
+
+
+@pytest.mark.parametrize(
+    "kind, n, size",
+    [("plain", 5, {}), ("signed", 3, {}), ("colored", 3, {"r": 3}), ("stirling", 4, {"k": 2})],
+)
+def test_cached_reads_equal_a_projection_by_hand(ctx, kind, n, size):
+    names = permstats.stat_names(kind)
+    weightings = [
+        {},
+        {names[-1]: "x"},
+        {names[0]: "x", names[2]: "x"},  # a repeated variable adds exponents
+        {name: f"v{i % 3}" for i, name in enumerate(names)},
+    ]
+    wheres = [None, lambda s: s[names[1]] == 0, lambda s: s[names[0]] % 2 == 1]
+    for weighting in weightings:
+        for where in wheres:
+            poly, joint = _projected_by_hand(ctx, kind, n, size, weighting, where)
+            assert gen_poly(ctx, kind, n, weighting, where=where, **size) == poly
+            if where is None:
+                assert marginal(kind, n, tuple(weighting), **size) == joint
+    # an empty weighting counts the class, a single name keys by 1-tuples
+    assert marginal(kind, n, (), **size) == {(): class_size(kind, n, **size)}
+    assert all(len(key) == 1 for key in marginal(kind, n, (names[0],), **size))
 
 
 def test_unknown_stat(ctx):
