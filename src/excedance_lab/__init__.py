@@ -21,6 +21,7 @@ from .permstats import (
     BadGuard,
     PermObject,
     SizeExceeded,
+    UnknownKind,
     UnknownStat,
     class_size,
     enumerate_class,
@@ -48,7 +49,8 @@ __all__ = [
     "BadInput", "Context", "Poly", "ParseError", "ExponentOverflow", "as_fraction",
     "poly_from_json",
     "Grammar", "parse_rules",
-    "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownStat", "class_size",
+    "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownKind", "UnknownStat",
+    "class_size",
     "enumerate_class", "gen_poly", "marginal", "stirling_identities",
     "family", "q_bracket", "springer",
     "CoeffSeq", "NotSymmetric", "PartialGamma", "ShapeReport",

@@ -46,24 +46,28 @@ counts of statistics by name) is the only door to that cache from outside
 this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
 runs the size guard before it reads.
 
-The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
-``COLORED_DERIVED``) are one tuple formula per class, ``_derive``, which
-appends them to the base tuple in ``stat_names`` order; the stream and the
-cache share it.  The cache derives each class once, at its cold build: the
-cached entry is a read-only base tuple -> count view that also carries the
-columns every read uses, the full tuples and the counts in the view's order.
-A read resolves the requested names to indices once and projects the full
-tuples with ``operator.itemgetter``.  Statistics dicts exist only where a
-caller reads by name: one per object in the stream and, for a ``gen_poly``
-``where`` filter, one template per cell, built on the class's first filtered
-read; the filter gets a fresh copy of it per cell.
+Each kind is one row of ``_KINDS``: its statistic names, the size factor of
+each level and the walk behind its cache; ``_kind``, the one lookup of a row,
+raises ``UnknownKind`` for any other kind.  The derived statistics
+(``PLAIN_DERIVED``, ``SIGNED_DERIVED``, ``COLORED_DERIVED``) are one tuple
+formula per class, ``_derive``, which appends them to the base tuple in
+``stat_names`` order; the stream and the cache share it.  The cache derives
+each class once, at its cold build, into a frozen record of the columns its
+reads use: the full tuples and their counts.  A read resolves the requested
+names to indices once and projects the full tuples with ``itemgetter``.
+Statistics dicts exist only where a caller reads by name: one per object in
+the stream and, for a ``gen_poly`` ``where`` filter, one template per cell,
+built on the class's first filtered read; the filter gets a fresh copy of it
+per cell.
 
 The size guard is one process-wide setting: the environment variable
 ``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
 ``DEFAULT_MAX_CLASS``), read only by ``guard_limit``.  ``_check_guard`` runs
-it before every enumeration, streamed or cached; a class larger than the guard
-raises ``SizeExceeded`` and a malformed value raises ``BadGuard``.  Library
-callers set it in ``os.environ``; forked workers inherit it.
+it before every enumeration, streamed or cached.  It multiplies the class's
+level factors and stops at the first partial product past the guard, so a
+refusal costs a few levels, never the whole size.  A class larger than the
+guard raises ``SizeExceeded`` and a malformed value raises ``BadGuard``.
+Library callers set it in ``os.environ``; forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -73,17 +77,14 @@ import os
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .multipoly import BadInput, Context, Poly
 
 DEFAULT_MAX_CLASS = 20_000_000
 ENV_GUARD = "EXCEDANCE_LAB_MAX_CLASS"
-
-KINDS = ("plain", "signed", "colored", "stirling")
 
 # Stat-name tuples in storage order for each class's joint distribution.
 PLAIN_BASE = (
@@ -108,11 +109,11 @@ C_EXC_B, C_FIX, C_SINGLE, C_CSUM, C_EXC_A = map(
 
 
 class SizeExceeded(BadInput, RuntimeError):
-    """The requested class is larger than the enumeration guard."""
+    """The requested class is larger than the enumeration guard; the message
+    names the class, not its size, which the guard never multiplies out."""
 
-    def __init__(self, size: int, guard: int):
-        super().__init__(f"class size {size} exceeds guard {guard}")
-        self.size = size
+    def __init__(self, kind: str, n: int, guard: int):
+        super().__init__(f"the {kind} class of order {n} exceeds guard {guard}")
         self.guard = guard
 
 
@@ -120,8 +121,13 @@ class UnknownStat(BadInput, KeyError):
     """A weighting or filter referenced a statistic the class does not have."""
 
 
+class UnknownKind(BadInput, ValueError):
+    """A class kind that is not one of ``KINDS``."""
+
+
 class BadClassSize(BadInput, ValueError):
-    """A size parameter outside its domain: n < 0, r < 1 or k < 1, or r or k != 1 where unread."""
+    """A size parameter outside its domain: not an int, n < 0, r < 1 or k < 1,
+    or r or k != 1 where unread."""
 
 
 class BadGuard(BadInput, ValueError):
@@ -143,41 +149,38 @@ def guard_limit() -> int:
     return guard
 
 
-def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
-    """Number of objects in the class; BadClassSize on an impossible size."""
+def _size(kind: str, n: int, r: int, k: int, cap: Optional[int] = None) -> int:
+    """The product of the class's level factors, after the checks on its size
+    parameters: the class size, or with a ``cap`` the first partial product
+    past it, so a refused class never multiplies out its whole size."""
+    row = _kind(kind)
+    if not (isinstance(n, int) and isinstance(r, int) and isinstance(k, int)):
+        raise BadClassSize(f"n, r and k must be ints, got n={n!r}, r={r!r}, k={k!r}")
     if n < 0:
         raise BadClassSize(f"n must be nonnegative, got {n}")
-    if kind == "colored" and r < 1:
-        raise BadClassSize(f"colored classes need r >= 1, got {r}")
-    if kind == "stirling" and k < 1:
-        raise BadClassSize(f"stirling classes need k >= 1, got {k}")
-    if kind != "colored" and r != 1:
+    if row.param != "r" and r != 1:
         raise BadClassSize(f"{kind} classes read no r, got r={r}")
-    if kind != "stirling" and k != 1:
+    if row.param != "k" and k != 1:
         raise BadClassSize(f"{kind} classes read no k, got k={k}")
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    if kind == "plain":
-        return fact
-    if kind == "signed":
-        return fact << n
-    if kind == "colored":
-        return fact * r**n
-    if kind == "stirling":
-        size = 1
-        for i in range(n):
-            size *= i * k + 1
-        return size
-    raise ValueError(f"unknown kind {kind!r}")
+    if r < 1 or k < 1:  # the unread one is 1 by now
+        raise BadClassSize(f"{kind} classes need {row.param} >= 1, got r={r}, k={k}")
+    size = 1
+    for i in range(1, n + 1):
+        size *= row.factor(i, r, k)
+        if cap is not None and size > cap:
+            break
+    return size
+
+
+def class_size(kind: str, n: int, *, r: int = 1, k: int = 1) -> int:
+    """Number of objects in the class; BadClassSize on an impossible size."""
+    return _size(kind, n, r, k)
 
 
 def _check_guard(kind, n, r, k):
-    size = class_size(kind, n, r=r, k=k)
     guard = guard_limit()
-    if size > guard:
-        raise SizeExceeded(size, guard)
-    return size
+    if _size(kind, n, r, k, guard) > guard:
+        raise SizeExceeded(kind, n, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -745,16 +748,40 @@ def _colored_gray_counts(n: int, r: int) -> Counter:
 # ---------------------------------------------------------------------------
 
 
+class _Kind(NamedTuple):
+    """A class kind: its statistic names (base, then derived), the size
+    parameter it reads besides n (``"r"``, ``"k"`` or ``""``), and, given r and
+    k, the size factor of level i and the walk behind its cache."""
+
+    names: tuple[str, ...]
+    param: str
+    factor: Callable[[int, int, int], int]
+    walk: Callable[[int, int, int], Counter]
+
+
+_KINDS = {  # each walk is looked up when it runs, so a test can replace it
+    "plain": _Kind(PLAIN_BASE + PLAIN_DERIVED, "", lambda i, r, k: i,
+                   lambda n, r, k: _plain_insertion_counts(n)),
+    "signed": _Kind(SIGNED_BASE + SIGNED_DERIVED, "", lambda i, r, k: 2 * i,
+                    lambda n, r, k: _signed_gray_counts(n)),
+    "colored": _Kind(COLORED_BASE + COLORED_DERIVED, "r", lambda i, r, k: r * i,
+                     lambda n, r, k: _colored_gray_counts(n, r)),
+    "stirling": _Kind(STIRLING_BASE, "k", lambda i, r, k: (i - 1) * k + 1,
+                      lambda n, r, k: _stirling_insertion_counts(n, k)),
+}
+KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    """The row of ``kind``; UnknownKind for anything else."""
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise UnknownKind(f"unknown kind {kind!r}, expected one of {', '.join(KINDS)}") from None
+
+
 def stat_names(kind: str) -> tuple[str, ...]:
-    if kind == "plain":
-        return PLAIN_BASE + PLAIN_DERIVED
-    if kind == "signed":
-        return SIGNED_BASE + SIGNED_DERIVED
-    if kind == "colored":
-        return COLORED_BASE + COLORED_DERIVED
-    if kind == "stirling":
-        return STIRLING_BASE
-    raise ValueError(f"unknown kind {kind!r}")
+    return _kind(kind).names
 
 
 def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
@@ -779,9 +806,7 @@ def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
             n - b[C_EXC_A] - b[C_FIX] - b[C_SINGLE],  # aexc_A
             r * b[C_EXC_A] + b[C_CSUM],  # fexc_r
         )
-    if kind == "stirling":
-        return lambda b: b
-    raise ValueError(f"unknown kind {kind!r}")
+    return lambda b: b  # stirling classes have no derived statistics
 
 
 def enumerate_class(
@@ -836,61 +861,33 @@ def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dic
             yield make(word), dict(zip(names, full(stirling_base_stats(word, k))))
 
 
-class _Distribution(Mapping):
-    """A class's cached joint distribution: a read-only view from base tuple
-    to count, carrying the columns derived from it once.
+@dataclass(frozen=True)
+class _Distribution:
+    """A class's cached joint distribution, as the columns its readers use:
+    each cell's full tuple and count, and ``templates``, one statistics dict
+    per cell built on the first filtered read, to copy, never to hand out."""
 
-    ``full`` holds each cell's full tuple (``_derive``) and ``counts`` its
-    count, both in the view's order; ``templates()`` builds one statistics
-    dict per cell on its first call and keeps it.
-    """
+    names: tuple[str, ...]
+    full: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
-    __slots__ = ("_view", "names", "full", "counts", "_templates")
-
-    def __init__(self, dist: dict, names: tuple[str, ...], derive: Callable[[tuple], tuple]):
-        self._view = MappingProxyType(dist)
-        self.names = names
-        self.full = tuple(map(derive, dist))
-        self.counts = tuple(dist.values())
-        self._templates: Optional[tuple[dict[str, int], ...]] = None
-
-    def __getitem__(self, key):
-        return self._view[key]
-
-    def __iter__(self):
-        return iter(self._view)
-
-    def __len__(self):
-        return len(self._view)
-
+    @cached_property
     def templates(self) -> tuple[dict[str, int], ...]:
-        """One statistics dict per cell, for callers to copy, never to hand out."""
-        if self._templates is None:
-            names = self.names
-            self._templates = tuple(dict(zip(names, full)) for full in self.full)
-        return self._templates
+        return tuple(dict(zip(self.names, full)) for full in self.full)
 
 
 @lru_cache(maxsize=None)
 def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
-    """Joint distribution over the base stat tuple (unordered sum).
+    """Joint distribution over the full stat tuple (unordered sum).
 
     All four classes are counted by the incremental walks above: plain and
     stirling classes by insertion, signed and colored ones by Gray-code walks.
-    The cached value is shared by every caller in the process, so it is
-    handed out as a read-only view, with its full tuples derived here once.
+    The cached value is shared by every caller in the process, so it is a
+    frozen record of tuples, with its full tuples derived here once.
     """
-    if kind == "plain":
-        dist = _plain_insertion_counts(n)
-    elif kind == "signed":
-        dist = _signed_gray_counts(n)
-    elif kind == "colored":
-        dist = _colored_gray_counts(n, r)
-    elif kind == "stirling":
-        dist = _stirling_insertion_counts(n, k)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return _Distribution(dist, stat_names(kind), _derive(kind, n, r))
+    row = _kind(kind)
+    dist = row.walk(n, r, k)
+    return _Distribution(row.names, tuple(map(_derive(kind, n, r), dist)), tuple(dist.values()))
 
 
 def _cached_class(kind, n, r, k, names=()):
@@ -969,7 +966,7 @@ def gen_poly(
     indices, dist = _cached_class(kind, n, r, k, tuple(weighting))
     full, counts = dist.full, dist.counts
     if where is not None:
-        keep = [where(stats.copy()) for stats in dist.templates()]
+        keep = [where(stats.copy()) for stats in dist.templates]
         full, counts = (
             tuple(itertools.compress(full, keep)), tuple(itertools.compress(counts, keep))
         )

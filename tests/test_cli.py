@@ -164,6 +164,15 @@ def test_enumerate_guard_env(capsys, monkeypatch):
     assert "exceeds guard" in err
 
 
+def test_a_class_too_large_to_print_exits_2():
+    # 2000! has 5,736 digits, past the int-to-str limit of a message
+    proc = run_cli_process("enumerate", "--kind", "plain", "--n", "2000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "exceeds guard" in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_malformed_guard_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", value)
@@ -341,7 +350,8 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
     for cls in (
         ParseError, ExponentOverflow, families.BadParams, families.OutOfTable,
         permstats.BadClassSize, permstats.BadGuard, permstats.SizeExceeded,
-        permstats.UnknownStat, fsaction.ValueAbsent, shape.BadLength, shape.NotSymmetric,
+        permstats.UnknownStat, permstats.UnknownKind, fsaction.ValueAbsent, shape.BadLength,
+        shape.NotSymmetric,
         identities.BadOverride, identities.UnknownIdentity,
     ):
         assert issubclass(cls, BadInput), cls

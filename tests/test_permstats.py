@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
@@ -16,6 +17,7 @@ from excedance_lab.permstats import (
     BadGuard,
     PermObject,
     SizeExceeded,
+    UnknownKind,
     UnknownStat,
     class_size,
     cycle_roles,
@@ -36,6 +38,14 @@ from oracles import (
     signed_joint,
     stirling_joint,
 )
+
+
+BASE = {
+    "plain": permstats.PLAIN_BASE,
+    "signed": permstats.SIGNED_BASE,
+    "colored": permstats.COLORED_BASE,
+    "stirling": permstats.STIRLING_BASE,
+}
 
 
 @pytest.fixture
@@ -63,6 +73,11 @@ def test_class_sizes():
         ("signed", 2, {"k": 0}),
         ("stirling", 2, {"k": 2, "r": 2}),
         ("colored", 2, {"r": 2, "k": 3}),
+        # a size that is not an int is refused, not multiplied out
+        ("colored", 2, {"r": 1.5}),
+        ("plain", 2.5, {}),
+        ("stirling", 2, {"k": 2.0}),
+        ("signed", "3", {}),
     ],
 )
 def test_bad_class_sizes_raise(ctx, kind, n, kwargs):
@@ -76,12 +91,69 @@ def test_bad_class_sizes_raise(ctx, kind, n, kwargs):
         stat_distribution(kind, n, **kwargs)
 
 
+@pytest.mark.parametrize("kind", permstats.KINDS)
+def test_unknown_kind_is_refused_at_every_door(ctx, kind):
+    # a misspelt kind, a kind in another case and a kind that is no string
+    for bad in (kind + "x", kind.upper(), None, [kind]):
+        for call in (
+            lambda: class_size(bad, 3),
+            lambda: gen_poly(ctx, bad, 3, {}),
+            lambda: marginal(bad, 3, ()),
+            lambda: stat_distribution(bad, 3),
+            lambda: enumerate_class(bad, 3),
+            lambda: permstats.stat_names(bad),
+        ):
+            with pytest.raises(UnknownKind) as exc:
+                call()
+            assert isinstance(exc.value, ValueError) and repr(bad) in str(exc.value)
+
+
+def test_the_guard_stops_at_the_first_level_past_it(ctx, monkeypatch):
+    # the guard multiplies level factors until the product passes it, so
+    # refusing a class costs a few levels however large n is; class_size
+    # still multiplies every level
+    levels = []
+    row = permstats._KINDS["plain"]
+
+    def factor(i, r, k):
+        levels.append(i)
+        return row.factor(i, r, k)
+
+    monkeypatch.setitem(permstats._KINDS, "plain", row._replace(factor=factor))
+    monkeypatch.setenv(permstats.ENV_GUARD, "1000")
+    for call in (
+        lambda: enumerate_class("plain", 2000),
+        lambda: gen_poly(ctx, "plain", 2000, {"exc": "x"}),
+        lambda: marginal("plain", 2000, ("exc",)),
+    ):
+        levels.clear()
+        with pytest.raises(SizeExceeded):
+            call()
+        assert levels == [1, 2, 3, 4, 5, 6, 7]  # 7! = 5040 is the first past 1000
+    levels.clear()
+    assert class_size("plain", 30) == math.factorial(30)
+    assert levels == list(range(1, 31))
+
+
+def test_a_class_too_large_to_print_exceeds_the_guard():
+    # 10000! has 35,660 digits, past the int-to-str limit of a message
+    with pytest.raises(SizeExceeded) as exc:
+        enumerate_class("plain", 10000)
+    assert str(exc.value) == (
+        f"the plain class of order 10000 exceeds guard {permstats.guard_limit()}"
+    )
+
+
 def test_cached_distribution_is_read_only(ctx):
     dist = permstats._distribution_cached("plain", 3, 1, 1)
-    with pytest.raises(AttributeError):
-        dist.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.counts = ()
     with pytest.raises(TypeError):
-        dist[next(iter(dist))] = 0
+        dist.full[0] = ()
+    with pytest.raises(TypeError):
+        dist.counts[0] = 0
+    assert dist.names == permstats.stat_names("plain")
+    assert len(set(dist.full)) == len(dist.full) == len(dist.counts)
     assert gen_poly(ctx, "plain", 3, {"exc": "x"}) == ctx.poly("1 + 4*x + x^2")
     assert permstats._distribution_cached.cache_info().hits >= 1
 
@@ -187,7 +259,8 @@ def test_where_cannot_change_the_cache(ctx):
     assert derangements == gen_poly(ctx, "plain", 4, weighting, where=lambda s: s["fix"] == 0)
     assert derangements.substitute({"x": 1, "y": 1, "z": 1}) == derangement_count(4)
     dist = permstats._distribution_cached("plain", 4, 1, 1)
-    assert seen == [expand("plain", 4, base) for base in dist]
+    base = len(permstats.PLAIN_BASE)
+    assert seen == [expand("plain", 4, full[:base]) for full in dist.full]
 
 
 def test_each_class_is_derived_once_per_cold_build(ctx, monkeypatch):
@@ -212,14 +285,15 @@ def test_each_class_is_derived_once_per_cold_build(ctx, monkeypatch):
 
 
 def _projected_by_hand(ctx, kind, n, size, weighting, where):
-    # every cell of the cached distribution, extended by _derive, filtered on
-    # its statistics dict and weighted variable by variable
+    # every cell of the cached distribution, read as a base tuple through
+    # marginal, extended by _derive, filtered on its statistics dict and
+    # weighted variable by variable
     r = size.get("r", 1)
     names = permstats.stat_names(kind)
     full = permstats._derive(kind, n, r)
     terms = []
     joint: Counter = Counter()
-    for base, count in permstats._distribution_cached(kind, n, r, size.get("k", 1)).items():
+    for base, count in marginal(kind, n, BASE[kind], **size).items():
         stats = dict(zip(names, full(base)))
         if where is not None and not where(stats):
             continue
@@ -343,7 +417,7 @@ def test_cached_distribution_matches_the_stream_at_depth(kind, n, r, base):
     streamed = Counter(
         tuple(map(stats.__getitem__, base)) for _, stats in enumerate_class(kind, n, r=r)
     )
-    assert streamed == Counter(dict(permstats._distribution_cached(kind, n, r, 1)))
+    assert streamed == Counter(marginal(kind, n, base, r=r))
 
 
 def test_distribution_hook_sees_every_cold_build(monkeypatch):
@@ -354,8 +428,8 @@ def test_distribution_hook_sees_every_cold_build(monkeypatch):
     assert real.cache_info().misses == 0
     dist = real("colored", 2, 3, 1)
     assert real.cache_info().misses == 1
-    with pytest.raises(TypeError):
-        dist[next(iter(dist))] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.full = ()
     assert real("colored", 2, 3, 1) is dist
     assert real.cache_info().misses == 1 and real.cache_info().hits == 1
 
