@@ -19,6 +19,7 @@ from .multipoly import (
 from .permstats import (
     BadClassSize,
     BadGuard,
+    NotInClass,
     PermObject,
     SizeExceeded,
     UnknownKind,
@@ -49,7 +50,8 @@ __all__ = [
     "BadInput", "Context", "Poly", "ParseError", "ExponentOverflow", "as_fraction",
     "poly_from_json",
     "Grammar", "parse_rules",
-    "BadClassSize", "BadGuard", "PermObject", "SizeExceeded", "UnknownKind", "UnknownStat",
+    "BadClassSize", "BadGuard", "NotInClass", "PermObject", "SizeExceeded", "UnknownKind",
+    "UnknownStat",
     "class_size",
     "enumerate_class", "gen_poly", "marginal", "stirling_identities",
     "family", "q_bracket", "springer",

@@ -42,6 +42,7 @@ from .multipoly import BadInput, ParseError
 from .permstats import (
     ROLE_CDA,
     ROLE_CDD,
+    NotInClass,
     PermObject,
     _cycles_plain,
     cycle_roles,
@@ -70,7 +71,7 @@ class CycleClassified:
 def classify(perm: PermObject) -> list[CycleClassified]:
     """Role classification of every cycle of a plain permutation."""
     if perm.kind != "plain":
-        raise ValueError("the cycle action is defined for plain permutations")
+        raise NotInClass("the cycle action is defined for plain permutations")
     return [CycleClassified(c, cycle_roles(c)) for c in perm.cycles()]
 
 
@@ -90,8 +91,6 @@ def _perm_from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> PermObject:
         cyc = list(cyc)
         for i, v in enumerate(cyc):
             word[v - 1] = cyc[(i + 1) % len(cyc)]
-    if sorted(word) != list(range(1, n + 1)):
-        raise ParseError("cycles do not form a permutation")
     return PermObject("plain", n, tuple(word))
 
 

@@ -22,21 +22,21 @@ both are needed: the wraparound version drives the cycle-classification
 action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
 Each class has one per-object statistics kernel (``plain_base_stats``,
-``signed_base_stats``, ``_colored_stats``, ``stirling_base_stats``); the
+``signed_base_stats``, ``colored_base_stats``, ``stirling_base_stats``); the
 streaming ``enumerate_class`` reads it.  The cached joint distributions of all
 four classes are built another way, by walks that derive each object's
 statistics from its parent's or predecessor's by a delta: plain permutations
 by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
-block m^k into a word of order m - 1, signed and colored ones by fixing pi
-and walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP
-4A 7.2.1.1).  The walks still visit every object and read only word and cycle
+block m^k into a word of order m - 1, signed and colored ones by fixing pi and
+walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP 4A
+7.2.1.1).  The walks still visit every object and read only word and cycle
 deltas.  The stream and the cache share no base-statistics code beyond
 ``_perm_part`` (the inverse and cycle count of pi, from ``_cycles_plain``, the
 one orbit walk), so the tests that compare them, and each with the definition
-oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the
-one classifier of cycle entries, read by the cycle action in ``fsaction``;
-the plain kernel counts the same roles in one pass (``_cycle_roles_counts``),
-and a test holds the two to each other on all of S_7.
+oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the one
+classifier of cycle entries, read by the cycle action in ``fsaction``; the
+plain kernel counts the same roles in one pass (``_cycle_roles_counts``), and
+a test holds the two to each other on all of S_7.
 
 Enumeration order is lexicographic on the one-line word (colors as a
 secondary key), so golden outputs are stable.  Aggregation goes through a
@@ -46,19 +46,22 @@ counts of statistics by name) is the only door to that cache from outside
 this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
 runs the size guard before it reads.
 
-Each kind is one row of ``_KINDS``: its statistic names, the size factor of
-each level and the walk behind its cache; ``_kind``, the one lookup of a row,
-raises ``UnknownKind`` for any other kind.  The derived statistics
-(``PLAIN_DERIVED``, ``SIGNED_DERIVED``, ``COLORED_DERIVED``) are one tuple
-formula per class, ``_derive``, which appends them to the base tuple in
-``stat_names`` order; the stream and the cache share it.  The cache derives
-each class once, at its cold build, into a frozen record of the columns its
-reads use: the full tuples and their counts.  A read resolves the requested
-names to indices once and projects the full tuples with ``itemgetter``.
-Statistics dicts exist only where a caller reads by name: one per object in
-the stream and, for a ``gen_poly`` ``where`` filter, one template per cell,
-built on the class's first filtered read; the filter gets a fresh copy of it
-per cell.
+Each kind is one row of ``_KINDS``, and all that depends on the kind is a
+column of it: the statistic names, the size factor of each level, the walk
+behind the cache, the full-tuple formula, the words in lexicographic order,
+the per-object kernel, membership, the cycle form and the letter text.
+``_kind``, the one lookup of a row, raises ``UnknownKind`` for any other kind.
+The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
+``COLORED_DERIVED``) are one tuple formula per class, read by ``_derive``,
+which appends them to the base tuple in ``stat_names`` order; the stream and
+the cache share it.  ``PermObject`` checks its input through the row; the
+stream's objects skip the check.  The cache derives each class once, at its
+cold build, into a frozen record of the columns its reads use: the full tuples
+and their counts.  A read resolves the requested names to indices once and
+projects the full tuples with ``itemgetter``.  Statistics dicts exist only
+where a caller reads by name: one per object in the stream and, for a
+``gen_poly`` ``where`` filter, one template per cell, built on the class's
+first filtered read; the filter gets a fresh copy of it per cell.
 
 The size guard is one process-wide setting: the environment variable
 ``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
@@ -77,7 +80,7 @@ import os
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -128,6 +131,10 @@ class UnknownKind(BadInput, ValueError):
 class BadClassSize(BadInput, ValueError):
     """A size parameter outside its domain: not an int, n < 0, r < 1 or k < 1,
     or r or k != 1 where unread."""
+
+
+class NotInClass(BadInput, ValueError):
+    """A word that is not an element of the class it is given for."""
 
 
 class BadGuard(BadInput, ValueError):
@@ -193,7 +200,8 @@ class PermObject:
     """One element of a permutation class, in canonical one-line form.
 
     ``word`` holds ints for plain/signed/stirling and (value, color) pairs
-    for colored.
+    for colored.  Construction raises ``UnknownKind``, ``BadClassSize`` or, for
+    a ``word`` that is not a tuple in the class of order n, ``NotInClass``.
     """
 
     kind: str
@@ -202,34 +210,27 @@ class PermObject:
     r: int = 1
     k: int = 1
 
+    def __post_init__(self):
+        row = _kind(self.kind)
+        _size(self.kind, self.n, self.r, self.k, 1)
+        if not (isinstance(self.word, tuple) and row.member(self.word, self.n, self.r, self.k)):
+            raise NotInClass(f"{self.word!r} is not in the {self.kind} class of order {self.n}")
+
     def cycles(self) -> list[tuple[int, ...]]:
-        if self.kind == "plain":
-            return _cycles_plain(self.word)
-        if self.kind == "signed":
-            return _cycles_signed(self.word)
-        if self.kind == "colored":
-            return _cycles_plain(tuple(v for v, _ in self.word))
-        raise ValueError("stirling words have no cycle form")
+        cycles = _kind(self.kind).cycles
+        if cycles is None:
+            raise ValueError(f"{self.kind} words have no cycle form")
+        return cycles(self.word)
 
     def word_string(self) -> str:
-        if self.kind == "colored":
-            return " ".join(f"{v}^{c}" for v, c in self.word)
-        return " ".join(str(v) for v in self.word)
+        return " ".join(map(_kind(self.kind).letter, self.word))
 
     def cycle_string(self) -> str:
-        if self.kind == "stirling":
+        row = _kind(self.kind)
+        if row.cycles is None:
             return ""
-        if self.kind == "colored":
-            color = {v: c for v, c in self.word}
-            # in cycle form, letter v carries the color of the entry equal to v
-            def fmt(v):
-                c = color[v]
-                return str(v) if c == 0 else f"{v}^{c}"
-        else:
-            fmt = str
-        return "".join(
-            "(" + ",".join(fmt(v) for v in cyc) + ")" for cyc in self.cycles()
-        )
+        text = row.cycle_letter(self.word)
+        return "".join("(" + ",".join(map(text, cyc)) + ")" for cyc in row.cycles(self.word))
 
 
 def _cycles_plain(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -386,10 +387,24 @@ def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     return (exc, aexc, fix, single, neg, cyc, exc_A, des_B)
 
 
-def _colored_stats(pi, colors, cyc) -> tuple[int, ...]:
-    """The colored kernel: ``colors[i-1]`` is the colour at position i."""
-    exc_B = fix = single = exc_A = 0
-    for i, (v, c) in enumerate(zip(pi, colors), 1):
+_value = itemgetter(0)
+# one slot: the last pi the colored kernel read and its cycle count, so a run of
+# words that share pi (as the stream's do) walks pi's orbits once
+_colored_pi: tuple[tuple[int, ...], int] = ((), 0)
+
+
+def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The colored kernel: ``word`` holds each position's (value, colour)."""
+    global _colored_pi
+    pi = tuple(map(_value, word))
+    last, cyc = _colored_pi
+    if pi != last:
+        cyc = len(_cycles_plain(pi))
+        _colored_pi = pi, cyc
+    exc_B = fix = single = csum = exc_A = i = 0
+    for v, c in word:
+        i += 1
+        csum += c
         if v == i:
             if c == 0:
                 fix += 1
@@ -399,12 +414,7 @@ def _colored_stats(pi, colors, cyc) -> tuple[int, ...]:
             exc_B += 1
             if c == 0:
                 exc_A += 1
-    return (exc_B, fix, single, sum(colors), cyc, exc_A)
-
-
-def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    pi = tuple(v for v, _ in word)
-    return _colored_stats(pi, [c for _, c in word], len(_cycles_plain(pi)))
+    return (exc_B, fix, single, csum, cyc, exc_A)
 
 
 def stirling_base_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -423,10 +433,6 @@ def stirling_base_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # generators (lexicographic one-line order)
 # ---------------------------------------------------------------------------
-
-
-def _plain_words(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
 
 
 def _signed_words(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
@@ -458,6 +464,48 @@ def _stirling_words(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 left[m] += 1
 
     return grow((), ())
+
+
+# membership: is a tuple a word of the class of order n?
+
+
+def _ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _is_plain(word: tuple, n: int, r: int, k: int) -> bool:
+    return _ints(word) and sorted(word) == list(range(1, n + 1))
+
+
+def _is_signed(word: tuple, n: int, r: int, k: int) -> bool:
+    return _ints(word) and sorted(map(abs, word)) == list(range(1, n + 1))
+
+
+def _is_colored(word: tuple, n: int, r: int, k: int) -> bool:
+    return (
+        all(type(a) is tuple and len(a) == 2 for a in word)
+        and _is_plain(tuple(map(_value, word)), n, r, k)
+        and all(type(c) is int and 0 <= c < r for _, c in word)
+    )
+
+
+def _is_stirling(word: tuple, n: int, r: int, k: int) -> bool:
+    """k copies of each letter of [n], with every entry between two copies of
+    i at least i: the open (started, unfinished) letters form a stack, so each
+    letter continues the top one or starts a new one above it."""
+    if not (_ints(word) and sorted(word) == [v for v in range(1, n + 1) for _ in range(k)]):
+        return False
+    left = [k] * (n + 1)  # copies of each letter still to come
+    stack = [0]
+    for v in word:
+        if v < stack[-1]:
+            return False
+        if v > stack[-1]:  # a new letter: an open one is on the stack, a closed one spent
+            stack.append(v)
+        left[v] -= 1
+        if not left[v]:
+            stack.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -749,25 +797,72 @@ def _colored_gray_counts(n: int, r: int) -> Counter:
 
 
 class _Kind(NamedTuple):
-    """A class kind: its statistic names (base, then derived), the size
-    parameter it reads besides n (``"r"``, ``"k"`` or ``""``), and, given r and
-    k, the size factor of level i and the walk behind its cache."""
+    """A class kind: everything in the module that depends on the kind."""
 
-    names: tuple[str, ...]
-    param: str
-    factor: Callable[[int, int, int], int]
-    walk: Callable[[int, int, int], Counter]
+    names: tuple[str, ...]  # base, then derived statistics
+    param: str  # the size parameter read besides n: "r", "k" or ""
+    factor: Callable[[int, int, int], int]  # (i, r, k): the size factor of level i
+    walk: Callable[[int, int, int], Counter]  # (n, r, k): base tuple counts, for the cache
+    full: Callable[[int, int], Callable[[tuple], tuple]]  # (n, r): base tuple -> full tuple
+    words: Callable[[int, int, int], Iterator[tuple]]  # (n, r, k): in lexicographic order
+    kernel: Callable[[int], Callable[[tuple], tuple]]  # (k): word -> base tuple
+    member: Callable[[tuple, int, int, int], bool]  # (word, n, r, k): is word in the class?
+    cycles: Optional[Callable[[tuple], list[tuple[int, ...]]]]  # None for stirling
+    letter: Callable[[object], str] = str  # the text of a letter of the word
+    cycle_letter: Callable[[tuple], Callable[[int], str]] = lambda word: str  # of a cycle entry
 
 
-_KINDS = {  # each walk is looked up when it runs, so a test can replace it
-    "plain": _Kind(PLAIN_BASE + PLAIN_DERIVED, "", lambda i, r, k: i,
-                   lambda n, r, k: _plain_insertion_counts(n)),
-    "signed": _Kind(SIGNED_BASE + SIGNED_DERIVED, "", lambda i, r, k: 2 * i,
-                    lambda n, r, k: _signed_gray_counts(n)),
-    "colored": _Kind(COLORED_BASE + COLORED_DERIVED, "r", lambda i, r, k: r * i,
-                     lambda n, r, k: _colored_gray_counts(n, r)),
-    "stirling": _Kind(STIRLING_BASE, "k", lambda i, r, k: (i - 1) * k + 1,
-                      lambda n, r, k: _stirling_insertion_counts(n, k)),
+_KINDS = {  # walks, words and kernels are looked up when they run, so a test can replace them
+    "plain": _Kind(
+        names=PLAIN_BASE + PLAIN_DERIVED, param="", factor=lambda i, r, k: i,
+        walk=lambda n, r, k: _plain_insertion_counts(n),
+        full=lambda n, r: lambda b: b + (
+            b[P_EXC] + b[P_FIX],  # wexc
+            2 * b[P_CPK_INF] + b[P_CYC],  # crun
+            n - b[P_CYC],  # rlen
+        ),
+        words=lambda n, r, k: itertools.permutations(range(1, n + 1)),
+        kernel=lambda k: plain_base_stats, member=_is_plain, cycles=_cycles_plain,
+    ),
+    "signed": _Kind(
+        names=SIGNED_BASE + SIGNED_DERIVED, param="", factor=lambda i, r, k: 2 * i,
+        walk=lambda n, r, k: _signed_gray_counts(n),
+        full=lambda n, r: lambda b: b + (
+            n - b[S_EXC_A] - b[S_FIX] - b[S_SINGLE],  # aexc_A
+            2 * b[S_EXC_A] + b[S_NEG],  # fexc
+            b[S_EXC] + b[S_FIX],  # wexc
+        ),
+        words=lambda n, r, k: _signed_words(n),
+        kernel=lambda k: signed_base_stats, member=_is_signed, cycles=_cycles_signed,
+    ),
+    "colored": _Kind(
+        names=COLORED_BASE + COLORED_DERIVED, param="r", factor=lambda i, r, k: r * i,
+        walk=lambda n, r, k: _colored_gray_counts(n, r),
+        full=lambda n, r: lambda b: b + (
+            b[C_EXC_B] + b[C_SINGLE],  # exc_f
+            n - b[C_EXC_B] - b[C_SINGLE] - b[C_FIX],  # aexc_f
+            n - b[C_EXC_A] - b[C_FIX] - b[C_SINGLE],  # aexc_A
+            r * b[C_EXC_A] + b[C_CSUM],  # fexc_r
+        ),
+        # value-major generation with nested colour vectors is already the
+        # (value, colour)-lexicographic order on words
+        words=lambda n, r, k: (
+            tuple(zip(pi, colors)) for pi in itertools.permutations(range(1, n + 1))
+            for colors in itertools.product(range(r), repeat=n)
+        ),
+        kernel=lambda k: colored_base_stats, member=_is_colored,
+        cycles=lambda word: _cycles_plain(tuple(map(_value, word))),
+        letter="{0[0]}^{0[1]}".format,  # (value, colour) -> "value^colour"
+        # cycle entry v carries the colour of the letter of value v, shown unless 0
+        cycle_letter=lambda word: {v: f"{v}^{c}" if c else str(v) for v, c in word}.__getitem__,
+    ),
+    "stirling": _Kind(
+        names=STIRLING_BASE, param="k", factor=lambda i, r, k: (i - 1) * k + 1,
+        walk=lambda n, r, k: _stirling_insertion_counts(n, k),
+        full=lambda n, r: lambda b: b,  # no derived statistics
+        words=lambda n, r, k: _stirling_words(n, k),
+        kernel=lambda k: partial(stirling_base_stats, k=k), member=_is_stirling, cycles=None,
+    ),
 }
 KINDS = tuple(_KINDS)
 
@@ -787,26 +882,7 @@ def stat_names(kind: str) -> tuple[str, ...]:
 def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
     """The class's full-tuple formula: a base tuple followed by its derived
     statistics, in ``stat_names(kind)`` order."""
-    if kind == "plain":
-        return lambda b: b + (
-            b[P_EXC] + b[P_FIX],  # wexc
-            2 * b[P_CPK_INF] + b[P_CYC],  # crun
-            n - b[P_CYC],  # rlen
-        )
-    if kind == "signed":
-        return lambda b: b + (
-            n - b[S_EXC_A] - b[S_FIX] - b[S_SINGLE],  # aexc_A
-            2 * b[S_EXC_A] + b[S_NEG],  # fexc
-            b[S_EXC] + b[S_FIX],  # wexc
-        )
-    if kind == "colored":
-        return lambda b: b + (
-            b[C_EXC_B] + b[C_SINGLE],  # exc_f
-            n - b[C_EXC_B] - b[C_SINGLE] - b[C_FIX],  # aexc_f
-            n - b[C_EXC_A] - b[C_FIX] - b[C_SINGLE],  # aexc_A
-            r * b[C_EXC_A] + b[C_CSUM],  # fexc_r
-        )
-    return lambda b: b  # stirling classes have no derived statistics
+    return _kind(kind).full(n, r)
 
 
 def enumerate_class(
@@ -824,7 +900,8 @@ def _object_maker(kind: str, n: int, r: int, k: int) -> Callable[[tuple], PermOb
     """``PermObject(kind, n, word, r=r, k=k)`` for one stream, built by filling
     the instance ``__dict__`` from one base dict: the frozen dataclass's
     ``__init__`` sets each of the five fields through ``object.__setattr__``.
-    The objects are the same: frozen, equal and hashed by value."""
+    The objects are the same: frozen, equal and hashed by value.  They skip
+    the input check on purpose: their words come from the class's generator."""
     base = {"kind": kind, "n": n, "word": None, "r": r, "k": k}
     blank = object.__new__
 
@@ -839,26 +916,11 @@ def _object_maker(kind: str, n: int, r: int, k: int) -> Callable[[tuple], PermOb
 
 
 def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dict[str, int]]]:
-    names, full = stat_names(kind), _derive(kind, n, r)
+    row = _kind(kind)
+    names, full, base = row.names, row.full(n, r), row.kernel(k)
     make = _object_maker(kind, n, r, k)
-    if kind == "plain":
-        for word in _plain_words(n):
-            yield make(word), dict(zip(names, full(plain_base_stats(word))))
-    elif kind == "signed":
-        for word in _signed_words(n):
-            yield make(word), dict(zip(names, full(signed_base_stats(word))))
-    elif kind == "colored":
-        # value-major generation with nested color vectors is already the
-        # (value, color)-lexicographic order on words
-        for pi in itertools.permutations(range(1, n + 1)):
-            cyc = len(_cycles_plain(pi))
-            for colors in itertools.product(range(r), repeat=n):
-                yield make(tuple(zip(pi, colors))), dict(
-                    zip(names, full(_colored_stats(pi, colors, cyc)))
-                )
-    else:
-        for word in _stirling_words(n, k):
-            yield make(word), dict(zip(names, full(stirling_base_stats(word, k))))
+    for word in row.words(n, r, k):
+        yield make(word), dict(zip(names, full(base(word))))
 
 
 @dataclass(frozen=True)

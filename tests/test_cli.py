@@ -350,7 +350,8 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
     for cls in (
         ParseError, ExponentOverflow, families.BadParams, families.OutOfTable,
         permstats.BadClassSize, permstats.BadGuard, permstats.SizeExceeded,
-        permstats.UnknownStat, permstats.UnknownKind, fsaction.ValueAbsent, shape.BadLength,
+        permstats.UnknownStat, permstats.UnknownKind, permstats.NotInClass,
+        fsaction.ValueAbsent, shape.BadLength,
         shape.NotSymmetric,
         identities.BadOverride, identities.UnknownIdentity,
     ):
@@ -358,6 +359,7 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
     assert not issubclass(fsaction.ContractViolation, BadInput)
     # the builtin base stays, and a KeyError keeps its quoted str
     assert issubclass(permstats.UnknownStat, KeyError)
+    assert issubclass(permstats.NotInClass, ValueError)
     assert str(permstats.UnknownStat("bogus")) == "'bogus'"
 
 

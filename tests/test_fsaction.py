@@ -13,7 +13,7 @@ from excedance_lab.fsaction import (
     verify_bijection_all,
 )
 from excedance_lab.multipoly import ParseError
-from excedance_lab.permstats import PermObject, plain_base_stats
+from excedance_lab.permstats import NotInClass, PermObject, plain_base_stats
 from oracles import foata_strehl_image
 
 
@@ -157,5 +157,6 @@ def test_parse_cycles():
 
 
 def test_classify_requires_plain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         classify(PermObject("signed", 1, (-1,)))
+    assert isinstance(exc.value, NotInClass)

@@ -7,6 +7,9 @@ and recurrence routes) never reach the enumeration side, and ``permstats``
 ``multipoly`` alone knows the monomial-key format: no other module reads
 ``.terms`` or the packed store ``._t``, builds a ``Poly`` from raw terms or
 through ``._of``, packs or unpacks keys, or resolves raw variable ids.
+
+``permstats`` compares no class kind with a string: what depends on the kind
+is a column of the kind's ``_KINDS`` row.
 """
 
 import ast
@@ -98,3 +101,64 @@ def test_the_key_format_finder_finds_each_use():
         "line 1: .terms", "line 2: Poly(...)", "line 3: Poly(...)", "line 4: _resolve(...)",
         "line 6: ._t", "line 7: ._of", "line 8: ._pack", "line 9: ._unpack",
     }
+
+
+def kind_comparisons(source: str) -> set[str]:
+    """The comparisons of ``kind`` or of an attribute ``.kind`` with a string
+    constant, or with a tuple, list or set of them, in ``source``."""
+
+    def is_kind(node):
+        return (isinstance(node, ast.Name) and node.id == "kind") or (
+            isinstance(node, ast.Attribute) and node.attr == "kind"
+        )
+
+    def is_text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_text, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_kind, operands)) and any(map(is_text, operands)):
+                found.add(f"line {node.lineno}")
+    return found
+
+
+def test_permstats_has_no_kind_ladder():
+    # everything that depends on the kind is a column of its _KINDS row
+    assert kind_comparisons((PACKAGE / "permstats.py").read_text(encoding="utf-8")) == set()
+
+
+# the kind ladders that permstats had before they moved onto the rows, cut
+# down to their tests: PermObject's three methods, _derive and _stream
+LADDERS = '''
+def cycles(self):
+    if self.kind == "plain": ...
+    if self.kind == "signed": ...
+    if self.kind == "colored": ...
+def word_string(self):
+    if self.kind == "colored": ...
+def cycle_string(self):
+    if self.kind == "stirling": ...
+    if self.kind == "colored": ...
+def _derive(kind, n, r):
+    if kind == "plain": ...
+    if kind == "signed": ...
+    if kind == "colored": ...
+def _stream(kind, n, r, k):
+    if kind == "plain": ...
+    elif kind == "signed": ...
+    elif kind == "colored": ...
+'''
+
+
+def test_the_kind_ladder_finder_finds_each_comparison():
+    # guards the test above against passing because it finds nothing
+    assert len(kind_comparisons(LADDERS)) == 12
+    source = (
+        'perm.kind != "plain"\nkind in ("plain", "signed")\n"stirling" == kind\n'
+        'kind == other\nrow.param != "r"\nkind = "plain"\n'
+    )
+    assert kind_comparisons(source) == {"line 1", "line 2", "line 3"}

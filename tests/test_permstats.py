@@ -1,20 +1,25 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from excedance_lab import permstats
 from excedance_lab.families import one_over_k_eulerian
-from excedance_lab.multipoly import Context
+from excedance_lab.multipoly import BadInput, Context
 from excedance_lab.permstats import (
     ROLE_CDA,
     ROLE_CDD,
     ROLE_CPK,
     BadClassSize,
     BadGuard,
+    NotInClass,
     PermObject,
     SizeExceeded,
     UnknownKind,
@@ -102,10 +107,119 @@ def test_unknown_kind_is_refused_at_every_door(ctx, kind):
             lambda: stat_distribution(bad, 3),
             lambda: enumerate_class(bad, 3),
             lambda: permstats.stat_names(bad),
+            lambda: PermObject(bad, 3, (1, 2, 3)),
         ):
             with pytest.raises(UnknownKind) as exc:
                 call()
             assert isinstance(exc.value, ValueError) and repr(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "kind, n, word, kwargs, error",
+    [
+        # a repeated letter: the cycle walk of this word never ended
+        ("plain", 2, (1, 1), {}, NotInClass),
+        ("plain", 3, (1, 2), {}, NotInClass),  # too short
+        ("plain", 2, (5, 1), {}, NotInClass),  # a letter past n
+        ("colored", 2, ((1, 5), (2, 0)), {"r": 2}, NotInClass),  # a colour past r - 1
+        ("stirling", 2, (2, 1, 1, 2), {"k": 2}, NotInClass),  # 1 between the two 2s
+        ("signed", 1, (0,), {}, NotInClass),
+        ("plain", 2, [2, 1], {}, NotInClass),  # a list, not a tuple
+        ("plain", 2.0, (2, 1), {}, BadClassSize),
+        ("plain", 2, (2.0, 1), {}, NotInClass),
+        ("plain", 2, (True, 2), {}, NotInClass),
+        ("signed", 2, (1, -1), {}, NotInClass),
+        ("signed", 1, (-1.0,), {}, NotInClass),
+        ("signed", 2, (True, -2), {}, NotInClass),
+        ("stirling", 1, (1.0,), {}, NotInClass),
+        ("colored", 1, ((1, 0.0),), {"r": 2}, NotInClass),
+        ("colored", 2, ((2, 0), (1,)), {"r": 2}, NotInClass),
+        ("colored", 2, ((2, 0), (1, -1)), {"r": 2}, NotInClass),
+        ("colored", 1, ([1, 0],), {"r": 2}, NotInClass),
+        ("colored", 1, (1,), {"r": 2}, NotInClass),
+        ("stirling", 2, (1, 1, 2), {"k": 2}, NotInClass),
+        ("stirling", 3, (1, 2, 1, 3, 3, 2), {"k": 2}, NotInClass),
+        ("stirling", 2, (1, 1, 2, 2), {}, NotInClass),  # k defaults to 1
+        ("plain", 2, (2, 1), {"r": 2}, BadClassSize),
+        ("colored", 2, ((2, 0), (1, 0)), {"r": 0}, BadClassSize),
+        ("stirling", -1, (), {"k": 2}, BadClassSize),
+    ],
+)
+def test_words_outside_the_class_are_refused(kind, n, word, kwargs, error):
+    # refused at construction, so no method ever reads the word
+    with pytest.raises(error) as exc:
+        PermObject(kind, n, word, **kwargs)
+    assert isinstance(exc.value, BadInput) and isinstance(exc.value, ValueError)
+
+
+def test_words_are_refused_under_python_O():
+    code = (
+        "import sys\n"
+        "from excedance_lab.permstats import NotInClass, PermObject\n"
+        "try:\n"
+        "    PermObject('plain', 2, (1, 1))\n"
+        "except NotInClass:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "raised 1\n", proc.stderr
+
+
+def arrangements(letters):
+    """The distinct arrangements of a multiset, in lexicographic order."""
+    word = sorted(letters)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+
+
+def members(kind, n, candidates, r=1, k=1):
+    member = permstats._KINDS[kind].member
+    return [word for word in candidates if member(word, n, r, k)]
+
+
+def test_stirling_membership_accepts_exactly_the_generated_words():
+    # every arrangement of the letters, then every word of the right length
+    # over a wider alphabet; the generator's order is the lexicographic one
+    for n, k in itertools.product(range(5), range(1, 4)):
+        letters = [v for v in range(1, n + 1) for _ in range(k)]
+        generated = list(permstats._stirling_words(n, k))
+        assert members("stirling", n, arrangements(letters), k=k) == generated, (n, k)
+    for n, k in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        words = itertools.product(range(n + 2), repeat=n * k)
+        assert members("stirling", n, words, k=k) == list(permstats._stirling_words(n, k))
+
+
+def test_signed_membership_accepts_exactly_the_generated_words():
+    for n in range(5):
+        words = itertools.product(range(-n - 1, n + 2), repeat=n)
+        assert members("signed", n, words) == list(permstats._signed_words(n)), n
+
+
+def test_colored_membership_accepts_exactly_the_generated_words():
+    # the generator's order is value-major: by the values, then the colours
+    def order(word):
+        return tuple(v for v, _ in word), tuple(c for _, c in word)
+
+    for n, r in itertools.product(range(4), range(1, 4)):
+        letters = list(itertools.product(range(n + 2), range(-1, r + 1)))
+        accepted = members("colored", n, itertools.product(letters, repeat=n), r=r)
+        generated = list(permstats._KINDS["colored"].words(n, r, 1))
+        assert sorted(accepted, key=order) == generated, (n, r)
 
 
 def test_the_guard_stops_at_the_first_level_past_it(ctx, monkeypatch):
