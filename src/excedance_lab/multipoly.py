@@ -438,6 +438,10 @@ class Poly:
     def __bool__(self):
         return bool(self._t)
 
+    def __len__(self):
+        """The number of terms, in O(1)."""
+        return len(self._t)
+
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:

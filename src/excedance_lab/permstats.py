@@ -23,7 +23,10 @@ action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
 Each class has one per-object statistics kernel (``plain_base_stats``,
 ``signed_base_stats``, ``colored_base_stats``, ``stirling_base_stats``); the
-streaming ``enumerate_class`` reads it.  The cached joint distributions of all
+streaming ``enumerate_class`` reads it.  The plain, signed and colored ones
+refuse a word outside their class with ``NotInClass``; the stream, whose
+words come from the class's generator, reads them unchecked (``_plain_stats``,
+``_signed_stats``, ``_colored_stats``).  The cached joint distributions of all
 four classes are built another way, by walks that derive each object's
 statistics from its parent's or predecessor's by a delta: plain permutations
 by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
@@ -63,6 +66,18 @@ where a caller reads by name: one per object in the stream and, for a
 ``gen_poly`` ``where`` filter, one template per cell, built on the class's
 first filtered read; the filter gets a fresh copy of it per cell.
 
+A large cold build is split across the CPUs the process may use
+(``os.sched_getaffinity``).  ``_shard_count`` gives it one shard per CPU, each
+of at least ``_SHARD_MIN_OBJECTS`` objects; ``_walk_in_shards`` runs shard 0
+in the process and each other one in a child made by ``os.fork``, which sends
+its counts back through a pipe with ``marshal`` and leaves by ``os._exit``.
+Insertion walks deal out the nodes of one level (``_split_level``), Gray-code
+walks the permutations pi; every object is still visited once, by the same
+deltas, and the cells are sorted by base tuple, so the cached record is the
+same for any shard count.  A build stays serial when the class is small,
+without ``os.fork``, while another thread is alive, and in a
+``multiprocessing`` child such as a ``run_suite(jobs>1)`` worker.
+
 The size guard is one process-wide setting: the environment variable
 ``EXCEDANCE_LAB_MAX_CLASS`` (an integer >= 1; unset or empty means
 ``DEFAULT_MAX_CLASS``), read only by ``guard_limit``.  ``_check_guard`` runs
@@ -76,13 +91,15 @@ Library callers set it in ``os.environ``; forked workers inherit it.
 from __future__ import annotations
 
 import itertools
+import marshal
 import os
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 from .multipoly import BadInput, Context, Poly
 
@@ -211,10 +228,8 @@ class PermObject:
     k: int = 1
 
     def __post_init__(self):
-        row = _kind(self.kind)
         _size(self.kind, self.n, self.r, self.k, 1)
-        if not (isinstance(self.word, tuple) and row.member(self.word, self.n, self.r, self.k)):
-            raise NotInClass(f"{self.word!r} is not in the {self.kind} class of order {self.n}")
+        _check_word(self.kind, self.word, self.n, self.r, self.k)
 
     def cycles(self) -> list[tuple[int, ...]]:
         cycles = _kind(self.kind).cycles
@@ -231,6 +246,12 @@ class PermObject:
             return ""
         text = row.cycle_letter(self.word)
         return "".join("(" + ",".join(map(text, cyc)) + ")" for cyc in row.cycles(self.word))
+
+
+def _check_word(kind: str, word: tuple, n: int, r: float, k: int) -> None:
+    """NotInClass unless ``word`` is a tuple in the ``kind`` class of order n."""
+    if not (isinstance(word, tuple) and _kind(kind).member(word, n, r, k)):
+        raise NotInClass(f"{word!r} is not in the {kind} class of order {n}")
 
 
 def _cycles_plain(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -322,6 +343,13 @@ def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
 
 
 def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
+    """``PLAIN_BASE`` of a permutation in one-line form; NotInClass for a word
+    that is not one."""
+    _check_word("plain", word, len(word), 1, 1)
+    return _plain_stats(word)
+
+
+def _plain_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
     exc = drop = fix = des = dd = lpk = 0
     # one pass over the word padded with 0 on both sides: des and lpk look at
@@ -356,6 +384,13 @@ def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
 
 
 def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
+    """``SIGNED_BASE`` of a signed permutation in one-line form; NotInClass
+    for a word that is not one."""
+    _check_word("signed", word, len(word), 1, 1)
+    return _signed_stats(word)
+
+
+def _signed_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     """The signed kernel; ``letter[v]`` is the letter of absolute value v,
     so sigma(v) = letter[pi_v]."""
     n = len(word)
@@ -394,6 +429,14 @@ _colored_pi: tuple[tuple[int, ...], int] = ((), 0)
 
 
 def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """``COLORED_BASE`` of a colored permutation, each position's (value,
+    colour), with any number of colours; NotInClass for a word that is not
+    one."""
+    _check_word("colored", word, len(word), float("inf"), 1)  # any colour >= 0
+    return _colored_stats(word)
+
+
+def _colored_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The colored kernel: ``word`` holds each position's (value, colour)."""
     global _colored_pi
     pi = tuple(map(_value, word))
@@ -532,7 +575,7 @@ def _unpack(packed: Counter, count: int, width: int) -> Counter:
     })
 
 
-def _plain_insertion_counts(n: int) -> Counter:
+def _plain_insertion_counts(n: int, shard: int, shards: int) -> Counter:
     """Joint distribution of ``PLAIN_BASE`` over S_n, by cycle insertion.
 
     Each sigma in S_m comes from one tau in S_{m-1}: m is added as a fixed
@@ -543,9 +586,12 @@ def _plain_insertion_counts(n: int) -> Counter:
     is never least); cpk_inf drops the peak whose successor is the least
     entry.  Each child's key is its parent's plus a delta read off the
     entries around a, b and m - 1.
+
+    Shard ``shard`` of ``shards`` walks below every ``shards``-th node of the
+    split level (``_split_level``), from the ``shard``-th on.
     """
     if n == 0:
-        return Counter({(0,) * len(PLAIN_BASE): 1})
+        return Counter({(0,) * len(PLAIN_BASE): 1} if shard == 0 else {})
     width, units = _packing(len(PLAIN_BASE), n)
     EXC, DROP, FIX, CYC, DES, DD, LPK, CDA, CDD, CPK, CPKI = units
     packed: Counter = Counter()
@@ -614,7 +660,12 @@ def _plain_insertion_counts(n: int) -> Counter:
             out[a] = d
         return out
 
+    split = _split_level("plain", n, 1, shards)
+    deal = itertools.cycle(range(shards)).__next__
+
     def walk(m: int, key: int) -> None:
+        if m == split and deal() != shard:
+            return
         out = deltas(m)
         if m == n:
             packed.update(map(key.__add__, out))
@@ -633,7 +684,7 @@ def _plain_insertion_counts(n: int) -> Counter:
     return _unpack(packed, len(PLAIN_BASE), width)
 
 
-def _stirling_insertion_counts(n: int, k: int) -> Counter:
+def _stirling_insertion_counts(n: int, k: int, shard: int, shards: int) -> Counter:
     """Joint distribution of ``STIRLING_BASE`` over the k-Stirling
     permutations of order n, by block insertion.
 
@@ -645,10 +696,12 @@ def _stirling_insertion_counts(n: int, k: int) -> Counter:
     plateau after any letter, as the first block in gap 0.  The block covering
     the position right after the gap stops counting, since the gap either
     splits it or puts m before it; no other block changes.  So each child's
-    key is its parent's plus the new block's share minus that block's.
+    key is its parent's plus the new block's share minus that block's.  A
+    shard walks below its share of the split level's nodes, as the plain
+    walk's do.
     """
-    if n <= 1:
-        return Counter({(0, n, n): 1})  # ap, lap, first_block_constant
+    if n <= 1:  # ap, lap, first_block_constant
+        return Counter({(0, n, n): 1} if shard == 0 else {})
     width, units = _packing(len(STIRLING_BASE), n)
     AP, LAP, FBC = units
     plateau, first = AP + LAP, FBC + LAP
@@ -656,9 +709,13 @@ def _stirling_insertion_counts(n: int, k: int) -> Counter:
     share = [0] * (n + 1)
     share[1] = first
     packed: Counter = Counter()
+    split = _split_level("stirling", n, k, shards)
+    deal = itertools.cycle(range(shards)).__next__
 
     def walk(m: int, word: list[int], key: int) -> None:
         """Count the descendants of ``word`` (order m - 1) at order n."""
+        if m == split and deal() != shard:
+            return
         # gap g sits before word[g]; the last gap has no block after it
         out = [plateau - share[v] for v in word]
         out[0] += first - plateau
@@ -696,7 +753,7 @@ def _gray_steps(n: int, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _signed_gray_counts(n: int) -> Counter:
+def _signed_gray_counts(n: int, shard: int, shards: int) -> Counter:
     """Joint distribution of ``SIGNED_BASE`` over B_n: for each pi, walk the
     sign vectors in reflected binary Gray order.
 
@@ -705,7 +762,8 @@ def _signed_gray_counts(n: int) -> Counter:
     across the pairs (j - 1, j) and (j, j + 1), with sigma(0) = 0.  Each of
     these compares the letter +-u with a letter x, and the flip changes the
     outcome iff |x| < u.  So the delta is +D_u when u turns negative and -D_u
-    when it turns positive, with D_u fixed by pi.
+    when it turns positive, with D_u fixed by pi.  Shard ``shard`` of
+    ``shards`` takes every ``shards``-th pi, from the ``shard``-th on.
     """
     width, units = _packing(len(SIGNED_BASE), n)
     EXC, AEXC, FIX, SINGLE, NEG, CYC, EXC_A, DES_B = units
@@ -713,7 +771,7 @@ def _signed_gray_counts(n: int) -> Counter:
     steps = [2 * (pos + 1) + old for pos, old, _ in _gray_steps(n, 2)]
     flip = [0] * (2 * n + 2)
     packed: Counter = Counter()
-    for pi in itertools.permutations(range(1, n + 1)):
+    for pi in itertools.islice(itertools.permutations(range(1, n + 1)), shard, None, shards):
         inv, cyc = _perm_part(pi)
         word = (0, *pi, n + 1)  # positions 0 and n + 1 are sentinels
         exc = fix = des = 0
@@ -753,14 +811,15 @@ def _signed_gray_counts(n: int) -> Counter:
     return _unpack(packed, len(SIGNED_BASE), width)
 
 
-def _colored_gray_counts(n: int, r: int) -> Counter:
+def _colored_gray_counts(n: int, r: int, shard: int, shards: int) -> Counter:
     """Joint distribution of ``COLORED_BASE`` over the r-colored permutations
     of order n: for each pi, walk the colour vectors in reflected r-ary Gray
     order.
 
     One step moves the colour of one position i by one: csum moves by one,
     exc_B does not read colours, and fix, single and exc_A change only when
-    the colour leaves or returns to 0.
+    the colour leaves or returns to 0.  Shards split the pi as the signed
+    walk's do.
     """
     width, units = _packing(len(COLORED_BASE), max(n, n * (r - 1)))
     EXC_B, FIX, SINGLE, CSUM, CYC, EXC_A = units
@@ -772,7 +831,7 @@ def _colored_gray_counts(n: int, r: int) -> Counter:
     ]
     move = [0, 0, CSUM, -CSUM] * n
     packed: Counter = Counter()
-    for pi in itertools.permutations(range(1, n + 1)):
+    for pi in itertools.islice(itertools.permutations(range(1, n + 1)), shard, None, shards):
         _, cyc = _perm_part(pi)
         exc = fix = 0
         for i, v in enumerate(pi):
@@ -792,6 +851,125 @@ def _colored_gray_counts(n: int, r: int) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# sharded cold builds (see the module docstring)
+# ---------------------------------------------------------------------------
+
+# Fewest objects per shard.  A split build costs about 3 ms more than a serial
+# one (the fork, the pipe and the merge, on a 2-CPU host), and signed and
+# colored builds of 46,080 objects, 15 to 22 ms serial, gained nothing from a
+# second shard.
+_SHARD_MIN_OBJECTS = 50_000
+# Split-level nodes per shard in an insertion walk, so shards differ by at
+# most 1/16 of a share.
+_SPLIT_NODES_PER_SHARD = 16
+
+
+def _split_level(kind: str, n: int, k: int, shards: int) -> int:
+    """The level of an insertion walk whose nodes a sharded build deals out:
+    the first with at least ``_SPLIT_NODES_PER_SHARD`` nodes per shard, else
+    n.  The nodes of level m are the words of order m - 1 and all have as
+    many descendants, so the shards' shares differ by at most one node's
+    descendants."""
+    m = 1
+    while m < n and _size(kind, m - 1, 1, k) < _SPLIT_NODES_PER_SHARD * shards:
+        m += 1
+    return m
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shard_count(size: int) -> int:
+    """How many shards a cold build of ``size`` objects takes: one per CPU
+    this process may use, with at least ``_SHARD_MIN_OBJECTS`` objects each.
+    It stays 1 (serial) without ``os.fork``, while another thread is alive
+    (a forked child would hold only this one), and in a ``multiprocessing``
+    child such as a ``run_suite(jobs>1)`` worker, whose siblings hold the
+    other CPUs.  Neither module is imported here, only read if loaded."""
+    shards = min(_cpus(), size // _SHARD_MIN_OBJECTS)
+    if shards < 2 or not hasattr(os, "fork"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return shards
+
+
+def _walk_in_shards(
+    walk: Callable[..., Counter], kind: str, n: int, r: int, k: int, shards: int
+) -> Counter:
+    """The sum of the base tuple counts of the class's ``shards`` shards.
+
+    Shard 0 runs here and each other one in a forked child.  Every child is
+    reaped on every path: a child that failed raises ``RuntimeError`` here,
+    naming the class and its shard, and if this process fails or is
+    interrupted first, the children still running are killed.
+    """
+    children: dict = {}  # pid -> (shard, read end of its pipe), until reaped
+    try:
+        for shard in range(1, shards):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _shard_child(write, partial(walk, n, r, k, shard, shards))
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write)
+            children[pid] = shard, pipe
+        counts = walk(n, r, k, 0, shards)
+        for pid, (shard, pipe) in list(children.items()):
+            with pipe:
+                payload = pipe.read()  # to end of file: the child has closed its end
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                reason = payload.decode(errors="replace") or (
+                    f"exit status {os.waitstatus_to_exitcode(status)}"
+                )
+                raise RuntimeError(
+                    f"shard {shard} of {shards} of the {kind} class of order {n}"
+                    f" (r={r}, k={k}) failed: {reason}"
+                )
+            counts.update(marshal.loads(payload))
+    finally:
+        if children:
+            from signal import SIGKILL
+
+            for pid, (_, pipe) in children.items():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return counts
+
+
+def _shard_child(write: int, count: Callable[[], Counter]) -> NoReturn:
+    """A forked shard's whole life: it sends its counts, or why it failed, to
+    the parent and leaves by ``os._exit``, so none of the parent's stack,
+    cleanup or buffered output runs twice."""
+    status = 1
+    try:
+        try:
+            payload, status = marshal.dumps(dict(count())), 0
+        except BaseException as exc:
+            payload = f"{type(exc).__name__}: {exc}".encode()
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
 
@@ -802,7 +980,8 @@ class _Kind(NamedTuple):
     names: tuple[str, ...]  # base, then derived statistics
     param: str  # the size parameter read besides n: "r", "k" or ""
     factor: Callable[[int, int, int], int]  # (i, r, k): the size factor of level i
-    walk: Callable[[int, int, int], Counter]  # (n, r, k): base tuple counts, for the cache
+    # (n, r, k, shard, shards): base tuple counts over one shard of the class, for the cache
+    walk: Callable[[int, int, int, int, int], Counter]
     full: Callable[[int, int], Callable[[tuple], tuple]]  # (n, r): base tuple -> full tuple
     words: Callable[[int, int, int], Iterator[tuple]]  # (n, r, k): in lexicographic order
     kernel: Callable[[int], Callable[[tuple], tuple]]  # (k): word -> base tuple
@@ -815,29 +994,29 @@ class _Kind(NamedTuple):
 _KINDS = {  # walks, words and kernels are looked up when they run, so a test can replace them
     "plain": _Kind(
         names=PLAIN_BASE + PLAIN_DERIVED, param="", factor=lambda i, r, k: i,
-        walk=lambda n, r, k: _plain_insertion_counts(n),
+        walk=lambda n, r, k, shard, shards: _plain_insertion_counts(n, shard, shards),
         full=lambda n, r: lambda b: b + (
             b[P_EXC] + b[P_FIX],  # wexc
             2 * b[P_CPK_INF] + b[P_CYC],  # crun
             n - b[P_CYC],  # rlen
         ),
         words=lambda n, r, k: itertools.permutations(range(1, n + 1)),
-        kernel=lambda k: plain_base_stats, member=_is_plain, cycles=_cycles_plain,
+        kernel=lambda k: _plain_stats, member=_is_plain, cycles=_cycles_plain,
     ),
     "signed": _Kind(
         names=SIGNED_BASE + SIGNED_DERIVED, param="", factor=lambda i, r, k: 2 * i,
-        walk=lambda n, r, k: _signed_gray_counts(n),
+        walk=lambda n, r, k, shard, shards: _signed_gray_counts(n, shard, shards),
         full=lambda n, r: lambda b: b + (
             n - b[S_EXC_A] - b[S_FIX] - b[S_SINGLE],  # aexc_A
             2 * b[S_EXC_A] + b[S_NEG],  # fexc
             b[S_EXC] + b[S_FIX],  # wexc
         ),
         words=lambda n, r, k: _signed_words(n),
-        kernel=lambda k: signed_base_stats, member=_is_signed, cycles=_cycles_signed,
+        kernel=lambda k: _signed_stats, member=_is_signed, cycles=_cycles_signed,
     ),
     "colored": _Kind(
         names=COLORED_BASE + COLORED_DERIVED, param="r", factor=lambda i, r, k: r * i,
-        walk=lambda n, r, k: _colored_gray_counts(n, r),
+        walk=lambda n, r, k, shard, shards: _colored_gray_counts(n, r, shard, shards),
         full=lambda n, r: lambda b: b + (
             b[C_EXC_B] + b[C_SINGLE],  # exc_f
             n - b[C_EXC_B] - b[C_SINGLE] - b[C_FIX],  # aexc_f
@@ -850,7 +1029,7 @@ _KINDS = {  # walks, words and kernels are looked up when they run, so a test ca
             tuple(zip(pi, colors)) for pi in itertools.permutations(range(1, n + 1))
             for colors in itertools.product(range(r), repeat=n)
         ),
-        kernel=lambda k: colored_base_stats, member=_is_colored,
+        kernel=lambda k: _colored_stats, member=_is_colored,
         cycles=lambda word: _cycles_plain(tuple(map(_value, word))),
         letter="{0[0]}^{0[1]}".format,  # (value, colour) -> "value^colour"
         # cycle entry v carries the colour of the letter of value v, shown unless 0
@@ -858,7 +1037,7 @@ _KINDS = {  # walks, words and kernels are looked up when they run, so a test ca
     ),
     "stirling": _Kind(
         names=STIRLING_BASE, param="k", factor=lambda i, r, k: (i - 1) * k + 1,
-        walk=lambda n, r, k: _stirling_insertion_counts(n, k),
+        walk=lambda n, r, k, shard, shards: _stirling_insertion_counts(n, k, shard, shards),
         full=lambda n, r: lambda b: b,  # no derived statistics
         words=lambda n, r, k: _stirling_words(n, k),
         kernel=lambda k: partial(stirling_base_stats, k=k), member=_is_stirling, cycles=None,
@@ -940,16 +1119,21 @@ class _Distribution:
 
 @lru_cache(maxsize=None)
 def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
-    """Joint distribution over the full stat tuple (unordered sum).
+    """Joint distribution over the full stat tuple, cells sorted by base tuple.
 
     All four classes are counted by the incremental walks above: plain and
     stirling classes by insertion, signed and colored ones by Gray-code walks.
-    The cached value is shared by every caller in the process, so it is a
-    frozen record of tuples, with its full tuples derived here once.
+    A large class is split into ``_shard_count`` shards, run at once in forked
+    children and summed here; it stays serial when it is small, without
+    ``os.fork``, while another thread is alive, or in a ``run_suite(jobs>1)``
+    worker.  The sort makes the record the same for any shard count.  The
+    cached value is shared by every caller in the process, so it is a frozen
+    record of tuples, with its full tuples derived here once.
     """
     row = _kind(kind)
-    dist = row.walk(n, r, k)
-    return _Distribution(row.names, tuple(map(_derive(kind, n, r), dist)), tuple(dist.values()))
+    shards = _shard_count(_size(kind, n, r, k))
+    bases, counts = zip(*sorted(_walk_in_shards(row.walk, kind, n, r, k, shards).items()))
+    return _Distribution(row.names, tuple(map(_derive(kind, n, r), bases)), counts)
 
 
 def _cached_class(kind, n, r, k, names=()):

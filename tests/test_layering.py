@@ -10,9 +10,15 @@ through ``._of``, packs or unpacks keys, or resolves raw variable ids.
 
 ``permstats`` compares no class kind with a string: what depends on the kind
 is a column of the kind's ``_KINDS`` row.
+
+Importing the package loads neither ``multiprocessing`` nor ``pickle``: the
+fork pool and the sharded cold builds import what they need when they run.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +168,17 @@ def test_the_kind_ladder_finder_finds_each_comparison():
         'kind == other\nrow.param != "r"\nkind = "plain"\n'
     )
     assert kind_comparisons(source) == {"line 1", "line 2", "line 3"}
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    code = (
+        "import sys\n"
+        "import excedance_lab\n"
+        "print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "[]\n", proc.stderr

@@ -364,6 +364,15 @@ def test_sum_normalises_integral_fractions(ctx):
     assert ctx.sum([third, third]).constant_term() == Fraction(2, 3)
 
 
+def test_len_counts_terms(ctx):
+    assert len(ctx.zero()) == 0 and not ctx.zero()
+    assert len(ctx.poly("x + 2*y + 3")) == 3
+    assert len(ctx.poly("x + x - 2*x + y")) == 1  # equal monomials merge, zeros drop
+    assert len(ctx.poly("(1 + x)^20")) == 21
+    f = ctx.poly("x*y^2 - 3/2*z + 1")
+    assert len(f) == len(f.terms) == len(f.to_json_obj()) == 3
+
+
 def test_sum_of_nothing_is_zero(ctx):
     assert ctx.sum([]).terms == {}
     assert ctx.sum(p for p in ()).is_zero()

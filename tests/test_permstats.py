@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 from excedance_lab import permstats
 from excedance_lab.families import one_over_k_eulerian
+from excedance_lab.identities import run_suite
 from excedance_lab.multipoly import BadInput, Context
 from excedance_lab.permstats import (
     ROLE_CDA,
@@ -854,3 +857,185 @@ def test_empty_classes(ctx):
         rows = list(enumerate_class(kind, 0, **kwargs))
         assert len(rows) == 1
         assert gen_poly(ctx, kind, 0, {}, **kwargs) == ctx.const(1)
+
+
+# -- the public kernels refuse words outside their class -----------------------
+
+KERNEL_REFUSALS = {
+    # repeated letters (their orbit walk never ended), then letters out of range
+    "plain_base_stats": [(1, 1), (2, 3, 2), (0, 1), (1, 3), (2, -1)],
+    "signed_base_stats": [(1, -1), (-2, 2, 1), (0,), (-3, 1), (1, 2.5)],
+    "colored_base_stats": [((1, 0), (1, 1)), ((2, 0), (2, 1)), ((0, 1),), ((3, 0), (1, 0))],
+}
+
+
+def run_python(code, *flags, timeout=60):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_REFUSALS))
+def test_kernels_refuse_words_outside_their_class(kernel):
+    # in a child process with a memory cap and a timeout, so a kernel that
+    # hangs on a word fails this test instead of stalling the run
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from excedance_lab import permstats\n"
+        f"for word in {KERNEL_REFUSALS[kernel]!r}:\n"
+        "    try:\n"
+        f"        permstats.{kernel}(word)\n"
+        "    except permstats.NotInClass as exc:\n"
+        "        print(isinstance(exc, permstats.BadInput))\n"
+    )
+    proc = run_python(code)
+    assert proc.stdout == "True\n" * len(KERNEL_REFUSALS[kernel]), proc.stderr
+
+
+# -- sharded cold builds ---------------------------------------------------------
+
+SHARDED_CLASSES = [
+    *(("plain", n, 1, 1) for n in range(8)),
+    *(("signed", n, 1, 1) for n in range(7)),
+    *(("colored", n, r, 1) for r in (2, 3) for n in range(6)),
+    *(("stirling", n, 1, k) for k in (2, 3) for n in range(6)),
+]
+
+
+def sharded_against_serial(shards):
+    """The classes of ``SHARDED_CLASSES`` whose record built in ``shards``
+    shards differs from the serial one in its cells or their order, and the
+    number of forks made; it patches and restores the module by hand, so
+    that it also runs in a child under ``python -O``."""
+    saved = permstats._cpus, permstats._SHARD_MIN_OBJECTS, os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return saved[2]()
+
+    wrong = []
+    try:
+        permstats._SHARD_MIN_OBJECTS = 1
+        os.fork = fork
+        for kind, n, r, k in SHARDED_CLASSES:
+            records = []
+            for cpus in (1, shards):
+                permstats._cpus = lambda: cpus
+                permstats._distribution_cached.cache_clear()
+                records.append(permstats._distribution_cached(kind, n, r, k))
+            serial, sharded = records
+            if (sharded.names, sharded.full, sharded.counts) != (
+                serial.names, serial.full, serial.counts
+            ):
+                wrong.append((kind, n, r, k))
+    finally:
+        permstats._cpus, permstats._SHARD_MIN_OBJECTS, os.fork = saved
+        permstats._distribution_cached.cache_clear()
+    return wrong, len(forks)
+
+
+def expected_forks(shards):
+    # every class of two objects or more is split, one child per shard past 0
+    sizes = [class_size(kind, n, r=r, k=k) for kind, n, r, k in SHARDED_CLASSES]
+    return sum(min(shards, size) - 1 for size in sizes if size > 1)
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sharded_builds_equal_the_serial_build(shards):
+    assert sharded_against_serial(shards) == ([], expected_forks(shards))
+
+
+def test_sharded_builds_equal_the_serial_build_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path.insert(0, {tests!r})\n"
+        "from test_permstats import sharded_against_serial\n"
+        "print(sys.flags.optimize, sharded_against_serial(2), sharded_against_serial(3))\n"
+    )
+    proc = run_python(code, "-O", timeout=120)
+    assert proc.stdout == f"1 ([], {expected_forks(2)}) ([], {expected_forks(3)})\n", proc.stderr
+
+
+def test_the_serial_build_stays_serial(monkeypatch):
+    monkeypatch.setattr(permstats, "_cpus", lambda: 1)
+    monkeypatch.setattr(permstats, "_SHARD_MIN_OBJECTS", 1)
+    assert permstats._shard_count(10**9) == 1
+    monkeypatch.setattr(permstats, "_cpus", lambda: 8)
+    assert permstats._shard_count(5) == 5 and permstats._shard_count(1) == 1
+    monkeypatch.undo()
+    # the enum benchmark's smallest cold build stays serial whatever the host
+    assert class_size("stirling", 6, k=3) < 2 * permstats._SHARD_MIN_OBJECTS
+
+
+@pytest.mark.parametrize("where", ["children", "parent"])
+def test_a_failing_shard_raises_and_leaves_no_child(monkeypatch, where):
+    parent = os.getpid()
+    real = permstats._plain_insertion_counts
+
+    def walk(n, shard, shards):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise (ZeroDivisionError("walk failed") if where == "children" else KeyboardInterrupt)
+        if where == "parent":
+            time.sleep(60)  # still running when the parent fails: it must be killed
+        return real(n, shard, shards)
+
+    monkeypatch.setattr(permstats, "_plain_insertion_counts", walk)
+    monkeypatch.setattr(permstats, "_SHARD_MIN_OBJECTS", 1)
+    monkeypatch.setattr(permstats, "_cpus", lambda: 3)
+    permstats._distribution_cached.cache_clear()
+    start = time.monotonic()
+    if where == "children":
+        pattern = r"shard 1 of 3 of the plain class of order 5 .*ZeroDivisionError: walk failed"
+        with pytest.raises(RuntimeError, match=pattern):
+            permstats._distribution_cached("plain", 5, 1, 1)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            permstats._distribution_cached("plain", 5, 1, 1)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert permstats._distribution_cached.cache_info().currsize == 0
+
+
+def test_pool_workers_and_threaded_processes_build_serially(monkeypatch):
+    parent = os.getpid()
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        if os.getpid() != parent:
+            raise AssertionError("a run_suite worker split a cold build")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(permstats, "_SHARD_MIN_OBJECTS", 1)
+    monkeypatch.setattr(permstats, "_cpus", lambda: 2)
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        permstats._distribution_cached.cache_clear()
+        marginal("plain", 5, ("exc",))
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+    permstats._distribution_cached.cache_clear()
+    marginal("plain", 5, ("exc",))
+    assert forks == [1]  # the same build splits once the thread is gone
+
+    # the workers inherit the patches and an empty cache, and build there
+    permstats._distribution_cached.cache_clear()
+    results = run_suite(
+        profile="quick", ids=["lemma7-grammar-exc", "lemma-g3-grammar-signed"], jobs=2
+    )
+    assert [res.status for res in results] == ["pass", "pass"]
+    assert permstats._distribution_cached.cache_info().currsize == 0
