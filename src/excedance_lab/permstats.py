@@ -73,8 +73,8 @@ in the process and each other one in a child made by ``os.fork``, which sends
 its counts back through a pipe with ``marshal`` and leaves by ``os._exit``.
 Insertion walks deal out the nodes of one level (``_split_level``), Gray-code
 walks the permutations pi; every object is still visited once, by the same
-deltas, and the cells are sorted by base tuple, so the cached record is the
-same for any shard count.  A build stays serial when the class is small,
+deltas, and the cells are sorted by their packed keys, so the cached record
+is the same for any shard count.  A build stays serial when the class is small,
 without ``os.fork``, while another thread is alive, and in a
 ``multiprocessing`` child such as a ``run_suite(jobs>1)`` worker.
 
@@ -557,7 +557,13 @@ def _is_stirling(word: tuple, n: int, r: int, k: int) -> bool:
 #
 # A walk keys each object by its base statistics packed into one int, one
 # fixed-width field per statistic in base-tuple order, so the change from one
-# object to the next is one int addition and the counting runs over ints.
+# object to the next is one int addition and the counting runs over ints.  It
+# returns these counts with the number of fields and their width; a cold build
+# sums its shards' counts and unpacks each key once.
+
+
+# a walk's result: packed key -> count, the number of fields and their width
+_PackedCounts = tuple[Counter, int, int]
 
 
 def _packing(count: int, largest: int) -> tuple[int, list[int]]:
@@ -567,15 +573,14 @@ def _packing(count: int, largest: int) -> tuple[int, list[int]]:
     return width, [1 << (width * i) for i in range(count)]
 
 
-def _unpack(packed: Counter, count: int, width: int) -> Counter:
+def _unpack(keys, count: int, width: int) -> list[tuple[int, ...]]:
+    """The base tuples of packed ``keys``."""
     mask = (1 << width) - 1
-    return Counter({
-        tuple((key >> (width * i)) & mask for i in range(count)): c
-        for key, c in packed.items()
-    })
+    shifts = [width * i for i in range(count)]
+    return [tuple([(key >> shift) & mask for shift in shifts]) for key in keys]
 
 
-def _plain_insertion_counts(n: int, shard: int, shards: int) -> Counter:
+def _plain_insertion_counts(n: int, shard: int, shards: int) -> _PackedCounts:
     """Joint distribution of ``PLAIN_BASE`` over S_n, by cycle insertion.
 
     Each sigma in S_m comes from one tau in S_{m-1}: m is added as a fixed
@@ -590,9 +595,9 @@ def _plain_insertion_counts(n: int, shard: int, shards: int) -> Counter:
     Shard ``shard`` of ``shards`` walks below every ``shards``-th node of the
     split level (``_split_level``), from the ``shard``-th on.
     """
-    if n == 0:
-        return Counter({(0,) * len(PLAIN_BASE): 1} if shard == 0 else {})
     width, units = _packing(len(PLAIN_BASE), n)
+    if n == 0:
+        return Counter({0: 1} if shard == 0 else {}), len(PLAIN_BASE), width
     EXC, DROP, FIX, CYC, DES, DD, LPK, CDA, CDD, CPK, CPKI = units
     packed: Counter = Counter()
     # 1-based word, inverse and least entry of each cycle; w[0] = 0 and the
@@ -681,10 +686,10 @@ def _plain_insertion_counts(n: int, shard: int, shards: int) -> Counter:
         walk(m + 1, key + out[0])
 
     walk(1, 0)
-    return _unpack(packed, len(PLAIN_BASE), width)
+    return packed, len(PLAIN_BASE), width
 
 
-def _stirling_insertion_counts(n: int, k: int, shard: int, shards: int) -> Counter:
+def _stirling_insertion_counts(n: int, k: int, shard: int, shards: int) -> _PackedCounts:
     """Joint distribution of ``STIRLING_BASE`` over the k-Stirling
     permutations of order n, by block insertion.
 
@@ -700,11 +705,11 @@ def _stirling_insertion_counts(n: int, k: int, shard: int, shards: int) -> Count
     shard walks below its share of the split level's nodes, as the plain
     walk's do.
     """
-    if n <= 1:  # ap, lap, first_block_constant
-        return Counter({(0, n, n): 1} if shard == 0 else {})
     width, units = _packing(len(STIRLING_BASE), n)
     AP, LAP, FBC = units
     plateau, first = AP + LAP, FBC + LAP
+    if n <= 1:  # the empty word, or the first block alone
+        return Counter({first * n: 1} if shard == 0 else {}), len(STIRLING_BASE), width
     # share[v]: what letter v's block adds to the key, 0 when it does not count
     share = [0] * (n + 1)
     share[1] = first
@@ -733,7 +738,7 @@ def _stirling_insertion_counts(n: int, k: int, shard: int, shards: int) -> Count
             share[v] = kept
 
     walk(2, [1] * k, first)
-    return _unpack(packed, len(STIRLING_BASE), width)
+    return packed, len(STIRLING_BASE), width
 
 
 def _gray_steps(n: int, r: int) -> list[tuple[int, int, int]]:
@@ -753,7 +758,7 @@ def _gray_steps(n: int, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _signed_gray_counts(n: int, shard: int, shards: int) -> Counter:
+def _signed_gray_counts(n: int, shard: int, shards: int) -> _PackedCounts:
     """Joint distribution of ``SIGNED_BASE`` over B_n: for each pi, walk the
     sign vectors in reflected binary Gray order.
 
@@ -808,10 +813,10 @@ def _signed_gray_counts(n: int, shard: int, shards: int) -> Counter:
             flip[2 * u] = d
             flip[2 * u + 1] = -d
         packed.update(itertools.accumulate(map(flip.__getitem__, steps), initial=key))
-    return _unpack(packed, len(SIGNED_BASE), width)
+    return packed, len(SIGNED_BASE), width
 
 
-def _colored_gray_counts(n: int, r: int, shard: int, shards: int) -> Counter:
+def _colored_gray_counts(n: int, r: int, shard: int, shards: int) -> _PackedCounts:
     """Joint distribution of ``COLORED_BASE`` over the r-colored permutations
     of order n: for each pi, walk the colour vectors in reflected r-ary Gray
     order.
@@ -847,7 +852,7 @@ def _colored_gray_counts(n: int, r: int, shard: int, shards: int) -> Counter:
             move[4 * i + 1] = -d
         key = exc * (EXC_B + EXC_A) + fix * FIX + cyc * CYC
         packed.update(itertools.accumulate(map(move.__getitem__, steps), initial=key))
-    return _unpack(packed, len(COLORED_BASE), width)
+    return packed, len(COLORED_BASE), width
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +908,10 @@ def _shard_count(size: int) -> int:
 
 
 def _walk_in_shards(
-    walk: Callable[..., Counter], kind: str, n: int, r: int, k: int, shards: int
-) -> Counter:
-    """The sum of the base tuple counts of the class's ``shards`` shards.
+    walk: Callable[..., _PackedCounts], kind: str, n: int, r: int, k: int, shards: int
+) -> _PackedCounts:
+    """The walk's packed counts summed over the class's ``shards`` shards,
+    with the number of fields and their width.
 
     Shard 0 runs here and each other one in a forked child.  Every child is
     reaped on every path: a child that failed raises ``RuntimeError`` here,
@@ -927,7 +933,7 @@ def _walk_in_shards(
             finally:
                 os.close(write)
             children[pid] = shard, pipe
-        counts = walk(n, r, k, 0, shards)
+        counts, fields, width = walk(n, r, k, 0, shards)
         for pid, (shard, pipe) in list(children.items()):
             with pipe:
                 payload = pipe.read()  # to end of file: the child has closed its end
@@ -950,17 +956,17 @@ def _walk_in_shards(
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return counts
+    return counts, fields, width
 
 
-def _shard_child(write: int, count: Callable[[], Counter]) -> NoReturn:
-    """A forked shard's whole life: it sends its counts, or why it failed, to
-    the parent and leaves by ``os._exit``, so none of the parent's stack,
-    cleanup or buffered output runs twice."""
+def _shard_child(write: int, walk: Callable[[], _PackedCounts]) -> NoReturn:
+    """A forked shard's whole life: it sends its walk's packed counts, or why
+    it failed, to the parent and leaves by ``os._exit``, so none of the
+    parent's stack, cleanup or buffered output runs twice."""
     status = 1
     try:
         try:
-            payload, status = marshal.dumps(dict(count())), 0
+            payload, status = marshal.dumps(dict(walk()[0])), 0
         except BaseException as exc:
             payload = f"{type(exc).__name__}: {exc}".encode()
         with open(write, "wb") as pipe:
@@ -980,8 +986,8 @@ class _Kind(NamedTuple):
     names: tuple[str, ...]  # base, then derived statistics
     param: str  # the size parameter read besides n: "r", "k" or ""
     factor: Callable[[int, int, int], int]  # (i, r, k): the size factor of level i
-    # (n, r, k, shard, shards): base tuple counts over one shard of the class, for the cache
-    walk: Callable[[int, int, int, int, int], Counter]
+    # (n, r, k, shard, shards): one shard's packed base-tuple counts, fields and width
+    walk: Callable[[int, int, int, int, int], _PackedCounts]
     full: Callable[[int, int], Callable[[tuple], tuple]]  # (n, r): base tuple -> full tuple
     words: Callable[[int, int, int], Iterator[tuple]]  # (n, r, k): in lexicographic order
     kernel: Callable[[int], Callable[[tuple], tuple]]  # (k): word -> base tuple
@@ -1119,7 +1125,7 @@ class _Distribution:
 
 @lru_cache(maxsize=None)
 def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
-    """Joint distribution over the full stat tuple, cells sorted by base tuple.
+    """Joint distribution over the full stat tuple, cells sorted by packed key.
 
     All four classes are counted by the incremental walks above: plain and
     stirling classes by insertion, signed and colored ones by Gray-code walks.
@@ -1132,7 +1138,9 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
     """
     row = _kind(kind)
     shards = _shard_count(_size(kind, n, r, k))
-    bases, counts = zip(*sorted(_walk_in_shards(row.walk, kind, n, r, k, shards).items()))
+    packed, fields, width = _walk_in_shards(row.walk, kind, n, r, k, shards)
+    keys, counts = zip(*sorted(packed.items()))
+    bases = _unpack(keys, fields, width)
     return _Distribution(row.names, tuple(map(_derive(kind, n, r), bases)), counts)
 
 
