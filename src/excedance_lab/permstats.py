@@ -562,7 +562,6 @@ def _is_stirling(word: tuple, n: int, r: int, k: int) -> bool:
 # sums its shards' counts and unpacks each key once.
 
 
-# a walk's result: packed key -> count, the number of fields and their width
 _PackedCounts = tuple[Counter, int, int]
 
 
