@@ -21,7 +21,9 @@ This triangle, the 1/k-Eulerian and colored Eulerian coefficient rows, and the
 plus/minus and alpha systems are linear table recurrences.  Each family lists
 its terms, ``(source table, index offset, weight)``, with weights written in
 the target's indices as the recurrence is stated above, and ``_recur`` runs
-them; the runner shares plumbing only, never a formula.
+them: it collects every ``(weight, entry)`` pair of a target and accumulates
+the target once, through :meth:`Context.combine`.  The runner shares plumbing
+only, never a formula.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly:
 
 def _x_polys(ctx: Context, tables: Iterable[dict[int, Poly]]) -> tuple[Poly, ...]:
     """Each table {i: c_i} as the polynomial  sum c_i x^i."""
-    x = ctx.var("x")
-    return tuple(ctx.sum(c * x**i for i, c in table.items()) for table in tables)
+    return tuple(ctx.combine((c, ctx.monomial({"x": i})) for i, c in t.items()) for t in tables)
 
 
 def _recur(ctx: Context, tables: dict[str, dict], steps: Iterable[int], terms: dict) -> dict:
@@ -94,8 +95,8 @@ def _recur(ctx: Context, tables: dict[str, dict], steps: Iterable[int], terms: d
                         t = tuple(a - b for a, b in zip(s, offset))
                         w = weight(m, *t)
                     if w:
-                        parts.setdefault(t, []).append(w * c)
-            nxt[name] = {t: v for t, cs in parts.items() if (v := ctx.sum(cs))}
+                        parts.setdefault(t, []).append((w, c))
+            nxt[name] = {t: v for t, pairs in parts.items() if (v := ctx.combine(pairs))}
         tables = nxt
     return tables
 
@@ -122,8 +123,9 @@ def gamma_poly(ctx: Context, n: int) -> Poly:
     """gamma_n(x,p,q) = sum_{i,j} gamma[n,i,j](q) p^i x^j."""
     if n == 0:
         return ctx.const(1)
-    p, x = ctx.var("p"), ctx.var("x")
-    return ctx.sum(g * p**i * x**j for (i, j), g in gamma_triangle(ctx, n).items())
+    return ctx.combine(
+        (g, ctx.monomial({"p": i, "x": j})) for (i, j), g in gamma_triangle(ctx, n).items()
+    )
 
 
 def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
@@ -165,8 +167,8 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
     points: A_0..A_n(x,q) come from one sweep of the q-Eulerian recurrence, and
     q = 1 is substituted once, in the sum."""
     rows = list(_q_eulerian_rows(ctx, n))
-    return ctx.sum(
-        (-1) ** j * binomial(n, j) * rows[n - j] for j in range(n + 1)
+    return ctx.combine(
+        ((-1) ** j * binomial(n, j), rows[n - j]) for j in range(n + 1)
     ).substitute({"q": 1})
 
 
@@ -298,8 +300,7 @@ def phi_kernel(ctx: Context, n: int) -> Poly:
         raise BadParams("n must be nonnegative")
     if n < 2:
         return ctx.zero()
-    x, y = ctx.var("x"), ctx.var("y")
-    return ctx.sum(x**a * y ** (n - a) for a in range(1, n))
+    return ctx.polynomial(["x", "y"], (((a, n - a), 1) for a in range(1, n)))
 
 
 # ---------------------------------------------------------------------------

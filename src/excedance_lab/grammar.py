@@ -41,7 +41,7 @@ class Grammar:
 
         ``f`` must come from the grammar's context (``ValueError`` otherwise).
         """
-        return self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
+        return self.ctx.combine((rule, f.differentiate(v)) for v, rule in self.rules.items())
 
     def iterate(self, f: Poly, n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""

@@ -27,13 +27,15 @@ Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  ``+``
 and :meth:`Context.sum` share one merge, :func:`_merge_into`, which adds a
 store into a dict in place; ``sum`` runs it once per summand into one fresh
-dict.  Every product goes through one store kernel, :func:`_product`, where
-a scalar or one-term factor ``c*m`` only shifts the other factor's keys by
-``m`` and scales its coefficients by ``c``: nothing merges and no zero is
-left to drop.  :meth:`Poly.substitute` builds one power table per bound
-variable out of ``*`` and ``**`` (so every entry passes the guard check) and
-adds every term's image into one output dict.  :class:`BadInput` is the base
-of every error, here and in the modules above, that reports bad input.
+dict.  Every product of stores runs one multiply-accumulate loop,
+:func:`_add_scaled`: :meth:`Context.combine` runs it for every pair of a
+linear combination ``sum w*p`` into one fresh dict, the general branch of
+:func:`_product` for one pair, and :meth:`Poly.substitute` for every term's
+image, whose power tables are built out of ``*`` and ``**``.  In
+``_product`` a scalar or one-term factor ``c*m`` only shifts the other
+factor's keys by ``m`` and scales its coefficients by ``c``: nothing merges
+and no zero is left to drop.  :class:`BadInput` is the base of every error,
+here and in the modules above, that reports bad input.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -229,8 +231,8 @@ class Context:
         """Parse canonical (or any reasonable) polynomial text."""
         return _parse_poly(self, text)
 
-    def sum(self, polys: Iterable["Poly"]) -> "Poly":
-        """Sum of polynomials from this context, accumulated in one fresh dict.
+    def sum(self, polys: Iterable[Union["Poly", Coeff]]) -> "Poly":
+        """Sum of polynomials of this context and scalars, accumulated in one fresh dict.
 
         Equal to folding ``+`` from the left (zero coefficients dropped,
         integral fractions normalised to int), without copying the running
@@ -238,10 +240,38 @@ class Context:
         """
         out: dict[int, Coeff] = {}
         for p in polys:
-            if p.ctx is not self:
-                raise ValueError("polynomials from different contexts")
-            _merge_into(out, p._t)
+            _merge_into(out, self._store(p))
         return Poly._of(self, out)
+
+    def combine(self, pairs: Iterable[tuple]) -> "Poly":
+        """``sum w*p`` over ``(w, p)`` pairs of polynomials of this context or scalars.
+
+        Equal to folding ``*`` and ``+`` from the left, but every term product
+        is added into one fresh dict: no ``Poly`` per product, inputs never
+        mutated.  The guard bits are checked before zero sums drop, so a
+        cancelled overflow still raises; integral fractions become int.
+        """
+        out: dict[int, Coeff] = {}
+        for w, p in pairs:
+            a, b = self._store(w), self._store(p)
+            if len(a) > len(b):
+                a, b = b, a
+            for key, c in a.items():
+                _add_scaled(out, b, key, c)
+        self._check(out)
+        return Poly._of(self, _normalised(out))
+
+    def _store(self, item) -> dict[int, Coeff]:
+        """The canonical store of ``item``, a polynomial of this context or a
+        scalar: ``ValueError`` for another context, ``TypeError`` for any other type."""
+        if isinstance(item, Poly):
+            if item.ctx is not self:
+                raise ValueError("polynomials from different contexts")
+            return item._t
+        if isinstance(item, (int, Fraction)):
+            c = _norm_coeff(item)
+            return {0: c} if c else {}
+        raise TypeError(f"expected a polynomial or an exact scalar, got {type(item).__name__}")
 
 
 def _misaligned(exponents: Collection[int], width: int) -> ParseError:
@@ -268,6 +298,18 @@ def _merge_into(out: dict[int, Coeff], store: dict[int, Coeff]) -> None:
             out.pop(key, None)
 
 
+_ONE: dict[int, Coeff] = {0: 1}  # the store of the constant 1; never mutated
+
+
+def _add_scaled(out: dict[int, Coeff], store: dict[int, Coeff], key: int, c: Coeff) -> None:
+    """Add ``c * store`` times the monomial of ``key`` into ``out`` in place.  Keys
+    are not guard-checked and zero sums stay: the caller does both."""
+    get = out.get
+    for k, v in store.items():
+        k += key  # a product key is the sum of the factors' keys
+        out[k] = get(k, 0) + c * v
+
+
 def _product(ctx: Context, a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
     """Product of two canonical stores of ``ctx``: a fresh canonical store,
     guard-checked.  A one-term factor ``c*key`` (a scalar is ``key`` 0) only
@@ -282,11 +324,8 @@ def _product(ctx: Context, a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int
             ctx._check(out)
         return out
     out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb  # a product key is the sum of the factors' keys
-            out[key] = get(key, 0) + ca * cb
+    for key, c in a.items():
+        _add_scaled(out, b, key, c)
     ctx._check(out)
     return _normalised(out)
 
@@ -367,21 +406,10 @@ class Poly:
 
     # -- ring structure -------------------------------------------------
 
-    def _store(self, other) -> dict[int, Coeff]:
-        """The canonical store of ``other``: a polynomial of this context or a
-        scalar; ``NotImplemented`` for anything else."""
-        if isinstance(other, Poly):
-            if other.ctx is not self.ctx:
-                raise ValueError("polynomials from different contexts")
-            return other._t
-        if isinstance(other, (int, Fraction)):
-            c = _norm_coeff(other)
-            return {0: c} if c else {}
-        return NotImplemented
-
     def __add__(self, other):
-        store = self._store(other)
-        if store is NotImplemented:
+        try:
+            store = self.ctx._store(other)
+        except TypeError:
             return NotImplemented
         out = dict(self._t)
         _merge_into(out, store)
@@ -393,8 +421,9 @@ class Poly:
         return Poly._of(self.ctx, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
-        store = self._store(other)
-        if store is NotImplemented:
+        try:
+            store = self.ctx._store(other)
+        except TypeError:
             return NotImplemented
         return self + -Poly._of(self.ctx, store)
 
@@ -402,8 +431,9 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        store = self._store(other)
-        if store is NotImplemented:
+        try:
+            store = self.ctx._store(other)
+        except TypeError:
             return NotImplemented
         return Poly._of(self.ctx, _product(self.ctx, self._t, store))
 
@@ -490,10 +520,11 @@ class Poly:
         Unbound variables pass through.  Bindings are keyed by variable name.
         Each bound variable gets one power table for the whole call, with an
         entry for every exponent it has in this polynomial (see
-        :func:`_power_table`).  Each term's free monomial is multiplied by its
-        cached powers at the store level and added into one output dict, with
-        no intermediate :class:`Poly`; every product, in the tables and here,
-        goes through the guard check, so an exponent never wraps.
+        :func:`_power_table`).  Each term's image, the product of its cached
+        powers (a table entry itself when one variable is bound in the term),
+        is shifted by its free monomial, scaled and added straight into one
+        output dict.  The output is guard-checked too, since a free field and
+        a binding can share a variable, so an exponent never wraps.
         """
         ctx = self.ctx
         subs: dict[int, Poly] = {}
@@ -513,15 +544,14 @@ class Poly:
             bound.append((s, _power_table(subs[vid], used)))
         free = ~sum(mask << s for s, _ in bound)
         out: dict[int, Coeff] = {}
-        get = out.get
         for key, c in self._t.items():
-            piece = {key & free: c}  # the unbound fields stay one monomial
+            image = _ONE
             for s, powers in bound:
                 e = (key >> s) & mask
                 if e:
-                    piece = _product(ctx, piece, powers[e])
-            for k, v in piece.items():
-                out[k] = get(k, 0) + v
+                    image = powers[e] if image is _ONE else _product(ctx, image, powers[e])
+            _add_scaled(out, image, key & free, c)
+        ctx._check(out)
         return Poly._of(ctx, _normalised(out))
 
     def eval_rational(self, point: Mapping) -> "Poly":

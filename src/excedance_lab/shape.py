@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .multipoly import BadInput, Context, Poly
+from .multipoly import BadInput, Context, Poly, binomial
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -161,13 +161,21 @@ def gamma_assemble(
     ``gammas`` is a list ``[gamma_0, gamma_1, ...]`` or a ``{k: gamma_k}``
     table; each coefficient is a number or a :class:`Poly` of ``ctx`` (for
     tables with a symbolic parameter).  This is the one builder of the gamma
-    basis expansion.
+    basis expansion: each ``x^k (1+x)^{m-2k}`` is built from the binomial row
+    of ``m-2k`` and :meth:`Context.combine` sums the weighted elements.  Zero
+    entries are ignored; a nonzero gamma_k with ``k < 0`` or ``2k > m`` raises
+    :class:`BadLength`.
     """
     if not isinstance(gammas, Mapping):
         gammas = dict(enumerate(gammas))
-    x = ctx.var(var)
-    onepx = ctx.const(1) + x
-    return ctx.sum(g * x**k * onepx ** (m - 2 * k) for k, g in gammas.items() if g)
+
+    def basis(k: int) -> Poly:
+        if k < 0 or 2 * k > m:
+            raise BadLength(f"gamma_{k} is nonzero, but k = {k} is outside 0 <= 2k <= m = {m}")
+        top = m - 2 * k
+        return ctx.polynomial([var], (((k + j,), binomial(top, j)) for j in range(top + 1)))
+
+    return ctx.combine((g, basis(k)) for k, g in gammas.items() if g)
 
 
 def check(f: CoeffSeq, prop: str) -> bool:
@@ -271,12 +279,12 @@ class PartialGamma:
         return all(v >= 0 for v in self.mu.values())
 
     def assemble(self, ctx: Context, xvar: str = "x", yvar: str = "y") -> Poly:
-        y = ctx.var(yvar)
         rows: dict[int, dict[int, Number]] = {}
         for (i, j), v in self.mu.items():
             rows.setdefault(i, {})[j] = v
-        return ctx.sum(
-            y**i * gamma_assemble(ctx, row, self.n - i, xvar) for i, row in rows.items()
+        return ctx.combine(
+            (ctx.monomial({yvar: i}), gamma_assemble(ctx, row, self.n - i, xvar))
+            for i, row in rows.items()
         )
 
 

@@ -11,6 +11,10 @@ through ``._of``, packs or unpacks keys, or resolves raw variable ids.
 ``permstats`` compares no class kind with a string: what depends on the kind
 is a column of the kind's ``_KINDS`` row.
 
+``families``, ``shape`` and ``grammar`` build no linear combination as a sum
+of product polynomials: ``Context.combine`` accumulates every product into
+one store.
+
 Importing the package loads neither ``multiprocessing`` nor ``pickle``: the
 fork pool and the sharded cold builds import what they need when they run.
 """
@@ -168,6 +172,55 @@ def test_the_kind_ladder_finder_finds_each_comparison():
         'kind == other\nrow.param != "r"\nkind = "plain"\n'
     )
     assert kind_comparisons(source) == {"line 1", "line 2", "line 3"}
+
+
+def sums_of_products(source: str) -> set[str]:
+    """The calls of a ``.sum`` method in ``source`` whose argument is a
+    generator or list comprehension of products (``*`` at the top of the element)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sum":
+            for arg in node.args:
+                if (
+                    isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                    and isinstance(arg.elt, ast.BinOp)
+                    and isinstance(arg.elt.op, ast.Mult)
+                ):
+                    found.add(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", ["families", "grammar", "shape"])
+def test_linear_combinations_go_through_combine(module):
+    assert sums_of_products((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
+# the sums of products that families, shape and grammar had before they moved
+# onto Context.combine, cut down to their calls
+SUMS_OF_PRODUCTS = '''
+ctx.sum(c * x**i for i, c in table.items())
+ctx.sum(g * p**i * x**j for (i, j), g in gamma_triangle(ctx, n).items())
+ctx.sum(
+    (-1) ** j * binomial(n, j) * rows[n - j] for j in range(n + 1)
+)
+ctx.sum(x**a * y ** (n - a) for a in range(1, n))
+ctx.sum(g * x**k * onepx ** (m - 2 * k) for k, g in gammas.items() if g)
+ctx.sum(
+    y**i * gamma_assemble(ctx, row, self.n - i, xvar) for i, row in rows.items()
+)
+self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
+'''
+
+
+def test_the_sum_of_products_finder_finds_each_call():
+    # guards the test above against passing because it finds nothing
+    assert len(sums_of_products(SUMS_OF_PRODUCTS)) == 7
+    source = (
+        "ctx.sum([w * c for w, c in pairs])\nctx.sum(b**i for i in range(n))\n"
+        "ctx.sum(parts)\nsum(w * c for w, c in pairs)\nctx.combine((w, c) for w, c in pairs)\n"
+        "ctx.sum(-(w * c) for w, c in pairs)\nctx.sum(w + c for w, c in pairs)\n"
+    )
+    assert sums_of_products(source) == {"line 1"}
 
 
 def test_importing_the_package_loads_no_process_machinery():

@@ -383,6 +383,54 @@ def test_sum_rejects_a_foreign_context(ctx):
         ctx.sum([ctx.var("x"), Context().var("x")])
 
 
+def test_sum_takes_scalars_as_plus_does(ctx):
+    x = ctx.var("x")
+    assert ctx.sum([x, 1]) == x + 1 and ctx.sum([1, x]) == 1 + x
+    total = ctx.sum([Fraction(1, 2), x, Fraction(3, 2), 0, -x])
+    assert total.terms == {(): 2} and type(total.constant_term()) is int
+    assert ctx.sum([Fraction(1, 3), 2]).constant_term() == Fraction(7, 3)
+    assert ctx.sum([1, -1]).is_zero() and ctx.sum([0]).is_zero()
+    for bad in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            ctx.sum([x, bad])
+
+
+# -- Context.combine ----------------------------------------------------------
+
+
+def test_combine_leaves_its_inputs_alone(ctx):
+    f, g = ctx.poly("3*x^2 - y + 1"), ctx.poly("x*y - 1/2")
+    pairs = [(f, g), (g, f), (2, f), (g, Fraction(3, 2)), (f, f), (-f, f)]
+    snapshot = lambda: [_typed(v._t) if isinstance(v, Poly) else v for pair in pairs for v in pair]
+    before = snapshot()
+    assert ctx.combine(pairs) == 2 * f * g + 2 * f + Fraction(3, 2) * g
+    assert snapshot() == before
+
+
+def test_combine_rejects_a_foreign_context_and_other_types(ctx):
+    x, foreign = ctx.var("x"), Context().var("x")
+    for pairs in ([(x, foreign)], [(foreign, x)], [(x, x), (2, foreign)], [(foreign, 0)]):
+        with pytest.raises(ValueError):
+            ctx.combine(pairs)
+    for bad in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            ctx.combine([(x, bad)])
+        with pytest.raises(TypeError):
+            ctx.combine([(bad, x)])
+
+
+def test_combine_checks_the_guard_bits_before_zero_sums_drop(ctx):
+    x, y = ctx.var("x"), ctx.var("y")
+    top = x ** (LIMIT - 1)
+    # x^LIMIT cancels, but its key set the guard bit on the way
+    with pytest.raises(ExponentOverflow):
+        ctx.combine([(top, x), (-top, x)])
+    with pytest.raises(ExponentOverflow):
+        ctx.combine([(y, top + 1), (x * y, top), (-y, top + 1), (-x, top * y)])
+    assert ctx.combine([(top, 1), (-1, top)]).is_zero()
+    assert ctx.combine([(x ** (LIMIT - 2), x), (top, y)]) == top * (1 + y)
+
+
 def test_polynomial_from_rows(ctx):
     # a repeated name adds its exponents, equal monomials merge, zeros drop
     rows = [
@@ -588,6 +636,10 @@ def test_overflow_raises_under_python_O():
         "    x ** ((1 << 19) - 1) * x\n"
         "except ExponentOverflow:\n"
         "    print('raised', sys.flags.optimize)\n"
+        "try:\n"
+        "    ctx.combine([(x ** ((1 << 19) - 1), x), (-x ** ((1 << 19) - 1), x)])\n"
+        "except ExponentOverflow:\n"
+        "    print('raised', sys.flags.optimize)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -595,7 +647,7 @@ def test_overflow_raises_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert proc.stdout == "raised 1\n" * 3, proc.stderr
+    assert proc.stdout == "raised 1\n" * 4, proc.stderr
 
 
 def test_terms_is_a_read_only_tuple_keyed_view(ctx):
@@ -726,6 +778,32 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f - f == _CTX.zero()
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+
+
+@st.composite
+def operands(draw, ctx):
+    """A polynomial with int or Fraction coefficients, or a scalar."""
+    if draw(st.booleans()):
+        return draw(_scalars)
+    rows = draw(st.lists(st.tuples(_scalars, _exps, _exps), max_size=4))
+    return ctx.polynomial(["x", "y"], [((ex, ey), c) for c, ex, ey in rows])
+
+
+@given(st.lists(st.tuples(operands(_CTX), operands(_CTX)), max_size=5), st.integers(0, 5))
+def test_combine_equals_the_left_fold(pairs, cancelled):
+    # the first ``cancelled`` pairs come back negated, so part or all of the sum cancels
+    pairs = pairs + [(-w, p) for w, p in pairs[:cancelled]]
+    folded = reduce(operator.add, (w * p for w, p in pairs), _CTX.zero())
+    got = _CTX.combine(pairs)
+    assert _typed(got._t) == _typed(folded._t)
+    assert 0 not in got._t.values()
+    assert all(type(c) is int or c.denominator > 1 for c in got._t.values())
 
 
 @given(polys(_CTX), polys(_CTX))

@@ -11,8 +11,10 @@ import excedance_lab
 from excedance_lab.families import classical_eulerian, fix_cyc_eulerian, q_eulerian
 from excedance_lab.multipoly import Context
 from excedance_lab.shape import (
+    BadLength,
     CoeffSeq,
     NotSymmetric,
+    PartialGamma,
     PartialGammaFailure,
     check,
     decompose,
@@ -99,6 +101,22 @@ def test_gamma_assemble_symbolic_coefficients(ctx):
     assert got == ctx.poly("(1+k)*(1+x)^3 + k^2*x*(1+x)")
     assert got.substitute({"k": 2}) == gamma_assemble(ctx, [3, 4], 3)
     assert gamma_assemble(ctx, {}, 4).is_zero()
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_gamma_assemble_rejects_entries_outside_the_basis(ctx, symbolic):
+    # a nonzero gamma_k needs 0 <= 2k <= m; zero entries are ignored anywhere
+    one = ctx.var("k") if symbolic else 1
+    cases = [({2: one}, 3, 2), ({-1: one}, 4, -1), ({0: one}, -1, 0), ([0, 0, one], 3, 2)]
+    for table, m, k in cases:
+        with pytest.raises(BadLength, match=f"gamma_{k} .* m = {m}$"):
+            gamma_assemble(ctx, table, m)
+    zero = ctx.zero() if symbolic else 0
+    assert gamma_assemble(ctx, {0: 2 * one, 2: zero, -1: zero}, 3) == 2 * one * ctx.poly("(1+x)^3")
+    # a partial-gamma row past n has an empty basis
+    with pytest.raises(BadLength, match="m = -1$"):
+        PartialGamma(2, {(0, 1): one, (3, 0): one}).assemble(ctx)
+    assert PartialGamma(2, {(0, 1): one, (3, 0): zero}).assemble(ctx) == one * ctx.var("x")
 
 
 # Each snippet breaks one certificate's premise, so a result that is still
