@@ -24,11 +24,17 @@ the target's indices as the recurrence is stated above, and ``_recur`` runs
 them: it collects every ``(weight, entry)`` pair of a target and accumulates
 the target once, through :meth:`Context.combine`.  The runner shares plumbing
 only, never a formula.
+
+Each table system is built once per :class:`Context` (:meth:`Context.cached`):
+the gamma triangle (``A_pq``, ``gamma_pq``), the plus/minus system (the 1/k
+halves, ``xi_plus``, ``xi_minus``), the alpha system (the colored halves) and
+the q-Eulerian sweep (``A_q``, ``A_classic``, ``d_classic``); each serves one
+route only.  Parameters are checked before the lookup on every call, and the
+public table functions return fresh dicts of the shared, immutable ``Poly``s.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -53,10 +59,17 @@ def springer(n: int) -> int:
     return SPRINGER[n]
 
 
+def _check_n(n: int, least: int = 0, message: str = "n must be nonnegative") -> None:
+    """BadParams unless ``n`` is an int, not a bool, and at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise BadParams(f"n must be an int, not {type(n).__name__}")
+    if n < least:
+        raise BadParams(message)
+
+
 def q_bracket(ctx: Context, n: int, base: str = "p") -> Poly:
     """[n]_base = 1 + base + ... + base^(n-1), with [0] = 0; ``base`` names a variable."""
-    if n < 0:
-        raise BadParams("bracket index must be nonnegative")
+    _check_n(n, message="bracket index must be nonnegative")
     b = ctx.var(base)
     return ctx.sum(b**i for i in range(n))
 
@@ -108,19 +121,20 @@ def _recur(ctx: Context, tables: dict[str, dict], steps: Iterable[int], terms: d
 
 def gamma_triangle(ctx: Context, n: int) -> dict[tuple[int, int], Poly]:
     """Level-n coefficients gamma[n,i,j](q) as polynomials in q (n >= 1)."""
-    if n < 1:
-        raise BadParams("gamma triangle starts at n = 1")
+    _check_n(n, 1, "gamma triangle starts at n = 1")
     q = ctx.var("q")
-    return _recur(ctx, {"g": {(1, 0): q}}, range(1, n), {"g": [
-        ("g", (-1, 0), lambda m, i, j: q),
-        ("g", (1, -1), lambda m, i, j: i + 1),
-        ("g", (0, 0), lambda m, i, j: j),
-        ("g", (0, -1), lambda m, i, j: 2 * m - 2 * i - 4 * j + 4),
-    ]})["g"]
+    return dict(ctx.cached((gamma_triangle, n), lambda: _recur(
+        ctx, {"g": {(1, 0): q}}, range(1, n), {"g": [
+            ("g", (-1, 0), lambda m, i, j: q),
+            ("g", (1, -1), lambda m, i, j: i + 1),
+            ("g", (0, 0), lambda m, i, j: j),
+            ("g", (0, -1), lambda m, i, j: 2 * m - 2 * i - 4 * j + 4),
+        ]})["g"]))
 
 
 def gamma_poly(ctx: Context, n: int) -> Poly:
     """gamma_n(x,p,q) = sum_{i,j} gamma[n,i,j](q) p^i x^j."""
+    _check_n(n)
     if n == 0:
         return ctx.const(1)
     return ctx.combine(
@@ -131,30 +145,33 @@ def gamma_poly(ctx: Context, n: int) -> Poly:
 def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
     """A_n(x,p,q): the gamma triangle read as a partial-gamma expansion in (x, p),
     assembled by :meth:`PartialGamma.assemble`."""
+    _check_n(n)
     if n == 0:
         return ctx.const(1)
     return PartialGamma(n, gamma_triangle(ctx, n)).assemble(ctx, "x", "p")
 
 
-def _q_eulerian_rows(ctx: Context, n: int) -> Iterator[Poly]:
-    """A_0(x,q), ..., A_n(x,q) in turn, from one sweep of
+def _q_eulerian_rows(ctx: Context, n: int) -> tuple[Poly, ...]:
+    """A_0(x,q), ..., A_n(x,q), from one sweep of
     A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
-    x, q = ctx.var("x"), ctx.var("q")
-    weight = x * (1 - x)
-    f = ctx.const(1)
-    yield f
-    for m in range(n):
-        f = (m * x + q) * f + weight * f.differentiate("x")
+    _check_n(n)
+
+    def sweep() -> Iterator[Poly]:
+        x, q = ctx.var("x"), ctx.var("q")
+        weight = x * (1 - x)
+        f = ctx.const(1)
         yield f
+        for m in range(n):
+            f = (m * x + q) * f + weight * f.differentiate("x")
+            yield f
+
+    return ctx.cached((_q_eulerian_rows, n), lambda: tuple(sweep()))
 
 
 def q_eulerian(ctx: Context, n: int) -> Poly:
     """A_n(x,q), the last row of one sweep of the recurrence
     A_{m+1} = (m x + q) A_m + x(1-x) dA_m/dx,  A_0 = 1."""
-    (last,) = deque(_q_eulerian_rows(ctx, n), maxlen=1)
-    return last
+    return _q_eulerian_rows(ctx, n)[-1]
 
 
 def classical_eulerian(ctx: Context, n: int) -> Poly:
@@ -166,7 +183,7 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
     """d_n(x) = sum_j (-1)^j C(n,j) A_{n-j}(x), inclusion-exclusion over fixed
     points: A_0..A_n(x,q) come from one sweep of the q-Eulerian recurrence, and
     q = 1 is substituted once, in the sum."""
-    rows = list(_q_eulerian_rows(ctx, n))
+    rows = _q_eulerian_rows(ctx, n)
     return ctx.combine(
         ((-1) ** j * binomial(n, j), rows[n - j]) for j in range(n + 1)
     ).substitute({"q": 1})
@@ -180,8 +197,7 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
 def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
     """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j, from the row recurrence
     A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{1,0;k} = 1."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     kp = _param_poly(ctx, k, "k")
     if n == 0:
         return ctx.const(1)
@@ -197,23 +213,23 @@ def one_over_k_pm_tables(
     ctx: Context, n: int, k: Optional[int]
 ) -> tuple[dict[int, Poly], dict[int, Poly]]:
     """(A+_{n,i;k}, A-_{n,i;k}) tables from the coupled recurrence."""
-    if n < 1:
-        raise BadParams("the plus/minus system starts at n = 1")
+    _check_n(n, 1, "the plus/minus system starts at n = 1")
     kp = _param_poly(ctx, k, "k")
     one = ctx.const(1)
-    tables = _recur(ctx, {"+": {0: one}, "-": {}}, range(1, n), {
-        "+": [
-            ("+", 0, lambda m, i: one + i * kp),
-            ("+", -1, lambda m, i: 2 * (m - 2 * i + 1) * kp),
-            ("-", -1, lambda m, i: 1),
-        ],
-        "-": [
-            ("-", 0, lambda m, i: (i + 1) * kp),
-            ("-", -1, lambda m, i: 2 * (m - 2 * i) * kp),
-            ("+", 0, lambda m, i: kp - one),
-        ],
-    })
-    return tables["+"], tables["-"]
+    tables = ctx.cached((one_over_k_pm_tables, n, k), lambda: _recur(
+        ctx, {"+": {0: one}, "-": {}}, range(1, n), {
+            "+": [
+                ("+", 0, lambda m, i: one + i * kp),
+                ("+", -1, lambda m, i: 2 * (m - 2 * i + 1) * kp),
+                ("-", -1, lambda m, i: 1),
+            ],
+            "-": [
+                ("-", 0, lambda m, i: (i + 1) * kp),
+                ("-", -1, lambda m, i: 2 * (m - 2 * i) * kp),
+                ("+", 0, lambda m, i: kp - one),
+            ],
+        }))
+    return dict(tables["+"]), dict(tables["-"])
 
 
 def one_over_k_pm_polys(ctx: Context, n: int, k: Optional[int]) -> tuple[Poly, Poly]:
@@ -235,8 +251,7 @@ def one_over_k_decomposition(ctx: Context, n: int, k: Optional[int]) -> tuple[Po
 def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
     """A_{n,r}(x): the flag-order excedance polynomial of the wreath product, from
     A_r(m,j) = (rj + 1) A_r(m-1,j) + (r(m-j) + r - 1) A_r(m-1,j-1),  A_r(0,0) = 1."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     rp = _param_poly(ctx, r, "r")
     one = ctx.const(1)
     row = _recur(ctx, {"A": {0: one}}, range(1, n + 1), {"A": [
@@ -250,23 +265,23 @@ def alpha_tables(
     ctx: Context, n: int, r: Optional[int]
 ) -> tuple[dict[int, Poly], dict[int, Poly]]:
     """(alpha+_{n,k;r}, alpha-_{n,k;r}) tables for the colored decomposition."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     rp = _param_poly(ctx, r, "r")
     one = ctx.const(1)
-    tables = _recur(ctx, {"+": {0: one}, "-": {}}, range(n), {
-        "+": [
-            ("+", 0, lambda m, i: one + rp * i),
-            ("+", -1, lambda m, i: 2 * (m - 2 * i + 2) * rp),
-            ("-", -1, lambda m, i: 2),
-        ],
-        "-": [
-            ("+", 0, lambda m, i: rp - 2 * one),
-            ("-", 0, lambda m, i: rp - one + rp * i),
-            ("-", -1, lambda m, i: 2 * (m - 2 * i + 1) * rp),
-        ],
-    })
-    return tables["+"], tables["-"]
+    tables = ctx.cached((alpha_tables, n, r), lambda: _recur(
+        ctx, {"+": {0: one}, "-": {}}, range(n), {
+            "+": [
+                ("+", 0, lambda m, i: one + rp * i),
+                ("+", -1, lambda m, i: 2 * (m - 2 * i + 2) * rp),
+                ("-", -1, lambda m, i: 2),
+            ],
+            "-": [
+                ("+", 0, lambda m, i: rp - 2 * one),
+                ("-", 0, lambda m, i: rp - one + rp * i),
+                ("-", -1, lambda m, i: 2 * (m - 2 * i + 1) * rp),
+            ],
+        }))
+    return dict(tables["+"]), dict(tables["-"])
 
 
 def alpha_polys(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly, Poly]:
@@ -282,8 +297,7 @@ def colored_decomposition(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly,
 
 def type_b_q_eulerian(ctx: Context, n: int) -> Poly:
     """B_n(x,q) from its derivative recurrence (descent/negative-entry pair)."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     x, q = ctx.var("x"), ctx.var("q")
     one = ctx.const(1)
     f = one
@@ -296,8 +310,7 @@ def type_b_q_eulerian(ctx: Context, n: int) -> Poly:
 
 def phi_kernel(ctx: Context, n: int) -> Poly:
     """Phi_n(x,y) = xy (x^{n-1} - y^{n-1}) / (x - y); zero for n < 2."""
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     if n < 2:
         return ctx.zero()
     return ctx.polynomial(["x", "y"], (((a, n - a), 1) for a in range(1, n)))
@@ -422,6 +435,5 @@ def family(ctx: Context, name: str, n: int, **params: Optional[int]) -> Poly:
     for param in params:
         if param not in fam.params:
             raise BadParams(f"family {name} reads no {param}")
-    if n < 0:
-        raise BadParams("n must be nonnegative")
+    _check_n(n)
     return fam.build(ctx, n, **params)

@@ -41,8 +41,10 @@ such check compares two routes, not two enumerations.
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -1542,6 +1544,16 @@ def run_verify(
     except SizeExceeded as exc:
         # a skip reports the checks made before the guard fired, not their mismatches
         status, detail, mismatches = "skipped", f"size guard: {exc}", []
+    except Exception as exc:
+        # a refuted route can raise (a shape helper on an asymmetric row, say):
+        # that is this identity's failure, not bad input to the suite
+        raised = f"{type(exc).__name__}: {exc}"
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        mismatches.append({
+            "context": ck.label("raised"), "lhs": "no exception", "rhs": raised,
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        })
+        status, detail = "fail", f"raised {raised}"
     else:
         if mismatches:
             status, detail = "fail", f"{len(mismatches)} mismatch(es)"

@@ -50,7 +50,7 @@ from collections.abc import Collection, Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Coeff = Union[int, Fraction]
 MonoKey = tuple[tuple[int, int], ...]
@@ -97,7 +97,9 @@ class Context:
     through names, so two contexts that intern the same names in different
     orders still render and compare polynomials identically.  The context
     also owns the key layout: ``FIELD`` bits per variable, and a guard mask
-    with the top bit of every interned variable's field.
+    with the top bit of every interned variable's field.  :meth:`cached` is
+    its memo (``families`` keys table systems by builder, n and k or r): each
+    value is built once and lives exactly as long as the context.
     """
 
     FIELD = 20
@@ -108,8 +110,16 @@ class Context:
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
         self._guard = 0
+        self._memo: dict = {}
         for name in names:
             self.varid(name)
+
+    def cached(self, key, build: Callable[[], object]):
+        """``build()``'s value for ``key``, built on the first call only; the
+        value is shared by every later call, so it must not be mutated."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def varid(self, name: str) -> int:
         """Intern ``name`` and return its id."""

@@ -1,5 +1,10 @@
+import gc
+import random
+import weakref
+
 import pytest
 
+from excedance_lab import families
 from excedance_lab.families import (
     BadParams,
     OutOfTable,
@@ -218,3 +223,110 @@ def test_table_reach(ctx, param):
         plus, minus = alpha_tables(ctx, n, param)
         assert all(i <= n // 2 for i in plus)
         assert all(i <= (n - 1) // 2 for i in minus)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: family(ctx, "A_q", 2.5),
+        lambda ctx: family(ctx, "A_pq", "3"),
+        lambda ctx: family(ctx, "phi", 1.5),
+        lambda ctx: family(ctx, "A_pq", True),
+        lambda ctx: family(ctx, "springer", False),
+        lambda ctx: gamma_triangle(ctx, 3.0),
+        lambda ctx: one_over_k_pm_tables(ctx, 2.0, 2),
+        lambda ctx: alpha_tables(ctx, True, None),
+        lambda ctx: q_eulerian(ctx, 3.0),
+        lambda ctx: derangement_poly(ctx, True),
+        lambda ctx: gamma_poly(ctx, 0.0),
+        lambda ctx: fix_cyc_eulerian(ctx, False),
+    ],
+)
+def test_n_must_be_an_int(ctx, build):
+    # a float, string or bool n used to raise TypeError or give a silent answer
+    with pytest.raises(BadParams, match="n must be an int"):
+        build(ctx)
+
+
+# members that read one table system, which one context builds once for all
+SHARED_BUILDS = [
+    (("onek_plus", "onek_minus"), {"k": 3}),
+    (("onek_plus", "onek_minus", "onek_plus"), {}),
+    (("xi_plus", "xi_minus"), {}),
+    (("alpha_plus", "alpha_minus"), {"r": 2}),
+    (("alpha_plus", "alpha_minus"), {}),
+    (("A_pq", "gamma_pq"), {}),
+]
+
+
+@pytest.mark.parametrize("names, params", SHARED_BUILDS)
+def test_one_table_system_build_per_context(monkeypatch, names, params):
+    calls = []
+    recur = families._recur
+    monkeypatch.setattr(families, "_recur", lambda *args: calls.append(1) or recur(*args))
+    shared = Context()
+    built = [family(shared, name, 9, **params) for name in names]
+    assert len(calls) == 1
+    assert [family(Context(), name, 9, **params) for name in names] == built
+    assert len(calls) == 1 + len(names)
+
+
+def test_one_q_eulerian_sweep_per_context(monkeypatch):
+    calls = []
+    differentiate = Poly.differentiate
+    monkeypatch.setattr(
+        Poly, "differentiate", lambda f, var: calls.append(var) or differentiate(f, var)
+    )
+    shared = Context()
+    built = [family(shared, name, 8) for name in ("A_q", "A_classic", "d_classic", "A_q")]
+    assert len(calls) == 8  # one sweep of eight steps serves all three members
+    assert [family(Context(), name, 8) for name in ("A_q", "A_classic", "d_classic")] == built[:3]
+    assert len(calls) == 8 + 3 * 8
+
+
+def test_returned_tables_are_the_callers_to_mutate(ctx):
+    tables = {
+        "gamma": lambda: (gamma_triangle(ctx, 6),),
+        "pm": lambda: one_over_k_pm_tables(ctx, 6, None),
+        "alpha": lambda: alpha_tables(ctx, 6, 3),
+    }
+    for name, build in tables.items():
+        first = build()
+        expected = [dict(t) for t in first]
+        for t in first:
+            t.clear()
+            t[99] = ctx.const(1)
+        assert list(build()) == expected, name
+
+
+def test_a_dropped_context_is_collected():
+    ctx = Context()
+    for name in sorted(REGISTRY):
+        if name != "springer":
+            family(ctx, name, 6)
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
+
+
+def _text_or_error(ctx, name, n, params):
+    try:
+        return family(ctx, name, n, **params).to_text()
+    except BadParams as exc:  # the plus/minus members start at n = 1
+        return f"BadParams: {exc}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_shared_context_builds_what_a_fresh_one_does(seed):
+    members = [
+        (name, n, params)
+        for name, fam in REGISTRY.items()
+        for n in range(8 if name == "springer" else 13)
+        for params in ([{}] + [{p: 2 + n % 2} for p in fam.params])
+    ]
+    random.Random(seed).shuffle(members)
+    shared = Context()
+    for name, n, params in members:
+        got = _text_or_error(shared, name, n, params)
+        assert got == _text_or_error(Context(), name, n, params), (name, n, params)

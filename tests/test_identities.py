@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import re
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from excedance_lab import families, identities, permstats
+from excedance_lab.cli import main
 from excedance_lab.identities import (
     REGISTRY,
     BadOverride,
@@ -64,6 +66,42 @@ def test_size_guard_surfaces_as_skipped(monkeypatch):
     res = run_verify("lemma7-grammar-exc", profile="quick")
     assert res.status == "skipped"
     assert "size guard" in res.detail
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_exception_in_an_identity_body_fails_that_identity(monkeypatch, capsys, jobs):
+    # a wrong plain A_4(x) is not symmetric, so cor-foata-gamma's gamma_expand
+    # raises inside the body; the suite still reports all of its identities
+    real = identities.gen_poly
+
+    def mutant(ctx, kind, n, *args, **kwargs):
+        f = real(ctx, kind, n, *args, **kwargs)
+        return f + ctx.var("x") if (kind, n) == ("plain", 4) else f
+
+    monkeypatch.setattr(identities, "gen_poly", mutant)
+    code = main(["suite", "--profile", "quick", "--format", "json", "--jobs", jobs])
+    results = {r["id"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    assert code == 1
+    assert sorted(results) == sorted(REGISTRY)
+    foata = results["cor-foata-gamma"]
+    assert foata["status"] == "fail"
+    assert foata["detail"] == "raised NotSymmetric: not symmetric about 3/2: (1, 12, 11, 1)"
+    raised = [m for m in foata["mismatches"] if m["context"] == "n=4 raised"]
+    assert raised == [{
+        "context": "n=4 raised", "lhs": "no exception",
+        "rhs": "NotSymmetric: not symmetric about 3/2: (1, 12, 11, 1)",
+        "where": raised[0]["where"],
+    }]
+    assert re.fullmatch(r"shape\.py:\d+ in \w+", raised[0]["where"])
+
+
+def test_an_interrupt_in_an_identity_body_is_not_caught(monkeypatch):
+    def interrupted(bounds, rng, ck):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(REGISTRY["rec-anxq"], "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_verify("rec-anxq")
 
 
 def test_thm18_report_contains_small_table(monkeypatch):
