@@ -6,7 +6,9 @@ from the enumeration side (``tests/test_layering.py`` checks this), and the
 verification layer compares these families against it.  Size parameters ``k``
 (inverse-Eulerian weight) and ``r`` (color count) may be numeric or symbolic:
 pass an int for a numeric value or ``None`` to keep the parameter as a
-registry variable, wherever the recurrence is polynomial in it.
+registry variable, wherever the recurrence is polynomial in it.  A numeric k
+or r stays an int, so the weights of a numeric table system are ints, which
+only scale the entries they weight.
 
 The central triangle gamma[n, i, j](q) is defined by
 
@@ -23,7 +25,9 @@ its terms, ``(source table, index offset, weight)``, with weights written in
 the target's indices as the recurrence is stated above, and ``_recur`` runs
 them: it collects every ``(weight, entry)`` pair of a target and accumulates
 the target once, through :meth:`Context.combine`.  The runner shares plumbing
-only, never a formula.
+only, never a formula.  The derivative recurrences of A_n(x,q) and B_n(x,q)
+are not table recurrences; each of their steps is one ``combine`` of the
+weighted row and the weighted derivative.
 
 Each table system is built once per :class:`Context` (:meth:`Context.cached`):
 the gamma triangle (``A_pq``, ``gamma_pq``), the plus/minus system (the 1/k
@@ -74,12 +78,14 @@ def q_bracket(ctx: Context, n: int, base: str = "p") -> Poly:
     return ctx.sum(b**i for i in range(n))
 
 
-def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly:
+def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly | int:
+    """The size parameter ``name`` as a weight factor: a numeric value itself,
+    or its variable for ``None``; BadParams for anything but a positive int."""
     if value is None:
         return ctx.var(name)
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise BadParams(f"{name} must be a positive integer or None for symbolic")
-    return ctx.const(value)
+    return value
 
 
 def _x_polys(ctx: Context, tables: Iterable[dict[int, Poly]]) -> tuple[Poly, ...]:
@@ -162,7 +168,7 @@ def _q_eulerian_rows(ctx: Context, n: int) -> tuple[Poly, ...]:
         f = ctx.const(1)
         yield f
         for m in range(n):
-            f = (m * x + q) * f + weight * f.differentiate("x")
+            f = ctx.combine([(m * x + q, f), (weight, f.differentiate("x"))])
             yield f
 
     return ctx.cached((_q_eulerian_rows, n), lambda: tuple(sweep()))
@@ -201,9 +207,8 @@ def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
     kp = _param_poly(ctx, k, "k")
     if n == 0:
         return ctx.const(1)
-    one = ctx.const(1)
-    row = _recur(ctx, {"A": {0: one}}, range(1, n), {"A": [
-        ("A", 0, lambda m, j: one + j * kp),
+    row = _recur(ctx, {"A": {0: ctx.const(1)}}, range(1, n), {"A": [
+        ("A", 0, lambda m, j: 1 + j * kp),
         ("A", -1, lambda m, j: (m - j + 1) * kp),
     ]})["A"]
     return _x_polys(ctx, [row])[0]
@@ -215,18 +220,17 @@ def one_over_k_pm_tables(
     """(A+_{n,i;k}, A-_{n,i;k}) tables from the coupled recurrence."""
     _check_n(n, 1, "the plus/minus system starts at n = 1")
     kp = _param_poly(ctx, k, "k")
-    one = ctx.const(1)
     tables = ctx.cached((one_over_k_pm_tables, n, k), lambda: _recur(
-        ctx, {"+": {0: one}, "-": {}}, range(1, n), {
+        ctx, {"+": {0: ctx.const(1)}, "-": {}}, range(1, n), {
             "+": [
-                ("+", 0, lambda m, i: one + i * kp),
+                ("+", 0, lambda m, i: 1 + i * kp),
                 ("+", -1, lambda m, i: 2 * (m - 2 * i + 1) * kp),
                 ("-", -1, lambda m, i: 1),
             ],
             "-": [
                 ("-", 0, lambda m, i: (i + 1) * kp),
                 ("-", -1, lambda m, i: 2 * (m - 2 * i) * kp),
-                ("+", 0, lambda m, i: kp - one),
+                ("+", 0, lambda m, i: kp - 1),
             ],
         }))
     return dict(tables["+"]), dict(tables["-"])
@@ -253,10 +257,9 @@ def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
     A_r(m,j) = (rj + 1) A_r(m-1,j) + (r(m-j) + r - 1) A_r(m-1,j-1),  A_r(0,0) = 1."""
     _check_n(n)
     rp = _param_poly(ctx, r, "r")
-    one = ctx.const(1)
-    row = _recur(ctx, {"A": {0: one}}, range(1, n + 1), {"A": [
-        ("A", 0, lambda m, j: rp * j + one),
-        ("A", -1, lambda m, j: rp * (m - j) + rp - one),
+    row = _recur(ctx, {"A": {0: ctx.const(1)}}, range(1, n + 1), {"A": [
+        ("A", 0, lambda m, j: rp * j + 1),
+        ("A", -1, lambda m, j: rp * (m - j) + rp - 1),
     ]})["A"]
     return _x_polys(ctx, [row])[0]
 
@@ -267,17 +270,16 @@ def alpha_tables(
     """(alpha+_{n,k;r}, alpha-_{n,k;r}) tables for the colored decomposition."""
     _check_n(n)
     rp = _param_poly(ctx, r, "r")
-    one = ctx.const(1)
     tables = ctx.cached((alpha_tables, n, r), lambda: _recur(
-        ctx, {"+": {0: one}, "-": {}}, range(n), {
+        ctx, {"+": {0: ctx.const(1)}, "-": {}}, range(n), {
             "+": [
-                ("+", 0, lambda m, i: one + rp * i),
+                ("+", 0, lambda m, i: 1 + rp * i),
                 ("+", -1, lambda m, i: 2 * (m - 2 * i + 2) * rp),
                 ("-", -1, lambda m, i: 2),
             ],
             "-": [
-                ("+", 0, lambda m, i: rp - 2 * one),
-                ("-", 0, lambda m, i: rp - one + rp * i),
+                ("+", 0, lambda m, i: rp - 2),
+                ("-", 0, lambda m, i: rp - 1 + rp * i),
                 ("-", -1, lambda m, i: 2 * (m - 2 * i + 1) * rp),
             ],
         }))
@@ -299,12 +301,10 @@ def type_b_q_eulerian(ctx: Context, n: int) -> Poly:
     """B_n(x,q) from its derivative recurrence (descent/negative-entry pair)."""
     _check_n(n)
     x, q = ctx.var("x"), ctx.var("q")
-    one = ctx.const(1)
-    f = one
+    weight = (1 + q) * (x - x * x)
+    f = ctx.const(1)
     for m in range(1, n + 1):
-        f = (one + (one + q) * m * x - x) * f + (one + q) * (
-            x - x * x
-        ) * f.differentiate("x")
+        f = ctx.combine([(1 + (1 + q) * m * x - x, f), (weight, f.differentiate("x"))])
     return f
 
 

@@ -64,9 +64,6 @@ class CycleClassified:
     cycle: tuple[int, ...]
     roles: tuple[str, ...]
 
-    def role_of(self, value: int) -> str:
-        return self.roles[self.cycle.index(value)]
-
 
 def classify(perm: PermObject) -> list[CycleClassified]:
     """Role classification of every cycle of a plain permutation."""

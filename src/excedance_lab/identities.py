@@ -149,12 +149,13 @@ class IdentityRecord:
                 f"its bounds are {', '.join(self.bounds)}"
             )
         for key, value in given.items():
-            # n bounds are integers >= 0; ks and rs list class parameters >= 1
+            # n bounds are integers >= 0; ks and rs list class parameters >= 1;
+            # a bool is neither
             if isinstance(value, tuple):
-                valid = all(isinstance(v, int) and v >= 1 for v in value)
+                valid = all(type(v) is int and v >= 1 for v in value)
                 domain = "integers >= 1"
             else:
-                valid = isinstance(value, int) and value >= 0
+                valid = type(value) is int and value >= 0
                 domain = "an integer >= 0"
             if not valid:
                 raise BadOverride(f"{self.id}: {key} must be {domain}, got {value!r}")

@@ -24,18 +24,17 @@ tuples of ``(var_id, exponent)`` pairs sorted by id, with no zero exponents.
 ``Poly(ctx, terms)`` packs a mapping in that form.
 
 Everything here is pure and values are immutable by convention: no operation
-mutates its inputs, so polynomials are safe to share across workers.  ``+``
-and :meth:`Context.sum` share one merge, :func:`_merge_into`, which adds a
-store into a dict in place; ``sum`` runs it once per summand into one fresh
-dict.  Every product of stores runs one multiply-accumulate loop,
-:func:`_add_scaled`: :meth:`Context.combine` runs it for every pair of a
-linear combination ``sum w*p`` into one fresh dict, the general branch of
-:func:`_product` for one pair, and :meth:`Poly.substitute` for every term's
-image, whose power tables are built out of ``*`` and ``**``.  In
-``_product`` a scalar or one-term factor ``c*m`` only shifts the other
-factor's keys by ``m`` and scales its coefficients by ``c``: nothing merges
-and no zero is left to drop.  :class:`BadInput` is the base of every error,
-here and in the modules above, that reports bad input.
+mutates its inputs, so polynomials are safe to share across workers.  Every
+sum of stores runs one multiply-accumulate loop, :func:`_add_scaled`, into
+one fresh dict, then drops zero sums and normalises coefficients in one
+pass: ``+`` and :meth:`Context.sum` run it with weight 1 per summand,
+:meth:`Context.combine` for every pair of a linear combination ``sum w*p``,
+the general branch of :func:`_product` for one pair, and
+:meth:`Poly.substitute` for every term's image, whose power tables are built
+out of ``*`` and ``**``.  In ``_product`` a scalar or one-term factor ``c*m``
+only shifts the other factor's keys by ``m`` and scales its coefficients by
+``c``: nothing merges and no zero is left to drop.  :class:`BadInput` is the
+base of every error, here and in the modules above, that reports bad input.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -71,7 +70,8 @@ class ExponentOverflow(BadInput, ValueError):
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    """``c`` as stored: a bool or an integral fraction becomes int."""
+    if type(c) is bool or isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
@@ -250,8 +250,8 @@ class Context:
         """
         out: dict[int, Coeff] = {}
         for p in polys:
-            _merge_into(out, self._store(p))
-        return Poly._of(self, out)
+            _add_scaled(out, self._store(p), 0, 1)
+        return Poly._of(self, _normalised(out))
 
     def combine(self, pairs: Iterable[tuple]) -> "Poly":
         """``sum w*p`` over ``(w, p)`` pairs of polynomials of this context or scalars.
@@ -291,21 +291,6 @@ def _misaligned(exponents: Collection[int], width: int) -> ParseError:
 def _normalised(out: dict[int, Coeff]) -> dict[int, Coeff]:
     """``out`` without zero coefficients and with integral fractions as int."""
     return {key: c if type(c) is int else _norm_coeff(c) for key, c in out.items() if c}
-
-
-def _merge_into(out: dict[int, Coeff], store: dict[int, Coeff]) -> None:
-    """Add the canonical ``store`` into ``out`` in place, keeping ``out`` canonical:
-    zero sums drop and integral fractions become int, entry by entry."""
-    if not out:
-        out.update(store)
-        return
-    get = out.get
-    for key, c in store.items():
-        s = get(key, 0) + c
-        if s:
-            out[key] = s if type(s) is int else _norm_coeff(s)
-        else:
-            out.pop(key, None)
 
 
 _ONE: dict[int, Coeff] = {0: 1}  # the store of the constant 1; never mutated
@@ -422,8 +407,8 @@ class Poly:
         except TypeError:
             return NotImplemented
         out = dict(self._t)
-        _merge_into(out, store)
-        return Poly._of(self.ctx, out)
+        _add_scaled(out, store, 0, 1)
+        return Poly._of(self.ctx, _normalised(out))
 
     __radd__ = __add__
 

@@ -23,11 +23,11 @@ action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
 Each class has one per-object statistics kernel (``plain_base_stats``,
 ``signed_base_stats``, ``colored_base_stats``, ``stirling_base_stats``); the
-streaming ``enumerate_class`` reads it.  The plain, signed and colored ones
-refuse a word outside their class with ``NotInClass``; the stream, whose
-words come from the class's generator, reads them unchecked (``_plain_stats``,
-``_signed_stats``, ``_colored_stats``).  The cached joint distributions of all
-four classes are built another way, by walks that derive each object's
+streaming ``enumerate_class`` reads it.  Each refuses a word outside its
+class with ``NotInClass``; the stream, whose words come from the class's
+generator, reads them unchecked (``_plain_stats``, ``_signed_stats``,
+``_colored_stats``, ``_stirling_stats``).  The cached joint distributions of
+all four classes are built another way, by walks that derive each object's
 statistics from its parent's or predecessor's by a delta: plain permutations
 by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
 block m^k into a word of order m - 1, signed and colored ones by fixing pi and
@@ -55,13 +55,13 @@ behind the cache, the full-tuple formula, the words in lexicographic order,
 the per-object kernel, membership, the cycle form and the letter text.
 ``_kind``, the one lookup of a row, raises ``UnknownKind`` for any other kind.
 The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
-``COLORED_DERIVED``) are one tuple formula per class, read by ``_derive``,
-which appends them to the base tuple in ``stat_names`` order; the stream and
-the cache share it.  ``PermObject`` checks its input through the row; the
-stream's objects skip the check.  The cache derives each class once, at its
-cold build, into a frozen record of the columns its reads use: the full tuples
-and their counts.  A read resolves the requested names to indices once and
-projects the full tuples with ``itemgetter``.  Statistics dicts exist only
+``COLORED_DERIVED``) are one tuple formula per class, the row's ``full``
+column, which appends them to the base tuple in ``stat_names`` order; the
+stream and the cache share it.  ``PermObject`` checks its input through the
+row; the stream's objects skip the check.  The cache derives each class once,
+at its cold build, into a frozen record of the columns its reads use: the full
+tuples and their counts.  A read resolves the requested names to indices once
+and projects the full tuples with ``itemgetter``.  Statistics dicts exist only
 where a caller reads by name: one per object in the stream and, for a
 ``gen_poly`` ``where`` filter, one template per cell, built on the class's
 first filtered read; the filter gets a fresh copy of it per cell.
@@ -118,7 +118,7 @@ COLORED_BASE = ("exc_B", "fix", "single", "csum", "cyc", "exc_A")
 COLORED_DERIVED = ("exc_f", "aexc_f", "aexc_A", "fexc_r")
 STIRLING_BASE = ("ap", "lap", "first_block_constant")
 
-# Base-tuple indices read by the derived-statistics formulas of ``_derive``.
+# Base-tuple indices read by the derived-statistics formulas, each row's ``full``.
 P_EXC, P_FIX, P_CYC, P_CPK_INF = map(PLAIN_BASE.index, ("exc", "fix", "cyc", "cpk_inf"))
 S_EXC, S_FIX, S_SINGLE, S_NEG, S_EXC_A = map(
     SIGNED_BASE.index, ("exc", "fix", "single", "neg", "exc_A")
@@ -178,7 +178,7 @@ def _size(kind: str, n: int, r: int, k: int, cap: Optional[int] = None) -> int:
     parameters: the class size, or with a ``cap`` the first partial product
     past it, so a refused class never multiplies out its whole size."""
     row = _kind(kind)
-    if not (isinstance(n, int) and isinstance(r, int) and isinstance(k, int)):
+    if not _ints((n, r, k)):  # a bool is not a size
         raise BadClassSize(f"n, r and k must be ints, got n={n!r}, r={r!r}, k={k!r}")
     if n < 0:
         raise BadClassSize(f"n must be nonnegative, got {n}")
@@ -461,6 +461,17 @@ def _colored_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 
 
 def stirling_base_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``STIRLING_BASE`` of a k-Stirling word; BadClassSize for k < 1 or a
+    length that is not a multiple of k, NotInClass for a word that is not one."""
+    _size("stirling", 0, 1, k)  # the checks on k
+    n, rest = divmod(len(word), k)
+    if rest:
+        raise BadClassSize(f"a {k}-Stirling word's length is a multiple of {k}, got {len(word)}")
+    _check_word("stirling", word, n, 1, k)
+    return _stirling_stats(word, k)
+
+
+def _stirling_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
     L = len(word)
     ap = 0
     for i in range(1, L - k + 1):  # 0-based start of a run of k equal entries
@@ -1045,7 +1056,7 @@ _KINDS = {  # walks, words and kernels are looked up when they run, so a test ca
         walk=lambda n, r, k, shard, shards: _stirling_insertion_counts(n, k, shard, shards),
         full=lambda n, r: lambda b: b,  # no derived statistics
         words=lambda n, r, k: _stirling_words(n, k),
-        kernel=lambda k: partial(stirling_base_stats, k=k), member=_is_stirling, cycles=None,
+        kernel=lambda k: partial(_stirling_stats, k=k), member=_is_stirling, cycles=None,
     ),
 }
 KINDS = tuple(_KINDS)
@@ -1061,12 +1072,6 @@ def _kind(kind: str) -> _Kind:
 
 def stat_names(kind: str) -> tuple[str, ...]:
     return _kind(kind).names
-
-
-def _derive(kind: str, n: int, r: int) -> Callable[[tuple], tuple]:
-    """The class's full-tuple formula: a base tuple followed by its derived
-    statistics, in ``stat_names(kind)`` order."""
-    return _kind(kind).full(n, r)
 
 
 def enumerate_class(
@@ -1140,7 +1145,7 @@ def _distribution_cached(kind: str, n: int, r: int, k: int) -> _Distribution:
     packed, fields, width = _walk_in_shards(row.walk, kind, n, r, k, shards)
     keys, counts = zip(*sorted(packed.items()))
     bases = _unpack(keys, fields, width)
-    return _Distribution(row.names, tuple(map(_derive(kind, n, r), bases)), counts)
+    return _Distribution(row.names, tuple(map(row.full(n, r), bases)), counts)
 
 
 def _cached_class(kind, n, r, k, names=()):

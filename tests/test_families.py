@@ -193,6 +193,21 @@ def test_bad_parameter_at_n_zero(ctx, name, params):
 @pytest.mark.parametrize(
     "name, params",
     [
+        ("one_over_k", {"k": True}),
+        ("onek_plus", {"k": True}),
+        ("A_r", {"r": True}),
+        ("alpha_minus", {"r": True}),
+    ],
+)
+def test_a_bool_is_not_a_size_parameter(ctx, name, params):
+    # k=True used to build the k = 1 member
+    with pytest.raises(BadParams, match="positive integer"):
+        family(ctx, name, 3, **params)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
         ("A_q", {"k": 2}),
         ("A_classic", {"r": 5}),
         ("one_over_k", {"r": 2}),
@@ -282,6 +297,23 @@ def test_one_q_eulerian_sweep_per_context(monkeypatch):
     assert len(calls) == 8  # one sweep of eight steps serves all three members
     assert [family(Context(), name, 8) for name in ("A_q", "A_classic", "d_classic")] == built[:3]
     assert len(calls) == 8 + 3 * 8
+
+
+def test_each_derivative_recurrence_step_is_one_combination(monkeypatch):
+    # a step adds its two weighted products in one combine, not as two Polys and a +
+    wide_sums = []
+    add = Poly.__add__
+
+    def spy(f, g):
+        if isinstance(g, Poly) and len(f) > 1 and len(g) > 1:
+            wide_sums.append((f, g))
+        return add(f, g)
+
+    monkeypatch.setattr(Poly, "__add__", spy)
+    ctx = Context()
+    for name in ("A_q", "A_classic", "d_classic", "B_typeB_q"):
+        family(ctx, name, 12)
+    assert wide_sums == []
 
 
 def test_returned_tables_are_the_callers_to_mutate(ctx):

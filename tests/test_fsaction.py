@@ -26,8 +26,7 @@ def test_classify_three_cycle():
     by_first = {cc.cycle[0]: cc for cc in roles}
     cc = by_first[1]
     assert cc.cycle == (1, 4, 2)
-    assert cc.role_of(4) == "cpk"
-    assert cc.role_of(2) == "cdd"
+    assert cc.roles == ("first", "cpk", "cdd")
     assert by_first[3].roles == ("first",)
 
 
@@ -58,7 +57,7 @@ def test_act_fixes_peaks_and_valleys():
     assert act(pi, 3) == pi  # fixed point
     pi2 = perm_of("(1,3,2,5)")
     cc = classify(pi2)[0]
-    assert cc.role_of(2) == "cval"
+    assert dict(zip(cc.cycle, cc.roles))[2] == "cval"
     assert act(pi2, 2) == pi2
 
 
@@ -80,9 +79,9 @@ def test_act_toggles_role_and_shifts_excedance():
     for x in cdd_values(pi):
         image = act(pi, x)
         roles = {
-            v: cc.role_of(v)
+            v: role
             for cc in classify(image)
-            for v in cc.cycle
+            for v, role in zip(cc.cycle, cc.roles)
         }
         assert roles[x] == "cda"
         # the moved value is the unique cycle double ascent

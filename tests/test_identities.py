@@ -376,6 +376,9 @@ def test_overrides_the_identity_does_not_read_are_rejected():
         ("rec-anjk", {"ks": (2, 0)}),
         ("rec-arnk", {"rs": (-2,)}),
         ("rec-anxq", {"max_n": 2.5}),
+        # a bool is not a bound: max_n=True ran 2 checks and passed
+        ("rec-anxq", {"max_n": True}),
+        ("rec-anjk", {"ks": (True,)}),
     ],
 )
 def test_overrides_outside_their_domain_are_rejected(ident, overrides):

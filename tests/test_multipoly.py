@@ -245,6 +245,20 @@ def test_json_round_trip(ctx):
     assert poly_from_json(other, f.to_json()) == other.poly("p^2*q^2 + q*x - 5")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: ctx.const(True),
+        lambda ctx: ctx.sum([True, ctx.var("y")]),
+        lambda ctx: ctx.var("x") + True,
+    ],
+)
+def test_a_bool_coefficient_is_stored_as_an_int(ctx, build):
+    # a stored True printed as "True", which poly_from_json rejects
+    f = build(ctx)
+    assert poly_from_json(ctx, f.to_json()) == f
+
+
 def test_cross_context_equality(ctx):
     other = Context(["q", "x", "p"])  # different interning order
     assert ctx.poly("p^2*q^2 + q*x") == other.poly("q*x + p^2*q^2")

@@ -86,6 +86,10 @@ def test_class_sizes():
         ("plain", 2.5, {}),
         ("stirling", 2, {"k": 2.0}),
         ("signed", "3", {}),
+        # nor is a bool, which used to count as 0 or 1
+        ("colored", 2, {"r": True}),
+        ("plain", True, {}),
+        ("stirling", 2, {"k": True}),
     ],
 )
 def test_bad_class_sizes_raise(ctx, kind, n, kwargs):
@@ -146,6 +150,7 @@ def test_unknown_kind_is_refused_at_every_door(ctx, kind):
         ("plain", 2, (2, 1), {"r": 2}, BadClassSize),
         ("colored", 2, ((2, 0), (1, 0)), {"r": 0}, BadClassSize),
         ("stirling", -1, (), {"k": 2}, BadClassSize),
+        ("plain", True, (1,), {}, BadClassSize),
     ],
 )
 def test_words_outside_the_class_are_refused(kind, n, word, kwargs, error):
@@ -382,13 +387,13 @@ def test_where_cannot_change_the_cache(ctx):
 
 def test_each_class_is_derived_once_per_cold_build(ctx, monkeypatch):
     derived = []
-    real = permstats._derive
+    row = permstats._KINDS["colored"]
 
-    def spy(kind, n, r):
-        derived.append((kind, n, r))
-        return real(kind, n, r)
+    def spy(n, r):
+        derived.append(("colored", n, r))
+        return row.full(n, r)
 
-    monkeypatch.setattr(permstats, "_derive", spy)
+    monkeypatch.setitem(permstats._KINDS, "colored", row._replace(full=spy))
     permstats._distribution_cached.cache_clear()
     for _ in range(3):
         gen_poly(ctx, "colored", 3, {"exc_f": "x", "fexc_r": "y"}, r=2)
@@ -403,11 +408,11 @@ def test_each_class_is_derived_once_per_cold_build(ctx, monkeypatch):
 
 def _projected_by_hand(ctx, kind, n, size, weighting, where):
     # every cell of the cached distribution, read as a base tuple through
-    # marginal, extended by _derive, filtered on its statistics dict and
-    # weighted variable by variable
+    # marginal, extended by its row's full formula, filtered on its
+    # statistics dict and weighted variable by variable
     r = size.get("r", 1)
     names = permstats.stat_names(kind)
-    full = permstats._derive(kind, n, r)
+    full = permstats._KINDS[kind].full(n, r)
     terms = []
     joint: Counter = Counter()
     for base, count in marginal(kind, n, BASE[kind], **size).items():
@@ -590,6 +595,7 @@ def test_stirling_cache_reads_no_per_object_kernel(ctx, monkeypatch):
 
     monkeypatch.setattr(permstats, "_stirling_words", refuse)
     monkeypatch.setattr(permstats, "stirling_base_stats", refuse)
+    monkeypatch.setattr(permstats, "_stirling_stats", refuse)
     permstats._distribution_cached.cache_clear()
     assert gen_poly(ctx, "stirling", 4, {"ap": "x", "lap": "y"}, k=3)
     assert sum(marginal("stirling", 3, ("first_block_constant",), k=2).values()) == 15
@@ -703,7 +709,7 @@ def test_colored_one_element_class(ctx):
 
 def expand(kind, n, base, r=1):
     # the stream's per-object expansion of a base tuple into named statistics
-    return dict(zip(permstats.stat_names(kind), permstats._derive(kind, n, r)(base)))
+    return dict(zip(permstats.stat_names(kind), permstats._KINDS[kind].full(n, r)(base)))
 
 
 @pytest.mark.parametrize(
@@ -866,7 +872,10 @@ KERNEL_REFUSALS = {
     "plain_base_stats": [(1, 1), (2, 3, 2), (0, 1), (1, 3), (2, -1)],
     "signed_base_stats": [(1, -1), (-2, 2, 1), (0,), (-3, 1), (1, 2.5)],
     "colored_base_stats": [((1, 0), (1, 1)), ((2, 0), (2, 1)), ((0, 1),), ((3, 0), (1, 0))],
+    # with k = 2: a 1 between the two 2s, a letter with one copy, a repeated letter
+    "stirling_base_stats": [(2, 1, 1, 2), (1, 2), (1, 1, 1, 1)],
 }
+KERNEL_KWARGS = {"stirling_base_stats": {"k": 2}}
 
 
 def run_python(code, *flags, timeout=60):
@@ -889,12 +898,19 @@ def test_kernels_refuse_words_outside_their_class(kernel):
         "from excedance_lab import permstats\n"
         f"for word in {KERNEL_REFUSALS[kernel]!r}:\n"
         "    try:\n"
-        f"        permstats.{kernel}(word)\n"
+        f"        permstats.{kernel}(word, **{KERNEL_KWARGS.get(kernel, {})!r})\n"
         "    except permstats.NotInClass as exc:\n"
         "        print(isinstance(exc, permstats.BadInput))\n"
     )
     proc = run_python(code)
     assert proc.stdout == "True\n" * len(KERNEL_REFUSALS[kernel]), proc.stderr
+
+
+@pytest.mark.parametrize("word, k", [((1, 2, 1), 2), ((1,), 0), ((1,), -1), ((1,), True), ((1, 1), 2.0)])
+def test_the_stirling_kernel_refuses_a_bad_k(word, k):
+    # k = 0 raised an untyped IndexError, a length that is no multiple of k gave (0, 0, 0)
+    with pytest.raises(BadClassSize):
+        permstats.stirling_base_stats(word, k)
 
 
 # -- sharded cold builds ---------------------------------------------------------
