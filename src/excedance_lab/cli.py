@@ -312,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--profile", default="full", choices=("quick", "full"))
+    p_verify.add_argument("--profile", default="full", choices=identities.PROFILES)
     p_verify.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)
     _add_format(p_verify, choices=("text", "json"))
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_suite = sub.add_parser("suite", help="run the whole identity registry")
-    p_suite.add_argument("--profile", default="quick", choices=("quick", "full"))
+    p_suite.add_argument("--profile", default="quick", choices=identities.PROFILES)
     p_suite.add_argument("--ids", default=None, help="comma-separated subset")
     p_suite.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_suite.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)

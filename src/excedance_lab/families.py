@@ -35,6 +35,11 @@ halves, ``xi_plus``, ``xi_minus``), the alpha system (the colored halves) and
 the q-Eulerian sweep (``A_q``, ``A_classic``, ``d_classic``); each serves one
 route only.  Parameters are checked before the lookup on every call, and the
 public table functions return fresh dicts of the shared, immutable ``Poly``s.
+
+``REGISTRY`` (read by :func:`family`, hence by the CLI) maps each name to a
+:class:`Family` row whose ``build`` is the builder itself: a member of a
+plus/minus pair is one half of its pair builder's result, and ``springer`` is
+the tabulated number as a constant.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int]) -> Poly:
+def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int] = None) -> Poly:
     """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j, from the row recurrence
     A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{1,0;k} = 1."""
     _check_n(n)
@@ -236,7 +241,7 @@ def one_over_k_pm_tables(
     return dict(tables["+"]), dict(tables["-"])
 
 
-def one_over_k_pm_polys(ctx: Context, n: int, k: Optional[int]) -> tuple[Poly, Poly]:
+def one_over_k_pm_polys(ctx: Context, n: int, k: Optional[int] = None) -> tuple[Poly, Poly]:
     """(A+_{n;k}(x), A-_{n;k}(x)) = generating polynomials of the pm tables."""
     return _x_polys(ctx, one_over_k_pm_tables(ctx, n, k))
 
@@ -252,7 +257,7 @@ def one_over_k_decomposition(ctx: Context, n: int, k: Optional[int]) -> tuple[Po
 # ---------------------------------------------------------------------------
 
 
-def colored_eulerian(ctx: Context, n: int, r: Optional[int]) -> Poly:
+def colored_eulerian(ctx: Context, n: int, r: Optional[int] = None) -> Poly:
     """A_{n,r}(x): the flag-order excedance polynomial of the wreath product, from
     A_r(m,j) = (rj + 1) A_r(m-1,j) + (r(m-j) + r - 1) A_r(m-1,j-1),  A_r(0,0) = 1."""
     _check_n(n)
@@ -286,7 +291,7 @@ def alpha_tables(
     return dict(tables["+"]), dict(tables["-"])
 
 
-def alpha_polys(ctx: Context, n: int, r: Optional[int]) -> tuple[Poly, Poly]:
+def alpha_polys(ctx: Context, n: int, r: Optional[int] = None) -> tuple[Poly, Poly]:
     """Generating polynomials  sum alpha+- x^k  of the alpha tables."""
     return _x_polys(ctx, alpha_tables(ctx, n, r))
 
@@ -325,101 +330,50 @@ def phi_kernel(ctx: Context, n: int) -> Poly:
 class Family:
     name: str
     description: str
-    build: Callable
+    build: Callable  # build(ctx, n, **params) -> Poly
     params: tuple[str, ...] = ()  # size parameters the builder reads, of "k", "r"
     default_m: Optional[Callable[[int], int]] = None
 
 
-def _build_springer(ctx: Context, n: int) -> Poly:
-    return ctx.const(springer(n))
+def _half(pair: Callable, index: int, **fixed: int) -> Callable:
+    """A builder of one half (0 plus, 1 minus) of ``pair``'s result, ``fixed`` set."""
+    return lambda ctx, n, **params: pair(ctx, n, **fixed, **params)[index]
 
 
-REGISTRY: dict[str, Family] = {}
+def _below_n(n: int) -> int:
+    """The declared x-length of the type-A rows: n - 1, or 0 at n = 0."""
+    return max(n - 1, 0)
 
 
-def _register(fam: Family):
-    REGISTRY[fam.name] = fam
-
-
-_register(Family(
-    "A_pq", "fix/cycle Eulerian polynomial A_n(x,p,q)",
-    lambda ctx, n: fix_cyc_eulerian(ctx, n),
-    default_m=lambda n: max(n - 1, 0),
-))
-_register(Family(
-    "A_q", "cycle q-Eulerian polynomial A_n(x,q)",
-    lambda ctx, n: q_eulerian(ctx, n),
-    default_m=lambda n: max(n - 1, 0),
-))
-_register(Family(
-    "A_classic", "classical Eulerian polynomial A_n(x)",
-    lambda ctx, n: classical_eulerian(ctx, n),
-    default_m=lambda n: max(n - 1, 0),
-))
-_register(Family(
-    "d_classic", "derangement polynomial d_n(x)",
-    lambda ctx, n: derangement_poly(ctx, n),
-    default_m=lambda n: max(n - 1, 0),
-))
-_register(Family(
-    "gamma_pq", "partial-gamma generating polynomial gamma_n(x,p,q)",
-    lambda ctx, n: gamma_poly(ctx, n),
-))
-_register(Family(
-    "one_over_k", "1/k-Eulerian polynomial  sum_pi x^exc k^(n-cyc)",
-    lambda ctx, n, k=None: one_over_k_eulerian(ctx, n, k),
-    params=("k",), default_m=lambda n: max(n - 1, 0),
-))
-_register(Family(
-    "onek_plus", "gamma vector of the symmetric part of A_n^{(k)}",
-    lambda ctx, n, k=None: one_over_k_pm_polys(ctx, n, k)[0],
-    params=("k",),
-))
-_register(Family(
-    "onek_minus", "gamma vector of the shifted part of A_n^{(k)}",
-    lambda ctx, n, k=None: one_over_k_pm_polys(ctx, n, k)[1],
-    params=("k",),
-))
-_register(Family(
-    "xi_plus", "cycle-run gamma vector (k = 2 specialisation, 4^cpk weights)",
-    lambda ctx, n: one_over_k_pm_polys(ctx, n, 2)[0],
-))
-_register(Family(
-    "xi_minus", "cycle-run gamma vector, shifted part",
-    lambda ctx, n: one_over_k_pm_polys(ctx, n, 2)[1],
-))
-_register(Family(
-    "A_r", "colored Eulerian polynomial A_{n,r}(x)",
-    lambda ctx, n, r=None: colored_eulerian(ctx, n, r),
-    params=("r",), default_m=lambda n: n,
-))
-_register(Family(
-    "alpha_plus", "colored decomposition gamma vector, symmetric part",
-    lambda ctx, n, r=None: alpha_polys(ctx, n, r)[0],
-    params=("r",),
-))
-_register(Family(
-    "alpha_minus", "colored decomposition gamma vector, shifted part",
-    lambda ctx, n, r=None: alpha_polys(ctx, n, r)[1],
-    params=("r",),
-))
-_register(Family(
-    "B_typeB_q", "type-B q-Eulerian polynomial B_n(x,q)",
-    lambda ctx, n: type_b_q_eulerian(ctx, n),
-    default_m=lambda n: n,
-))
-_register(Family(
-    "phi", "convolution kernel Phi_n(x,y)",
-    lambda ctx, n: phi_kernel(ctx, n),
-))
-_register(Family(
-    "springer", "Springer number s_n (constant)",
-    _build_springer,
-))
-_register(Family(
-    "q_bracket", "[n]_p = 1 + p + ... + p^(n-1)",
-    lambda ctx, n: q_bracket(ctx, n, "p"),
-))
+REGISTRY: dict[str, Family] = {fam.name: fam for fam in (
+    Family("A_pq", "fix/cycle Eulerian polynomial A_n(x,p,q)",
+           fix_cyc_eulerian, default_m=_below_n),
+    Family("A_q", "cycle q-Eulerian polynomial A_n(x,q)", q_eulerian, default_m=_below_n),
+    Family("A_classic", "classical Eulerian polynomial A_n(x)",
+           classical_eulerian, default_m=_below_n),
+    Family("d_classic", "derangement polynomial d_n(x)", derangement_poly, default_m=_below_n),
+    Family("gamma_pq", "partial-gamma generating polynomial gamma_n(x,p,q)", gamma_poly),
+    Family("one_over_k", "1/k-Eulerian polynomial  sum_pi x^exc k^(n-cyc)",
+           one_over_k_eulerian, params=("k",), default_m=_below_n),
+    Family("onek_plus", "gamma vector of the symmetric part of A_n^{(k)}",
+           _half(one_over_k_pm_polys, 0), params=("k",)),
+    Family("onek_minus", "gamma vector of the shifted part of A_n^{(k)}",
+           _half(one_over_k_pm_polys, 1), params=("k",)),
+    Family("xi_plus", "cycle-run gamma vector (k = 2 specialisation, 4^cpk weights)",
+           _half(one_over_k_pm_polys, 0, k=2)),
+    Family("xi_minus", "cycle-run gamma vector, shifted part", _half(one_over_k_pm_polys, 1, k=2)),
+    Family("A_r", "colored Eulerian polynomial A_{n,r}(x)",
+           colored_eulerian, params=("r",), default_m=lambda n: n),
+    Family("alpha_plus", "colored decomposition gamma vector, symmetric part",
+           _half(alpha_polys, 0), params=("r",)),
+    Family("alpha_minus", "colored decomposition gamma vector, shifted part",
+           _half(alpha_polys, 1), params=("r",)),
+    Family("B_typeB_q", "type-B q-Eulerian polynomial B_n(x,q)",
+           type_b_q_eulerian, default_m=lambda n: n),
+    Family("phi", "convolution kernel Phi_n(x,y)", phi_kernel),
+    Family("springer", "Springer number s_n (constant)", lambda ctx, n: ctx.const(springer(n))),
+    Family("q_bracket", "[n]_p = 1 + p + ... + p^(n-1)", q_bracket),
+)}
 
 
 def family(ctx: Context, name: str, n: int, **params: Optional[int]) -> Poly:

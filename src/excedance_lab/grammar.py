@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .multipoly import Context, ParseError, Poly
+from .multipoly import BadInput, Context, ContextMismatch, ParseError, Poly
+
+
+class BadIterations(BadInput, ValueError):
+    """A negative iteration count."""
 
 
 class Grammar:
@@ -32,21 +36,22 @@ class Grammar:
             if isinstance(rhs, str):
                 rhs = ctx.poly(rhs)
             if rhs.ctx is not ctx:
-                raise ValueError("rule right-hand side from a different context")
+                raise ContextMismatch("rule right-hand side from a different context")
             ctx.varid(var)
             self.rules[var] = rhs
 
     def derive(self, f: Poly) -> Poly:
         """Apply ``D_G`` once: ``sum G(v) * df/dv`` over the ruled variables.
 
-        ``f`` must come from the grammar's context (``ValueError`` otherwise).
+        ``f`` must come from the grammar's context (:class:`ContextMismatch`
+        otherwise).
         """
         return self.ctx.combine((rule, f.differentiate(v)) for v, rule in self.rules.items())
 
     def iterate(self, f: Poly, n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""
         if n < 0:
-            raise ValueError("iteration count must be nonnegative")
+            raise BadIterations("iteration count must be nonnegative")
         for _ in range(n):
             f = self.derive(f)
         return f

@@ -81,6 +81,7 @@ from .shape import (
 )
 
 DEFAULT_SEED = 94101
+PROFILES = ("quick", "full")
 
 
 class UnknownIdentity(BadInput, KeyError):
@@ -88,6 +89,15 @@ class UnknownIdentity(BadInput, KeyError):
 
     def __str__(self):
         return f"unknown identity {self.args[0]!r}; known ids: {', '.join(identity_ids())}"
+
+
+class UnknownProfile(BadInput, ValueError):
+    """A profile other than those in ``PROFILES``."""
+
+
+def _check_profile(profile: str) -> None:
+    if profile not in PROFILES:
+        raise UnknownProfile(f"unknown profile {profile!r} (try: {', '.join(PROFILES)})")
 
 
 class BadOverride(BadInput, ValueError):
@@ -138,6 +148,7 @@ class IdentityRecord:
     run: Callable[[dict, random.Random, Checker], None] = field(repr=False)
 
     def effective_bounds(self, profile: str, overrides: Optional[dict] = None) -> dict:
+        _check_profile(profile)
         merged = dict(self.bounds)
         if profile == "quick":
             merged.update(self.quick)
@@ -1587,6 +1598,7 @@ def run_suite(
     per dispatch, so a worker that draws a slow identity does not hold a
     queue of others behind it; results come back in the batch's order.
     """
+    _check_profile(profile)
     selected = ids if ids is not None else identity_ids()
     for ident in selected:
         if ident not in REGISTRY:

@@ -26,8 +26,9 @@ tuples of ``(var_id, exponent)`` pairs sorted by id, with no zero exponents.
 Everything here is pure and values are immutable by convention: no operation
 mutates its inputs, so polynomials are safe to share across workers.  Every
 sum of stores runs one multiply-accumulate loop, :func:`_add_scaled`, into
-one fresh dict, then drops zero sums and normalises coefficients in one
-pass: ``+`` and :meth:`Context.sum` run it with weight 1 per summand,
+one fresh dict, then drops zero sums and normalises coefficients: ``+``
+copies the larger store and adds the smaller one, so only the smaller one's
+keys need the pass; :meth:`Context.sum` runs it with weight 1 per summand,
 :meth:`Context.combine` for every pair of a linear combination ``sum w*p``,
 the general branch of :func:`_product` for one pair, and
 :meth:`Poly.substitute` for every term's image, whose power tables are built
@@ -61,12 +62,21 @@ class BadInput(Exception):
 
 class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial input: polynomial or rational text, a
-    bad variable name, a negative exponent, exponent rows that do not align
-    with their names, or a malformed JSON document."""
+    bad variable name, a negative or ``bool`` exponent (of a monomial or of
+    ``**``), a malformed monomial key, exponent rows that do not align with
+    their names, or a malformed JSON document."""
 
 
 class ExponentOverflow(BadInput, ValueError):
     """Raised when an exponent reaches its monomial field's guard bit."""
+
+
+class ContextMismatch(BadInput, ValueError):
+    """Polynomials of different contexts met in one operation."""
+
+
+class BadLength(BadInput, ValueError):
+    """A declared length below the degree of the coefficient sequence."""
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -146,6 +156,8 @@ class Context:
         return self.FIELD * self.varid(name)
 
     def _bad_exponent(self, vid: int, e: int) -> BadInput:
+        if type(e) is bool:
+            return ParseError(f"exponent {e} of {self._names[vid]} is a bool, not an int")
         if e < 0:
             return ParseError(f"negative exponent {e} of {self._names[vid]}")
         return ExponentOverflow(
@@ -166,7 +178,7 @@ class Context:
         packed, last = 0, -1
         for vid, e in key:
             if not last < vid < len(self._names):
-                raise ValueError(f"bad monomial key {key!r}")
+                raise ParseError(f"bad monomial key {key!r}")
             if e >> (self.FIELD - 1):
                 raise self._bad_exponent(vid, e)
             packed += e << (self.FIELD * vid)
@@ -219,7 +231,7 @@ class Context:
                 raise _misaligned(exponents, width)
             key = 0
             for s, e in zip(shifts, exponents):
-                if e >> guard_bit:  # negative, or at the guard bit
+                if e >> guard_bit or type(e) is bool:  # negative, at the guard bit, or a bool
                     raise self._bad_exponent(s // self.FIELD, e)
                 key += e << s
             out[key] = out.get(key, 0) + c
@@ -232,7 +244,7 @@ class Context:
                 raise _misaligned(exponents, len(vids))
             total = dict.fromkeys(vids, 0)
             for vid, e in zip(vids, exponents):
-                if e < 0:
+                if e < 0 or type(e) is bool:
                     raise self._bad_exponent(vid, e)
                 total[vid] += e
             yield total.values(), c
@@ -273,10 +285,11 @@ class Context:
 
     def _store(self, item) -> dict[int, Coeff]:
         """The canonical store of ``item``, a polynomial of this context or a
-        scalar: ``ValueError`` for another context, ``TypeError`` for any other type."""
+        scalar: :class:`ContextMismatch` for another context, ``TypeError`` for
+        any other type."""
         if isinstance(item, Poly):
             if item.ctx is not self:
-                raise ValueError("polynomials from different contexts")
+                raise ContextMismatch("polynomials from different contexts")
             return item._t
         if isinstance(item, (int, Fraction)):
             c = _norm_coeff(item)
@@ -406,9 +419,15 @@ class Poly:
             store = self.ctx._store(other)
         except TypeError:
             return NotImplemented
-        out = dict(self._t)
-        _add_scaled(out, store, 0, 1)
-        return Poly._of(self.ctx, _normalised(out))
+        big, small = (self._t, store) if len(self._t) >= len(store) else (store, self._t)
+        out = dict(big)
+        _add_scaled(out, small, 0, 1)
+        for key in small:  # the copy of the larger store is canonical elsewhere
+            if not (c := out[key]):
+                del out[key]
+            elif type(c) is not int:
+                out[key] = _norm_coeff(c)
+        return Poly._of(self.ctx, out)
 
     __radd__ = __add__
 
@@ -435,8 +454,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial power needs a nonnegative integer exponent")
+        if type(e) is bool or not isinstance(e, int) or e < 0:
+            raise ParseError("polynomial power needs a nonnegative integer exponent")
         result = self.ctx.const(1)
         base = self
         while e:
@@ -527,7 +546,7 @@ class Poly:
             if not isinstance(val, Poly):
                 val = ctx.const(val if isinstance(val, (int, Fraction)) else as_fraction(val))
             elif val.ctx is not ctx:
-                raise ValueError("binding from a different context")
+                raise ContextMismatch("binding from a different context")
             subs[ctx.varid(var)] = val
         if not subs:
             return self
@@ -570,14 +589,14 @@ class Poly:
         """Coefficient reversal  var^length * f(1/var)  as a polynomial: each
         term's exponent e of ``var`` becomes ``length - e``.
 
-        Requires length >= degree in ``var``; a reversed exponent at the
-        guard bit raises :class:`ExponentOverflow`.
+        Requires length >= degree in ``var`` (:class:`BadLength` otherwise); a
+        reversed exponent at the guard bit raises :class:`ExponentOverflow`.
         """
         ctx = self.ctx
         s, mask = ctx._shift(var), Context._MASK
         exps = [(key >> s) & mask for key in self._t]
         if length < max(exps, default=0):
-            raise ValueError("length below the actual degree")
+            raise BadLength("length below the actual degree")
         top = length - min(exps, default=length)
         if top >> (ctx.FIELD - 1):
             raise ctx._bad_exponent(s // ctx.FIELD, top)

@@ -154,6 +154,10 @@ class NotInClass(BadInput, ValueError):
     """A word that is not an element of the class it is given for."""
 
 
+class NoCycleForm(BadInput, ValueError):
+    """A cycle form asked of a kind whose words have none (stirling)."""
+
+
 class BadGuard(BadInput, ValueError):
     """The size guard variable holds something other than an integer >= 1."""
 
@@ -234,7 +238,7 @@ class PermObject:
     def cycles(self) -> list[tuple[int, ...]]:
         cycles = _kind(self.kind).cycles
         if cycles is None:
-            raise ValueError(f"{self.kind} words have no cycle form")
+            raise NoCycleForm(f"{self.kind} words have no cycle form")
         return cycles(self.word)
 
     def word_string(self) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .multipoly import BadInput, Context, Poly, binomial
+from .multipoly import BadInput, BadLength, Context, Poly, binomial
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -43,8 +43,12 @@ class NotSymmetric(BadInput, ValueError):
     """Raised when a gamma expansion is requested for an asymmetric sequence."""
 
 
-class BadLength(BadInput, ValueError):
-    """A declared length below the degree of the coefficient sequence."""
+class NotUnivariate(BadInput, ValueError):
+    """A polynomial whose coefficients in the chosen variable are not constants."""
+
+
+class UnknownProperty(BadInput, ValueError):
+    """A shape property that is not one of ``PROPERTIES``."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class CoeffSeq:
         coeffs = []
         for c in f.coeffs_in(var):
             if c.variables():
-                raise ValueError("polynomial is not univariate in the chosen variable")
+                raise NotUnivariate("polynomial is not univariate in the chosen variable")
             coeffs.append(c.constant_term())
         return CoeffSeq.make(coeffs, m)
 
@@ -181,7 +185,7 @@ def gamma_assemble(
 def check(f: CoeffSeq, prop: str) -> bool:
     """Verdict for one shape property at the declared length."""
     if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}")
+        raise UnknownProperty(f"unknown property {prop!r}")
     if f.m < 0:
         return True
     if prop == "symmetric":

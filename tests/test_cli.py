@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from excedance_lab import cli, families, fsaction, identities, permstats, shape
+from excedance_lab import cli, families, fsaction, grammar, identities, permstats, shape
 from excedance_lab.cli import main
 from excedance_lab.multipoly import (
-    BadInput, Context, ExponentOverflow, ParseError, poly_from_json,
+    BadInput, BadLength, Context, ContextMismatch, ExponentOverflow, ParseError,
+    poly_from_json,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -351,9 +352,10 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
         ParseError, ExponentOverflow, families.BadParams, families.OutOfTable,
         permstats.BadClassSize, permstats.BadGuard, permstats.SizeExceeded,
         permstats.UnknownStat, permstats.UnknownKind, permstats.NotInClass,
-        fsaction.ValueAbsent, shape.BadLength,
-        shape.NotSymmetric,
-        identities.BadOverride, identities.UnknownIdentity,
+        ContextMismatch, BadLength, grammar.BadIterations, permstats.NoCycleForm,
+        fsaction.ValueAbsent, shape.BadLength, shape.NotSymmetric,
+        shape.NotUnivariate, shape.UnknownProperty,
+        identities.BadOverride, identities.UnknownIdentity, identities.UnknownProfile,
     ):
         assert issubclass(cls, BadInput), cls
     assert not issubclass(fsaction.ContractViolation, BadInput)
@@ -361,6 +363,34 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
     assert issubclass(permstats.UnknownStat, KeyError)
     assert issubclass(permstats.NotInClass, ValueError)
     assert str(permstats.UnknownStat("bogus")) == "'bogus'"
+
+
+def _fresh_x():
+    """x in a context of its own: two calls give polynomials of two contexts."""
+    return Context().var("x")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _fresh_x() ** -1, ParseError),
+    (lambda: _fresh_x() ** True, ParseError),
+    (lambda: Context().monomial({"x": True}), ParseError),
+    (lambda: Context().polynomial(["x", "x"], [((1, False), 1)]), ParseError),
+    (lambda: grammar.Grammar(Context(), {"x": "x*y"}).iterate(_fresh_x(), -1),
+     grammar.BadIterations),
+    (lambda: (_fresh_x() ** 3).reverse_in("x", 1), BadLength),
+    (lambda: shape.CoeffSeq.from_poly(Context().poly("x*y"), "x"), shape.NotUnivariate),
+    (lambda: shape.check(shape.CoeffSeq.make([1, 2, 1]), "bogus"), shape.UnknownProperty),
+    (lambda: permstats.PermObject("stirling", 1, (1, 1), k=2).cycles(), permstats.NoCycleForm),
+    (lambda: grammar.Grammar(Context(), {"x": _fresh_x()}), ContextMismatch),
+    (lambda: _fresh_x() + _fresh_x(), ContextMismatch),
+    (lambda: _fresh_x() - _fresh_x(), ContextMismatch),
+    (lambda: _fresh_x() * _fresh_x(), ContextMismatch),
+    (lambda: _fresh_x().substitute({"x": _fresh_x()}), ContextMismatch),
+])
+def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, BadInput) and isinstance(exc.value, ValueError)
 
 
 def test_an_error_that_is_not_bad_input_propagates(capsys, monkeypatch):

@@ -12,13 +12,14 @@ from excedance_lab.identities import (
     BadOverride,
     Checker,
     UnknownIdentity,
+    UnknownProfile,
     _eulerian_xypq,
     criterion_map,
     identity_ids,
     run_suite,
     run_verify,
 )
-from excedance_lab.multipoly import Context, Poly
+from excedance_lab.multipoly import BadInput, Context, Poly
 
 from oracles import plain_exc_fix_cyc
 
@@ -176,6 +177,24 @@ def test_suite_pool_is_no_larger_than_the_batch(monkeypatch, jobs, ids, processe
     assert record == {"processes": processes, "chunksize": 1}
     assert [r.id for r in results] == ids
     assert all(r.status == "pass" for r in results)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_verify("rec-anxq", profile="quik"),
+    lambda: run_suite(profile="fulll", ids=["rec-anxq"]),
+    lambda: run_suite(profile="fulll", ids=["rec-anxq", "cor-springer"], jobs=2),
+    lambda: run_suite(profile="Full"),
+])
+def test_an_unknown_profile_raises_before_anything_runs(monkeypatch, call):
+    def ran(*args):
+        raise AssertionError("ran an identity or forked a pool")
+
+    for ident in identity_ids():
+        monkeypatch.setattr(REGISTRY[ident], "run", ran)
+    monkeypatch.setattr(multiprocessing, "get_context", ran)
+    with pytest.raises(UnknownProfile, match="unknown profile .* quick, full") as exc:
+        call()
+    assert isinstance(exc.value, BadInput) and isinstance(exc.value, ValueError)
 
 
 def test_property_identities_are_seed_stable():

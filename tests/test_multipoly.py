@@ -9,7 +9,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from excedance_lab.multipoly import (
     Context,
@@ -818,6 +818,26 @@ def test_combine_equals_the_left_fold(pairs, cancelled):
     assert _typed(got._t) == _typed(folded._t)
     assert 0 not in got._t.values()
     assert all(type(c) is int or c.denominator > 1 for c in got._t.values())
+
+
+_HALF_X = _CTX.polynomial(["x", "y"], [((1, 0), Fraction(1, 2)), ((0, 1), 1)])
+
+
+@example(_HALF_X, _CTX.monomial({"x": 1}, Fraction(1, 2)), False)
+@example(_HALF_X, 3, True)
+@given(operands(_CTX), operands(_CTX), st.booleans())
+def test_add_equals_the_one_dict_sum(a, b, cancel):
+    a = _CTX.sum([a])  # a polynomial; b may stay a scalar, for __radd__
+    if cancel:  # b holds -a too, so part or all of a + b cancels
+        b = _CTX.sum([b, -a])
+    stores = [p._t for p in (a, b) if isinstance(p, Poly)]
+    before = [_typed(store) for store in stores]
+    expected = _typed(_CTX.sum([a, b])._t)
+    for got in (a + b, b + a):
+        assert _typed(got._t) == expected
+        assert 0 not in got._t.values()
+        assert all(type(c) is int or c.denominator > 1 for c in got._t.values())
+    assert [_typed(store) for store in stores] == before
 
 
 @given(polys(_CTX), polys(_CTX))
