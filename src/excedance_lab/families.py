@@ -27,7 +27,8 @@ them: it collects every ``(weight, entry)`` pair of a target and accumulates
 the target once, through :meth:`Context.combine`.  The runner shares plumbing
 only, never a formula.  The derivative recurrences of A_n(x,q) and B_n(x,q)
 are not table recurrences; each of their steps is one ``combine`` of the
-weighted row and the weighted derivative.
+weighted row and the weighted derivative.  ``q_bracket`` is one
+:meth:`Context.polynomial` with a row per power.
 
 Each table system is built once per :class:`Context` (:meth:`Context.cached`):
 the gamma triangle (``A_pq``, ``gamma_pq``), the plus/minus system (the 1/k
@@ -79,8 +80,7 @@ def _check_n(n: int, least: int = 0, message: str = "n must be nonnegative") -> 
 def q_bracket(ctx: Context, n: int, base: str = "p") -> Poly:
     """[n]_base = 1 + base + ... + base^(n-1), with [0] = 0; ``base`` names a variable."""
     _check_n(n, message="bracket index must be nonnegative")
-    b = ctx.var(base)
-    return ctx.sum(b**i for i in range(n))
+    return ctx.polynomial([base], (((i,), 1) for i in range(n)))
 
 
 def _param_poly(ctx: Context, value: Optional[int], name: str) -> Poly | int:

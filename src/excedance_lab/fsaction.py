@@ -118,15 +118,16 @@ def _reinserted(word: tuple[int, ...], cycle: tuple[int, ...], k: int, role: str
 
 
 def act(perm: PermObject, x: int) -> PermObject:
-    """Apply phi'_x; identity on peaks, valleys and cycle minima."""
+    """Apply phi'_x; identity on peaks, valleys and cycle minima.  An ``x`` that
+    is not an int letter of ``perm`` (``True`` is not 1) raises :class:`ValueAbsent`."""
     for cc in classify(perm):
-        if x in cc.cycle:
+        if type(x) is int and x in cc.cycle:
             k = cc.cycle.index(x)
             role = cc.roles[k]
             if role not in (ROLE_CDA, ROLE_CDD):
                 return perm
             return PermObject("plain", perm.n, _reinserted(perm.word, cc.cycle, k, role))
-    raise ValueAbsent(f"{x} does not occur in the permutation")
+    raise ValueAbsent(f"{x!r} does not occur in the permutation")
 
 
 def verify_bijection(n: int, i: int, j: int, k: int) -> tuple[int, int, bool]:

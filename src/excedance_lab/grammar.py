@@ -23,7 +23,7 @@ from .multipoly import BadInput, Context, ContextMismatch, ParseError, Poly
 
 
 class BadIterations(BadInput, ValueError):
-    """A negative iteration count."""
+    """An iteration count that is negative or not an int (a ``bool`` is not one)."""
 
 
 class Grammar:
@@ -50,8 +50,8 @@ class Grammar:
 
     def iterate(self, f: Poly, n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""
-        if n < 0:
-            raise BadIterations("iteration count must be nonnegative")
+        if type(n) is bool or not isinstance(n, int) or n < 0:
+            raise BadIterations(f"iteration count must be a nonnegative int, got {n!r}")
         for _ in range(n):
             f = self.derive(f)
         return f

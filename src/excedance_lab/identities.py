@@ -28,6 +28,11 @@ plumbing only: no formula or Poly crosses cells or routes.  No body passes the
 enumeration size guard: it is the process-wide ``EXCEDANCE_LAB_MAX_CLASS``
 setting that ``permstats`` checks before every enumeration.
 
+A linear combination is one ``ctx.combine``, or one ``ctx.polynomial`` when
+each summand is a scalar times a monomial.  A table of enumerated cells reads
+one ``marginal`` projection and makes each cell one ``ctx.polynomial``, not
+one ``gen_poly(where=...)`` pass per cell.
+
 Each statistic system's weighting (statistic -> variable) is one module
 constant, such as ``SIGNED_B``, that both members of its pair read: lemma-g3
 and thm9, g10 and thm22, g12 and thm24, g14 and thm26.  The substitution
@@ -404,8 +409,8 @@ def _run_g8(ck, ctx, bounds, n, r):
     seed = ctx.monomial({"u": r - 1, "v": 1})
     lhs = g8.iterate(seed, n)
     counts = gen_poly(ctx, "colored", n, {"exc_f": "x"}, r=r).coeffs_in("x")
-    rhs = ctx.sum(
-        c * ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1})
+    rhs = ctx.combine(
+        (c, ctx.monomial({"u": (n - kk) * r + r - 1, "v": kk * r + 1}))
         for kk, c in enumerate(counts)
     )
     ck.eq("", lhs, rhs)
@@ -512,18 +517,13 @@ def _run_rec_anjk(ck, ctx, bounds, n):
 )
 def _run_rec_enij(ck, ctx, bounds, n):
     tri = gamma_triangle(ctx, n)
-    seen = {
-        (fix, exc)
-        for (cda, fix, exc) in marginal("plain", n, ("cda", "fix", "exc"))
-        if cda == 0
-    }
-    for (i, j) in sorted(set(tri) | seen):
+    cells: dict[tuple[int, int], list] = {}  # (fix, exc) -> the q^cyc rows of its cell
+    for (cda, fix, exc, cyc), cnt in marginal("plain", n, ("cda", "fix", "exc", "cyc")).items():
+        if cda == 0:
+            cells.setdefault((fix, exc), []).append(((cyc,), cnt))
+    for (i, j) in sorted(set(tri) | set(cells)):
         lhs = tri.get((i, j), ctx.zero())
-        rhs = gen_poly(
-            ctx, "plain", n, {"cyc": "q"},
-            where=lambda s, i=i, j=j: s["cda"] == 0 and s["fix"] == i and s["exc"] == j,
-        )
-        ck.eq(f"gamma[{i},{j}]", lhs, rhs)
+        ck.eq(f"gamma[{i},{j}]", lhs, ctx.polynomial(["q"], cells.get((i, j), ())))
     ck.eq(
         "reassembly",
         fix_cyc_eulerian(ctx, n),
@@ -775,21 +775,15 @@ def _run_sign_anx12(ck, ctx, bounds, n):
 )
 def _run_sign_gamma(ck, ctx, bounds, n):
     g = gamma_poly(ctx, n)
-    x = ctx.var("x")
-    rhs1 = ctx.sum(
-        (-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1)
-    )
-    ck.eq("p=1", g.substitute({"p": 1, "q": -1}), rhs1)
-    rhs2 = ctx.sum(
-        (-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1)
-        for ell in range(n + 1)
-    )
-    ck.eq("p=0", g.substitute({"p": 0, "q": -1}), rhs2)
-    rhs3 = ctx.sum(
-        (-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1)
-        for ell in range(2 * n + 1)
-    )
-    ck.eq("p=x", g.substitute({"p": x, "q": -1}), rhs3)
+
+    def rhs(top, shift, sign):
+        # sum_e sign * (-1)^e * binomial(top - e, e) * x^(e + shift)
+        rows = (((e + shift,), sign * (-1) ** e * binomial(top - e, e)) for e in range(top + 1))
+        return ctx.polynomial(["x"], rows)
+
+    ck.eq("p=1", g.substitute({"p": 1, "q": -1}), rhs(n, 0, (-1) ** n))
+    ck.eq("p=0", g.substitute({"p": 0, "q": -1}), rhs(n - 2, 1, -1))
+    ck.eq("p=x", g.substitute({"p": ctx.var("x"), "q": -1}), rhs(2 * n - 2, 1, -1))
 
 
 @_sweep(
@@ -805,9 +799,10 @@ def _run_sign_dnb(ck, ctx, bounds, n):
         ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
         where=lambda s: s["fix"] == 0,
     ).substitute({"q": -1})
-    x, p = ctx.var("x"), ctx.var("p")
-    rhs = -ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(
-        p * x ** (2 * i - 1) for i in range(1, n + 1)
+    # -sum_{i<n} x^(2i) - sum_{i<=n} p x^(2i-1)
+    rhs = ctx.polynomial(
+        ["x", "p"],
+        [((2 * i, 0), -1) for i in range(1, n)] + [((2 * i - 1, 1), -1) for i in range(1, n + 1)],
     )
     ck.eq("", lhs, rhs)
 
@@ -907,18 +902,15 @@ def _run_foata(ck, ctx, bounds, n):
     start=1,
 )
 def _run_zeng(ck, ctx, bounds, n):
-    lhs = gen_poly(
-        ctx, "plain", n, {"exc": "x", "cyc": "q"}, where=lambda s: s["fix"] == 0
-    )
-    qsums = {
-        k: gen_poly(
-            ctx, "plain", n, {"cyc": "q"},
-            where=lambda s, k=k: s["fix"] == 0 and s["cda"] == 0 and s["exc"] == k,
-        )
-        for k in range(1, n // 2 + 1)
-    }
-    rhs = gamma_assemble(ctx, qsums, n)
-    ck.eq("", lhs, rhs)
+    rows = []  # the x^exc q^cyc rows of the derangements
+    qrows: dict[int, list] = {k: [] for k in range(1, n // 2 + 1)}  # k -> the q^cyc rows
+    for (fix, cda, exc, cyc), cnt in marginal("plain", n, ("fix", "cda", "exc", "cyc")).items():
+        if fix == 0:
+            rows.append(((exc, cyc), cnt))
+            if cda == 0 and exc in qrows:
+                qrows[exc].append(((cyc,), cnt))
+    qsums = {k: ctx.polynomial(["q"], qs) for k, qs in qrows.items()}
+    ck.eq("", ctx.polynomial(["x", "q"], rows), gamma_assemble(ctx, qsums, n))
 
 
 @_sweep(
@@ -963,12 +955,11 @@ def _run_springer(ck, ctx, bounds, n):
 )
 def _run_lpk_nocda(ck, ctx, bounds, n):
     lhs = gen_poly(ctx, "plain", n, {"lpk": "x"})
-    x = ctx.var("x")
-    rhs = ctx.sum(
-        cnt * 2 ** (n - fix - 2 * exc) * x**exc
+    rhs = ctx.polynomial(["x"], (
+        ((exc,), cnt * 2 ** (n - fix - 2 * exc))
         for (cda, exc, fix), cnt in marginal("plain", n, ("cda", "exc", "fix")).items()
         if cda == 0
-    )
+    ))
     ck.eq("", lhs, rhs)
 
 
@@ -1116,8 +1107,8 @@ def _run_thm11(bounds, rng, ck):
     tsp = ctx.poly("t + s*p")
     onep = ctx.poly("1 + p")
     for n in range(2, bounds["max_n"] + 1):
-        rhs = tsp**n + ctx.sum(
-            binomial(n, k) * bs[k] * phi_kernel(ctx, n - k) * onep ** (n - k)
+        rhs = tsp**n + ctx.combine(
+            (binomial(n, k) * bs[k], phi_kernel(ctx, n - k) * onep ** (n - k))
             for k in range(n - 1)
         )
         ck.eq(f"n={n}", bs[n], rhs)
@@ -1150,12 +1141,11 @@ def _run_four_spec(bounds, rng, ck):
 
     for n in range(2, top + 1):
         blocks = [binomial(n, k) * geom(n - 1 - k) for k in range(n - 1)]
-        rhs_a = 1 + ctx.sum(block * a[k] for k, block in enumerate(blocks))
-        rhs_d = ctx.sum(block * d[k] for k, block in enumerate(blocks))
-        rhs_b = (1 + x) ** n + ctx.sum(
-            block * b[k] * 2 ** (n - k) for k, block in enumerate(blocks)
-        )
-        rhs_db = 1 + ctx.sum(block * db[k] * 2 ** (n - k) for k, block in enumerate(blocks))
+        rhs_a = ctx.combine([(1, 1), *zip(blocks, a)])
+        rhs_d = ctx.combine(zip(blocks, d))
+        doubled = [2 ** (n - k) * block for k, block in enumerate(blocks)]
+        rhs_b = ctx.combine([(1, (1 + x) ** n), *zip(doubled, b)])
+        rhs_db = ctx.combine([(1, 1), *zip(doubled, db)])
         ck.eq(f"n={n} classical", a[n], rhs_a)
         ck.eq(f"n={n} derangement", d[n], rhs_d)
         ck.eq(f"n={n} type B", b[n], rhs_b)
@@ -1184,14 +1174,11 @@ def _run_stirling(ck, ctx, bounds, n, k):
         lap_poly,
         ap_poly.reverse_in("x", n),
     )
-    a_enum = gen_poly(
-        ctx, "stirling", n, {"ap": "x"}, k=k,
-        where=lambda s: s["first_block_constant"] == 1,
-    )
-    xb_enum = gen_poly(
-        ctx, "stirling", n, {"ap": "x"}, k=k,
-        where=lambda s: s["first_block_constant"] == 0,
-    )
+    slices: dict[int, list] = {}  # first_block_constant -> the x^ap rows of its slice
+    for (first, ap), cnt in marginal("stirling", n, ("first_block_constant", "ap"), k=k).items():
+        slices.setdefault(first, []).append(((ap,), cnt))
+    a_enum = ctx.polynomial(["x"], slices.get(1, ()))
+    xb_enum = ctx.polynomial(["x"], slices.get(0, ()))
     a_rec, b_rec = one_over_k_decomposition(ctx, n, k)
     ck.eq("constant-first-block slice", a_enum, a_rec)
     ck.eq("complement slice", xb_enum, ctx.var("x") * b_rec)
@@ -1505,16 +1492,15 @@ def _run_mongelli(ck, ctx, bounds, n):
 
     def lift(f, deg):
         # sum_j f_j (x^2 + p)^j (1 + p)^(deg - j)
-        return ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
+        return ctx.combine((c, arg**j * onep ** (deg - j)) for j, c in enumerate(f.coeffs_in("x")))
 
     ck.eq("full group", lhs_full, lift(classical_eulerian(ctx, n), n))
     lhs_der = gen_poly(
         ctx, "signed", n, {"exc_A": "u", "neg": "p"},
         where=lambda s: s["fix"] == 0,
     ).substitute({"u": ctx.poly("x^2")})
-    p = ctx.var("p")
-    rhs_der = ctx.sum(
-        binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k)
+    rhs_der = ctx.combine(
+        (ctx.monomial({"p": n - k}, binomial(n, k)), lift(derangement_poly(ctx, k), k))
         for k in range(n + 1)
     )
     ck.eq("derangements", lhs_der, rhs_der)

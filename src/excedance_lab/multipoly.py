@@ -29,13 +29,16 @@ sum of stores runs one multiply-accumulate loop, :func:`_add_scaled`, into
 one fresh dict, then drops zero sums and normalises coefficients: ``+``
 copies the larger store and adds the smaller one, so only the smaller one's
 keys need the pass; :meth:`Context.sum` runs it with weight 1 per summand,
-:meth:`Context.combine` for every pair of a linear combination ``sum w*p``,
-the general branch of :func:`_product` for one pair, and
+:func:`_combined` (behind :meth:`Context.combine` and the general branch of
+:func:`_product`) for every pair ``w, p`` of ``sum w*p``, and
 :meth:`Poly.substitute` for every term's image, whose power tables are built
 out of ``*`` and ``**``.  In ``_product`` a scalar or one-term factor ``c*m``
 only shifts the other factor's keys by ``m`` and scales its coefficients by
-``c``: nothing merges and no zero is left to drop.  :class:`BadInput` is the
-base of every error, here and in the modules above, that reports bad input.
+``c``: nothing merges and no zero is left to drop.  Every coefficient that
+enters a store passes :func:`_norm_coeff`, which raises
+:class:`BadCoefficient` for anything but an int (a bool is stored as one) or
+a ``Fraction``.  :class:`BadInput` is the base of every error, here and in
+the modules above, that reports bad input.
 
 Canonical text form sorts terms by the monomial's ``(name, exponent)`` pair
 list (names as strings), e.g. ``p^2*q^2 + q*x``; :func:`Context.poly` parses
@@ -76,14 +79,23 @@ class ContextMismatch(BadInput, ValueError):
 
 
 class BadLength(BadInput, ValueError):
-    """A declared length below the degree of the coefficient sequence."""
+    """A declared length that is not an int, or is below the degree of the
+    coefficient sequence."""
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    """``c`` as stored: a bool or an integral fraction becomes int."""
+class BadCoefficient(BadInput, TypeError):
+    """A coefficient that is neither an int nor a ``Fraction`` (a float, say).
+    It is a ``TypeError``, so an operator given one returns ``NotImplemented``."""
+
+
+def _norm_coeff(c) -> Coeff:
+    """``c`` as stored: a bool or an integral fraction becomes int, and
+    anything but an int or a ``Fraction`` raises :class:`BadCoefficient`."""
     if type(c) is bool or isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
-    return c
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise BadCoefficient(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def as_fraction(value) -> Fraction:
@@ -146,9 +158,6 @@ class Context:
     def name(self, vid: int) -> str:
         return self._names[vid]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
-
     # -- monomial keys ----------------------------------------------------
 
     def _shift(self, name: str) -> int:
@@ -179,7 +188,7 @@ class Context:
         for vid, e in key:
             if not last < vid < len(self._names):
                 raise ParseError(f"bad monomial key {key!r}")
-            if e >> (self.FIELD - 1):
+            if e >> (self.FIELD - 1) or type(e) is bool:
                 raise self._bad_exponent(vid, e)
             packed += e << (self.FIELD * vid)
             last = vid
@@ -234,7 +243,7 @@ class Context:
                 if e >> guard_bit or type(e) is bool:  # negative, at the guard bit, or a bool
                     raise self._bad_exponent(s // self.FIELD, e)
                 key += e << s
-            out[key] = out.get(key, 0) + c
+            out[key] = out.get(key, 0) + (c if type(c) is int else _norm_coeff(c))
         return Poly._of(self, _normalised(out))
 
     def _fold_repeats(self, vids: list[int], rows):
@@ -269,32 +278,21 @@ class Context:
         """``sum w*p`` over ``(w, p)`` pairs of polynomials of this context or scalars.
 
         Equal to folding ``*`` and ``+`` from the left, but every term product
-        is added into one fresh dict: no ``Poly`` per product, inputs never
-        mutated.  The guard bits are checked before zero sums drop, so a
-        cancelled overflow still raises; integral fractions become int.
+        is added into one fresh dict (see :func:`_combined`): no ``Poly`` per
+        product, inputs never mutated.
         """
-        out: dict[int, Coeff] = {}
-        for w, p in pairs:
-            a, b = self._store(w), self._store(p)
-            if len(a) > len(b):
-                a, b = b, a
-            for key, c in a.items():
-                _add_scaled(out, b, key, c)
-        self._check(out)
-        return Poly._of(self, _normalised(out))
+        return Poly._of(self, _combined(self, [(self._store(w), self._store(p)) for w, p in pairs]))
 
     def _store(self, item) -> dict[int, Coeff]:
         """The canonical store of ``item``, a polynomial of this context or a
-        scalar: :class:`ContextMismatch` for another context, ``TypeError`` for
-        any other type."""
+        scalar: :class:`ContextMismatch` for another context,
+        :class:`BadCoefficient` for any other type."""
         if isinstance(item, Poly):
             if item.ctx is not self:
                 raise ContextMismatch("polynomials from different contexts")
             return item._t
-        if isinstance(item, (int, Fraction)):
-            c = _norm_coeff(item)
-            return {0: c} if c else {}
-        raise TypeError(f"expected a polynomial or an exact scalar, got {type(item).__name__}")
+        c = _norm_coeff(item)
+        return {0: c} if c else {}
 
 
 def _misaligned(exponents: Collection[int], width: int) -> ParseError:
@@ -331,9 +329,19 @@ def _product(ctx: Context, a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int
         if key:
             ctx._check(out)
         return out
-    out = {}
-    for key, c in a.items():
-        _add_scaled(out, b, key, c)
+    return _combined(ctx, ((a, b),))
+
+
+def _combined(ctx: Context, pairs: Iterable[tuple[dict, dict]]) -> dict[int, Coeff]:
+    """``sum a*b`` over pairs of canonical stores of ``ctx``, as a fresh canonical
+    store: each term of a pair's smaller store adds the larger one, shifted and
+    scaled, into one dict.  The guard bits are checked before zero sums drop."""
+    out: dict[int, Coeff] = {}
+    for a, b in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        for key, c in a.items():
+            _add_scaled(out, b, key, c)
     ctx._check(out)
     return _normalised(out)
 
@@ -395,7 +403,7 @@ class Poly:
         out: dict[int, Coeff] = {}
         for key, c in terms.items():
             packed = ctx._pack(key)
-            out[packed] = out.get(packed, 0) + c
+            out[packed] = out.get(packed, 0) + (c if type(c) is int else _norm_coeff(c))
         self.ctx = ctx
         self._t = _normalised(out)
 
@@ -442,7 +450,7 @@ class Poly:
         return self + -Poly._of(self.ctx, store)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)  # NotImplemented for a bad ``other``, as ``+`` gives
 
     def __mul__(self, other):
         try:
@@ -589,9 +597,12 @@ class Poly:
         """Coefficient reversal  var^length * f(1/var)  as a polynomial: each
         term's exponent e of ``var`` becomes ``length - e``.
 
-        Requires length >= degree in ``var`` (:class:`BadLength` otherwise); a
-        reversed exponent at the guard bit raises :class:`ExponentOverflow`.
+        Requires an int length (not a ``bool``) >= degree in ``var``
+        (:class:`BadLength` otherwise); a reversed exponent at the guard bit
+        raises :class:`ExponentOverflow`.
         """
+        if type(length) is bool or not isinstance(length, int):
+            raise BadLength(f"length {length!r} is not an int")
         ctx = self.ctx
         s, mask = ctx._shift(var), Context._MASK
         exps = [(key >> s) & mask for key in self._t]

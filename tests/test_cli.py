@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from excedance_lab import cli, families, fsaction, grammar, identities, permstats, shape
 from excedance_lab.cli import main
 from excedance_lab.multipoly import (
-    BadInput, BadLength, Context, ContextMismatch, ExponentOverflow, ParseError,
+    BadCoefficient, BadInput, BadLength, Context, ContextMismatch, ExponentOverflow, ParseError,
     poly_from_json,
 )
 
@@ -352,7 +352,7 @@ def test_typed_input_errors_are_bad_input_and_certificate_failures_are_not():
         ParseError, ExponentOverflow, families.BadParams, families.OutOfTable,
         permstats.BadClassSize, permstats.BadGuard, permstats.SizeExceeded,
         permstats.UnknownStat, permstats.UnknownKind, permstats.NotInClass,
-        ContextMismatch, BadLength, grammar.BadIterations, permstats.NoCycleForm,
+        ContextMismatch, BadLength, BadCoefficient, grammar.BadIterations, permstats.NoCycleForm,
         fsaction.ValueAbsent, shape.BadLength, shape.NotSymmetric,
         shape.NotUnivariate, shape.UnknownProperty,
         identities.BadOverride, identities.UnknownIdentity, identities.UnknownProfile,
@@ -377,7 +377,19 @@ def _fresh_x():
     (lambda: Context().polynomial(["x", "x"], [((1, False), 1)]), ParseError),
     (lambda: grammar.Grammar(Context(), {"x": "x*y"}).iterate(_fresh_x(), -1),
      grammar.BadIterations),
+    # a count that is a bool or not an int: True does not stand for 1
+    pytest.param(lambda: grammar.Grammar(Context(), {"x": "x*y"}).iterate(_fresh_x(), True),
+                 grammar.BadIterations, id="iterate-True"),
+    pytest.param(lambda: grammar.Grammar(Context(), {"x": "x*y"}).iterate(_fresh_x(), 2.5),
+                 grammar.BadIterations, id="iterate-2.5"),
     (lambda: (_fresh_x() ** 3).reverse_in("x", 1), BadLength),
+    pytest.param(lambda: (_fresh_x() ** 3).reverse_in("x", True), BadLength,
+                 id="reverse_in-True"),
+    pytest.param(lambda: (_fresh_x() ** 3).reverse_in("x", 2.5), BadLength, id="reverse_in-2.5"),
+    pytest.param(lambda: fsaction.act(fsaction.parse_cycles("(1,3,2)"), True),
+                 fsaction.ValueAbsent, id="act-True"),
+    pytest.param(lambda: fsaction.act(fsaction.parse_cycles("(1,3,2)"), 3.0),
+                 fsaction.ValueAbsent, id="act-3.0"),
     (lambda: shape.CoeffSeq.from_poly(Context().poly("x*y"), "x"), shape.NotUnivariate),
     (lambda: shape.check(shape.CoeffSeq.make([1, 2, 1]), "bogus"), shape.UnknownProperty),
     (lambda: permstats.PermObject("stirling", 1, (1, 1), k=2).cycles(), permstats.NoCycleForm),

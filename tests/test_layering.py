@@ -11,9 +11,10 @@ through ``._of``, packs or unpacks keys, or resolves raw variable ids.
 ``permstats`` compares no class kind with a string: what depends on the kind
 is a column of the kind's ``_KINDS`` row.
 
-``families``, ``shape`` and ``grammar`` build no linear combination as a sum
-of product polynomials: ``Context.combine`` accumulates every product into
-one store.
+No module but ``multipoly`` passes a sum of product polynomials to ``.sum``:
+a linear combination is one ``Context.combine``, which accumulates every
+product into one store, or one ``Context.polynomial`` when each summand is a
+scalar times a monomial.
 
 Importing the package loads neither ``multiprocessing`` nor ``pickle``: the
 fork pool and the sharded cold builds import what they need when they run.
@@ -190,13 +191,14 @@ def sums_of_products(source: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["families", "grammar", "shape"])
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "multipoly"])
 def test_linear_combinations_go_through_combine(module):
     assert sums_of_products((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == set()
 
 
-# the sums of products that families, shape and grammar had before they moved
-# onto Context.combine, cut down to their calls
+# the sums of products that families, shape, grammar and the identities' right-hand
+# sides had before they moved onto Context.combine or Context.polynomial, cut down
+# to their calls
 SUMS_OF_PRODUCTS = '''
 ctx.sum(c * x**i for i, c in table.items())
 ctx.sum(g * p**i * x**j for (i, j), g in gamma_triangle(ctx, n).items())
@@ -209,12 +211,25 @@ ctx.sum(
     y**i * gamma_assemble(ctx, row, self.n - i, xvar) for i, row in rows.items()
 )
 self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
+ctx.sum(c * ctx.monomial({"u": u, "v": v}) for kk, c in enumerate(counts))
+ctx.sum((-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1))
+ctx.sum((-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1) for ell in range(n + 1))
+ctx.sum((-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1) for ell in range(m))
+-ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(p * x ** (2 * i - 1) for i in range(1, n))
+ctx.sum(cnt * 2 ** (n - fix - 2 * exc) * x**exc for (cda, exc, fix), cnt in cells if cda == 0)
+tsp**n + ctx.sum(binomial(n, k) * bs[k] * phi_kernel(ctx, n - k) * onep ** (n - k) for k in ks)
+1 + ctx.sum(block * a[k] for k, block in enumerate(blocks))
+ctx.sum(block * d[k] for k, block in enumerate(blocks))
+(1 + x) ** n + ctx.sum(block * b[k] * 2 ** (n - k) for k, block in enumerate(blocks))
+1 + ctx.sum(block * db[k] * 2 ** (n - k) for k, block in enumerate(blocks))
+ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
+ctx.sum(binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k) for k in range(n))
 '''
 
 
 def test_the_sum_of_products_finder_finds_each_call():
     # guards the test above against passing because it finds nothing
-    assert len(sums_of_products(SUMS_OF_PRODUCTS)) == 7
+    assert len(sums_of_products(SUMS_OF_PRODUCTS)) == 20
     source = (
         "ctx.sum([w * c for w, c in pairs])\nctx.sum(b**i for i in range(n))\n"
         "ctx.sum(parts)\nsum(w * c for w, c in pairs)\nctx.combine((w, c) for w, c in pairs)\n"

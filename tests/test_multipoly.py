@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from excedance_lab.multipoly import (
+    BadCoefficient,
+    BadInput,
     Context,
     ExponentOverflow,
     ParseError,
@@ -22,6 +24,7 @@ from excedance_lab.multipoly import (
     poly_from_json,
     _normalised,
 )
+from excedance_lab.shape import CoeffSeq
 
 from oracles import descent_counts, signed_words, signed_exc, signed_fix
 
@@ -251,12 +254,44 @@ def test_json_round_trip(ctx):
         lambda ctx: ctx.const(True),
         lambda ctx: ctx.sum([True, ctx.var("y")]),
         lambda ctx: ctx.var("x") + True,
+        lambda ctx: ctx.polynomial(["x"], [((1,), True)]),
     ],
 )
 def test_a_bool_coefficient_is_stored_as_an_int(ctx, build):
     # a stored True printed as "True", which poly_from_json rejects
     f = build(ctx)
     assert poly_from_json(ctx, f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: ctx.const(0.5),
+        lambda ctx: ctx.const(None),
+        lambda ctx: ctx.polynomial(["x"], [((1,), 0.5)]),
+        # a float that cancels is refused too, not dropped as a zero
+        lambda ctx: ctx.polynomial(["x"], [((1,), 0.5), ((1,), -0.5)]),
+        lambda ctx: ctx.polynomial(["x"], [((1,), ctx.var("y"))]),
+        lambda ctx: ctx.monomial({"x": 1}, 0.5),
+        lambda ctx: Poly(ctx, {((ctx.varid("x"), 1),): 0.5}),
+        lambda ctx: Poly(ctx, {(): None}),
+        lambda ctx: CoeffSeq.make([0.5, 1]).to_poly(ctx),
+        lambda ctx: ctx.sum([ctx.var("x"), 0.5]),
+        lambda ctx: ctx.combine([(ctx.var("x"), 0.5)]),
+    ],
+)
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(ctx, build):
+    with pytest.raises(BadCoefficient) as exc:
+        build(ctx)
+    assert isinstance(exc.value, BadInput) and isinstance(exc.value, TypeError)
+
+
+def test_an_operator_given_a_float_returns_not_implemented(ctx):
+    x = ctx.var("x")
+    for op in (x.__add__, x.__radd__, x.__sub__, x.__rsub__, x.__mul__, x.__rmul__, x.__eq__):
+        assert op(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x + 0.5
 
 
 def test_cross_context_equality(ctx):
@@ -682,7 +717,7 @@ def test_terms_is_a_read_only_tuple_keyed_view(ctx):
         f.terms[()] = 1
     # equal tuple keys merge, zero terms drop
     assert Poly(ctx, {((x, 1),): 2, ((x, 1), (y, 0)): -2, (): 0}).terms == {}
-    for bad in ({((y, 1), (x, 1)): 1}, {((x, 1), (x, 1)): 1}, {((9, 1),): 1}):
+    for bad in ({((y, 1), (x, 1)): 1}, {((x, 1), (x, 1)): 1}, {((9, 1),): 1}, {((x, True),): 1}):
         with pytest.raises(ValueError):
             Poly(ctx, bad)
     with pytest.raises(ValueError):
