@@ -30,8 +30,11 @@ setting that ``permstats`` checks before every enumeration.
 
 A linear combination is one ``ctx.combine``, or one ``ctx.polynomial`` when
 each summand is a scalar times a monomial.  A table of enumerated cells reads
-one ``marginal`` projection and makes each cell one ``ctx.polynomial``, not
-one ``gen_poly(where=...)`` pass per cell.
+one ``marginal`` projection and makes each cell one ``ctx.polynomial``.  A
+restriction of a class is a variable bound to 0, as derangements are p = 0:
+the restricted statistic is weighted by a variable the weighting does not
+already use, and the identity's ``substitute`` binds it to 0 (``{"fix": "t"}``,
+then ``{"t": 0}``).  No body passes ``gen_poly`` a ``where=`` filter.
 
 Each statistic system's weighting (statistic -> variable) is one module
 constant, such as ``SIGNED_B``, that both members of its pair read: lemma-g3
@@ -796,9 +799,8 @@ def _run_sign_gamma(ck, ctx, bounds, n):
 )
 def _run_sign_dnb(ck, ctx, bounds, n):
     lhs = gen_poly(
-        ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q"},
-        where=lambda s: s["fix"] == 0,
-    ).substitute({"q": -1})
+        ctx, "signed", n, {"fexc": "x", "neg": "p", "cyc": "q", "fix": "t"}
+    ).substitute({"q": -1, "t": 0})
     # -sum_{i<n} x^(2i) - sum_{i<=n} p x^(2i-1)
     rhs = ctx.polynomial(
         ["x", "p"],
@@ -855,9 +857,8 @@ def _run_sign_anr(ck, ctx, bounds, n, r):
     lhs = _eulerian_xypq(ctx, n, {**_colored_fexc_bindings(ctx, r), "p": 0})
     if n <= bounds["direct_max_n"]:
         direct = gen_poly(
-            ctx, "colored", n, {"fexc_r": "x", "cyc": "q"},
-            r=r, where=lambda s: s["fix"] == 0 and s["single"] == 0,
-        )
+            ctx, "colored", n, {"fexc_r": "x", "cyc": "q", "fix": "t", "single": "t"}, r=r
+        ).substitute({"t": 0})
         ck.eq("factorised vs direct", lhs, direct)
     x = ctx.var("x")
     rhs = -(x * q_bracket(ctx, n - 1, "x") * q_bracket(ctx, r, "x") ** n)
@@ -1035,7 +1036,7 @@ def _run_shape_onek(ck, ctx, bounds, n, k):
     start=1,
 )
 def _run_shape_dnb(ck, ctx, bounds, n):
-    dnb = gen_poly(ctx, "signed", n, {"exc": "x"}, where=lambda s: s["fix"] == 0)
+    dnb = gen_poly(ctx, "signed", n, {"exc": "x", "fix": "t"}).substitute({"t": 0})
     ck.eq(
         "equals 2^n A_n(x,1/2,1)",
         dnb,
@@ -1073,9 +1074,7 @@ def _run_shape_bnq(ck, ctx, bounds, n):
     start=1,
 )
 def _run_shape_dfexc(ck, ctx, bounds, n):
-    dn = gen_poly(
-        ctx, "signed", n, {"fexc": "x", "cyc": "q"}, where=lambda s: s["fix"] == 0
-    )
+    dn = gen_poly(ctx, "signed", n, {"fexc": "x", "cyc": "q", "fix": "t"}).substitute({"t": 0})
     for qv in GAMMA_POINTS:
         _verdict(
             ck, f"q={qv} gamma-positive", dn.eval_rational({"q": qv}), 2 * n, "gamma_positive"
@@ -1127,12 +1126,12 @@ def _run_four_spec(bounds, rng, ck):
     top = bounds["max_n"]
     a = [gen_poly(ctx, "plain", m, {"exc": "x"}) for m in range(top + 1)]
     d = [
-        gen_poly(ctx, "plain", m, {"exc": "x"}, where=lambda s: s["fix"] == 0)
+        gen_poly(ctx, "plain", m, {"exc": "x", "fix": "t"}).substitute({"t": 0})
         for m in range(top + 1)
     ]
     b = [gen_poly(ctx, "signed", m, {"wexc": "x"}) for m in range(top + 1)]
     db = [
-        gen_poly(ctx, "signed", m, {"exc": "x"}, where=lambda s: s["fix"] == 0)
+        gen_poly(ctx, "signed", m, {"exc": "x", "fix": "t"}).substitute({"t": 0})
         for m in range(top + 1)
     ]
 
@@ -1210,7 +1209,7 @@ def _run_fs(bounds, rng, ck):
     ck.eq("worked example phi'_6", img6.cycle_string(), "(1,6,10,5,7,3,2,8)(4,9)")
 
     def fix_cda_exc_cyc(p):
-        stats = dict(zip(permstats.PLAIN_BASE, permstats.plain_base_stats(p.word)))
+        stats = dict(zip(permstats.PLAIN_BASE, permstats.base_stats("plain", p.word)))
         return tuple(stats[name] for name in ("fix", "cda", "exc", "cyc"))
 
     ck.eq("example class", fix_cda_exc_cyc(perm), (0, 0, 4, 2))
@@ -1463,9 +1462,8 @@ def _run_dnr(bounds, rng, ck):
         for n in range(bounds["max_n"] + 1):
             ctx = Context()
             lhs = gen_poly(
-                ctx, "colored", n, {"exc_f": "x", "cyc": "q"},
-                r=r, where=lambda s: s["fix"] == 0,
-            )
+                ctx, "colored", n, {"exc_f": "x", "cyc": "q", "fix": "t"}, r=r
+            ).substitute({"t": 0})
             x = ctx.var("x")
             rhs = _eulerian_xypq(ctx, n, {"x": r * x, "y": r, "p": (r - 1) * x})
             ck.eq(f"r={r} n={n}", lhs, rhs)
@@ -1496,9 +1494,8 @@ def _run_mongelli(ck, ctx, bounds, n):
 
     ck.eq("full group", lhs_full, lift(classical_eulerian(ctx, n), n))
     lhs_der = gen_poly(
-        ctx, "signed", n, {"exc_A": "u", "neg": "p"},
-        where=lambda s: s["fix"] == 0,
-    ).substitute({"u": ctx.poly("x^2")})
+        ctx, "signed", n, {"exc_A": "u", "neg": "p", "fix": "t"}
+    ).substitute({"u": ctx.poly("x^2"), "t": 0})
     rhs_der = ctx.combine(
         (ctx.monomial({"p": n - k}, binomial(n, k)), lift(derangement_poly(ctx, k), k))
         for k in range(n + 1)

@@ -24,13 +24,15 @@ tuples of ``(var_id, exponent)`` pairs sorted by id, with no zero exponents.
 ``Poly(ctx, terms)`` packs a mapping in that form.
 
 Everything here is pure and values are immutable by convention: no operation
-mutates its inputs, so polynomials are safe to share across workers.  Every
-sum of stores runs one multiply-accumulate loop, :func:`_add_scaled`, into
-one fresh dict, then drops zero sums and normalises coefficients: ``+``
-copies the larger store and adds the smaller one, so only the smaller one's
-keys need the pass; :meth:`Context.sum` runs it with weight 1 per summand,
-:func:`_combined` (behind :meth:`Context.combine` and the general branch of
-:func:`_product`) for every pair ``w, p`` of ``sum w*p``, and
+mutates its inputs, so polynomials are safe to share across workers.
+:meth:`Context.combine` is the one way to add many polynomials: ``sum w*p``
+over ``(w, p)`` pairs, with a scalar 1 (or a sign) for a plain sum; the
+parser and :func:`poly_from_json` assemble through it.  Every sum of stores
+runs one multiply-accumulate loop, :func:`_add_scaled`, into one fresh dict,
+then drops zero sums and normalises coefficients: ``+`` copies the larger
+store and adds the smaller one, so only the smaller one's keys need the pass;
+:func:`_combined` (behind ``combine`` and the general branch of
+:func:`_product`) runs it for every pair ``w, p`` of ``sum w*p``, and
 :meth:`Poly.substitute` for every term's image, whose power tables are built
 out of ``*`` and ``**``.  In ``_product`` a scalar or one-term factor ``c*m``
 only shifts the other factor's keys by ``m`` and scales its coefficients by
@@ -65,9 +67,10 @@ class BadInput(Exception):
 
 class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial input: polynomial or rational text, a
-    bad variable name, a negative or ``bool`` exponent (of a monomial or of
-    ``**``), a malformed monomial key, exponent rows that do not align with
-    their names, or a malformed JSON document."""
+    bad variable name, a negative exponent or one that is not an int (a float
+    or a ``bool``; of a monomial or of ``**``), a malformed monomial key,
+    exponent rows that do not align with their names, or a malformed JSON
+    document."""
 
 
 class ExponentOverflow(BadInput, ValueError):
@@ -164,9 +167,9 @@ class Context:
         """Bit offset of ``name``'s exponent field."""
         return self.FIELD * self.varid(name)
 
-    def _bad_exponent(self, vid: int, e: int) -> BadInput:
-        if type(e) is bool:
-            return ParseError(f"exponent {e} of {self._names[vid]} is a bool, not an int")
+    def _bad_exponent(self, vid: int, e) -> BadInput:
+        if type(e) is not int:  # a float, a bool, ...
+            return ParseError(f"exponent {e!r} of {self._names[vid]} is not an int")
         if e < 0:
             return ParseError(f"negative exponent {e} of {self._names[vid]}")
         return ExponentOverflow(
@@ -188,7 +191,7 @@ class Context:
         for vid, e in key:
             if not last < vid < len(self._names):
                 raise ParseError(f"bad monomial key {key!r}")
-            if e >> (self.FIELD - 1) or type(e) is bool:
+            if type(e) is not int or e >> (self.FIELD - 1):
                 raise self._bad_exponent(vid, e)
             packed += e << (self.FIELD * vid)
             last = vid
@@ -240,7 +243,7 @@ class Context:
                 raise _misaligned(exponents, width)
             key = 0
             for s, e in zip(shifts, exponents):
-                if e >> guard_bit or type(e) is bool:  # negative, at the guard bit, or a bool
+                if type(e) is not int or e >> guard_bit:  # not an int, negative or at the guard bit
                     raise self._bad_exponent(s // self.FIELD, e)
                 key += e << s
             out[key] = out.get(key, 0) + (c if type(c) is int else _norm_coeff(c))
@@ -253,7 +256,7 @@ class Context:
                 raise _misaligned(exponents, len(vids))
             total = dict.fromkeys(vids, 0)
             for vid, e in zip(vids, exponents):
-                if e < 0 or type(e) is bool:
+                if type(e) is not int or e < 0:
                     raise self._bad_exponent(vid, e)
                 total[vid] += e
             yield total.values(), c
@@ -261,18 +264,6 @@ class Context:
     def poly(self, text: str) -> "Poly":
         """Parse canonical (or any reasonable) polynomial text."""
         return _parse_poly(self, text)
-
-    def sum(self, polys: Iterable[Union["Poly", Coeff]]) -> "Poly":
-        """Sum of polynomials of this context and scalars, accumulated in one fresh dict.
-
-        Equal to folding ``+`` from the left (zero coefficients dropped,
-        integral fractions normalised to int), without copying the running
-        total at every step.  The inputs are never mutated.
-        """
-        out: dict[int, Coeff] = {}
-        for p in polys:
-            _add_scaled(out, self._store(p), 0, 1)
-        return Poly._of(self, _normalised(out))
 
     def combine(self, pairs: Iterable[tuple]) -> "Poly":
         """``sum w*p`` over ``(w, p)`` pairs of polynomials of this context or scalars.
@@ -669,17 +660,18 @@ def poly_from_json(ctx: Context, data) -> Poly:
             raise ParseError(f"polynomial JSON does not parse: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError(f"polynomial JSON must be a list of terms, got {type(data).__name__}")
-    return ctx.sum(_term_from_json(ctx, term) for term in data)
+    return ctx.combine(_term_from_json(ctx, term) for term in data)
 
 
-def _term_from_json(ctx: Context, term) -> Poly:
-    """One term of ``poly_from_json``: {"exponents": {var: e}, "coeff": c}."""
+def _term_from_json(ctx: Context, term) -> tuple[Fraction, Poly]:
+    """One term of ``poly_from_json``, {"exponents": {var: e}, "coeff": c}, as
+    its ``(coeff, monomial)`` pair."""
     if not isinstance(term, dict) or "exponents" not in term or "coeff" not in term:
         raise ParseError(f"a JSON term needs exponents and coeff, got {term!r}")
     exponents = term["exponents"]
     if not isinstance(exponents, dict) or not all(type(e) is int for e in exponents.values()):
         raise ParseError(f"JSON exponents must map names to integers, got {exponents!r}")
-    return ctx.monomial(exponents, as_fraction(term["coeff"]))
+    return as_fraction(term["coeff"]), ctx.monomial(exponents)
 
 
 # -- parser ---------------------------------------------------------------
@@ -736,14 +728,15 @@ class _Parser:
         pieces = [self.signed_term()]
         while self.peek() in ("+", "-"):
             pieces.append(self.signed_term())
-        return self.ctx.sum(pieces)
+        return self.ctx.combine(pieces)
 
-    def signed_term(self) -> Poly:
+    def signed_term(self) -> tuple[int, Poly]:
+        """The ``(sign, term)`` pair of a term and the signs before it."""
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        return self.term() * sign
+        return sign, self.term()
 
     def term(self) -> Poly:
         result = self.factor()

@@ -21,12 +21,12 @@ canonical cycle word with +infinity.  They differ (e.g. on a 2-cycle) and
 both are needed: the wraparound version drives the cycle-classification
 action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
-Each class has one per-object statistics kernel (``plain_base_stats``,
-``signed_base_stats``, ``colored_base_stats``, ``stirling_base_stats``); the
-streaming ``enumerate_class`` reads it.  Each refuses a word outside its
-class with ``NotInClass``; the stream, whose words come from the class's
-generator, reads them unchecked (``_plain_stats``, ``_signed_stats``,
-``_colored_stats``, ``_stirling_stats``).  The cached joint distributions of
+Each class has one per-object statistics kernel (``_plain_stats``,
+``_signed_stats``, ``_colored_stats``, ``_stirling_stats``), the ``kernel``
+column of its row; the streaming ``enumerate_class`` reads it unchecked,
+since its words come from the class's generator.  ``base_stats(kind, word,
+k=k)`` is the one checked door to the kernels: it refuses a word outside
+its class with ``NotInClass``.  The cached joint distributions of
 all four classes are built another way, by walks that derive each object's
 statistics from its parent's or predecessor's by a delta: plain permutations
 by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
@@ -346,13 +346,6 @@ def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
     return cda, cdd, cpk_inf + last_peaks, cpk_inf
 
 
-def plain_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
-    """``PLAIN_BASE`` of a permutation in one-line form; NotInClass for a word
-    that is not one."""
-    _check_word("plain", word, len(word), 1, 1)
-    return _plain_stats(word)
-
-
 def _plain_stats(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
     exc = drop = fix = des = dd = lpk = 0
@@ -385,13 +378,6 @@ def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
     for i, v in enumerate(pi, 1):
         inv[v] = i
     return inv, len(_cycles_plain(pi))
-
-
-def signed_base_stats(word: tuple[int, ...]) -> tuple[int, ...]:
-    """``SIGNED_BASE`` of a signed permutation in one-line form; NotInClass
-    for a word that is not one."""
-    _check_word("signed", word, len(word), 1, 1)
-    return _signed_stats(word)
 
 
 def _signed_stats(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -432,14 +418,6 @@ _value = itemgetter(0)
 _colored_pi: tuple[tuple[int, ...], int] = ((), 0)
 
 
-def colored_base_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """``COLORED_BASE`` of a colored permutation, each position's (value,
-    colour), with any number of colours; NotInClass for a word that is not
-    one."""
-    _check_word("colored", word, len(word), float("inf"), 1)  # any colour >= 0
-    return _colored_stats(word)
-
-
 def _colored_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The colored kernel: ``word`` holds each position's (value, colour)."""
     global _colored_pi
@@ -462,17 +440,6 @@ def _colored_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
             if c == 0:
                 exc_A += 1
     return (exc_B, fix, single, csum, cyc, exc_A)
-
-
-def stirling_base_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """``STIRLING_BASE`` of a k-Stirling word; BadClassSize for k < 1 or a
-    length that is not a multiple of k, NotInClass for a word that is not one."""
-    _size("stirling", 0, 1, k)  # the checks on k
-    n, rest = divmod(len(word), k)
-    if rest:
-        raise BadClassSize(f"a {k}-Stirling word's length is a multiple of {k}, got {len(word)}")
-    _check_word("stirling", word, n, 1, k)
-    return _stirling_stats(word, k)
 
 
 def _stirling_stats(word: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -1076,6 +1043,19 @@ def _kind(kind: str) -> _Kind:
 
 def stat_names(kind: str) -> tuple[str, ...]:
     return _kind(kind).names
+
+
+def base_stats(kind: str, word: tuple, *, k: int = 1) -> tuple[int, ...]:
+    """The base statistics of ``word`` (``PLAIN_BASE``, ``SIGNED_BASE``, ...)
+    through its kind's kernel.  UnknownKind for another kind, BadClassSize for
+    a bad k or a length that is not a multiple of k, NotInClass for a word
+    outside the class; a colored word may use any colour."""
+    _size(kind, 0, 1, k)  # the checks on the kind and on k
+    n, rest = divmod(len(word), k)
+    if rest:
+        raise BadClassSize(f"a {k}-Stirling word's length is a multiple of {k}, got {len(word)}")
+    _check_word(kind, word, n, float("inf"), k)  # any colour >= 0
+    return _kind(kind).kernel(k)(word)
 
 
 def enumerate_class(

@@ -398,6 +398,11 @@ def _fresh_x():
     (lambda: _fresh_x() - _fresh_x(), ContextMismatch),
     (lambda: _fresh_x() * _fresh_x(), ContextMismatch),
     (lambda: _fresh_x().substitute({"x": _fresh_x()}), ContextMismatch),
+    pytest.param(lambda: permstats.base_stats("braid", (1,)), permstats.UnknownKind,
+                 id="base_stats-braid"),
+    # only a stirling word reads k
+    pytest.param(lambda: permstats.base_stats("colored", (), k=2), permstats.BadClassSize,
+                 id="base_stats-colored-k2"),
 ])
 def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
     with pytest.raises(error) as exc:

@@ -13,7 +13,7 @@ from excedance_lab.fsaction import (
     verify_bijection_all,
 )
 from excedance_lab.multipoly import ParseError
-from excedance_lab.permstats import NotInClass, PermObject, plain_base_stats
+from excedance_lab.permstats import NotInClass, PermObject, base_stats
 from oracles import foata_strehl_image
 
 
@@ -42,11 +42,11 @@ def test_worked_example():
     assert cdd_values(pi) == [3, 6]
     assert act(pi, 3).cycle_string() == "(1,3,10,6,5,7,2,8)(4,9)"
     assert act(pi, 6).cycle_string() == "(1,6,10,5,7,3,2,8)(4,9)"
-    base = plain_base_stats(pi.word)
+    base = base_stats("plain", pi.word)
     # (fix, cda, exc, cyc) of the source and of both images
     assert (base[2], base[7], base[0], base[3]) == (0, 0, 4, 2)
     for x in (3, 6):
-        st = plain_base_stats(act(pi, x).word)
+        st = base_stats("plain", act(pi, x).word)
         assert (st[2], st[7], st[0], st[3]) == (0, 1, 5, 2)
 
 
@@ -86,8 +86,8 @@ def test_act_toggles_role_and_shifts_excedance():
         assert roles[x] == "cda"
         # the moved value is the unique cycle double ascent
         assert sum(1 for r in roles.values() if r == "cda") == 1
-        before = plain_base_stats(pi.word)
-        after = plain_base_stats(image.word)
+        before = base_stats("plain", pi.word)
+        after = base_stats("plain", image.word)
         assert after[0] == before[0] + 1  # exc
         assert after[2] == before[2]  # fix
         assert after[3] == before[3]  # cyc

@@ -11,10 +11,8 @@ through ``._of``, packs or unpacks keys, or resolves raw variable ids.
 ``permstats`` compares no class kind with a string: what depends on the kind
 is a column of the kind's ``_KINDS`` row.
 
-No module but ``multipoly`` passes a sum of product polynomials to ``.sum``:
-a linear combination is one ``Context.combine``, which accumulates every
-product into one store, or one ``Context.polynomial`` when each summand is a
-scalar times a monomial.
+``identities`` restricts no class with a ``gen_poly`` ``where=`` filter: a
+restriction is a variable bound to 0 in the substitution the identity makes.
 
 Importing the package loads neither ``multiprocessing`` nor ``pickle``: the
 fork pool and the sharded cold builds import what they need when they run.
@@ -175,67 +173,27 @@ def test_the_kind_ladder_finder_finds_each_comparison():
     assert kind_comparisons(source) == {"line 1", "line 2", "line 3"}
 
 
-def sums_of_products(source: str) -> set[str]:
-    """The calls of a ``.sum`` method in ``source`` whose argument is a
-    generator or list comprehension of products (``*`` at the top of the element)."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sum":
-            for arg in node.args:
-                if (
-                    isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-                    and isinstance(arg.elt, ast.BinOp)
-                    and isinstance(arg.elt.op, ast.Mult)
-                ):
-                    found.add(f"line {node.lineno}")
-    return found
+def where_filters(source: str) -> set[str]:
+    """The calls in ``source`` that pass a ``where=`` keyword."""
+    return {
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and any(kw.arg == "where" for kw in node.keywords)
+    }
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "multipoly"])
-def test_linear_combinations_go_through_combine(module):
-    assert sums_of_products((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == set()
+def test_identities_restrict_no_class_with_where():
+    # a restriction of a class is a variable bound to 0 in the identity's substitution
+    assert where_filters((PACKAGE / "identities.py").read_text(encoding="utf-8")) == set()
 
 
-# the sums of products that families, shape, grammar and the identities' right-hand
-# sides had before they moved onto Context.combine or Context.polynomial, cut down
-# to their calls
-SUMS_OF_PRODUCTS = '''
-ctx.sum(c * x**i for i, c in table.items())
-ctx.sum(g * p**i * x**j for (i, j), g in gamma_triangle(ctx, n).items())
-ctx.sum(
-    (-1) ** j * binomial(n, j) * rows[n - j] for j in range(n + 1)
-)
-ctx.sum(x**a * y ** (n - a) for a in range(1, n))
-ctx.sum(g * x**k * onepx ** (m - 2 * k) for k, g in gammas.items() if g)
-ctx.sum(
-    y**i * gamma_assemble(ctx, row, self.n - i, xvar) for i, row in rows.items()
-)
-self.ctx.sum(rule * f.differentiate(v) for v, rule in self.rules.items())
-ctx.sum(c * ctx.monomial({"u": u, "v": v}) for kk, c in enumerate(counts))
-ctx.sum((-1) ** (n - ell) * binomial(n - ell, ell) * x**ell for ell in range(n + 1))
-ctx.sum((-1) ** (ell + 1) * binomial(n - 2 - ell, ell) * x ** (ell + 1) for ell in range(n + 1))
-ctx.sum((-1) ** (ell + 1) * binomial(2 * n - 2 - ell, ell) * x ** (ell + 1) for ell in range(m))
--ctx.sum(x ** (2 * i) for i in range(1, n)) - ctx.sum(p * x ** (2 * i - 1) for i in range(1, n))
-ctx.sum(cnt * 2 ** (n - fix - 2 * exc) * x**exc for (cda, exc, fix), cnt in cells if cda == 0)
-tsp**n + ctx.sum(binomial(n, k) * bs[k] * phi_kernel(ctx, n - k) * onep ** (n - k) for k in ks)
-1 + ctx.sum(block * a[k] for k, block in enumerate(blocks))
-ctx.sum(block * d[k] for k, block in enumerate(blocks))
-(1 + x) ** n + ctx.sum(block * b[k] * 2 ** (n - k) for k, block in enumerate(blocks))
-1 + ctx.sum(block * db[k] * 2 ** (n - k) for k, block in enumerate(blocks))
-ctx.sum(c * arg**j * onep ** (deg - j) for j, c in enumerate(f.coeffs_in("x")))
-ctx.sum(binomial(n, k) * p ** (n - k) * lift(derangement_poly(ctx, k), k) for k in range(n))
-'''
-
-
-def test_the_sum_of_products_finder_finds_each_call():
+def test_the_where_finder_finds_each_filter():
     # guards the test above against passing because it finds nothing
-    assert len(sums_of_products(SUMS_OF_PRODUCTS)) == 20
     source = (
-        "ctx.sum([w * c for w, c in pairs])\nctx.sum(b**i for i in range(n))\n"
-        "ctx.sum(parts)\nsum(w * c for w, c in pairs)\nctx.combine((w, c) for w, c in pairs)\n"
-        "ctx.sum(-(w * c) for w, c in pairs)\nctx.sum(w + c for w, c in pairs)\n"
+        'gen_poly(ctx, "plain", n, w, where=lambda st: st["fix"] == 0)\n'
+        "permstats.gen_poly(ctx, kind, n, w, where=keep)\ngen_poly(ctx, kind, n, w)\n"
+        "where = keep\nfilter(where, cells)\n"
     )
-    assert sums_of_products(source) == {"line 1"}
+    assert where_filters(source) == {"line 1", "line 2"}
 
 
 def test_importing_the_package_loads_no_process_machinery():

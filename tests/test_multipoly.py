@@ -181,19 +181,22 @@ def test_reverse_in(ctx):
 
 def _reverse_by_coefficients(f, var, length):
     v = f.ctx.var(var)
-    return f.ctx.sum(c * v ** (length - i) for i, c in enumerate(f.coeffs_in(var)) if c)
+    return f.ctx.combine((c, v ** (length - i)) for i, c in enumerate(f.coeffs_in(var)) if c)
 
 
 def test_reverse_in_agrees_with_the_coefficient_list():
     rng = random.Random(29)
     for i in range(60):
         ctx = Context()
-        f = ctx.sum(
-            ctx.monomial(
-                {v: rng.randint(0, 5) for v in ("x", "y", "z")},
-                rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]),
-            )
-            for _ in range(rng.randint(0, 5))
+        f = ctx.polynomial(
+            ["x", "y", "z"],
+            [
+                (
+                    [rng.randint(0, 5) for _ in range(3)],
+                    rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]),
+                )
+                for _ in range(rng.randint(0, 5))
+            ],
         )
         if i % 3 == 0:
             f = f * ctx.var("x")  # no term free of x
@@ -252,7 +255,7 @@ def test_json_round_trip(ctx):
     "build",
     [
         lambda ctx: ctx.const(True),
-        lambda ctx: ctx.sum([True, ctx.var("y")]),
+        lambda ctx: ctx.combine([(True, ctx.var("y")), (1, True)]),
         lambda ctx: ctx.var("x") + True,
         lambda ctx: ctx.polynomial(["x"], [((1,), True)]),
     ],
@@ -276,7 +279,7 @@ def test_a_bool_coefficient_is_stored_as_an_int(ctx, build):
         lambda ctx: Poly(ctx, {((ctx.varid("x"), 1),): 0.5}),
         lambda ctx: Poly(ctx, {(): None}),
         lambda ctx: CoeffSeq.make([0.5, 1]).to_poly(ctx),
-        lambda ctx: ctx.sum([ctx.var("x"), 0.5]),
+        lambda ctx: ctx.combine([(1, ctx.var("x")), (1, 0.5)]),
         lambda ctx: ctx.combine([(ctx.var("x"), 0.5)]),
     ],
 )
@@ -366,7 +369,11 @@ def test_binomial():
     assert binomial(-1, 2) == 0
 
 
-# -- Context.sum ------------------------------------------------------------
+# -- sums through Context.combine: each summand p is the pair (1, p) ------------
+
+
+def _plain_sum(ctx, summands):
+    return ctx.combine((1, p) for p in summands)
 
 
 def _random_terms(ctx, rng, fractions=False):
@@ -390,16 +397,16 @@ def test_sum_equals_left_fold_and_leaves_inputs_alone(ctx, fractions):
             polys.append(-reduce(operator.add, polys[: rng.randint(1, len(polys))]))
         before = [dict(p.terms) for p in polys]
         folded = reduce(operator.add, polys)
-        got = ctx.sum(polys)
+        got = _plain_sum(ctx, polys)
         assert got.terms == folded.terms
         assert all(c != 0 for c in got.terms.values())
         assert [p.terms for p in polys] == before
-        assert ctx.sum(iter(polys)) == folded
+        assert _plain_sum(ctx, iter(polys)) == folded
 
 
 def test_sum_cancels_to_zero(ctx):
     f, g = ctx.poly("3*x^2 - y + 1"), ctx.poly("x*y - 1")
-    total = ctx.sum([f, g, -(f + g)])
+    total = _plain_sum(ctx, [f, g, -(f + g)])
     assert total.is_zero() and total.terms == {}
     assert f == ctx.poly("3*x^2 - y + 1") and g == ctx.poly("x*y - 1")
 
@@ -407,10 +414,10 @@ def test_sum_cancels_to_zero(ctx):
 def test_sum_normalises_integral_fractions(ctx):
     x = ctx.var("x")
     third = ctx.const(Fraction(1, 3))
-    total = ctx.sum([third * x, ctx.const(Fraction(2, 3)) * x, third, third, third])
+    total = _plain_sum(ctx, [third * x, ctx.const(Fraction(2, 3)) * x, third, third, third])
     assert total.terms == {((ctx.varid("x"), 1),): 1, (): 1}
     assert all(type(c) is int for c in total.terms.values())
-    assert ctx.sum([third, third]).constant_term() == Fraction(2, 3)
+    assert _plain_sum(ctx, [third, third]).constant_term() == Fraction(2, 3)
 
 
 def test_len_counts_terms(ctx):
@@ -423,25 +430,26 @@ def test_len_counts_terms(ctx):
 
 
 def test_sum_of_nothing_is_zero(ctx):
-    assert ctx.sum([]).terms == {}
-    assert ctx.sum(p for p in ()).is_zero()
+    assert ctx.combine([]).terms == {}
+    assert ctx.combine(pair for pair in ()).is_zero()
 
 
 def test_sum_rejects_a_foreign_context(ctx):
     with pytest.raises(ValueError):
-        ctx.sum([ctx.var("x"), Context().var("x")])
+        _plain_sum(ctx, [ctx.var("x"), Context().var("x")])
 
 
 def test_sum_takes_scalars_as_plus_does(ctx):
     x = ctx.var("x")
-    assert ctx.sum([x, 1]) == x + 1 and ctx.sum([1, x]) == 1 + x
-    total = ctx.sum([Fraction(1, 2), x, Fraction(3, 2), 0, -x])
+    assert _plain_sum(ctx, [x, 1]) == x + 1 and _plain_sum(ctx, [1, x]) == 1 + x
+    total = _plain_sum(ctx, [Fraction(1, 2), x, Fraction(3, 2), 0, -x])
     assert total.terms == {(): 2} and type(total.constant_term()) is int
-    assert ctx.sum([Fraction(1, 3), 2]).constant_term() == Fraction(7, 3)
-    assert ctx.sum([1, -1]).is_zero() and ctx.sum([0]).is_zero()
+    assert _plain_sum(ctx, [Fraction(1, 3), 2]).constant_term() == Fraction(7, 3)
+    assert _plain_sum(ctx, [1, -1]).is_zero() and _plain_sum(ctx, [0]).is_zero()
+    assert ctx.combine([(2, 3), (Fraction(1, 2), -6)]) == ctx.const(3)
     for bad in (1.5, "x", None):
         with pytest.raises(TypeError):
-            ctx.sum([x, bad])
+            _plain_sum(ctx, [x, bad])
 
 
 # -- Context.combine ----------------------------------------------------------
@@ -541,6 +549,22 @@ def test_negative_exponents_raise_parse_error(ctx):
         with pytest.raises(ParseError, match="negative exponent"):
             call()
     assert issubclass(ParseError, ValueError)
+
+
+@pytest.mark.parametrize("e", [1.5, 1.0])
+def test_float_exponents_raise_parse_error(ctx, e):
+    # on the plain path, the repeated-name path, through monomial and through
+    # a tuple key alike; ``**`` already refused one
+    for call in (
+        lambda: ctx.polynomial(["x"], [((e,), 1)]),
+        lambda: ctx.polynomial(["x", "x"], [((e, 1), 1)]),
+        lambda: ctx.monomial({"x": e}),
+        lambda: Poly(ctx, {((ctx.varid("x"), e),): 1}),
+    ):
+        with pytest.raises(ParseError, match="is not an int"):
+            call()
+    with pytest.raises(ParseError):
+        ctx.var("x") ** e
 
 
 # -- packed keys -------------------------------------------------------------
@@ -862,12 +886,12 @@ _HALF_X = _CTX.polynomial(["x", "y"], [((1, 0), Fraction(1, 2)), ((0, 1), 1)])
 @example(_HALF_X, 3, True)
 @given(operands(_CTX), operands(_CTX), st.booleans())
 def test_add_equals_the_one_dict_sum(a, b, cancel):
-    a = _CTX.sum([a])  # a polynomial; b may stay a scalar, for __radd__
+    a = _CTX.combine([(1, a)])  # a polynomial; b may stay a scalar, for __radd__
     if cancel:  # b holds -a too, so part or all of a + b cancels
-        b = _CTX.sum([b, -a])
+        b = _CTX.combine([(1, b), (-1, a)])
     stores = [p._t for p in (a, b) if isinstance(p, Poly)]
     before = [_typed(store) for store in stores]
-    expected = _typed(_CTX.sum([a, b])._t)
+    expected = _typed(_CTX.combine([(1, a), (1, b)])._t)
     for got in (a + b, b + a):
         assert _typed(got._t) == expected
         assert 0 not in got._t.values()

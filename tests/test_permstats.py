@@ -27,6 +27,7 @@ from excedance_lab.permstats import (
     SizeExceeded,
     UnknownKind,
     UnknownStat,
+    base_stats,
     class_size,
     cycle_roles,
     enumerate_class,
@@ -351,8 +352,8 @@ def test_gen_poly_weights_every_statistic_like_the_stream(ctx, kind, n, size):
             for _, stats in enumerate_class(kind, n, **size)
             if where is None or where(stats)
         )
-        streamed = ctx.sum(
-            ctx.monomial(dict(zip(weighting.values(), exps)), count)
+        streamed = ctx.combine(
+            (count, ctx.monomial(dict(zip(weighting.values(), exps))))
             for exps, count in counts.items()
         )
         assert gen_poly(ctx, kind, n, weighting, where=where, **size) == streamed
@@ -422,9 +423,9 @@ def _projected_by_hand(ctx, kind, n, size, weighting, where):
         exponents: Counter = Counter()
         for stat, var in weighting.items():
             exponents[var] += stats[stat]
-        terms.append(ctx.monomial(exponents, count))
+        terms.append((count, ctx.monomial(exponents)))
         joint[tuple(stats[stat] for stat in weighting)] += count
-    return ctx.sum(terms), dict(joint)
+    return ctx.combine(terms), dict(joint)
 
 
 @pytest.mark.parametrize(
@@ -594,7 +595,7 @@ def test_stirling_cache_reads_no_per_object_kernel(ctx, monkeypatch):
         raise AssertionError("a cold stirling build read the per-object route")
 
     monkeypatch.setattr(permstats, "_stirling_words", refuse)
-    monkeypatch.setattr(permstats, "stirling_base_stats", refuse)
+    monkeypatch.setattr(permstats, "base_stats", refuse)
     monkeypatch.setattr(permstats, "_stirling_stats", refuse)
     permstats._distribution_cached.cache_clear()
     assert gen_poly(ctx, "stirling", 4, {"ap": "x", "lap": "y"}, k=3)
@@ -736,39 +737,31 @@ def test_stream_objects_are_frozen_value_objects(kind, n, kwargs):
 
 
 def test_signed_worked_example():
-    from excedance_lab.permstats import signed_base_stats
-
     obj = PermObject("signed", 8, (2, -5, 1, 3, 4, -6, 8, 7))
     assert obj.cycle_string() == "(1,2,-5,4,3)(-6)(7,8)"
-    st = expand("signed", 8, signed_base_stats(obj.word))
+    st = expand("signed", 8, base_stats("signed", obj.word))
     assert st["exc_A"] == 2 and st["neg"] == 2 and st["fexc"] == 6
 
 
 def test_signed_second_worked_example():
-    from excedance_lab.permstats import signed_base_stats
-
     word = (-3, 5, 1, -7, 2, 4, 6, 8, -9)
-    st = expand("signed", 9, signed_base_stats(word))
+    st = expand("signed", 9, base_stats("signed", word))
     assert st["fix"] == 1 and st["single"] == 1
     assert st["exc"] == 3 and st["aexc"] == 4 and st["neg"] == 3
     assert PermObject("signed", 9, word).cycle_string() == "(1,-3)(2,5)(4,-7,6)(8)(-9)"
 
 
 def test_colored_worked_example():
-    from excedance_lab.permstats import colored_base_stats
-
     word = ((4, 0), (1, 0), (3, 2), (5, 1), (2, 0))
     obj = PermObject("colored", 5, word, r=3)
     assert obj.cycle_string() == "(1,4,5^1,2)(3^2)"
-    st = expand("colored", 5, colored_base_stats(word), r=3)
+    st = expand("colored", 5, base_stats("colored", word), r=3)
     assert st["exc_A"] == 1 and st["aexc_A"] == 3
     assert st["single"] == 1 and st["csum"] == 3 and st["cyc"] == 2
 
 
 def test_cycle_peak_conventions_differ_on_two_cycles():
-    from excedance_lab.permstats import plain_base_stats
-
-    st = expand("plain", 2, plain_base_stats((2, 1)))
+    st = expand("plain", 2, base_stats("plain", (2, 1)))
     assert st["cpk_sec2"] == 1  # wraparound closes 1 < 2 > 1
     assert st["cpk_inf"] == 0  # the infinity sentinel keeps 2 ascending
     assert st["crun"] == 1
@@ -787,13 +780,11 @@ def test_role_counts_match_the_classifier():
 
 
 def test_crun_example():
-    from excedance_lab.permstats import plain_base_stats
-
     # cycles (1,4,2)(3,5,6)(7): alternating runs 3 + 1 + 1
     word = (4, 1, 5, 2, 6, 3, 7)
     obj = PermObject("plain", 7, word)
     assert obj.cycle_string() == "(1,4,2)(3,5,6)(7)"
-    st = expand("plain", 7, plain_base_stats(word))
+    st = expand("plain", 7, base_stats("plain", word))
     assert st["crun"] == 5
 
 
@@ -865,17 +856,17 @@ def test_empty_classes(ctx):
         assert gen_poly(ctx, kind, 0, {}, **kwargs) == ctx.const(1)
 
 
-# -- the public kernels refuse words outside their class -----------------------
+# -- the checked kernel refuses words outside their class ----------------------
 
 KERNEL_REFUSALS = {
     # repeated letters (their orbit walk never ended), then letters out of range
-    "plain_base_stats": [(1, 1), (2, 3, 2), (0, 1), (1, 3), (2, -1)],
-    "signed_base_stats": [(1, -1), (-2, 2, 1), (0,), (-3, 1), (1, 2.5)],
-    "colored_base_stats": [((1, 0), (1, 1)), ((2, 0), (2, 1)), ((0, 1),), ((3, 0), (1, 0))],
+    "plain": [(1, 1), (2, 3, 2), (0, 1), (1, 3), (2, -1)],
+    "signed": [(1, -1), (-2, 2, 1), (0,), (-3, 1), (1, 2.5)],
+    "colored": [((1, 0), (1, 1)), ((2, 0), (2, 1)), ((0, 1),), ((3, 0), (1, 0))],
     # with k = 2: a 1 between the two 2s, a letter with one copy, a repeated letter
-    "stirling_base_stats": [(2, 1, 1, 2), (1, 2), (1, 1, 1, 1)],
+    "stirling": [(2, 1, 1, 2), (1, 2), (1, 1, 1, 1)],
 }
-KERNEL_KWARGS = {"stirling_base_stats": {"k": 2}}
+KERNEL_KWARGS = {"stirling": {"k": 2}}
 
 
 def run_python(code, *flags, timeout=60):
@@ -888,29 +879,39 @@ def run_python(code, *flags, timeout=60):
     )
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_REFUSALS))
-def test_kernels_refuse_words_outside_their_class(kernel):
+@pytest.mark.parametrize("kind", sorted(KERNEL_REFUSALS))
+def test_kernels_refuse_words_outside_their_class(kind):
     # in a child process with a memory cap and a timeout, so a kernel that
     # hangs on a word fails this test instead of stalling the run
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
         "from excedance_lab import permstats\n"
-        f"for word in {KERNEL_REFUSALS[kernel]!r}:\n"
+        f"for word in {KERNEL_REFUSALS[kind]!r}:\n"
         "    try:\n"
-        f"        permstats.{kernel}(word, **{KERNEL_KWARGS.get(kernel, {})!r})\n"
+        f"        permstats.base_stats({kind!r}, word, **{KERNEL_KWARGS.get(kind, {})!r})\n"
         "    except permstats.NotInClass as exc:\n"
         "        print(isinstance(exc, permstats.BadInput))\n"
     )
     proc = run_python(code)
-    assert proc.stdout == "True\n" * len(KERNEL_REFUSALS[kernel]), proc.stderr
+    assert proc.stdout == "True\n" * len(KERNEL_REFUSALS[kind]), proc.stderr
 
 
 @pytest.mark.parametrize("word, k", [((1, 2, 1), 2), ((1,), 0), ((1,), -1), ((1,), True), ((1, 1), 2.0)])
 def test_the_stirling_kernel_refuses_a_bad_k(word, k):
     # k = 0 raised an untyped IndexError, a length that is no multiple of k gave (0, 0, 0)
     with pytest.raises(BadClassSize):
-        permstats.stirling_base_stats(word, k)
+        permstats.base_stats("stirling", word, k=k)
+
+
+@pytest.mark.parametrize("kind, n, size", [
+    ("plain", 4, {}), ("signed", 3, {}), ("colored", 3, {"r": 2}), ("stirling", 3, {"k": 2}),
+])
+def test_base_stats_agrees_with_the_stream(kind, n, size):
+    names = permstats.stat_names(kind)
+    for obj, stats in enumerate_class(kind, n, **size):
+        base = base_stats(kind, obj.word, k=size.get("k", 1))
+        assert base == tuple(stats[name] for name in names[: len(base)])
 
 
 # -- sharded cold builds ---------------------------------------------------------
