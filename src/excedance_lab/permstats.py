@@ -21,12 +21,18 @@ canonical cycle word with +infinity.  They differ (e.g. on a 2-cycle) and
 both are needed: the wraparound version drives the cycle-classification
 action, the +infinity version drives cycle runs via crun = 2*cpk_inf + cyc.
 
-Each class has one per-object statistics kernel (``_plain_stats``,
-``_signed_stats``, ``_colored_stats``, ``_stirling_stats``), the ``kernel``
-column of its row; the streaming ``enumerate_class`` reads it unchecked,
-since its words come from the class's generator.  ``base_stats(kind, word,
-k=k)`` is the one checked door to the kernels: it refuses a word outside
-its class with ``NotInClass``.  The cached joint distributions of
+Each class has one statistics kernel, the ``kernel`` column of its row.  The
+signed, colored and stirling kernels (``_signed_stats``, ``_colored_stats``,
+``_stirling_stats``) read one whole word.  The plain kernel is one prefix step
+(``_plain_steps``): the change in the packed base key when sigma(i) = v
+extends a word whose positions 1..i-1 are placed.  ``_plain_stats`` folds it
+along one word; the plain stream (``_plain_keys``, the row's ``keys`` column)
+folds it along each prefix of length n - ``_PLAIN_TAIL`` and runs it
+depth-first below, so the words that share a prefix share its steps.  The
+streaming ``enumerate_class`` reads the kernels unchecked, since its words
+come from the class's generator.  ``base_stats(kind, word, k=k)`` is the one
+checked door to the kernels: it refuses a word outside its class with
+``NotInClass``.  The cached joint distributions of
 all four classes are built another way, by walks that derive each object's
 statistics from its parent's or predecessor's by a delta: plain permutations
 by cycle insertion S_{m-1} -> S_m, k-Stirling permutations by inserting the
@@ -35,11 +41,13 @@ walking the sign or colour vectors in reflected Gray order (Knuth, TAOCP 4A
 7.2.1.1).  The walks still visit every object and read only word and cycle
 deltas.  The stream and the cache share no base-statistics code beyond
 ``_perm_part`` (the inverse and cycle count of pi, from ``_cycles_plain``, the
-one orbit walk), so the tests that compare them, and each with the definition
-oracles of ``tests/oracles.py``, check each other.  ``cycle_roles`` is the one
-classifier of cycle entries, read by the cycle action in ``fsaction``; the
-plain kernel counts the same roles in one pass (``_cycle_roles_counts``), and
-a test holds the two to each other on all of S_7.
+one orbit walk) and the key packing (``_packing``, ``_unpack``): the cache
+counts a plain class by cycle insertion, the stream by prefix extension.  So
+the tests that compare them, and each with the definition oracles of
+``tests/oracles.py``, check each other.  ``cycle_roles`` is the one classifier
+of cycle entries, read by the cycle action in ``fsaction``; the plain step
+counts the same roles, and a test holds ``base_stats`` to the classifier on
+all of S_7.
 
 Enumeration order is lexicographic on the one-line word (colors as a
 secondary key), so golden outputs are stable.  Aggregation goes through a
@@ -52,19 +60,21 @@ runs the size guard before it reads.
 Each kind is one row of ``_KINDS``, and all that depends on the kind is a
 column of it: the statistic names, the size factor of each level, the walk
 behind the cache, the full-tuple formula, the words in lexicographic order,
-the per-object kernel, membership, the cycle form and the letter text.
-``_kind``, the one lookup of a row, raises ``UnknownKind`` for any other kind.
-The derived statistics (``PLAIN_DERIVED``, ``SIGNED_DERIVED``,
-``COLORED_DERIVED``) are one tuple formula per class, the row's ``full``
-column, which appends them to the base tuple in ``stat_names`` order; the
-stream and the cache share it.  ``PermObject`` checks its input through the
-row; the stream's objects skip the check.  The cache derives each class once,
-at its cold build, into a frozen record of the columns its reads use: the full
-tuples and their counts.  A read resolves the requested names to indices once
-and projects the full tuples with ``itemgetter``.  Statistics dicts exist only
-where a caller reads by name: one per object in the stream and, for a
+the statistics kernel, the plain stream's keys, membership, the cycle form
+and the letter text.  ``_kind``, the one lookup of a row, raises
+``UnknownKind`` for any other kind.  The derived statistics
+(``PLAIN_DERIVED``, ``SIGNED_DERIVED``, ``COLORED_DERIVED``) are one tuple
+formula per class, the row's ``full`` column, which appends them to the base
+tuple in ``stat_names`` order; the stream and the cache share it.
+``PermObject`` checks its input through the row; the stream's objects skip
+the check.  The cache derives each class once, at its cold build, into a
+frozen record of the columns its reads use: the full tuples and their
+counts.  A read resolves the requested names to indices once and projects
+the full tuples with ``itemgetter``.  Statistics dicts exist only where a
+caller reads by name: in the stream, one template per cell, built on the
+cell's first object, of which each object gets a fresh copy; for a
 ``gen_poly`` ``where`` filter, one template per cell, built on the class's
-first filtered read; the filter gets a fresh copy of it per cell.
+first filtered read, of which the filter gets a fresh copy per cell.
 
 A large cold build is split across the CPUs the process may use
 (``os.sched_getaffinity``).  ``_shard_count`` gives it one shard per CPU, each
@@ -319,56 +329,122 @@ def cycle_roles(cycle: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(roles)
 
 
-def _cycle_roles_counts(cycles) -> tuple[int, int, int, int]:
-    """(cda, cdd, cpk) with the wraparound sentinel, plus cpk_inf: the counts
-    of ``cycle_roles``, in one pass over the entries."""
-    cda = cdd = cpk_inf = last_peaks = 0
-    for cyc in cycles:
-        if len(cyc) == 1:
-            continue
-        prev, cur = cyc[0], cyc[1]
-        for nxt in cyc[2:]:
-            if prev < cur:
-                if cur < nxt:
-                    cda += 1
-                else:
-                    cpk_inf += 1
-            elif cur > nxt:
-                cdd += 1
-            prev, cur = cur, nxt
-        # the last entry is followed by the least one: a wraparound peak after
-        # an ascent, else a double descent; the +infinity sentinel keeps it
-        # ascending, so it is never an infinity peak
-        if prev < cur:
-            last_peaks += 1
-        else:
-            cdd += 1
-    return cda, cdd, cpk_inf + last_peaks, cpk_inf
+# Depth of the plain stream's depth-first walk below each prefix: the stream
+# holds one batch of at most _PLAIN_TAIL! packed keys at a time.
+_PLAIN_TAIL = 6
+
+
+def _plain_steps(n: int) -> tuple[Callable[[int, int], int], Callable[[int, int], None]]:
+    """The plain kernel on a fresh empty word of order n, as one prefix step.
+
+    ``step(i, v)`` places sigma(i) = v once positions 1..i-1 are placed and
+    returns the change in the packed ``PLAIN_BASE`` key (see ``_packing``);
+    ``undo(i, v)`` takes back the last step.  The step reads only what v at
+    position i settles:
+
+    * exc, drop or fix at i; des, dd and lpk at i - 1, whose right neighbour
+      v now is (w[0] = 0 pads the left), and dd at n, with w[n + 1] = 0.
+    * Cycle roles: with the wraparound sentinel a role reads only the entry's
+      predecessor and successor (a cycle's least entry, like a fixed point,
+      reads as a valley, which no statistic counts).  Entry i has its
+      predecessor inv[i] < i iff i is already a value; entry v < i has its
+      predecessor i and its successor w[v].
+    * The partial permutation is a set of paths and closed cycles; each path
+      keeps its head at head[tail], its tail at tail[head] and its least
+      entry at low[head].  sigma(i) = v closes a cycle iff v heads i's path,
+      and the closed cycle drops one cpk_inf if its last entry, the least
+      entry's predecessor, is a peak: the +infinity sentinel after it.
+    """
+    _, units = _packing(len(PLAIN_BASE), n)
+    EXC, DROP, FIX, CYC, DES, DD, LPK, CDA, CDD, CPK, CPKI = units
+    # 1-based word and inverse (inv[v] = 0 while v is no value); w[0] and the
+    # never-written w[n + 1] = w[-1] pad the word with 0
+    w = [0] * (n + 2)
+    inv = [0] * (n + 2)
+    head = list(range(n + 2))
+    tail = head[:]
+    low = head[:]
+    kept = [0] * (n + 2)  # kept[i]: low[head] before step i joined two paths
+
+    def step(i: int, v: int) -> int:
+        p = w[i - 1]
+        d = EXC if v > i else DROP if v < i else FIX
+        if p > v:
+            d += DES + (DD if w[i - 2] > p else LPK)
+            if i == n:
+                d += DD
+        if inv[i]:  # i's predecessor is placed, and smaller than i
+            d += CDA if v > i else CPK + CPKI
+        if v < i and w[v] < v:  # v's predecessor i is larger than v
+            d += CDD
+        w[i] = v
+        inv[v] = i
+        h = head[i]
+        if v == h:  # closes the cycle h ... i
+            p = inv[low[h]]
+            d += CYC - (CPKI if inv[p] < p else 0)
+        else:  # joins the paths h ... i and v ... t
+            t = tail[v]
+            head[t] = h
+            tail[h] = t
+            kept[i] = low[h]
+            if low[v] < low[h]:
+                low[h] = low[v]
+        return d
+
+    def undo(i: int, v: int) -> None:
+        inv[v] = 0
+        h = head[i]
+        if v != h:
+            t = tail[h]
+            head[t] = v
+            tail[h] = i
+            low[h] = kept[i]
+
+    return step, undo
+
+
+def _plain_base(n: int, key: int) -> tuple[int, ...]:
+    """The ``PLAIN_BASE`` tuple of a packed key of order n."""
+    return _unpack([key], len(PLAIN_BASE), _packing(len(PLAIN_BASE), n)[0])[0]
 
 
 def _plain_stats(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The plain kernel folded along one word."""
     n = len(word)
-    exc = drop = fix = des = dd = lpk = 0
-    # one pass over the word padded with 0 on both sides: des and lpk look at
-    # positions 1..n-1, dd at positions 1..n
-    padded = (0, *word, 0)
-    for i in range(1, n + 1):
-        a, b, c = padded[i - 1], padded[i], padded[i + 1]
-        if b > i:
-            exc += 1
-        elif b < i:
-            drop += 1
-        else:
-            fix += 1
-        if b > c:
-            if a > b:
-                dd += 1
-            if i < n:
-                des += 1
-                if a < b:
-                    lpk += 1
-    cycles = _cycles_plain(word)
-    return (exc, drop, fix, len(cycles), des, dd, lpk, *_cycle_roles_counts(cycles))
+    step, _ = _plain_steps(n)
+    return _plain_base(n, sum(map(step, range(1, n + 1), word)))
+
+
+def _plain_keys(n: int) -> Iterator[int]:
+    """The packed ``PLAIN_BASE`` keys of S_n in lexicographic word order
+    (Knuth, TAOCP 4A, 7.2.1.2, Algorithm X): the kernel folded along each
+    prefix of length n - ``_PLAIN_TAIL``, then run depth-first below it, each
+    position taking its free values in ascending order.  One prefix's keys
+    are made before the first of them is yielded."""
+    split = max(0, n - _PLAIN_TAIL)
+    for prefix in itertools.permutations(range(1, n + 1), split):
+        step, undo = _plain_steps(n)
+        key = sum(map(step, range(1, split + 1), prefix))
+        keys: list[int] = []
+
+        def walk(i: int, key: int, free: list[int]) -> None:
+            if i == n - 1:  # the last two positions, one call for both orders
+                for a, b in (free, free[::-1]):
+                    keys.append(key + step(i, a) + step(n, b))
+                    undo(n, b)
+                    undo(i, a)
+                return
+            for j, v in enumerate(free):
+                walk(i + 1, key + step(i, v), free[:j] + free[j + 1:])
+                undo(i, v)
+
+        free = sorted(set(range(1, n + 1)).difference(prefix))
+        if len(free) > 1:
+            walk(split + 1, key, free)
+        else:  # n < 2: the one word
+            keys.append(key + sum(map(step, range(1, n + 1), free)))
+        yield from keys
 
 
 def _perm_part(pi: tuple[int, ...]) -> tuple[list[int], int]:
@@ -976,6 +1052,9 @@ class _Kind(NamedTuple):
     cycles: Optional[Callable[[tuple], list[tuple[int, ...]]]]  # None for stirling
     letter: Callable[[object], str] = str  # the text of a letter of the word
     cycle_letter: Callable[[tuple], Callable[[int], str]] = lambda word: str  # of a cycle entry
+    # (n): the stream's packed base keys, in word order, and the base tuple of one; None
+    # runs ``kernel`` on each word
+    keys: Optional[Callable[[int], tuple[Iterator[int], Callable[[int], tuple]]]] = None
 
 
 _KINDS = {  # walks, words and kernels are looked up when they run, so a test can replace them
@@ -989,6 +1068,7 @@ _KINDS = {  # walks, words and kernels are looked up when they run, so a test ca
         ),
         words=lambda n, r, k: itertools.permutations(range(1, n + 1)),
         kernel=lambda k: _plain_stats, member=_is_plain, cycles=_cycles_plain,
+        keys=lambda n: (_plain_keys(n), partial(_plain_base, n)),
     ),
     "signed": _Kind(
         names=SIGNED_BASE + SIGNED_DERIVED, param="", factor=lambda i, r, k: 2 * i,
@@ -1089,11 +1169,24 @@ def _object_maker(kind: str, n: int, r: int, k: int) -> Callable[[tuple], PermOb
 
 
 def _stream(kind: str, n: int, r: int, k: int) -> Iterator[tuple[PermObject, dict[str, int]]]:
+    """Each word with a fresh copy of its cell's statistics dict, which is
+    built once per stream, on the cell's first word."""
     row = _kind(kind)
-    names, full, base = row.names, row.full(n, r), row.kernel(k)
+    names, full = row.names, row.full(n, r)
     make = _object_maker(kind, n, r, k)
-    for word in row.words(n, r, k):
-        yield make(word), dict(zip(names, full(base(word))))
+    words = row.words(n, r, k)
+    if row.keys is None:  # cells keyed by base tuple; tuple() of a tuple is itself
+        kernel = row.kernel(k)
+        cells, base = ((word, kernel(word)) for word in words), tuple
+    else:
+        keys, base = row.keys(n)
+        cells = zip(words, keys)
+    templates: dict = {}
+    for word, key in cells:
+        stats = templates.get(key)
+        if stats is None:
+            stats = templates[key] = dict(zip(names, full(base(key))))
+        yield make(word), stats.copy()
 
 
 @dataclass(frozen=True)

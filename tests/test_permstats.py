@@ -768,15 +768,17 @@ def test_cycle_peak_conventions_differ_on_two_cycles():
 
 
 def test_role_counts_match_the_classifier():
-    # the plain kernel's one-pass counter against fsaction's classifier,
-    # on every permutation of order 7
+    # the plain kernel's role counts against fsaction's classifier, on every
+    # permutation of order 7
+    fields = tuple(map(permstats.PLAIN_BASE.index, ("cda", "cdd_sec2", "cpk_sec2", "cpk_inf")))
     for word in itertools.permutations(range(1, 8)):
         roles = [cycle_roles(cyc) for cyc in permstats._cycles_plain(word)]
         flat = [role for cyc_roles in roles for role in cyc_roles]
         cpk = flat.count(ROLE_CPK)
         last_peaks = sum(cyc_roles[-1] == ROLE_CPK for cyc_roles in roles)
         expected = (flat.count(ROLE_CDA), flat.count(ROLE_CDD), cpk, cpk - last_peaks)
-        assert permstats._cycle_roles_counts(permstats._cycles_plain(word)) == expected, word
+        base = base_stats("plain", word)
+        assert tuple(map(base.__getitem__, fields)) == expected, word
 
 
 def test_crun_example():
@@ -906,12 +908,65 @@ def test_the_stirling_kernel_refuses_a_bad_k(word, k):
 
 @pytest.mark.parametrize("kind, n, size", [
     ("plain", 4, {}), ("signed", 3, {}), ("colored", 3, {"r": 2}), ("stirling", 3, {"k": 2}),
+    # past _PLAIN_TAIL: the prefix fold and the depth-first walk below it against the fold
+    ("plain", 7, {}),
 ])
 def test_base_stats_agrees_with_the_stream(kind, n, size):
     names = permstats.stat_names(kind)
     for obj, stats in enumerate_class(kind, n, **size):
         base = base_stats(kind, obj.word, k=size.get("k", 1))
         assert base == tuple(stats[name] for name in names[: len(base)])
+
+
+@pytest.mark.parametrize("kind, n, size", [
+    ("plain", 7, {}), ("signed", 4, {}), ("colored", 3, {"r": 3}), ("stirling", 4, {"k": 2}),
+])
+def test_each_streamed_dict_is_fresh(kind, n, size):
+    # every object's dict is a copy of its cell's: a caller that changes one
+    # changes no later object's
+    count = 0
+    for obj, stats in enumerate_class(kind, n, **size):
+        base = base_stats(kind, obj.word, k=size.get("k", 1))
+        assert stats == expand(kind, n, base, size.get("r", 1)), obj.word
+        for name in stats:
+            stats[name] = -1
+        stats["extra"] = 0
+        count += 1
+    assert count == class_size(kind, n, **size)
+
+
+def test_plain_stream_words_are_in_lexicographic_order():
+    for n in range(9):
+        words = [obj.word for obj, _ in enumerate_class("plain", n)]
+        assert words == list(itertools.permutations(range(1, n + 1))), n
+
+
+def test_plain_stream_yields_after_one_batch(monkeypatch):
+    # the first pair of S_10 (3,628,800 objects) comes after one prefix's
+    # batch of at most _PLAIN_TAIL! keys
+    real = permstats._plain_steps
+    leaves = []
+
+    def counted(n):
+        step, undo = real(n)
+
+        def counting(i, v):
+            if i == n:
+                leaves.append(v)
+            return step(i, v)
+
+        return counting, undo
+
+    monkeypatch.setattr(permstats, "_plain_steps", counted)
+    tracemalloc.start()
+    try:
+        obj, stats = next(enumerate_class("plain", 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obj.word == tuple(range(1, 11)) and stats["fix"] == stats["cyc"] == 10
+    assert 0 < len(leaves) <= math.factorial(permstats._PLAIN_TAIL)
+    assert peak < 1 << 20
 
 
 # -- sharded cold builds ---------------------------------------------------------
