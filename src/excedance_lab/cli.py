@@ -75,11 +75,7 @@ def _cmd_family(args) -> int:
     elif args.format == "csv":
         print("monomial,coeff")
         for term in poly.to_json_obj():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in sorted(term["exponents"].items())
-            ) or "1"
-            print(f"{mono},{term['coeff']}")
+            print(f"{ctx.monomial(term['exponents'])},{term['coeff']}")
     else:
         print(poly.to_text())
     return 0
@@ -150,11 +146,6 @@ def _cmd_shape(args) -> int:
             raise families.BadParams(f"family {args.name} at n={args.n} reads no {v}")
     if point:
         poly = poly.eval_rational(point)
-    leftover = set(poly.variables()) - {"x"}
-    if leftover:
-        raise families.BadParams(
-            f"shape analysis needs a univariate polynomial; still free: {sorted(leftover)}"
-        )
     m = args.m
     if m is None:
         default_m = families.REGISTRY[args.name].default_m

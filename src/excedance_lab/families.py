@@ -46,9 +46,10 @@ the tabulated number as a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, inf
 from typing import Callable, Iterable, Iterator, Optional
 
-from .multipoly import BadInput, Context, Poly, binomial
+from .multipoly import BadInput, Context, Poly
 from .shape import PartialGamma, gamma_assemble
 
 SPRINGER = (1, 1, 3, 11, 57, 361, 2763, 24611)
@@ -64,6 +65,7 @@ class OutOfTable(BadInput, LookupError):
 
 def springer(n: int) -> int:
     """Tabulated Springer numbers (type-B Euler numbers)."""
+    _check_n(n, least=-inf)  # a negative int is outside the table, not a bad type
     if not 0 <= n < len(SPRINGER):
         raise OutOfTable(f"springer({n}) outside the stored range 0..{len(SPRINGER)-1}")
     return SPRINGER[n]
@@ -196,7 +198,7 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
     q = 1 is substituted once, in the sum."""
     rows = _q_eulerian_rows(ctx, n)
     return ctx.combine(
-        ((-1) ** j * binomial(n, j), rows[n - j]) for j in range(n + 1)
+        ((-1) ** j * comb(n, j), rows[n - j]) for j in range(n + 1)
     ).substitute({"q": 1})
 
 

@@ -28,6 +28,10 @@ bijection check takes its cells (fix, exc, cyc, cda) from
 their ``cycle_roles`` once, calling the kernel on every double descent with no
 ``PermObject`` in between; membership in the target cell and injectivity
 reject any image that is not a valid one-double-ascent word.
+
+``parse_cycles`` reads cycle notation.  Its entries are bounded by the
+enumeration size guard, ``permstats.guard_limit()``, so one large entry is
+refused before a word of its size is built.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import permstats
 from .multipoly import BadInput, ParseError
@@ -80,15 +83,6 @@ def cdd_values(perm: PermObject) -> list[int]:
         for v, role in zip(cc.cycle, cc.roles)
         if role == ROLE_CDD
     )
-
-
-def _perm_from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> PermObject:
-    word = [0] * n
-    for cyc in cycles:
-        cyc = list(cyc)
-        for i, v in enumerate(cyc):
-            word[v - 1] = cyc[(i + 1) % len(cyc)]
-    return PermObject("plain", n, tuple(word))
 
 
 def _reinserted(word: tuple[int, ...], cycle: tuple[int, ...], k: int, role: str) -> tuple[int, ...]:
@@ -182,10 +176,12 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_cycles(text: str) -> PermObject:
-    """Parse a plain permutation from cycle notation like '(1,4,2)(3)'."""
+    """Parse a plain permutation from cycle notation like '(1,4,2)(3)'; a
+    value no cycle lists is a fixed point, an entry past the guard a ParseError."""
     stripped = re.sub(r"\s+", "", text)
     if not stripped or _CYCLE_RE.sub("", stripped):
         raise ParseError(f"bad cycle notation {text!r}")
+    limit = permstats.guard_limit()
     cycles = []
     values = set()
     for body in _CYCLE_RE.findall(stripped):
@@ -198,11 +194,12 @@ def parse_cycles(text: str) -> PermObject:
         for v in entries:
             if v < 1 or v in values:
                 raise ParseError(f"bad cycle entry {v}")
+            if v > limit:
+                raise ParseError(f"cycle entry {v} is past the size guard {limit}")
             values.add(v)
         cycles.append(entries)
-    n = max(values)
-    if values != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - values)
-        for v in missing:
-            cycles.append([v])
-    return _perm_from_cycles(n, cycles)
+    word = list(range(1, max(values) + 1))
+    for cycle in cycles:
+        for v, image in zip(cycle, cycle[1:] + cycle[:1]):
+            word[v - 1] = image
+    return PermObject("plain", len(word), tuple(word))

@@ -35,6 +35,8 @@ class Grammar:
         for var, rhs in rules.items():
             if isinstance(rhs, str):
                 rhs = ctx.poly(rhs)
+            elif not isinstance(rhs, Poly):
+                raise ParseError(f"rule for {var} must be text or a Poly, got {rhs!r}")
             if rhs.ctx is not ctx:
                 raise ContextMismatch("rule right-hand side from a different context")
             ctx.varid(var)

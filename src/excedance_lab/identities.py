@@ -55,6 +55,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, Optional
 
 from . import families, fsaction, permstats, shape
@@ -77,7 +78,7 @@ from .families import (
     type_b_q_eulerian,
 )
 from .grammar import Grammar
-from .multipoly import BadInput, Context, Poly, binomial, horner_eval
+from .multipoly import BadInput, Context, Poly, horner_eval
 from .permstats import SizeExceeded, gen_poly, marginal
 from .shape import (
     CoeffSeq,
@@ -110,7 +111,8 @@ def _check_profile(profile: str) -> None:
 
 class BadOverride(BadInput, ValueError):
     """An override names a bound the identity does not read, or gives a
-    bound outside its domain."""
+    bound outside its domain; or a ``run_suite`` ``jobs`` that is not an
+    int >= 1 (a bool is not one)."""
 
 
 class Checker:
@@ -260,6 +262,7 @@ def _property(id, description, criterion):
 
 
 LEMMA7_RULES = {"I": "I*p*q", "p": "x*y", "x": "x*y", "y": "x*y"}
+LEMMA8_RULES = {"I": "I*y", "x": "k*x*y", "y": "k*x*y"}
 
 
 def _eulerian_xypq(ctx: Context, n: int, bindings: dict) -> Poly:
@@ -336,8 +339,7 @@ def _lemma7_rules(ctx, r):
     {"max_n": 5, "ks": (1, 2)},
 )
 def _run_lemma8(ck, ctx, bounds, n):
-    g = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
-    lhs = g.iterate(ctx.var("I"), n)
+    lhs = Grammar(ctx, LEMMA8_RULES).iterate(ctx.var("I"), n)
     rhs = ctx.var("I") * gen_poly(
         ctx, "plain", n, {"exc": "x", "drop": "y", "fix": "y", "rlen": "k"}
     )
@@ -361,7 +363,7 @@ def _run_lemma8(ck, ctx, bounds, n):
 def _run_change_of_grammar(bounds, rng, ck):
     for n in range(bounds["max_n"] + 1):
         ctx = Context()
-        g0 = Grammar(ctx, {"I": "I*y", "x": "k*x*y", "y": "k*x*y"})
+        g0 = Grammar(ctx, LEMMA8_RULES)
         g1 = Grammar(ctx, {
             "I": "J", "J": "J*u + (k-1)*I*v", "u": "2*k*v", "v": "k*u*v",
         })
@@ -580,37 +582,31 @@ def _run_rec_bnxq(ck, ctx, bounds, n):
     )
 
 
-@_identity(
+@_sweep(
     "thm18-crun",
     "the cycle-run gamma vectors: recurrence tables equal 4^cpk sums over crun classes",
     2,
     {"max_n": 8},
     {"max_n": 6},
+    start=2,
 )
-def _run_thm18(bounds, rng, ck):
-    xi_plus: dict[int, str] = {}
-    for n in range(2, bounds["max_n"] + 1):
-        ctx = Context()
-        plus, minus = one_over_k_pm_tables(ctx, n, 2)
-        by_crun = marginal("plain", n, ("crun", "cpk_inf"))
-        enum_plus: dict[int, int] = {}
-        enum_minus: dict[int, int] = {}
-        for (crun, cpk), cnt in by_crun.items():
-            # odd crun = 2i+1 feeds xi+[i], even crun = 2i+2 feeds xi-[i]
-            table = enum_plus if crun % 2 else enum_minus
-            table[(crun - 1) // 2] = table.get((crun - 1) // 2, 0) + cnt * 4**cpk
-        for i in sorted(set(plus) | set(enum_plus)):
-            ck.eq(f"n={n} xi+[{i}]", plus.get(i, ctx.zero()), ctx.const(enum_plus.get(i, 0)))
-        for i in sorted(set(minus) | set(enum_minus)):
-            ck.eq(f"n={n} xi-[{i}]", minus.get(i, ctx.zero()), ctx.const(enum_minus.get(i, 0)))
-        lhs = gen_poly(ctx, "plain", n, {"exc": "x", "rlen": "k"}).substitute({"k": 2})
-        a, b = one_over_k_decomposition(ctx, n, 2)
-        ck.eq(f"n={n} decomposition", lhs, a + ctx.var("x") * b)
-        if n <= 3:
-            xi_plus[n] = str(families.one_over_k_pm_polys(ctx, n, 2)[0])
-        if n == 3:
-            ck.note("xi_plus[3]", xi_plus[3])
-    if bounds["max_n"] >= 3:
+def _run_thm18(ck, ctx, bounds, n):
+    enum_plus: dict[int, int] = {}
+    enum_minus: dict[int, int] = {}
+    for (crun, cpk), cnt in marginal("plain", n, ("crun", "cpk_inf")).items():
+        # odd crun = 2i+1 feeds xi+[i], even crun = 2i+2 feeds xi-[i]
+        table = enum_plus if crun % 2 else enum_minus
+        table[(crun - 1) // 2] = table.get((crun - 1) // 2, 0) + cnt * 4**cpk
+    plus, minus = one_over_k_pm_tables(ctx, n, 2)
+    for sign, rec, enum in (("+", plus, enum_plus), ("-", minus, enum_minus)):
+        for i in sorted(set(rec) | set(enum)):
+            ck.eq(f"xi{sign}[{i}]", rec.get(i, ctx.zero()), ctx.const(enum.get(i, 0)))
+    lhs = gen_poly(ctx, "plain", n, {"exc": "x", "rlen": "k"}).substitute({"k": 2})
+    a, b = one_over_k_decomposition(ctx, n, 2)
+    ck.eq("decomposition", lhs, a + ctx.var("x") * b)
+    if n == 3:
+        xi_plus = {m: str(families.one_over_k_pm_polys(ctx, m, 2)[0]) for m in (2, 3)}
+        ck.note("xi_plus[3]", xi_plus[3])
         ck.note("xi_plus_tables", xi_plus)
 
 
@@ -780,8 +776,8 @@ def _run_sign_gamma(ck, ctx, bounds, n):
     g = gamma_poly(ctx, n)
 
     def rhs(top, shift, sign):
-        # sum_e sign * (-1)^e * binomial(top - e, e) * x^(e + shift)
-        rows = (((e + shift,), sign * (-1) ** e * binomial(top - e, e)) for e in range(top + 1))
+        # sum_e sign * (-1)^e * comb(top - e, e) * x^(e + shift)
+        rows = (((e + shift,), sign * (-1) ** e * comb(top - e, e)) for e in range(top + 1))
         return ctx.polynomial(["x"], rows)
 
     ck.eq("p=1", g.substitute({"p": 1, "q": -1}), rhs(n, 0, (-1) ** n))
@@ -943,7 +939,7 @@ def _run_springer(ck, ctx, bounds, n):
         for (cda, exc), cnt in marginal("plain", n, ("cda", "exc")).items()
         if cda == 0
     )
-    rhs = sum(binomial(n, i) * springer(i) for i in range(n + 1))
+    rhs = sum(comb(n, i) * springer(i) for i in range(n + 1))
     ck.eq("", lhs, rhs)
 
 
@@ -1107,7 +1103,7 @@ def _run_thm11(bounds, rng, ck):
     onep = ctx.poly("1 + p")
     for n in range(2, bounds["max_n"] + 1):
         rhs = tsp**n + ctx.combine(
-            (binomial(n, k) * bs[k], phi_kernel(ctx, n - k) * onep ** (n - k))
+            (comb(n, k) * bs[k], phi_kernel(ctx, n - k) * onep ** (n - k))
             for k in range(n - 1)
         )
         ck.eq(f"n={n}", bs[n], rhs)
@@ -1139,7 +1135,7 @@ def _run_four_spec(bounds, rng, ck):
         return x * q_bracket(ctx, m, "x")
 
     for n in range(2, top + 1):
-        blocks = [binomial(n, k) * geom(n - 1 - k) for k in range(n - 1)]
+        blocks = [comb(n, k) * geom(n - 1 - k) for k in range(n - 1)]
         rhs_a = ctx.combine([(1, 1), *zip(blocks, a)])
         rhs_d = ctx.combine(zip(blocks, d))
         doubled = [2 ** (n - k) * block for k, block in enumerate(blocks)]
@@ -1497,7 +1493,7 @@ def _run_mongelli(ck, ctx, bounds, n):
         ctx, "signed", n, {"exc_A": "u", "neg": "p", "fix": "t"}
     ).substitute({"u": ctx.poly("x^2"), "t": 0})
     rhs_der = ctx.combine(
-        (ctx.monomial({"p": n - k}, binomial(n, k)), lift(derangement_poly(ctx, k), k))
+        (ctx.monomial({"p": n - k}, comb(n, k)), lift(derangement_poly(ctx, k), k))
         for k in range(n + 1)
     )
     ck.eq("derangements", lhs_der, rhs_der)
@@ -1582,6 +1578,8 @@ def run_suite(
     queue of others behind it; results come back in the batch's order.
     """
     _check_profile(profile)
+    if type(jobs) is not int or jobs < 1:
+        raise BadOverride(f"jobs must be an int >= 1, got {jobs!r}")
     selected = ids if ids is not None else identity_ids()
     for ident in selected:
         if ident not in REGISTRY:

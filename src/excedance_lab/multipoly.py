@@ -810,12 +810,3 @@ def horner_eval(coeffs: Iterable[Poly], value: Fraction):
     for c in reversed(list(coeffs)):
         result = c if result is None else result * value + c
     return result
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -54,8 +54,8 @@ secondary key), so golden outputs are stable.  Aggregation goes through a
 cached joint distribution per class, so repeated generating-polynomial
 queries against the same class enumerate it only once.  ``marginal`` (joint
 counts of statistics by name) is the only door to that cache from outside
-this module; it, ``gen_poly`` and ``stat_distribution`` share one loop that
-runs the size guard before it reads.
+this module; it and ``gen_poly`` share one loop that runs the size guard
+before it reads, and ``stat_distribution`` reads through ``marginal``.
 
 Each kind is one row of ``_KINDS``, and all that depends on the kind is a
 column of it: the statistic names, the size factor of each level, the walk
@@ -1270,13 +1270,10 @@ def stat_distribution(
     kind: str, n: int, *, r: int = 1, k: int = 1
 ) -> dict[tuple[tuple[str, int], ...], int]:
     """Counts of full stat dicts (as sorted item tuples) over the class."""
-    names = stat_names(kind)
-    order = sorted(range(len(names)), key=names.__getitem__)
-    sorted_names = tuple(map(names.__getitem__, order))
-    _, dist = _cached_class(kind, n, r, k)
+    names = tuple(sorted(stat_names(kind)))
     return {
-        tuple(zip(sorted_names, values)): count
-        for values, count in zip(map(itemgetter(*order), dist.full), dist.counts)
+        tuple(zip(names, values)): count
+        for values, count in marginal(kind, n, names, r=r, k=k).items()
     }
 
 

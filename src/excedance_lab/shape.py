@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence, Union
 
-from .multipoly import BadInput, BadLength, Context, Poly, binomial
+from .multipoly import BadInput, BadLength, Context, Poly
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -51,6 +52,12 @@ class UnknownProperty(BadInput, ValueError):
     """A shape property that is not one of ``PROPERTIES``."""
 
 
+def _check_length(m) -> None:
+    """BadLength unless the declared length ``m`` is an int (a bool is not one)."""
+    if type(m) is not int:
+        raise BadLength(f"declared length {m!r} is not an int")
+
+
 @dataclass(frozen=True)
 class CoeffSeq:
     """Exact coefficients ``coeffs[0..m]`` of a polynomial of declared length m.
@@ -67,6 +74,7 @@ class CoeffSeq:
         vals = tuple(coeffs)
         if m is None:
             m = len(vals) - 1
+        _check_length(m)
         if m < len(vals) - 1:
             raise BadLength(f"declared length {m} below the support, which reaches {len(vals) - 1}")
         vals = vals + (0,) * (m + 1 - len(vals))
@@ -75,18 +83,13 @@ class CoeffSeq:
     @staticmethod
     def from_poly(f: Poly, var: str, m: int | None = None) -> "CoeffSeq":
         """Extract the coefficient sequence of a univariate polynomial."""
-        coeffs = []
-        for c in f.coeffs_in(var):
-            if c.variables():
-                raise NotUnivariate("polynomial is not univariate in the chosen variable")
-            coeffs.append(c.constant_term())
-        return CoeffSeq.make(coeffs, m)
+        free = [v for v in f.variables() if v != var]
+        if free:
+            raise NotUnivariate(f"not univariate in {var}; still free: {free}")
+        return CoeffSeq.make([c.constant_term() for c in f.coeffs_in(var)], m)
 
     def __getitem__(self, i: int) -> Number:
         return self.coeffs[i]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def to_poly(self, ctx: Context) -> Poly:
         return ctx.polynomial(["x"], (((i,), c) for i, c in enumerate(self.coeffs)))
@@ -145,10 +148,8 @@ def gamma_expand(f: CoeffSeq) -> list[Number]:
         gammas.append(g)
         if g:
             # subtract g * x^k (1+x)^{m-2k}
-            row = 1
             for j in range(m - 2 * k + 1):
-                work[k + j] -= g * row
-                row = row * (m - 2 * k - j) // (j + 1)
+                work[k + j] -= g * comb(m - 2 * k, j)
     if any(work):
         raise AssertionError("gamma expansion left a remainder")
     return gammas
@@ -167,9 +168,10 @@ def gamma_assemble(
     tables with a symbolic parameter).  This is the one builder of the gamma
     basis expansion: each ``x^k (1+x)^{m-2k}`` is built from the binomial row
     of ``m-2k`` and :meth:`Context.combine` sums the weighted elements.  Zero
-    entries are ignored; a nonzero gamma_k with ``k < 0`` or ``2k > m`` raises
-    :class:`BadLength`.
+    entries are ignored; an ``m`` that is not an int, or a nonzero gamma_k with
+    ``k < 0`` or ``2k > m``, raises :class:`BadLength`.
     """
+    _check_length(m)
     if not isinstance(gammas, Mapping):
         gammas = dict(enumerate(gammas))
 
@@ -177,7 +179,7 @@ def gamma_assemble(
         if k < 0 or 2 * k > m:
             raise BadLength(f"gamma_{k} is nonzero, but k = {k} is outside 0 <= 2k <= m = {m}")
         top = m - 2 * k
-        return ctx.polynomial([var], (((k + j,), binomial(top, j)) for j in range(top + 1)))
+        return ctx.polynomial([var], (((k + j,), comb(top, j)) for j in range(top + 1)))
 
     return ctx.combine((g, basis(k)) for k, g in gammas.items() if g)
 

@@ -174,6 +174,15 @@ def test_a_class_too_large_to_print_exits_2():
     assert "exceeds guard" in proc.stderr
 
 
+def test_fs_action_entry_past_the_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "10")
+    code, out, err = run_cli(capsys, "fs-action", "--perm", "(1,11)")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "size guard 10" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_malformed_guard_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", value)
@@ -403,6 +412,26 @@ def _fresh_x():
     # only a stirling word reads k
     pytest.param(lambda: permstats.base_stats("colored", (), k=2), permstats.BadClassSize,
                  id="base_stats-colored-k2"),
+    # a bool or a float is not an int n, declared length or jobs count
+    pytest.param(lambda: families.springer(True), families.BadParams, id="springer-True"),
+    pytest.param(lambda: families.springer(2.0), families.BadParams, id="springer-2.0"),
+    pytest.param(lambda: shape.CoeffSeq.make([1, 2], True), BadLength, id="make-True"),
+    pytest.param(lambda: shape.CoeffSeq.make([1, 2], 2.5), BadLength, id="make-2.5"),
+    pytest.param(lambda: shape.CoeffSeq.from_poly(_fresh_x(), "x", m=2.0), BadLength,
+                 id="from_poly-m-2.0"),
+    pytest.param(lambda: shape.gamma_assemble(Context(), {0: 1}, 2.5), BadLength,
+                 id="gamma_assemble-2.5"),
+    pytest.param(lambda: grammar.Grammar(Context(), {"x": 3}), ParseError, id="grammar-rule-3"),
+    pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs="2"),
+                 identities.BadOverride, id="run_suite-jobs-str"),
+    pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs=2.5),
+                 identities.BadOverride, id="run_suite-jobs-2.5"),
+    pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs=0),
+                 identities.BadOverride, id="run_suite-jobs-0"),
+    pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs=-3),
+                 identities.BadOverride, id="run_suite-jobs-neg"),
+    pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs=True),
+                 identities.BadOverride, id="run_suite-jobs-True"),
 ])
 def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
     with pytest.raises(error) as exc:

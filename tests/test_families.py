@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from math import comb
 
 import pytest
 
@@ -28,7 +29,7 @@ from excedance_lab.families import (
     springer,
     type_b_q_eulerian,
 )
-from excedance_lab.multipoly import Context, Poly, binomial
+from excedance_lab.multipoly import Context, Poly
 
 from oracles import plain_exc_fix_cyc
 
@@ -156,7 +157,7 @@ def test_derangement_is_inclusion_exclusion_over_one_sweep(ctx, monkeypatch):
     for n in range(11):
         expected = ctx.zero()
         for j in range(n + 1):
-            expected = expected + (-1) ** j * binomial(n, j) * classical_eulerian(ctx, n - j)
+            expected = expected + (-1) ** j * comb(n, j) * classical_eulerian(ctx, n - j)
         assert derangement_poly(ctx, n) == expected
     calls = []
     differentiate = Poly.differentiate

@@ -155,6 +155,13 @@ def test_parse_cycles():
         parse_cycles("()")
 
 
+def test_parse_cycles_refuses_an_entry_past_the_size_guard(monkeypatch):
+    monkeypatch.setenv("EXCEDANCE_LAB_MAX_CLASS", "10")
+    assert parse_cycles("(1,10)").word == (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
+    with pytest.raises(ParseError, match="size guard 10"):
+        parse_cycles("(2)(11)")
+
+
 def test_classify_requires_plain():
     with pytest.raises(ValueError) as exc:
         classify(PermObject("signed", 1, (-1,)))

@@ -197,6 +197,18 @@ def test_an_unknown_profile_raises_before_anything_runs(monkeypatch, call):
     assert isinstance(exc.value, BadInput) and isinstance(exc.value, ValueError)
 
 
+@pytest.mark.parametrize("jobs", ["2", 2.5, 0, -3, True])
+def test_a_bad_jobs_count_raises_before_anything_runs(monkeypatch, jobs):
+    def ran(*args):
+        raise AssertionError("ran an identity or forked a pool")
+
+    for ident in identity_ids():
+        monkeypatch.setattr(REGISTRY[ident], "run", ran)
+    monkeypatch.setattr(multiprocessing, "get_context", ran)
+    with pytest.raises(BadOverride, match="jobs must be an int >= 1"):
+        run_suite(ids=["rec-anxq", "cor-springer"], jobs=jobs)
+
+
 def test_property_identities_are_seed_stable():
     a = run_verify("prop-ring-axioms", profile="quick", seed=123)
     b = run_verify("prop-ring-axioms", profile="quick", seed=123)

@@ -19,7 +19,6 @@ from excedance_lab.multipoly import (
     ParseError,
     Poly,
     as_fraction,
-    binomial,
     horner_eval,
     poly_from_json,
     _normalised,
@@ -360,13 +359,6 @@ def test_horner_matches_eval(ctx):
     direct = f.eval_rational({"x": point})
     via_horner = horner_eval(f.coeffs_in("x"), point)
     assert direct == via_horner
-
-
-def test_binomial():
-    assert [binomial(5, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
-    assert binomial(3, 5) == 0
-    assert binomial(-1, 0) == 0
-    assert binomial(-1, 2) == 0
 
 
 # -- sums through Context.combine: each summand p is the pair (1, p) ------------

@@ -30,7 +30,12 @@ with tr.root(True):
     excedance_lab.stirling_identities(ctx, 3, 2)
     excedance_lab.family(ctx, "A_pq", 3)
     result = excedance_lab.run_verify("lemma7-grammar-exc", profile="quick")
-print(json.dumps({"status": result.status, **tr.payload()}))
+    # a cold read of a class no call above builds: stat_distribution reads
+    # through marginal, so the rebound _distribution_cached must see it
+    before = tr.counts["permstats.objects"]
+    excedance_lab.permstats.stat_distribution("signed", 3)
+    signed_objects = tr.counts["permstats.objects"] - before
+print(json.dumps({"status": result.status, "signed_objects": signed_objects, **tr.payload()}))
 """
 
 
@@ -46,6 +51,7 @@ def test_the_tracer_installs_and_records_counts():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["status"] == "pass"
+    assert out["signed_objects"] == 48  # B_3, built once
     counts = out["counts"]
     # the direct gen_poly, the two inside stirling_identities and the
     # identity's own reads
