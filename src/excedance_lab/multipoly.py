@@ -33,11 +33,13 @@ then drops zero sums and normalises coefficients: ``+`` copies the larger
 store and adds the smaller one, so only the smaller one's keys need the pass;
 :func:`_combined` (behind ``combine`` and the general branch of
 :func:`_product`) runs it for every pair ``w, p`` of ``sum w*p``, and
-:meth:`Poly.substitute` for every term's image, whose power tables are built
-out of ``*`` and ``**``.  In ``_product`` a scalar or one-term factor ``c*m``
-only shifts the other factor's keys by ``m`` and scales its coefficients by
-``c``: nothing merges and no zero is left to drop.  Every coefficient that
-enters a store passes :func:`_norm_coeff`, which raises
+:meth:`Poly.substitute` for every term's image under its polynomial bindings,
+whose power tables are built out of ``*`` and ``**``; a scalar binding
+instead scales each term's coefficient by integer powers over one common
+denominator, with no ``Poly`` product.  In ``_product`` a scalar or one-term
+factor ``c*m`` only shifts the other factor's keys by ``m`` and scales its
+coefficients by ``c``: nothing merges and no zero is left to drop.  Every
+coefficient that enters a store passes :func:`_norm_coeff`, which raises
 :class:`BadCoefficient` for anything but an int (a bool is stored as one) or
 a ``Fraction``.  :class:`BadInput` is the base of every error, here and in
 the modules above, that reports bad input.
@@ -86,9 +88,10 @@ class BadLength(BadInput, ValueError):
     coefficient sequence."""
 
 
-class BadCoefficient(BadInput, TypeError):
+class BadCoefficient(BadInput, TypeError, ValueError):
     """A coefficient that is neither an int nor a ``Fraction`` (a float, say).
-    It is a ``TypeError``, so an operator given one returns ``NotImplemented``."""
+    It is a ``TypeError``, so an operator given one returns ``NotImplemented``,
+    and a ``ValueError`` like every other error at the public boundary."""
 
 
 def _norm_coeff(c) -> Coeff:
@@ -359,6 +362,28 @@ def _power_table(val: "Poly", exponents: set[int]) -> dict[int, dict[int, Coeff]
     return table
 
 
+def _scalar_powers(n: int, d: int, exponents: set[int]) -> dict[int, int]:
+    """``{e: n**e * d**(top - e)}`` for every ``e`` in ``exponents``, ``top``
+    their largest: the powers of the scalar ``n/d`` over the common denominator
+    ``d**top``.  The powers of ``n`` are built in ascending order and those of
+    ``d`` in descending order, each one product from the entry before it.  A
+    zero entry (``n = 0``, ``e >= 1``) is left out: its terms vanish.
+    """
+    ordered = sorted(exponents)
+    table: dict[int, int] = {}
+    power, last = 1, 0
+    for e in ordered:
+        power *= n ** (e - last)
+        table[e] = power
+        last = e
+    power = 1
+    for e in reversed(ordered):
+        power *= d ** (last - e)
+        table[e] *= power
+        last = e
+    return {e: p for e, p in table.items() if p}
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's store with tuple keys."""
 
@@ -530,45 +555,83 @@ class Poly:
     def substitute(self, bindings: Mapping) -> "Poly":
         """Simultaneous substitution of polynomials (or constants) for variables.
 
-        Unbound variables pass through.  Bindings are keyed by variable name.
-        Each bound variable gets one power table for the whole call, with an
-        entry for every exponent it has in this polynomial (see
-        :func:`_power_table`).  Each term's image, the product of its cached
-        powers (a table entry itself when one variable is bound in the term),
-        is shifted by its free monomial, scaled and added straight into one
-        output dict.  The output is guard-checked too, since a free field and
-        a binding can share a variable, so an exponent never wraps.
+        Unbound variables pass through.  Bindings are keyed by variable name;
+        bindings that are not a mapping raise :class:`ParseError`.  A value
+        that is a number, rational text or a constant polynomial is a scalar
+        ``n/d``: with ``E`` the variable's largest exponent here, exponent
+        ``e`` becomes the int ``n**e * d**(E - e)`` (see :func:`_scalar_powers`),
+        each term's coefficient is multiplied by its powers, and each output
+        coefficient is divided once by ``D``, the product of every ``d**E``.
+        A zero scalar skips the terms it kills.  Every other value gets one
+        power table for the whole call, with an entry for every exponent it
+        has in this polynomial (see :func:`_power_table`).  Each term's image,
+        the product of its cached powers (a table entry itself when one such
+        variable is bound in the term), is shifted by its free monomial,
+        scaled and added straight into one output dict.  That output is
+        guard-checked, since a free field and a binding can share a variable,
+        so an exponent never wraps.
         """
+        if not isinstance(bindings, Mapping):
+            raise ParseError(f"bindings {bindings!r} are not a mapping of names to values")
         ctx = self.ctx
+        scalars: dict[int, Coeff] = {}
         subs: dict[int, Poly] = {}
         for var, val in bindings.items():
-            if not isinstance(val, Poly):
-                val = ctx.const(val if isinstance(val, (int, Fraction)) else as_fraction(val))
-            elif val.ctx is not ctx:
-                raise ContextMismatch("binding from a different context")
-            subs[ctx.varid(var)] = val
-        if not subs:
+            if isinstance(val, Poly):
+                if val.ctx is not ctx:
+                    raise ContextMismatch("binding from a different context")
+                if val._t.keys() - {0}:
+                    subs[ctx.varid(var)] = val
+                    continue
+                val = val.constant_term()
+            elif not isinstance(val, (int, Fraction)):
+                val = as_fraction(val)
+            scalars[ctx.varid(var)] = val
+        if not (scalars or subs):
             return self
         mask = Context._MASK
+        scaled = []  # (field shift, scalar powers), in id order
+        denominator = 1
+        for vid in sorted(scalars):
+            s = ctx.FIELD * vid
+            used = {(key >> s) & mask for key in self._t}
+            if used - {0}:
+                val = scalars[vid]
+                denominator *= val.denominator ** max(used)
+                scaled.append((s, _scalar_powers(val.numerator, val.denominator, used)))
         bound = []  # (field shift, power table), in id order
         for vid in sorted(subs):
             s = ctx.FIELD * vid
             used = {(key >> s) & mask for key in self._t} - {0}
             bound.append((s, _power_table(subs[vid], used)))
-        free = ~sum(mask << s for s, _ in bound)
+        free = ~sum(mask << (ctx.FIELD * vid) for vid in (*scalars, *subs))
         out: dict[int, Coeff] = {}
         for key, c in self._t.items():
-            image = _ONE
-            for s, powers in bound:
-                e = (key >> s) & mask
-                if e:
-                    image = powers[e] if image is _ONE else _product(ctx, image, powers[e])
-            _add_scaled(out, image, key & free, c)
-        ctx._check(out)
+            for s, powers in scaled:
+                power = powers.get((key >> s) & mask)
+                if power is None:  # a zero scalar's power: the term vanishes
+                    break
+                c *= power
+            else:
+                image = _ONE
+                for s, powers in bound:
+                    e = (key >> s) & mask
+                    if e:
+                        image = powers[e] if image is _ONE else _product(ctx, image, powers[e])
+                _add_scaled(out, image, key & free, c)
+        if bound:
+            ctx._check(out)
+        if denominator != 1:
+            out = {
+                key: Fraction(c, denominator) if type(c) is int else c / denominator
+                for key, c in out.items() if c
+            }
         return Poly._of(ctx, _normalised(out))
 
     def eval_rational(self, point: Mapping) -> "Poly":
         """Evaluate some variables at exact rationals; the rest stay free."""
+        if not isinstance(point, Mapping):
+            raise ParseError(f"point {point!r} is not a mapping of names to values")
         return self.substitute({var: as_fraction(val) for var, val in point.items()})
 
     def coeffs_in(self, var: str) -> list["Poly"]:

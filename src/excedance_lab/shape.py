@@ -16,16 +16,24 @@ Conventions, for ``f = f_0 + f_1 x + ... + f_m x^m``:
 * spiral                     f_m <= f_0 <= f_{m-1} <= f_1 <= ...
 
 Verdicts use non-strict inequalities throughout; ties pass.
+
+Coefficients are exact: a :class:`CoeffSeq` holds ints and ``Fraction``s
+only.  :func:`gamma_expand` scales the sequence by the lcm of its
+denominators, runs its subtraction loop on ints and divides each gamma once.
+:func:`shape_report` decomposes once and expands each part once; its two
+gamma verdicts read those expansions, since f is symmetric exactly when its
+b-part is 0.  :func:`check` reads the same helper, expands a symmetric f as
+its own a-part and answers gamma_positive of an asymmetric f at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence, Union
 
-from .multipoly import BadInput, BadLength, Context, Poly
+from .multipoly import BadInput, BadLength, Context, Poly, _norm_coeff
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -63,11 +71,17 @@ class CoeffSeq:
     """Exact coefficients ``coeffs[0..m]`` of a polynomial of declared length m.
 
     ``m = -1`` with no coefficients denotes the zero polynomial of empty length
-    (it shows up as the b-part of a symmetric input).
+    (it shows up as the b-part of a symmetric input).  A coefficient that is
+    not an int or a ``Fraction`` raises ``multipoly.BadCoefficient``; a bool
+    or an integral ``Fraction`` is stored as an int, as in a polynomial.
     """
 
     coeffs: tuple[Number, ...]
     m: int
+
+    def __post_init__(self):
+        if not all(type(c) is int for c in self.coeffs):
+            object.__setattr__(self, "coeffs", tuple(map(_norm_coeff, self.coeffs)))
 
     @staticmethod
     def make(coeffs: Sequence, m: int | None = None) -> "CoeffSeq":
@@ -135,24 +149,32 @@ def _is_symmetric(f: CoeffSeq) -> bool:
 
 
 def gamma_expand(f: CoeffSeq) -> list[Number]:
-    """Gamma coefficients of a symmetric sequence; raises NotSymmetric otherwise."""
+    """Gamma coefficients of a symmetric sequence; raises NotSymmetric otherwise.
+
+    The sequence is scaled by the lcm of its denominators, the subtraction
+    loop runs on ints, and each gamma is divided by that scale once.
+    """
     if f.m < 0:
         return []
     if not _is_symmetric(f):
         raise NotSymmetric(f"not symmetric about {f.m}/2: {f.coeffs}")
     m = f.m
-    work = list(f.coeffs)
-    gammas: list[Number] = []
+    scale = lcm(*(c.denominator for c in f.coeffs))
+    work = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    gammas: list[int] = []
     for k in range(m // 2 + 1):
         g = work[k]
         gammas.append(g)
         if g:
             # subtract g * x^k (1+x)^{m-2k}
-            for j in range(m - 2 * k + 1):
-                work[k + j] -= g * comb(m - 2 * k, j)
+            top = m - 2 * k
+            for j in range(top + 1):
+                work[k + j] -= g * comb(top, j)
     if any(work):
         raise AssertionError("gamma expansion left a remainder")
-    return gammas
+    if scale == 1:
+        return gammas
+    return [_norm_coeff(Fraction(g, scale)) for g in gammas]
 
 
 def gamma_assemble(
@@ -184,6 +206,17 @@ def gamma_assemble(
     return ctx.combine((g, basis(k)) for k, g in gammas.items() if g)
 
 
+def _gamma_verdicts(gamma_a: list[Number], gamma_b: list[Number]) -> dict[str, bool]:
+    """gamma_positive and bi_gamma_positive, read off the gamma vectors of the
+    parts of f = a + x*b.  f is symmetric exactly when b, hence every gamma of
+    b, is 0."""
+    a_ok = all(g >= 0 for g in gamma_a)
+    return {
+        "gamma_positive": a_ok and not any(gamma_b),
+        "bi_gamma_positive": a_ok and all(g >= 0 for g in gamma_b),
+    }
+
+
 def check(f: CoeffSeq, prop: str) -> bool:
     """Verdict for one shape property at the declared length."""
     if prop not in PROPERTIES:
@@ -199,15 +232,12 @@ def check(f: CoeffSeq, prop: str) -> bool:
         while i < f.m and f[i] >= f[i + 1]:
             i += 1
         return i == f.m
-    if prop == "gamma_positive":
-        if not _is_symmetric(f):
-            return False
-        return all(g >= 0 for g in gamma_expand(f))
-    if prop == "bi_gamma_positive":
-        a, b = decompose(f)
-        return all(g >= 0 for g in gamma_expand(a)) and all(
-            g >= 0 for g in gamma_expand(b)
-        )
+    if prop == "gamma_positive" and not _is_symmetric(f):
+        return False
+    if prop in ("gamma_positive", "bi_gamma_positive"):
+        # a symmetric f is its own a-part, with b = 0
+        a, b = (f, CoeffSeq((), -1)) if _is_symmetric(f) else decompose(f)
+        return _gamma_verdicts(gamma_expand(a), gamma_expand(b))[prop]
     # alternatingly increasing: f_0 <= f_m <= f_1 <= f_{m-1} <= ...; spiral is
     # the same chain of the reversed sequence, f_m <= f_0 <= f_{m-1} <= ...
     c = f.coeffs if prop == "alternatingly_increasing" else f.coeffs[::-1]
@@ -242,10 +272,17 @@ class ShapeReport:
 
 
 def shape_report(f: CoeffSeq) -> ShapeReport:
-    """Full report: decomposition, gamma vectors of both parts, all verdicts."""
+    """Full report: decomposition, gamma vectors of both parts, all verdicts.
+
+    ``f`` is decomposed once and each part expanded once; the two gamma
+    verdicts read those expansions (see :func:`_gamma_verdicts`), and
+    :func:`check` gives the other four.
+    """
     a, b = decompose(f)
-    verdicts = {prop: check(f, prop) for prop in PROPERTIES}
-    return ShapeReport(f, a, b, gamma_expand(a), gamma_expand(b), verdicts)
+    gamma_a, gamma_b = gamma_expand(a), gamma_expand(b)
+    gammas = _gamma_verdicts(gamma_a, gamma_b)
+    verdicts = {prop: gammas[prop] if prop in gammas else check(f, prop) for prop in PROPERTIES}
+    return ShapeReport(f, a, b, gamma_a, gamma_b, verdicts)
 
 
 def implications_hold(verdicts: dict[str, bool], nonnegative: bool) -> bool:
@@ -301,8 +338,10 @@ def partial_gamma_expand(
 
     The coefficient of ``yvar^i`` is expanded in the basis
     ``x^j (1+x)^{n-i-2j}``; raises :class:`PartialGammaFailure` if any slice
-    is not symmetric at its declared length ``n - i``.
+    is not symmetric at its declared length ``n - i``, and
+    :class:`BadLength` if ``n`` is not an int.
     """
+    _check_length(n)
     mu: dict[tuple[int, int], Number] = {}
     for i, slice_poly in enumerate(p.coeffs_in(yvar)):
         if i > n:

@@ -432,6 +432,21 @@ def _fresh_x():
                  identities.BadOverride, id="run_suite-jobs-neg"),
     pytest.param(lambda: identities.run_suite(ids=["rec-anxq"], jobs=True),
                  identities.BadOverride, id="run_suite-jobs-True"),
+    # a shape coefficient is an int or a Fraction: no float, text or None
+    pytest.param(lambda: shape.shape_report(shape.CoeffSeq.make([0.5, 1, 0.5])),
+                 BadCoefficient, id="make-float"),
+    pytest.param(lambda: shape.CoeffSeq.make(["1", "2", "1"]), BadCoefficient, id="make-str"),
+    pytest.param(lambda: shape.CoeffSeq.make([None, 1, None]), BadCoefficient, id="make-None"),
+    pytest.param(lambda: shape.CoeffSeq((1, 0.5), 1), BadCoefficient, id="CoeffSeq-float"),
+    # bindings and points are mappings of names to values
+    pytest.param(lambda: _fresh_x().substitute([("x", 1)]), ParseError, id="substitute-list"),
+    pytest.param(lambda: _fresh_x().substitute(None), ParseError, id="substitute-None"),
+    pytest.param(lambda: _fresh_x().eval_rational([("x", 1)]), ParseError,
+                 id="eval_rational-list"),
+    pytest.param(lambda: shape.partial_gamma_expand(Context().poly("x + y"), "x", "y", True),
+                 BadLength, id="partial_gamma_expand-True"),
+    pytest.param(lambda: shape.partial_gamma_expand(Context().poly("x + y"), "x", "y", "2"),
+                 BadLength, id="partial_gamma_expand-str"),
 ])
 def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
     with pytest.raises(error) as exc:

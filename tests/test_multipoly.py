@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from excedance_lab import multipoly
+from excedance_lab.families import family
 from excedance_lab.multipoly import (
     BadCoefficient,
     BadInput,
@@ -107,41 +109,84 @@ def test_eval_rational_signed_derangement_cross_check(ctx):
 
 def _substitute_reference(f, bindings):
     """Term by term with ``Poly`` ``*`` and ``**``: each bound variable's value
-    raised to its exponent, each free variable kept as itself."""
+    (a raw scalar as a constant) raised to its exponent, each free variable
+    kept as itself."""
     ctx = f.ctx
     total = ctx.zero()
     for key, c in f.terms.items():
         piece = ctx.const(c)
         for vid, e in key:
             name = ctx.name(vid)
-            piece = piece * bindings.get(name, ctx.var(name)) ** e
+            value = bindings.get(name, ctx.var(name))
+            if not isinstance(value, Poly):
+                value = ctx.const(as_fraction(value))
+            piece = piece * value ** e
         total = total + piece
     return total
 
 
+def _snapshot(f, bindings):
+    """Copies of ``f``'s terms and of every binding, to show nothing was mutated."""
+    return dict(f.terms), {
+        name: dict(v.terms) if isinstance(v, Poly) else v for name, v in bindings.items()
+    }
+
+
 def test_substitute_matches_a_term_by_term_reference(ctx):
     x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
-    values = [
+    polys = [
         ctx.const(Fraction(2, 3)), ctx.const(Fraction(-3, 2)), ctx.zero(), ctx.const(5),
         x - y, x + y, x * y + 1, z**2 - 2 * x, Fraction(1, 2) * y + Fraction(1, 2),
         _random_terms(ctx, random.Random("substitute:value"), fractions=True),
     ]
+    scalars = [7, Fraction(-5, 4), 0, "3/7"]  # raw values, not polynomials
     rng = random.Random("substitute")
-    for _ in range(200):
-        f = _random_terms(ctx, rng, fractions=rng.random() < 0.3) * (z ** rng.randint(0, 2))
+    mixed = {False: 0, True: 0}  # calls binding both kinds, by Fraction coefficients in f
+    for _ in range(300):
+        fractions = rng.random() < 0.3
+        f = _random_terms(ctx, rng, fractions=fractions) * (z ** rng.randint(0, 2))
         names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
-        bindings = {name: rng.choice(values) for name in names}
-        before = dict(f.terms), {name: dict(v.terms) for name, v in bindings.items()}
+        bindings = {name: rng.choice(polys + scalars) for name in names}
+        before = _snapshot(f, bindings)
         got = f.substitute(bindings)
         assert got.terms == _substitute_reference(f, bindings).terms
         assert all(c != 0 for c in got.terms.values())
-        assert not any(isinstance(c, Fraction) and c.denominator == 1 for c in got.terms.values())
-        assert (dict(f.terms), {name: dict(v.terms) for name, v in bindings.items()}) == before
+        assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                   for c in got.terms.values())
+        assert _snapshot(f, bindings) == before
+        if {isinstance(v, Poly) for v in bindings.values()} == {False, True}:
+            mixed[fractions] += 1
+    assert all(mixed.values()), mixed
     # cancelling values: (x - y)(x + y) = x^2 - y^2
     assert ctx.poly("x*y").substitute({"x": x - y, "y": x + y}) == ctx.poly("x^2 - y^2")
     assert ctx.poly("x - y").substitute({"x": y, "y": x}) == ctx.poly("y - x")
     half = ctx.const(Fraction(1, 2))
     assert type(ctx.poly("4*x^2").substitute({"x": half}).constant_term()) is int
+    assert type(ctx.poly("4*x^2").substitute({"x": "1/2"}).constant_term()) is int
+    # a zero scalar kills the terms it binds, with or without other bindings
+    assert ctx.poly("x^2*y + 3*y + x").substitute({"x": 0}) == 3 * y
+    assert ctx.poly("x^2*y + 3*y + x").substitute({"x": 0, "y": x + 1}) == 3 * x + 3
+
+
+def test_a_rational_point_multiplies_no_polynomials(ctx, monkeypatch):
+    """Evaluation at a rational point scales coefficients by ints: no ``Poly``
+    product is made, not even for the powers of the point."""
+    f = family(ctx, "A_pq", 12)
+    products = []
+
+    def counted(mul):
+        def wrapper(*args):
+            products.append(mul.__name__)
+            return mul(*args)
+        return wrapper
+
+    monkeypatch.setattr(multipoly, "_product", counted(multipoly._product))
+    monkeypatch.setattr(Poly, "__mul__", counted(Poly.__mul__))
+    got = f.eval_rational({"p": "1/3", "q": "2/5"})
+    assert products == []
+    monkeypatch.undo()
+    point = {"p": ctx.const(Fraction(1, 3)), "q": ctx.const(Fraction(2, 5))}
+    assert got == _substitute_reference(f, point)
 
 
 def test_eval_rational_simple(ctx):

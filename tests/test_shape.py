@@ -11,6 +11,7 @@ import excedance_lab
 from excedance_lab.families import classical_eulerian, fix_cyc_eulerian, q_eulerian
 from excedance_lab.multipoly import Context
 from excedance_lab.shape import (
+    PROPERTIES,
     BadLength,
     CoeffSeq,
     NotSymmetric,
@@ -268,3 +269,71 @@ def test_decomposition_uniqueness_random():
         for i in range(m + 1):
             back = a[i] + (b[i - 1] if 0 <= i - 1 <= b.m else 0)
             assert back == f[i]
+
+
+def test_gamma_expand_gives_back_random_rational_gammas(ctx):
+    import random
+
+    rng = random.Random("gamma-expand:rational")
+    for _ in range(200):
+        m = rng.randint(0, 9)
+        gammas = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m // 2 + 1)]
+        f = CoeffSeq.from_poly(gamma_assemble(ctx, gammas, m), "x", m)
+        got = gamma_expand(f)
+        assert got == gammas
+        # exact, and integral values stored as int
+        assert all(type(g) is int or type(g) is Fraction and g.denominator > 1 for g in got)
+
+
+def _random_sequence(rng):
+    """An int or Fraction sequence of length 0 to 8, symmetric half the time."""
+    m = rng.randint(0, 8)
+    half = [rng.randint(-2, 9) for _ in range(m // 2 + 1)]
+    if rng.random() < 0.5:
+        half = [Fraction(c, rng.randint(1, 4)) for c in half]
+    if rng.random() < 0.5:
+        return seq(half + half[: m + 1 - len(half)][::-1], m)
+    return seq(half + [rng.choice(half) + rng.randint(-2, 2) for _ in range(m + 1 - len(half))], m)
+
+
+def test_shape_report_verdicts_agree_with_check():
+    import random
+
+    rng = random.Random("shape-report:check")
+    seen = {prop: set() for prop in PROPERTIES}
+    for f in [CoeffSeq((), -1)] + [_random_sequence(rng) for _ in range(400)]:
+        verdicts = shape_report(f).verdicts
+        assert list(verdicts) == list(PROPERTIES)
+        assert verdicts == {prop: check(f, prop) for prop in PROPERTIES}, f
+        for prop, verdict in verdicts.items():
+            seen[prop].add(verdict)
+    assert all(values == {False, True} for values in seen.values()), seen
+
+
+@pytest.fixture
+def shape_calls(monkeypatch):
+    """The names of the decompose and gamma_expand calls a test makes."""
+    calls = []
+
+    def counted(name):
+        real = getattr(excedance_lab.shape, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("decompose", "gamma_expand"):
+        monkeypatch.setattr(excedance_lab.shape, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", [[1, 10, 4], [1, 3, 1], [Fraction(1, 2), 1, Fraction(1, 2)]])
+def test_shape_report_decomposes_once_and_expands_each_part_once(shape_calls, coeffs):
+    shape_report(seq(coeffs))
+    assert sorted(shape_calls) == ["decompose", "gamma_expand", "gamma_expand"]
+
+
+def test_gamma_positive_of_an_asymmetric_sequence_expands_nothing(shape_calls):
+    assert check(seq([1, 10, 4]), "gamma_positive") is False
+    assert shape_calls == []
