@@ -48,15 +48,25 @@ class Grammar:
         ``f`` must come from the grammar's context (:class:`ContextMismatch`
         otherwise).
         """
+        self._check_context(f)
         return self.ctx.combine((rule, f.differentiate(v)) for v, rule in self.rules.items())
 
     def iterate(self, f: Poly, n: int) -> Poly:
-        """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``."""
+        """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``.
+
+        ``f`` must come from the grammar's context, as for :meth:`derive`.
+        """
         if type(n) is bool or not isinstance(n, int) or n < 0:
             raise BadIterations(f"iteration count must be a nonnegative int, got {n!r}")
+        self._check_context(f)
         for _ in range(n):
             f = self.derive(f)
         return f
+
+    def _check_context(self, f: Poly) -> None:
+        # before any rule variable is looked up in f's context, which would intern it there
+        if f.ctx is not self.ctx:
+            raise ContextMismatch("polynomial from a different context than the grammar's")
 
     def __repr__(self):
         body = ", ".join(f"{v} -> {rhs}" for v, rhs in sorted(self.rules.items()))

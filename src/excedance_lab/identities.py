@@ -53,6 +53,7 @@ import os
 import random
 import time
 import traceback
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
@@ -110,9 +111,10 @@ def _check_profile(profile: str) -> None:
 
 
 class BadOverride(BadInput, ValueError):
-    """An override names a bound the identity does not read, or gives a
-    bound outside its domain; or a ``run_suite`` ``jobs`` that is not an
-    int >= 1 (a bool is not one)."""
+    """Overrides that are not a mapping, an override that names a bound the
+    identity does not read or gives a bound outside its domain; or a
+    ``run_suite`` ``jobs`` that is not an int >= 1 (a bool is not one), or
+    ``ids`` given as text."""
 
 
 class Checker:
@@ -162,6 +164,8 @@ class IdentityRecord:
         merged = dict(self.bounds)
         if profile == "quick":
             merged.update(self.quick)
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise BadOverride(f"{self.id}: overrides {overrides!r} are not a mapping of bounds")
         given = {k: v for k, v in (overrides or {}).items() if v is not None}
         unknown = [key for key in given if key not in self.bounds]
         if unknown:
@@ -1580,6 +1584,8 @@ def run_suite(
     _check_profile(profile)
     if type(jobs) is not int or jobs < 1:
         raise BadOverride(f"jobs must be an int >= 1, got {jobs!r}")
+    if isinstance(ids, str):
+        raise BadOverride(f"ids {ids!r} are not a list of identity ids")
     selected = ids if ids is not None else identity_ids()
     for ident in selected:
         if ident not in REGISTRY:

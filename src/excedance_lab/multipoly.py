@@ -71,8 +71,9 @@ class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial input: polynomial or rational text, a
     bad variable name, a negative exponent or one that is not an int (a float
     or a ``bool``; of a monomial or of ``**``), a malformed monomial key,
-    exponent rows that do not align with their names, or a malformed JSON
-    document."""
+    exponent rows that do not align with their names, a malformed JSON
+    document, or bindings, a weighting or statistic names not given as the
+    mapping or tuple asked for."""
 
 
 class ExponentOverflow(BadInput, ValueError):

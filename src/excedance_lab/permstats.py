@@ -111,7 +111,7 @@ from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
-from .multipoly import BadInput, Context, Poly
+from .multipoly import BadInput, Context, ParseError, Poly
 
 DEFAULT_MAX_CLASS = 20_000_000
 ENV_GUARD = "EXCEDANCE_LAB_MAX_CLASS"
@@ -1260,8 +1260,11 @@ def marginal(
     """Joint counts of the named statistics over the class.
 
     Keys are value tuples in the order of ``names``, e.g.
-    ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.
+    ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.  A single name
+    given as text, not in a tuple, raises :class:`ParseError`.
     """
+    if isinstance(names, str):
+        raise ParseError(f"names {names!r} are not a tuple of statistic names")
     indices, dist = _cached_class(kind, n, r, k, names)
     return _project(indices, dist.full, dist.counts)
 
@@ -1294,7 +1297,10 @@ def gen_poly(
     its cached distribution, whose full tuples are derived once per class.
     ``where`` is called once per cell, in the cache's order, on a fresh copy
     of the cell's statistics dict, so it may keep or change what it is given.
+    A ``weighting`` that is not a mapping raises :class:`ParseError`.
     """
+    if not isinstance(weighting, Mapping):
+        raise ParseError(f"weighting {weighting!r} is not a mapping of statistics to variables")
     indices, dist = _cached_class(kind, n, r, k, tuple(weighting))
     full, counts = dist.full, dist.counts
     if where is not None:

@@ -10,27 +10,28 @@ Conventions, for ``f = f_0 + f_1 x + ... + f_m x^m``:
 * symmetric          f_i == f_{m-i}
 * gamma expansion    f = sum_k  gamma_k x^k (1+x)^{m-2k}       (needs symmetry)
 * decomposition      f = a + x b  with a symmetric about m/2 and b about (m-1)/2;
-                     a = (f - x^{m+1} f(1/x)) / (1-x),  b = (x^m f(1/x) - f) / (1-x),
-                     both divisions exact
+                     b_i = sum_{j<=i} (f_{m-j} - f_j) for i < m,  a_i = f_i - b_{i-1}
 * alternatingly increasing   f_0 <= f_m <= f_1 <= f_{m-1} <= ...
 * spiral                     f_m <= f_0 <= f_{m-1} <= f_1 <= ...
 
 Verdicts use non-strict inequalities throughout; ties pass.
 
 Coefficients are exact: a :class:`CoeffSeq` holds ints and ``Fraction``s
-only.  :func:`gamma_expand` scales the sequence by the lcm of its
-denominators, runs its subtraction loop on ints and divides each gamma once.
-:func:`shape_report` decomposes once and expands each part once; its two
-gamma verdicts read those expansions, since f is symmetric exactly when its
-b-part is 0.  :func:`check` reads the same helper, expands a symmetric f as
-its own a-part and answers gamma_positive of an asymmetric f at once.
+only.  :func:`decompose` and :func:`gamma_expand` scale the sequence by the
+lcm of its denominators, run their loops on ints and divide each returned
+coefficient once.  :func:`shape_report` decomposes once and expands each part
+once; its two gamma verdicts read those expansions, since f is symmetric
+exactly when its b-part is 0.  :func:`check` reads the same helper and
+answers gamma_positive of an asymmetric f at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 from .multipoly import BadInput, BadLength, Context, Poly, _norm_coeff
@@ -109,43 +110,45 @@ class CoeffSeq:
         return ctx.polynomial(["x"], (((i,), c) for i, c in enumerate(self.coeffs)))
 
 
-def _div_one_minus_x(coeffs: Sequence[Number]) -> list[Number]:
-    """Exact division of a coefficient list by (1 - x); asserts exactness."""
-    out: list[Number] = []
-    acc = 0
-    for c in coeffs:
-        acc = c + acc
-        out.append(acc)
-    if out and out[-1] != 0:
-        raise AssertionError("division by (1-x) left a remainder")
-    return out[:-1] if out else []
+def _scaled(coeffs: Sequence[Number]) -> tuple[int, list[int]]:
+    """``(s, [c * s for c in coeffs])`` as ints, with s the lcm of the denominators."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def _unscaled(values: list[int], scale: int) -> list[Number]:
+    """Each of ``values`` divided by ``scale`` once; integral results are ints."""
+    if scale == 1:
+        return values
+    return [_norm_coeff(Fraction(v, scale)) for v in values]
 
 
 def decompose(f: CoeffSeq) -> tuple[CoeffSeq, CoeffSeq]:
-    """Unique symmetric decomposition f = a + x*b at declared length m."""
+    """Unique symmetric decomposition f = a + x*b at declared length m.
+
+    One prefix-sum pass on f scaled to ints (see :func:`_scaled`) gives
+    b_i = sum_{j<=i} (f_{m-j} - f_j) for i < m and a_i = f_i - b_{i-1}; each
+    part is divided by the scale once.  The certificate checks both parts
+    symmetric and a + x*b against f itself: on the scaled ints that sum holds
+    by construction, so only f can catch a wrong scale.
+    """
     m = f.m
     if m < 0:
         return CoeffSeq((), -1), CoeffSeq((), -1)
-    fw = list(f.coeffs)
-    rev = [0] + fw[::-1]                       # x^{m+1} f(1/x)
-    num_a = [fw[i] - rev[i] for i in range(m + 1)] + [-rev[m + 1]]
-    a = _div_one_minus_x(num_a)
-    rev_b = fw[::-1]                           # x^m f(1/x)
-    num_b = [rev_b[i] - fw[i] for i in range(m + 1)]
-    b = _div_one_minus_x(num_b)
-    a_seq = CoeffSeq.make(a, m)
-    b_seq = CoeffSeq.make(b, m - 1) if m >= 1 else CoeffSeq((), -1)
+    scale, c = _scaled(f.coeffs)
+    b = list(accumulate(c[m - j] - c[j] for j in range(m)))
+    a = list(map(sub, c, [0] + b))
+    a_seq = CoeffSeq(tuple(_unscaled(a, scale)), m)
+    b_seq = CoeffSeq(tuple(_unscaled(b, scale)), m - 1)
     if not (_is_symmetric(a_seq) and _is_symmetric(b_seq)):
         raise AssertionError("decomposition parts are not symmetric")
-    for i in range(m + 1):
-        fi = a_seq[i] + (b_seq[i - 1] if 1 <= i <= b_seq.m + 1 else 0)
-        if fi != f[i]:
-            raise AssertionError(f"a + x*b differs from f at x^{i}")
+    if tuple(map(add, a_seq.coeffs, (0,) + b_seq.coeffs)) != f.coeffs:
+        raise AssertionError("a + x*b differs from f")
     return a_seq, b_seq
 
 
 def _is_symmetric(f: CoeffSeq) -> bool:
-    return all(f[i] == f[f.m - i] for i in range(f.m + 1))
+    return f.coeffs == f.coeffs[::-1]
 
 
 def gamma_expand(f: CoeffSeq) -> list[Number]:
@@ -159,8 +162,7 @@ def gamma_expand(f: CoeffSeq) -> list[Number]:
     if not _is_symmetric(f):
         raise NotSymmetric(f"not symmetric about {f.m}/2: {f.coeffs}")
     m = f.m
-    scale = lcm(*(c.denominator for c in f.coeffs))
-    work = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    scale, work = _scaled(f.coeffs)
     gammas: list[int] = []
     for k in range(m // 2 + 1):
         g = work[k]
@@ -172,9 +174,7 @@ def gamma_expand(f: CoeffSeq) -> list[Number]:
                 work[k + j] -= g * comb(top, j)
     if any(work):
         raise AssertionError("gamma expansion left a remainder")
-    if scale == 1:
-        return gammas
-    return [_norm_coeff(Fraction(g, scale)) for g in gammas]
+    return _unscaled(gammas, scale)
 
 
 def gamma_assemble(
@@ -235,8 +235,7 @@ def check(f: CoeffSeq, prop: str) -> bool:
     if prop == "gamma_positive" and not _is_symmetric(f):
         return False
     if prop in ("gamma_positive", "bi_gamma_positive"):
-        # a symmetric f is its own a-part, with b = 0
-        a, b = (f, CoeffSeq((), -1)) if _is_symmetric(f) else decompose(f)
+        a, b = decompose(f)
         return _gamma_verdicts(gamma_expand(a), gamma_expand(b))[prop]
     # alternatingly increasing: f_0 <= f_m <= f_1 <= f_{m-1} <= ...; spiral is
     # the same chain of the reversed sequence, f_m <= f_0 <= f_{m-1} <= ...

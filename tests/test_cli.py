@@ -447,6 +447,17 @@ def _fresh_x():
                  BadLength, id="partial_gamma_expand-True"),
     pytest.param(lambda: shape.partial_gamma_expand(Context().poly("x + y"), "x", "y", "2"),
                  BadLength, id="partial_gamma_expand-str"),
+    # a collection of names given as a list, or as one bare name
+    pytest.param(lambda: permstats.gen_poly(Context(), "plain", 3, ["exc"]), ParseError,
+                 id="gen_poly-weighting-list"),
+    pytest.param(lambda: permstats.gen_poly(Context(), "plain", 3, "exc"), ParseError,
+                 id="gen_poly-weighting-str"),
+    pytest.param(lambda: permstats.marginal("plain", 3, "exc"), ParseError,
+                 id="marginal-names-str"),
+    pytest.param(lambda: identities.run_suite(ids="rec-anxq"), identities.BadOverride,
+                 id="run_suite-ids-str"),
+    pytest.param(lambda: identities.run_verify("rec-anxq", overrides=[("max_n", 2)]),
+                 identities.BadOverride, id="run_verify-overrides-list"),
 ])
 def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
     with pytest.raises(error) as exc:

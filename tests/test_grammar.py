@@ -1,7 +1,7 @@
 import pytest
 
 from excedance_lab.grammar import Grammar, parse_rules
-from excedance_lab.multipoly import Context, ParseError
+from excedance_lab.multipoly import Context, ContextMismatch, ParseError
 
 
 @pytest.fixture
@@ -102,6 +102,22 @@ def test_derive_of_a_polynomial_from_other_context_rejected():
         g.derive(c2.poly("y"))
     with pytest.raises(ValueError):
         g.derive(c2.poly("x"))
+
+
+def test_derive_and_iterate_check_the_context_first():
+    a, b = Context(), Context()
+    f = b.var("x")
+    calls = [
+        lambda: Grammar(a, {}).derive(f),
+        lambda: Grammar(a, {"y": "y"}).derive(f),
+        lambda: Grammar(a, {"y": "y"}).iterate(f, 0),
+        lambda: Grammar(a, {"y": "y"}).iterate(f, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ContextMismatch):
+            call()
+    # no rule variable was interned into f's context
+    assert b._names == ["x"]
 
 
 def test_rules_are_keyed_by_name(ctx):

@@ -131,6 +131,13 @@ _SABOTAGED = {
         "shape._is_symmetric = lambda f: True\n"
         "shape.gamma_expand(shape.CoeffSeq.make([1, 10, 4]))"
     ),
+    # a scale one too large leaves both parts symmetric and a + x*b equal to
+    # the scaled ints; only the reassembly against f itself catches it
+    "decompose-scale": (
+        "scaled = shape._scaled\n"
+        "shape._scaled = lambda c: (lambda s, w: (s + 1, w))(*scaled(c))\n"
+        "shape.decompose(shape.CoeffSeq.make([1, 10, 4]))"
+    ),
 }
 
 
@@ -259,16 +266,27 @@ def test_decomposition_uniqueness_random():
     import random
 
     rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randint(0, 7)
-        coeffs = [rng.randint(-9, 9) for _ in range(m + 1)]
-        f = seq(coeffs, m)
-        a, b = decompose(f)
-        assert all(a[i] == a[a.m - i] for i in range(a.m + 1))
-        assert all(b[i] == b[b.m - i] for i in range(b.m + 1))
-        for i in range(m + 1):
-            back = a[i] + (b[i - 1] if 0 <= i - 1 <= b.m else 0)
-            assert back == f[i]
+    draws = [
+        lambda: rng.randint(-9, 9),
+        # mixed denominators
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        # past 2^64
+        lambda: rng.choice((-1, 1)) * rng.randint(2**64, 2**70),
+    ]
+    for draw in draws:
+        for _ in range(200):
+            m = rng.randint(0, 7)
+            coeffs = [draw() for _ in range(m + 1)]
+            # m + 2 declares a length above the degree
+            for f in (seq(coeffs, m), seq(coeffs, m + 2)):
+                a, b = decompose(f)
+                assert all(a[i] == a[a.m - i] for i in range(a.m + 1))
+                assert all(b[i] == b[b.m - i] for i in range(b.m + 1))
+                for i in range(f.m + 1):
+                    back = a[i] + (b[i - 1] if 0 <= i - 1 <= b.m else 0)
+                    assert back == f[i]
+                # exact, and integral values stored as int
+                assert all(type(c) is int or c.denominator > 1 for c in a.coeffs + b.coeffs)
 
 
 def test_gamma_expand_gives_back_random_rational_gammas(ctx):
