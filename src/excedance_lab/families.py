@@ -15,7 +15,9 @@ The central triangle gamma[n, i, j](q) is defined by
     gamma[n+1,i,j] = q*gamma[n,i-1,j] + (i+1)*gamma[n,i+1,j-1]
                      + j*gamma[n,i,j] + (2n-2i-4j+4)*gamma[n,i,j-1]
 
-with gamma[1,1,0] = q, and reassembles the fix/cycle Eulerian polynomials:
+with gamma[0,0,0] = 1 at the empty permutation, whose one step gives
+gamma[1,1,0] = q since every other weight vanishes there.  The triangle
+reassembles the fix/cycle Eulerian polynomials:
 
     A_n(x,p,q) = sum_i p^i sum_j gamma[n,i,j](q) x^j (1+x)^(n-i-2j).
 
@@ -133,11 +135,12 @@ def _recur(ctx: Context, tables: dict[str, dict], steps: Iterable[int], terms: d
 
 
 def gamma_triangle(ctx: Context, n: int) -> dict[tuple[int, int], Poly]:
-    """Level-n coefficients gamma[n,i,j](q) as polynomials in q (n >= 1)."""
-    _check_n(n, 1, "gamma triangle starts at n = 1")
+    """Level-n coefficients gamma[n,i,j](q) as polynomials in q, from
+    gamma[0,0,0] = 1 at the empty permutation."""
+    _check_n(n)
     q = ctx.var("q")
     return dict(ctx.cached((gamma_triangle, n), lambda: _recur(
-        ctx, {"g": {(1, 0): q}}, range(1, n), {"g": [
+        ctx, {"g": {(0, 0): ctx.const(1)}}, range(n), {"g": [
             ("g", (-1, 0), lambda m, i, j: q),
             ("g", (1, -1), lambda m, i, j: i + 1),
             ("g", (0, 0), lambda m, i, j: j),
@@ -147,9 +150,6 @@ def gamma_triangle(ctx: Context, n: int) -> dict[tuple[int, int], Poly]:
 
 def gamma_poly(ctx: Context, n: int) -> Poly:
     """gamma_n(x,p,q) = sum_{i,j} gamma[n,i,j](q) p^i x^j."""
-    _check_n(n)
-    if n == 0:
-        return ctx.const(1)
     return ctx.combine(
         (g, ctx.monomial({"p": i, "x": j})) for (i, j), g in gamma_triangle(ctx, n).items()
     )
@@ -158,9 +158,6 @@ def gamma_poly(ctx: Context, n: int) -> Poly:
 def fix_cyc_eulerian(ctx: Context, n: int) -> Poly:
     """A_n(x,p,q): the gamma triangle read as a partial-gamma expansion in (x, p),
     assembled by :meth:`PartialGamma.assemble`."""
-    _check_n(n)
-    if n == 0:
-        return ctx.const(1)
     return PartialGamma(n, gamma_triangle(ctx, n)).assemble(ctx, "x", "p")
 
 
@@ -209,12 +206,11 @@ def derangement_poly(ctx: Context, n: int) -> Poly:
 
 def one_over_k_eulerian(ctx: Context, n: int, k: Optional[int] = None) -> Poly:
     """A_n^{(k)}(x) = k^n A_n(x, 1/k) = sum_j A_{n,j;k} x^j, from the row recurrence
-    A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{1,0;k} = 1."""
+    A_{m+1,j;k} = (1 + jk) A_{m,j;k} + (m - j + 1) k A_{m,j-1;k},  A_{0,0;k} = 1
+    (one step gives A_{1,0;k} = 1, as the second weight vanishes there)."""
     _check_n(n)
     kp = _param_poly(ctx, k, "k")
-    if n == 0:
-        return ctx.const(1)
-    row = _recur(ctx, {"A": {0: ctx.const(1)}}, range(1, n), {"A": [
+    row = _recur(ctx, {"A": {0: ctx.const(1)}}, range(n), {"A": [
         ("A", 0, lambda m, j: 1 + j * kp),
         ("A", -1, lambda m, j: (m - j + 1) * kp),
     ]})["A"]
@@ -318,8 +314,6 @@ def type_b_q_eulerian(ctx: Context, n: int) -> Poly:
 def phi_kernel(ctx: Context, n: int) -> Poly:
     """Phi_n(x,y) = xy (x^{n-1} - y^{n-1}) / (x - y); zero for n < 2."""
     _check_n(n)
-    if n < 2:
-        return ctx.zero()
     return ctx.polynomial(["x", "y"], (((a, n - a), 1) for a in range(1, n)))
 
 

@@ -41,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import permstats
-from .multipoly import BadInput, ParseError
+from .multipoly import BadInput, ParseError, _check_arg
 from .permstats import (
     ROLE_CDA,
     ROLE_CDD,
@@ -70,6 +70,8 @@ class CycleClassified:
 
 def classify(perm: PermObject) -> list[CycleClassified]:
     """Role classification of every cycle of a plain permutation."""
+    if not isinstance(perm, PermObject):
+        raise NotInClass(f"perm {perm!r} is not a PermObject")
     if perm.kind != "plain":
         raise NotInClass("the cycle action is defined for plain permutations")
     return [CycleClassified(c, cycle_roles(c)) for c in perm.cycles()]
@@ -178,6 +180,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str) -> PermObject:
     """Parse a plain permutation from cycle notation like '(1,4,2)(3)'; a
     value no cycle lists is a fixed point, an entry past the guard a ParseError."""
+    _check_arg(text, str, "cycle notation")
     stripped = re.sub(r"\s+", "", text)
     if not stripped or _CYCLE_RE.sub("", stripped):
         raise ParseError(f"bad cycle notation {text!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .multipoly import BadInput, Context, ContextMismatch, ParseError, Poly
+from .multipoly import BadInput, Context, ContextMismatch, ParseError, Poly, _check_arg
 
 
 class BadIterations(BadInput, ValueError):
@@ -30,6 +30,7 @@ class Grammar:
     """A substitution-rule map ``variable name -> polynomial`` over one context."""
 
     def __init__(self, ctx: Context, rules: Mapping[str, Union[Poly, str]]):
+        _check_arg(rules, Mapping, "rules")
         self.ctx = ctx
         self.rules: dict[str, Poly] = {}
         for var, rhs in rules.items():
@@ -45,8 +46,8 @@ class Grammar:
     def derive(self, f: Poly) -> Poly:
         """Apply ``D_G`` once: ``sum G(v) * df/dv`` over the ruled variables.
 
-        ``f`` must come from the grammar's context (:class:`ContextMismatch`
-        otherwise).
+        ``f`` must be a :class:`Poly` (:class:`ParseError` otherwise) of the
+        grammar's context (:class:`ContextMismatch` otherwise).
         """
         self._check_context(f)
         return self.ctx.combine((rule, f.differentiate(v)) for v, rule in self.rules.items())
@@ -54,7 +55,7 @@ class Grammar:
     def iterate(self, f: Poly, n: int) -> Poly:
         """n-fold application of :meth:`derive`; ``iterate(f, 0) == f``.
 
-        ``f`` must come from the grammar's context, as for :meth:`derive`.
+        ``f`` must be a polynomial of the grammar's context, as for :meth:`derive`.
         """
         if type(n) is bool or not isinstance(n, int) or n < 0:
             raise BadIterations(f"iteration count must be a nonnegative int, got {n!r}")
@@ -65,6 +66,7 @@ class Grammar:
 
     def _check_context(self, f: Poly) -> None:
         # before any rule variable is looked up in f's context, which would intern it there
+        _check_arg(f, Poly, "f")
         if f.ctx is not self.ctx:
             raise ContextMismatch("polynomial from a different context than the grammar's")
 
@@ -78,6 +80,7 @@ def parse_rules(ctx: Context, text: str) -> Grammar:
 
     Blank lines and ``#`` comments are ignored.
     """
+    _check_arg(text, str, "rules text")
     rules: dict[str, Poly] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

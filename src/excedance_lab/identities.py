@@ -357,37 +357,35 @@ def _run_lemma8(ck, ctx, bounds, n):
         )
 
 
-@_identity(
+@_sweep(
     "change-of-grammar",
     "substituting the defining bindings into the transformed grammars recovers the originals",
     1,
     {"max_n": 7},
     {"max_n": 5},
 )
-def _run_change_of_grammar(bounds, rng, ck):
-    for n in range(bounds["max_n"] + 1):
-        ctx = Context()
-        g0 = Grammar(ctx, LEMMA8_RULES)
-        g1 = Grammar(ctx, {
-            "I": "J", "J": "J*u + (k-1)*I*v", "u": "2*k*v", "v": "k*u*v",
-        })
-        bound = {
-            "J": ctx.poly("I*y"), "u": ctx.poly("x+y"), "v": ctx.poly("x*y"),
-        }
-        ck.eq(
-            f"G1->G0 n={n}",
-            g1.iterate(ctx.var("I"), n).substitute(bound),
-            g0.iterate(ctx.var("I"), n),
-        )
-        g = Grammar(ctx, LEMMA7_RULES)
-        g2 = Grammar(ctx, {"I": "I*p*q", "p": "u", "u": "u*v", "v": "2*u"})
-        ck.eq(
-            f"G2->G n={n}",
-            g2.iterate(ctx.var("I"), n).substitute(
-                {"u": ctx.poly("x*y"), "v": ctx.poly("x+y")}
-            ),
-            g.iterate(ctx.var("I"), n),
-        )
+def _run_change_of_grammar(ck, ctx, bounds, n):
+    g0 = Grammar(ctx, LEMMA8_RULES)
+    g1 = Grammar(ctx, {
+        "I": "J", "J": "J*u + (k-1)*I*v", "u": "2*k*v", "v": "k*u*v",
+    })
+    bound = {
+        "J": ctx.poly("I*y"), "u": ctx.poly("x+y"), "v": ctx.poly("x*y"),
+    }
+    ck.eq(
+        "G1->G0",
+        g1.iterate(ctx.var("I"), n).substitute(bound),
+        g0.iterate(ctx.var("I"), n),
+    )
+    g = Grammar(ctx, LEMMA7_RULES)
+    g2 = Grammar(ctx, {"I": "I*p*q", "p": "u", "u": "u*v", "v": "2*u"})
+    ck.eq(
+        "G2->G",
+        g2.iterate(ctx.var("I"), n).substitute(
+            {"u": ctx.poly("x*y"), "v": ctx.poly("x+y")}
+        ),
+        g.iterate(ctx.var("I"), n),
+    )
 
 
 @_grammar_sweep(

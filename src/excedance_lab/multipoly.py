@@ -71,9 +71,11 @@ class ParseError(BadInput, ValueError):
     """Raised for malformed polynomial input: polynomial or rational text, a
     bad variable name, a negative exponent or one that is not an int (a float
     or a ``bool``; of a monomial or of ``**``), a malformed monomial key,
-    exponent rows that do not align with their names, a malformed JSON
-    document, or bindings, a weighting or statistic names not given as the
-    mapping or tuple asked for."""
+    exponent rows that do not align with their names, or a malformed JSON
+    document.  Also raised for an argument not given as the type asked for:
+    a polynomial, a coefficient sequence, a gamma list or table, text,
+    grammar rules, bindings, a weighting or statistic names; the message
+    names the argument."""
 
 
 class ExponentOverflow(BadInput, ValueError):
@@ -93,6 +95,12 @@ class BadCoefficient(BadInput, TypeError, ValueError):
     """A coefficient that is neither an int nor a ``Fraction`` (a float, say).
     It is a ``TypeError``, so an operator given one returns ``NotImplemented``,
     and a ``ValueError`` like every other error at the public boundary."""
+
+
+def _check_arg(value, kind: type, name: str) -> None:
+    """:class:`ParseError` unless the argument ``name``, given as ``value``, is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{name} {value!r} is not a {kind.__name__}")
 
 
 def _norm_coeff(c) -> Coeff:
@@ -267,6 +275,7 @@ class Context:
 
     def poly(self, text: str) -> "Poly":
         """Parse canonical (or any reasonable) polynomial text."""
+        _check_arg(text, str, "polynomial text")
         return _parse_poly(self, text)
 
     def combine(self, pairs: Iterable[tuple]) -> "Poly":

@@ -489,19 +489,11 @@ def _signed_stats(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _value = itemgetter(0)
-# one slot: the last pi the colored kernel read and its cycle count, so a run of
-# words that share pi (as the stream's do) walks pi's orbits once
-_colored_pi: tuple[tuple[int, ...], int] = ((), 0)
 
 
 def _colored_stats(word: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The colored kernel: ``word`` holds each position's (value, colour)."""
-    global _colored_pi
-    pi = tuple(map(_value, word))
-    last, cyc = _colored_pi
-    if pi != last:
-        cyc = len(_cycles_plain(pi))
-        _colored_pi = pi, cyc
+    cyc = len(_cycles_plain(tuple(map(_value, word))))
     exc_B = fix = single = csum = exc_A = i = 0
     for v, c in word:
         i += 1
@@ -1260,11 +1252,11 @@ def marginal(
     """Joint counts of the named statistics over the class.
 
     Keys are value tuples in the order of ``names``, e.g.
-    ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.  A single name
-    given as text, not in a tuple, raises :class:`ParseError`.
+    ``marginal("plain", 3, ("exc", "fix"))[(1, 0)] == 2``.  Names not given
+    in a tuple or list (a single name as text, say) raise :class:`ParseError`.
     """
-    if isinstance(names, str):
-        raise ParseError(f"names {names!r} are not a tuple of statistic names")
+    if not isinstance(names, (tuple, list)):
+        raise ParseError(f"names {names!r} are not a tuple or list of statistic names")
     indices, dist = _cached_class(kind, n, r, k, names)
     return _project(indices, dist.full, dist.counts)
 

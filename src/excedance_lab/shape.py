@@ -34,7 +34,7 @@ from math import comb, lcm
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
-from .multipoly import BadInput, BadLength, Context, Poly, _norm_coeff
+from .multipoly import BadInput, BadLength, Context, ParseError, Poly, _check_arg, _norm_coeff
 
 Number = Union[int, Fraction]
 Coefficient = Union[Number, Poly]
@@ -98,6 +98,7 @@ class CoeffSeq:
     @staticmethod
     def from_poly(f: Poly, var: str, m: int | None = None) -> "CoeffSeq":
         """Extract the coefficient sequence of a univariate polynomial."""
+        _check_arg(f, Poly, "f")
         free = [v for v in f.variables() if v != var]
         if free:
             raise NotUnivariate(f"not univariate in {var}; still free: {free}")
@@ -132,6 +133,7 @@ def decompose(f: CoeffSeq) -> tuple[CoeffSeq, CoeffSeq]:
     symmetric and a + x*b against f itself: on the scaled ints that sum holds
     by construction, so only f can catch a wrong scale.
     """
+    _check_arg(f, CoeffSeq, "f")
     m = f.m
     if m < 0:
         return CoeffSeq((), -1), CoeffSeq((), -1)
@@ -157,8 +159,7 @@ def gamma_expand(f: CoeffSeq) -> list[Number]:
     The sequence is scaled by the lcm of its denominators, the subtraction
     loop runs on ints, and each gamma is divided by that scale once.
     """
-    if f.m < 0:
-        return []
+    _check_arg(f, CoeffSeq, "f")
     if not _is_symmetric(f):
         raise NotSymmetric(f"not symmetric about {f.m}/2: {f.coeffs}")
     m = f.m
@@ -191,8 +192,11 @@ def gamma_assemble(
     basis expansion: each ``x^k (1+x)^{m-2k}`` is built from the binomial row
     of ``m-2k`` and :meth:`Context.combine` sums the weighted elements.  Zero
     entries are ignored; an ``m`` that is not an int, or a nonzero gamma_k with
-    ``k < 0`` or ``2k > m``, raises :class:`BadLength`.
+    ``k < 0`` or ``2k > m``, raises :class:`BadLength`; ``gammas`` that are
+    neither a sequence nor a mapping raise :class:`ParseError`.
     """
+    if not isinstance(gammas, (Sequence, Mapping)):
+        raise ParseError(f"gammas {gammas!r} are not a list or a table")
     _check_length(m)
     if not isinstance(gammas, Mapping):
         gammas = dict(enumerate(gammas))
@@ -219,6 +223,7 @@ def _gamma_verdicts(gamma_a: list[Number], gamma_b: list[Number]) -> dict[str, b
 
 def check(f: CoeffSeq, prop: str) -> bool:
     """Verdict for one shape property at the declared length."""
+    _check_arg(f, CoeffSeq, "f")
     if prop not in PROPERTIES:
         raise UnknownProperty(f"unknown property {prop!r}")
     if f.m < 0:
@@ -340,6 +345,7 @@ def partial_gamma_expand(
     is not symmetric at its declared length ``n - i``, and
     :class:`BadLength` if ``n`` is not an int.
     """
+    _check_arg(p, Poly, "p")
     _check_length(n)
     mu: dict[tuple[int, int], Number] = {}
     for i, slice_poly in enumerate(p.coeffs_in(yvar)):

@@ -458,6 +458,26 @@ def _fresh_x():
                  id="run_suite-ids-str"),
     pytest.param(lambda: identities.run_verify("rec-anxq", overrides=[("max_n", 2)]),
                  identities.BadOverride, id="run_verify-overrides-list"),
+    # a polynomial, a sequence, text or names given as another type
+    pytest.param(lambda: grammar.Grammar(Context(), {"x": "x*y"}).derive(3), ParseError,
+                 id="derive-int"),
+    pytest.param(lambda: grammar.Grammar(Context(), {"x": "x*y"}).iterate("x", 1), ParseError,
+                 id="iterate-str"),
+    pytest.param(lambda: grammar.Grammar(Context(), 3), ParseError, id="Grammar-rules-int"),
+    pytest.param(lambda: shape.decompose([1, 2, 1]), ParseError, id="decompose-list"),
+    pytest.param(lambda: shape.gamma_expand((1, 2, 1)), ParseError, id="gamma_expand-tuple"),
+    pytest.param(lambda: shape.check([1, 2], "unimodal"), ParseError, id="check-list"),
+    pytest.param(lambda: shape.shape_report([1, 2, 1]), ParseError, id="shape_report-list"),
+    pytest.param(lambda: shape.CoeffSeq.from_poly(3, "x"), ParseError, id="from_poly-int"),
+    pytest.param(lambda: shape.partial_gamma_expand([1], "x", "y", 2), ParseError,
+                 id="partial_gamma_expand-list"),
+    pytest.param(lambda: shape.gamma_assemble(Context(), None, 2), ParseError,
+                 id="gamma_assemble-None"),
+    pytest.param(lambda: Context().poly(3), ParseError, id="poly-int"),
+    pytest.param(lambda: grammar.parse_rules(Context(), 3), ParseError, id="parse_rules-int"),
+    pytest.param(lambda: fsaction.parse_cycles(3), ParseError, id="parse_cycles-int"),
+    pytest.param(lambda: fsaction.classify(3), permstats.NotInClass, id="classify-int"),
+    pytest.param(lambda: permstats.marginal("plain", 3, None), ParseError, id="marginal-None"),
 ])
 def test_bad_arguments_at_the_public_boundary_raise_typed_errors(call, error):
     with pytest.raises(error) as exc:

@@ -46,6 +46,9 @@ def test_q_eulerian_values(ctx):
 
 
 def test_fix_cyc_values(ctx):
+    # the recurrence starts at the empty permutation
+    assert family(ctx, "A_pq", 0) == ctx.const(1)
+    assert family(ctx, "A_pq", 1) == ctx.poly("p*q")
     assert fix_cyc_eulerian(ctx, 1) == ctx.poly("p*q")
     assert fix_cyc_eulerian(ctx, 2) == ctx.poly("p^2*q^2 + q*x")
     assert fix_cyc_eulerian(ctx, 3) == ctx.poly("p^3*q^3 + (q + 3*p*q^2)*x + q*x^2")
@@ -63,12 +66,19 @@ def test_fix_cyc_matches_enumeration_oracle(ctx):
 
 
 def test_gamma_poly_values(ctx):
+    assert gamma_triangle(ctx, 0) == {(0, 0): ctx.const(1)}
+    assert gamma_triangle(ctx, 1) == {(1, 0): ctx.var("q")}
+    assert family(ctx, "gamma_pq", 0) == ctx.const(1)
+    assert family(ctx, "gamma_pq", 1) == ctx.poly("p*q")
     assert gamma_poly(ctx, 1) == ctx.poly("p*q")
     assert gamma_poly(ctx, 2) == ctx.poly("p^2*q^2 + q*x")
     assert family(ctx, "gamma_pq", 3) == ctx.poly("p^3*q^3 + q*(1 + 3*p*q)*x")
 
 
 def test_one_over_k_values(ctx):
+    for k in ({}, {"k": 1}, {"k": 2}, {"k": 3}):
+        assert family(ctx, "one_over_k", 0, **k) == ctx.const(1)
+        assert family(ctx, "one_over_k", 1, **k) == ctx.const(1)
     assert one_over_k_eulerian(ctx, 1, None) == ctx.const(1)
     assert one_over_k_eulerian(ctx, 2, None) == ctx.poly("1 + k*x")
     assert family(ctx, "one_over_k", 3) == ctx.poly("1 + 3*k*x + k^2*x*(1+x)")
@@ -128,6 +138,7 @@ def test_type_b_q_values(ctx):
 def test_phi_values(ctx):
     assert phi_kernel(ctx, 0).is_zero()
     assert phi_kernel(ctx, 1).is_zero()
+    assert family(ctx, "phi", 0).is_zero() and family(ctx, "phi", 1).is_zero()
     assert family(ctx, "phi", 2) == ctx.poly("x*y")
     assert family(ctx, "phi", 3) == ctx.poly("x*y*(x+y)")
 

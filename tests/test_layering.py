@@ -14,6 +14,9 @@ is a column of the kind's ``_KINDS`` row.
 ``identities`` restricts no class with a ``gen_poly`` ``where=`` filter: a
 restriction is a variable bound to 0 in the substitution the identity makes.
 
+No module keeps state it rebinds through a ``global`` statement: a kernel
+computes from its arguments.
+
 Importing the package loads neither ``multiprocessing`` nor ``pickle``: the
 fork pool and the sharded cold builds import what they need when they run.
 """
@@ -208,3 +211,21 @@ def test_importing_the_package_loads_no_process_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def global_statements(source: str) -> set[str]:
+    """The ``global`` statements in ``source``."""
+    return {
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    }
+
+
+def test_no_module_has_a_global_statement():
+    # the finder finds one, so the check below cannot pass by parsing nothing
+    assert global_statements("slot = 0\ndef f():\n    global slot\n") == {"line 3"}
+    found = {
+        str(path.relative_to(PACKAGE.parent)): global_statements(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.parent.rglob("*.py"))
+    }
+    assert {path: lines for path, lines in found.items() if lines} == {}

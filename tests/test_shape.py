@@ -77,6 +77,7 @@ def test_gamma_expand_values():
     assert gamma_expand(seq([1, 6, 1])) == [1, 4]
     assert gamma_expand(seq([1, 2, 1])) == [1, 0]
     assert gamma_expand(seq([1, 11, 11, 1])) == [1, 8]
+    assert gamma_expand(CoeffSeq((), -1)) == []
     with pytest.raises(NotSymmetric):
         gamma_expand(seq([1, 2, 3]))
 
